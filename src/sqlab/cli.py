@@ -127,9 +127,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=["det", "rand"], default="det", help="solver mode")
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+def _config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser) -> bool:
+    """Install the ``--config`` file's values as ``parser``'s defaults.
+
+    Returns whether there was a config; the command line must then be
+    parsed again, so that every flag given on it wins over the file.
+    """
     if not getattr(args, "config", None):
-        return
+        return False
     try:
         with open(args.config) as fh:
             conf = json.load(fh)
@@ -137,12 +142,15 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error(f"cannot read --config: {exc}")
     if not isinstance(conf, dict):
         parser.error("--config must contain a JSON object")
+    options = {action.dest for action in parser._actions}
+    defaults = {}
     for key, value in conf.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in options:
             parser.error(f"--config contains unknown option {key!r}")
-        if getattr(args, attr) in (None, parser.get_default(attr)):
-            setattr(args, attr, value)
+        defaults[attr] = value
+    parser.set_defaults(**defaults)
+    return True
 
 
 def _build_problem(args, parser) -> ProblemSpec:
@@ -278,16 +286,20 @@ def cmd_dims(args, parser) -> int:
     dists = list(problem.dists)
     if problem.reference is not None:
         d0 = problem.reference
-        attempt(
-            "rsd_decision",
-            lambda: {
-                "value": (r := rsd_decision(dists, d0, args.tau, kappa)).value,
-                "exactness": r.exactness,
-            },
-        )
+        # rsd_decision enumerates the achievable family once and sd_decision
+        # reads it; when rsd_decision fails, sd_decision builds its own.
+        family = None
+
+        def rsd():
+            nonlocal family
+            r = rsd_decision(dists, d0, args.tau, kappa)
+            family = r.family
+            return {"value": r.value, "exactness": r.exactness}
+
+        attempt("rsd_decision", rsd)
         attempt(
             "sd_decision",
-            lambda: {"value": sd_decision(dists, d0, args.tau, kappa).value},
+            lambda: {"value": sd_decision(dists, d0, args.tau, kappa, family=family).value},
         )
         attempt(
             "crsd",
@@ -659,7 +671,8 @@ def main(argv=None) -> int:
         p.set_defaults(handler=handler)
         handlers[name] = p
     args = parser.parse_args(argv)
-    _apply_config(args, handlers[args.command])
+    if _config_defaults(args, handlers[args.command]):
+        args = parser.parse_args(argv)
     try:
         return args.handler(args, handlers[args.command])
     except SqlabError as exc:

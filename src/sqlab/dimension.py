@@ -2,7 +2,12 @@
 
 All dimensions here are built from one primitive: which subsets of the
 family can a single query distinguish from a center distribution at radius
-tau (``games.achievable_subsets``). On top of that:
+tau (``games.achievable_subsets``). Enumerating that family is most of the
+work, so ``rsd_decision`` returns the family it built in
+``DimensionReport.family`` and ``sd_decision`` takes it as ``family=``: one
+family serves both decision dimensions of a report. Nothing is cached
+between calls.
+On top of that:
 
 - ``det_cover``: smallest integer cover of the family by achievable subsets
   (exact branch-and-bound or greedy).
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -86,17 +91,32 @@ class DimensionReport:
     """A dimension value with its kind tag, exactness, and certificate.
 
     ``value`` may be ``math.inf`` (serialized as the string "inf"); the
-    certificate then names the indistinguishable distributions.
+    certificate then names the indistinguishable distributions. On
+    ``rsd_decision`` reports, ``family`` is the achievable family the value
+    was computed from, so that ``sd_decision`` over the same (family,
+    center, tau, kappa) can take it as ``family=`` instead of enumerating
+    it again.
     """
 
     value: float
     kind: str
     exactness: str
     certificate: dict
+    family: CoverFamily | None = field(default=None, repr=False, compare=False)
 
 
-def _family(dists, d0, tau, kappa) -> CoverFamily:
-    return achievable_subsets(dists, d0, tau, kappa=kappa)
+def _family(dists, d0, tau, kappa, family: CoverFamily | None = None) -> CoverFamily:
+    """The achievable family of ``dists`` around ``d0``: ``family`` when it
+    is given (it must match ``len(dists)``, ``tau`` and ``kappa``), else a
+    fresh enumeration."""
+    if family is None:
+        return achievable_subsets(dists, d0, tau, kappa=kappa)
+    if (family.ground_size, family.tau, family.kappa) != (len(dists), tau, kappa):
+        raise ValueError(
+            f"family built for {family.ground_size} distributions at tau={family.tau} "
+            f"({family.kappa}) does not fit {len(dists)} at tau={tau} ({kappa})"
+        )
+    return family
 
 
 def det_cover(
@@ -168,7 +188,8 @@ def rsd_decision(
     two routes must agree within 1e-6 or a NumericalError is raised.
 
     An empty family (no distributions) reports 0; a distribution no query
-    distinguishes reports value = inf with the witnesses.
+    distinguishes reports value = inf with the witnesses. The report
+    carries the family it enumerated (see ``DimensionReport.family``).
     """
     exactness = EXACT if kappa == K1 else UPPER_BOUND
     if not dists:
@@ -181,6 +202,7 @@ def rsd_decision(
             kind="rsd-decision",
             exactness=exactness,
             certificate={"indistinguishable": list(missing)},
+            family=family,
         )
     cover = fractional_cover(family)
     z, mu = _hardest_measure_lp(family)
@@ -203,6 +225,7 @@ def rsd_decision(
             "hardest_measure": mu,
             "dual_value": dual_value,
         },
+        family=family,
     )
 
 
@@ -211,24 +234,31 @@ def sd_decision(
     d0: FiniteDistribution,
     tau: float,
     kappa: str = K1,
+    family: CoverFamily | None = None,
 ) -> DimensionReport:
     """max over subfamilies T of |T| / (largest achievable overlap with T).
 
     Exhaustive over subfamilies (guard |dists| <= 16). A distribution in no
-    achievable subset makes the value infinite.
+    achievable subset makes the value infinite. ``family`` is the achievable
+    family to use instead of enumerating it, such as the one an
+    ``rsd_decision`` report carries (see ``DimensionReport.family``).
+
+    KV reports an UPPER_BOUND: the vertex family under-approximates
+    achievability, so every overlap can only shrink and the ratio grow.
     """
     m = len(dists)
     if m > 16:
         raise GuardExceededError(f"sd_decision: 2^{m} subfamilies exceed the guard")
+    exactness = EXACT if kappa == K1 else UPPER_BOUND
     if m == 0:
-        return DimensionReport(0.0, "sd-decision", EXACT if kappa == K1 else LOWER_BOUND, {})
-    family = _family(dists, d0, tau, kappa)
+        return DimensionReport(0.0, "sd-decision", exactness, {})
+    family = _family(dists, d0, tau, kappa, family)
     missing = family.uncovered()
     if missing:
         return DimensionReport(
             value=math.inf,
             kind="sd-decision",
-            exactness=EXACT if kappa == K1 else LOWER_BOUND,
+            exactness=exactness,
             certificate={"indistinguishable": list(missing), "subfamily": list(missing)},
         )
     masks = [sum(1 << i for i in s) for s in family.sets]
@@ -243,7 +273,7 @@ def sd_decision(
     return DimensionReport(
         value=best_val,
         kind="sd-decision",
-        exactness=EXACT if kappa == K1 else LOWER_BOUND,
+        exactness=exactness,
         certificate={"subfamily": subfamily},
     )
 

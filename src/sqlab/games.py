@@ -4,7 +4,12 @@ Everything here is exact small-scale machinery: a two-phase primal simplex
 with Bland's rule (no cycling, no external solver), zero-sum game values via
 the classic shift-positive reduction, maximum-margin separation queries, and
 the achievable-subset / fractional-cover machinery the dimension layer is
-built on.
+built on. The simplex kernel is vectorized: each iteration finds the
+entering column, runs the ratio test and pivots with a few numpy vector
+operations. Its pivots and arithmetic are those of a scalar row-by-row
+Bland loop whenever ratios that tie within 1e-12 of the minimum also lie
+within 1e-12 of each other (as on every small integer LP tested); see
+``_run_simplex``.
 
 Conventions:
 
@@ -70,42 +75,44 @@ class LPResult:
 
 
 def _pivot(t: np.ndarray, row: int, col: int) -> None:
+    """Rank-1 update: scale the pivot row, then eliminate ``col`` from every
+    other row that has a non-zero entry in it."""
     t[row] /= t[row, col]
-    for i in range(t.shape[0]):
-        if i != row and t[i, col] != 0.0:
-            t[i] -= t[i, col] * t[row]
+    factors = t[:, col].copy()
+    factors[row] = 0.0
+    rows = factors.nonzero()[0]
+    t[rows] -= factors[rows, None] * t[row]
 
 
-def _run_simplex(t: np.ndarray, basis: list[int], allowed: np.ndarray) -> None:
+def _run_simplex(t: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -> None:
     """Primal simplex iterations (maximization) with Bland's rule, in place.
 
     The last row of ``t`` holds reduced costs z - c, the last column the RHS.
     ``allowed[j]`` masks columns permitted to enter (used to pin artificials
-    in phase 2).
+    in phase 2). Each iteration is a handful of vector operations: the
+    entering column is the first allowed one with reduced cost below
+    -1e-9, the ratio test takes the smallest ratio over rows with a pivot
+    entry above 1e-9 (ratios within 1e-12 of it tie, and the tie goes to
+    the row whose basic variable has the smallest index: textbook Bland),
+    and the pivot is one rank-1 update. A scalar loop that carries a
+    running best row by row can end elsewhere on a chain of near-ties
+    spread wider than 1e-12; both rules are Bland's and cannot cycle.
     """
-    m = t.shape[0] - 1
+    # The tableaux are small (tens of rows), so each step is written with
+    # as few numpy calls as it takes: call overhead, not arithmetic, is
+    # most of an iteration's cost.
     for _ in range(_MAX_ITER):
-        entering = -1
-        for j in range(t.shape[1] - 1):
-            if allowed[j] and t[-1, j] < -_PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        improving = allowed & (t[-1, :-1] < -_PIVOT_TOL)
+        entering = int(improving.argmax())
+        if not improving[entering]:
             return
-        leaving = -1
-        best_ratio = math.inf
-        for i in range(m):
-            coef = t[i, entering]
-            if coef > _PIVOT_TOL:
-                ratio = t[i, -1] / coef
-                if ratio < best_ratio - 1e-12 or (
-                    abs(ratio - best_ratio) <= 1e-12
-                    and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
+        col = t[:-1, entering]
+        rows = (col > _PIVOT_TOL).nonzero()[0]
+        if not rows.size:
             raise UnboundedError("objective is unbounded above")
+        ratios = t[rows, -1] / col[rows]
+        ties = rows[ratios <= ratios.min() + 1e-12]
+        leaving = int(ties[basis[ties].argmin()])
         _pivot(t, leaving, entering)
         basis[leaving] = entering
     raise NumericalError("simplex did not terminate (iteration cap hit)")
@@ -145,27 +152,18 @@ def lp_solve(
     rhs = rhs * scale
 
     slack = np.zeros((m, m_ub))
-    for i in range(m_ub):
-        slack[i, i] = scale[i]
+    np.fill_diagonal(slack, scale[:m_ub])
     eq_mat = np.hstack([rows, slack]) if m else np.zeros((0, n + m_ub))
     n_total = n + m_ub
 
     # Natural basis where a +1 slack exists; artificials elsewhere.
-    basis: list[int] = []
-    art_cols: list[int] = []
-    art_rows: list[int] = []
-    for i in range(m):
-        if i < m_ub and scale[i] > 0:
-            basis.append(n + i)
-        else:
-            art_rows.append(i)
-            basis.append(-1)  # filled below
-    if art_rows:
-        art = np.zeros((m, len(art_rows)))
-        for j, i in enumerate(art_rows):
-            art[i, j] = 1.0
-            art_cols.append(n_total + j)
-            basis[i] = n_total + j
+    basis = n + np.arange(m)
+    art_rows = np.flatnonzero((np.arange(m) >= m_ub) | (scale < 0))
+    art_cols = n_total + np.arange(art_rows.size)
+    if art_rows.size:
+        art = np.zeros((m, art_rows.size))
+        art[art_rows, np.arange(art_rows.size)] = 1.0
+        basis[art_rows] = art_cols
         eq_mat = np.hstack([eq_mat, art])
     width = eq_mat.shape[1]
 
@@ -183,7 +181,7 @@ def lp_solve(
             if cb != 0.0:
                 tableau[-1] += cb * tableau[i]
 
-    if art_cols:
+    if art_rows.size:
         phase1 = np.zeros(width)
         phase1[art_cols] = -1.0
         install_objective(phase1)
@@ -193,24 +191,19 @@ def lp_solve(
                 f"no feasible point (artificial residual {-tableau[-1, -1]:.3e})"
             )
         # Drive surviving artificials out of the basis; drop redundant rows.
-        art_set = set(art_cols)
         drop: list[int] = []
         for i in range(m):
-            if basis[i] in art_set:
-                pivot_col = -1
-                for j in range(width):
-                    if j not in art_set and abs(tableau[i, j]) > _PIVOT_TOL:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    _pivot(tableau, i, pivot_col)
-                    basis[i] = pivot_col
+            if basis[i] >= n_total:
+                cols = np.flatnonzero(np.abs(tableau[i, :n_total]) > _PIVOT_TOL)
+                if cols.size:
+                    _pivot(tableau, i, int(cols[0]))
+                    basis[i] = int(cols[0])
                 else:
                     drop.append(i)
         if drop:
             keep = [i for i in range(m) if i not in drop]
             tableau = np.vstack([tableau[keep], tableau[-1:]])
-            basis = [basis[i] for i in keep]
+            basis = basis[keep]
             row_ids = [row_ids[i] for i in keep]
             m = len(keep)
         allowed[art_cols] = False
@@ -221,8 +214,7 @@ def lp_solve(
     _run_simplex(tableau, basis, allowed)
 
     x_full = np.zeros(width)
-    for i in range(m):
-        x_full[basis[i]] = tableau[i, -1]
+    x_full[basis] = tableau[:m, -1]
     x = x_full[:n]
 
     # Duals from y = c_B B^{-1} over the surviving equality-form rows
@@ -235,8 +227,7 @@ def lp_solve(
             y_part = np.linalg.solve(b_mat.T, cb)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - degenerate basis
             raise NumericalError(f"dual extraction failed: {exc}") from exc
-        for val, i in zip(y_part, row_ids):
-            y_scaled[i] = val
+        y_scaled[row_ids] = y_part
     y = y_scaled * scale  # undo row scaling
     y_ub, y_eq = y[:m_ub], y[m_ub:]
 
@@ -364,12 +355,14 @@ def max_margin(
         return MarginResult(value=float(np.abs(g[0]).sum()), query=phi, mixture=np.ones(1))
     k = len(dists)
     # Variables: u = phi + 1 in [0, 2] (n of them), then t >= 0.
-    # Margin rows:  <u, g_D> - t >= sum(g_D)  =>  -<u, g_D> + t <= -sum(g_D)
+    # Margin rows:  <u, g_D> - t >= sum(g_D)  =>  -<u, g_D> + t <= -sum(g_D).
+    # sum(g_D) = sum(D - D0) = 0 exactly; its float value (about 1e-17 of
+    # either sign) would flip a negative row and force a phase 1, so the
+    # right-hand side is written as an exact zero.
     a_ub = np.zeros((k + n, n + 1))
     b_ub = np.zeros(k + n)
     a_ub[:k, :n] = -g
     a_ub[:k, n] = 1.0
-    b_ub[:k] = -g.sum(axis=1)
     a_ub[k:, :n] = np.eye(n)
     b_ub[k:] = 2.0
     c = np.zeros(n + 1)

@@ -83,6 +83,29 @@ def test_dims_decision_instance(capsys):
     assert "kbar1" in report and "rho" in report
 
 
+def test_dims_enumerates_the_family_once_per_report(monkeypatch, capsys):
+    from sqlab import dimension
+
+    built = []
+    enumerate_family = dimension.achievable_subsets
+
+    def counting(*args, **kwargs):
+        built.append(args[2])
+        return enumerate_family(*args, **kwargs)
+
+    monkeypatch.setattr(dimension, "achievable_subsets", counting)
+    argv = ["dims", "--gen", "biclique", "--n", "3", "--k", "1", "--kind", "decision",
+            "--tau", "0.2"]
+    outs = []
+    for _ in range(2):
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        outs.append(out)
+    # one enumeration per report, none carried over to the next report
+    assert built == [0.2, 0.2]
+    assert outs[0] == outs[1]
+
+
 def test_dims_requires_tau(capsys):
     code, _ = run_cli(["dims", "--gen", "biclique", "--n", "4", "--k", "2"], capsys)
     assert code == 1
@@ -246,4 +269,45 @@ def test_merge_surfaces_theorem_violations_with_exit_2(tmp_path, capsys):
 
 def test_merge_requires_inputs(capsys):
     code, _ = run_cli(["merge"], capsys)
+    assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# --config
+# ---------------------------------------------------------------------------
+
+
+def _solve_with_config(tmp_path, capsys, conf, flags):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(conf))
+    code, out = run_cli(
+        ["solve", "--gen", "biclique", "--n", "4", "--k", "2", "--tau", "0.3",
+         "--config", str(path), *flags],
+        capsys,
+    )
+    assert code == 0
+    return json.loads(out)
+
+
+def test_config_fills_flags_not_given(tmp_path, capsys):
+    report = _solve_with_config(tmp_path, capsys, {"trials": 3, "seed": 4}, [])
+    assert report["trials"] == 3 and report["seed"] == 4
+    assert len(report["results"]) == 3
+
+
+def test_explicit_flags_beat_config_even_at_their_default(tmp_path, capsys):
+    # --trials 1 is the flag's default value; it must still win over the file
+    report = _solve_with_config(
+        tmp_path, capsys, {"trials": 5, "seed": 4, "mode": "rand"},
+        ["--trials", "1", "--seed", "2", "--mode", "det"],
+    )
+    assert report["trials"] == 1 and report["seed"] == 2
+    assert len(report["results"]) == 1
+
+
+def test_config_rejects_unknown_options(tmp_path, capsys):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"no_such_flag": 1}))
+    code, _ = run_cli(["dims", "--gen", "biclique", "--n", "3", "--k", "1", "--tau", "0.2",
+                       "--config", str(path)], capsys)
     assert code == 1

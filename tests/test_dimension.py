@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sqlab import (
+    KV,
     FiniteDistribution,
     FiniteDomain,
     GuardExceededError,
@@ -25,8 +26,9 @@ from sqlab import (
     rsd_verifiable,
     sd_decision,
     simple_lower_bound,
+    verify_cover_family,
 )
-from sqlab.dimension import EXACT, LOWER_BOUND
+from sqlab.dimension import EXACT, LOWER_BOUND, UPPER_BOUND
 from sqlab.games import CoverFamily
 
 from tests.util import random_dists, small_domain
@@ -97,6 +99,67 @@ def test_sd_at_most_rsd_on_randoms(seed):
     # a uniform measure on the witness subfamily packs into the cover LP
     assert sd.value <= rsd.value + 1e-9
     assert sd.value >= 1.0
+
+
+def test_sd_decision_kv_is_an_upper_bound():
+    # The KV vertex family pairs the members up ({0,1}, {0,2}, {1,2}), so
+    # sd_decision reads 3/2. The interior query (1, 0, 1/4) clears tau for
+    # all three members at once, so the true KV value is 1: the vertex
+    # family can only overstate it.
+    dom = FiniteDomain(((0,), (1,), (2,)))
+    dists = [
+        FiniteDistribution(dom, np.array(w, dtype=float) / sum(w))
+        for w in [(3, 8, 2), (2, 8, 5), (8, 4, 3)]
+    ]
+    d0 = FiniteDistribution.uniform(dom)
+    rep = sd_decision(dists, d0, tau=0.1, kappa=KV)
+    assert rep.exactness == UPPER_BOUND
+    assert rep.value == pytest.approx(1.5)
+    richer = CoverFamily(
+        ground_size=3,
+        sets=(frozenset({0, 1, 2}),),
+        witnesses=(np.array([1.0, 0.0, 0.25]),),
+        tau=0.1,
+        kappa=KV,
+    )
+    verify_cover_family(dists, d0, richer)
+    assert sd_decision(dists, d0, tau=0.1, kappa=KV, family=richer).value == pytest.approx(1.0)
+    assert rep.value <= rsd_decision(dists, d0, tau=0.1, kappa=KV).value + 1e-9
+    assert sd_decision([], d0, tau=0.1, kappa=KV).exactness == UPPER_BOUND
+
+
+def test_decision_dimensions_share_one_family(monkeypatch):
+    from sqlab import dimension
+
+    dists, d0 = _three_dist_instance()
+    built = []
+    enumerate_family = dimension.achievable_subsets
+
+    def counting(*args, **kwargs):
+        built.append(args[2])
+        return enumerate_family(*args, **kwargs)
+
+    monkeypatch.setattr(dimension, "achievable_subsets", counting)
+    rsd = rsd_decision(dists, d0, tau=0.2)
+    sd = sd_decision(dists, d0, tau=0.2, family=rsd.family)
+    assert built == [0.2]
+    assert sd.value == sd_decision(dists, d0, tau=0.2).value
+    assert built == [0.2, 0.2]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda dists, d0, fam: sd_decision(dists, d0, tau=0.3, family=fam),
+        lambda dists, d0, fam: sd_decision(dists[:2], d0, tau=0.2, family=fam),
+        lambda dists, d0, fam: sd_decision(dists, d0, tau=0.2, kappa=KV, family=fam),
+    ],
+)
+def test_family_must_fit_the_call(call):
+    dists, d0 = _three_dist_instance()
+    family = rsd_decision(dists, d0, tau=0.2).family
+    with pytest.raises(ValueError):
+        call(dists, d0, family)
 
 
 def test_sd_decision_guard():

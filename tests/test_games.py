@@ -5,6 +5,8 @@ programs (shares no code with the simplex) and KKT certificates on larger
 ones (primal/dual feasibility plus a zero duality gap prove optimality).
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -108,6 +110,153 @@ def test_lp_degenerate_does_not_cycle():
     assert res.value == pytest.approx(1.0)
 
 
+def _random_integer_lp(rng):
+    """A small LP with integer data, <= and = rows, and one of three
+    right-hand-side shapes: every row tight at an integer point with zero
+    coordinates (a degenerate vertex), a mix of tight and slack rows, or
+    arbitrary (often negative, often infeasible) values. Half get box rows."""
+    n = int(rng.integers(1, 6))
+    m_ub, m_eq = int(rng.integers(0, 6)), int(rng.integers(0, 3))
+    c = rng.integers(-3, 4, n).astype(float)
+    a_ub = rng.integers(-3, 4, (m_ub, n)).astype(float)
+    a_eq = rng.integers(-2, 3, (m_eq, n)).astype(float)
+    x0 = rng.integers(0, 3, n) * (rng.random(n) < 0.6)
+    shape = int(rng.integers(3))
+    if shape == 0:
+        b_ub, b_eq = a_ub @ x0, a_eq @ x0
+    elif shape == 1:
+        b_ub, b_eq = a_ub @ x0 + rng.integers(0, 3, m_ub), a_eq @ x0
+    else:
+        b_ub, b_eq = rng.integers(-3, 4, m_ub), rng.integers(-2, 3, m_eq)
+    if rng.random() < 0.5:
+        a_ub = np.vstack([a_ub, np.eye(n)])
+        b_ub = np.concatenate([b_ub, np.full(n, 4.0)])
+    return c, a_ub, np.asarray(b_ub, dtype=float), a_eq, np.asarray(b_eq, dtype=float)
+
+
+def _highs(linprog, c, a_ub, b_ub, a_eq, b_eq):
+    """("infeasible" | "unbounded" | "optimal", value) from HiGHS. Feasibility
+    is settled first with a zero objective: HiGHS's presolve can report an
+    unbounded program as infeasible."""
+    rows = dict(
+        A_ub=a_ub if len(b_ub) else None,
+        b_ub=b_ub if len(b_ub) else None,
+        A_eq=a_eq if len(b_eq) else None,
+        b_eq=b_eq if len(b_eq) else None,
+        bounds=(0, None),
+        method="highs",
+    )
+    feasible = linprog(np.zeros_like(c), **rows)
+    assert feasible.status in (0, 2), feasible.message
+    if feasible.status == 2:
+        return "infeasible", None
+    res = linprog(-c, **rows)
+    if res.status != 0:
+        return "unbounded", None
+    return "optimal", -res.fun
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lp_agrees_with_highs_on_integer_programs(seed):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(900 + seed)
+    seen = set()
+    for _ in range(150):
+        c, a_ub, b_ub, a_eq, b_eq = _random_integer_lp(rng)
+        status, value = _highs(linprog, c, a_ub, b_ub, a_eq, b_eq)
+        seen.add(status)
+        if status == "infeasible":
+            with pytest.raises(InfeasibleError):
+                lp_solve(c, a_ub, b_ub, a_eq, b_eq)
+        elif status == "unbounded":
+            with pytest.raises(UnboundedError):
+                lp_solve(c, a_ub, b_ub, a_eq, b_eq)
+        else:
+            assert lp_solve(c, a_ub, b_ub, a_eq, b_eq).value == pytest.approx(value, abs=1e-7)
+    assert seen == {"infeasible", "unbounded", "optimal"}
+
+
+def _pivot_reference(t, row, col):
+    """Row-by-row pivot, the reference for the vectorized ``_pivot``."""
+    t[row] /= t[row, col]
+    for i in range(t.shape[0]):
+        if i != row and t[i, col] != 0.0:
+            t[i] -= t[i, col] * t[row]
+
+
+def _run_simplex_reference(t, basis, allowed):
+    """Scalar Bland's-rule loop, the reference for the vectorized ``_run_simplex``."""
+    m = t.shape[0] - 1
+    while True:
+        entering = next((j for j in range(t.shape[1] - 1) if allowed[j] and t[-1, j] < -1e-9), -1)
+        if entering < 0:
+            return
+        leaving, best_ratio = -1, np.inf
+        for i in range(m):
+            coef = t[i, entering]
+            if coef > 1e-9:
+                ratio = t[i, -1] / coef
+                if ratio < best_ratio - 1e-12 or (
+                    abs(ratio - best_ratio) <= 1e-12 and (leaving < 0 or basis[i] < basis[leaving])
+                ):
+                    best_ratio, leaving = ratio, i
+        if leaving < 0:
+            raise UnboundedError("objective is unbounded above")
+        _pivot_reference(t, leaving, entering)
+        basis[leaving] = entering
+
+
+def test_ratio_test_ties_go_to_the_smallest_basis_index():
+    """Textbook Bland on near-ties: among the ratios within 1e-12 of the
+    minimum, the row whose basic variable has the smallest index leaves."""
+    from sqlab.games import _run_simplex
+
+    def tableau():
+        # Rows 0-2 hold basic variables 1, 5 and 9; column 0 enters with
+        # ratios 1.1e-12, 0.5e-12 and 0 (in row order).
+        t = np.zeros((4, 11))
+        t[:3, 0] = 1.0
+        t[[0, 1, 2], [1, 5, 9]] = 1.0
+        t[:3, -1] = [1.1e-12, 0.5e-12, 0.0]
+        t[-1, 0] = -1.0
+        return t, np.array([1, 5, 9])
+
+    t, basis = tableau()
+    _run_simplex(t, basis, np.ones(10, dtype=bool))
+    assert basis.tolist() == [1, 0, 9]
+    # A running best carried row by row ends on basis 9 instead: the chain
+    # of near-ties spans more than 1e-12.
+    t, basis = tableau()
+    _run_simplex_reference(t, basis, np.ones(10, dtype=bool))
+    assert basis.tolist() == [1, 5, 0]
+
+
+def test_vectorized_kernel_repeats_the_reference_pivots(monkeypatch):
+    """Same pivots and same arithmetic: every result is bit-for-bit equal."""
+    from sqlab import games
+
+    rng = np.random.default_rng(1234)
+    programs = [_random_integer_lp(rng) for _ in range(300)]
+
+    def outcomes():
+        out = []
+        for c, a_ub, b_ub, a_eq, b_eq in programs:
+            try:
+                res = lp_solve(c, a_ub, b_ub, a_eq, b_eq)
+            except (InfeasibleError, UnboundedError) as exc:
+                out.append(type(exc))
+            else:
+                out.append(np.concatenate([[res.value], res.x, res.y_ub, res.y_eq]).tobytes())
+        return out
+
+    fast = outcomes()
+    monkeypatch.setattr(games, "_pivot", _pivot_reference)
+    monkeypatch.setattr(games, "_run_simplex", _run_simplex_reference)
+    assert outcomes() == fast
+    assert InfeasibleError in fast and UnboundedError in fast
+    assert any(isinstance(o, bytes) for o in fast)
+
+
 # ---------------------------------------------------------------------------
 # zero-sum games
 # ---------------------------------------------------------------------------
@@ -197,6 +346,38 @@ def test_margin_certificate_on_random_subsets(seed):
     # L1 norm of the mixed difference
     mixed = sum(w * (d.weights - d0.weights) for w, d in zip(res.mixture, dists))
     assert res.value <= float(np.abs(mixed).sum()) + 1e-7
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_margin_agrees_with_highs_against_mw_centers(seed):
+    """The LP shape randomized search makes: signed subsets of biclique(4,2)
+    against a center that is a multiplicative-weights mixture of the family."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    from sqlab import biclique
+
+    dists = list(biclique(4, 2).dists)
+    n = len(dists[0].weights)
+    rng = np.random.default_rng(700 + seed)
+    for _ in range(25):
+        log_w = -0.5 * rng.integers(0, 8, len(dists))
+        w = np.exp(log_w - log_w.max())
+        center = FiniteDistribution(dists[0].domain, w @ np.array([d.weights for d in dists]) / w.sum())
+        k = int(rng.integers(2, 6))
+        members = sorted(rng.choice(len(dists), k, replace=False))
+        signs = [int(s) for s in rng.choice([-1, 1], k)]
+        res = max_margin([dists[i] for i in members], center, signs)
+        # HiGHS: maximize t s.t. t <= s_D <phi, D - D0> for each member, phi in [-1, 1]^X
+        g = np.array([s * (dists[i].weights - center.weights) for s, i in zip(signs, members)])
+        ref = linprog(
+            np.r_[np.zeros(n), -1.0],
+            A_ub=np.hstack([-g, np.ones((k, 1))]),
+            b_ub=np.zeros(k),
+            bounds=[(-1.0, 1.0)] * n + [(None, None)],
+            method="highs",
+        )
+        assert ref.status == 0
+        assert res.value == pytest.approx(-ref.fun, abs=1e-7)
+        assert float((g @ res.query).min()) >= res.value - 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -320,3 +501,28 @@ def test_cover_chain_on_random_families(data):
         for j in chosen:
             covered |= family.sets[j]
         assert covered == set(range(ground))
+
+
+# ---------------------------------------------------------------------------
+# seeded reports
+# ---------------------------------------------------------------------------
+
+_GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "flags,tau,golden",
+    [
+        (["--gen", "biclique", "--n", "3", "--k", "1"], "0.2", "dims_biclique_3_1_tau0.2.json"),
+        (["--gen", "biclique", "--n", "4", "--k", "3"], "0.2", "dims_biclique_4_3_tau0.2.json"),
+        (["--gen", "line", "--p", "2"], "0.1", "dims_line_2_tau0.1.json"),
+    ],
+)
+def test_dims_reports_are_byte_identical_to_golden(flags, tau, golden, capsys):
+    """Every number of these reports passes through the simplex kernel (the
+    max-margin LPs, both cover LPs and the crsd game LP), so a changed pivot
+    sequence or a changed floating-point operation shows up here."""
+    from sqlab.cli import main
+
+    assert main(["dims", *flags, "--kind", "decision", "--tau", tau]) == 0
+    assert capsys.readouterr().out == (_GOLDEN / golden).read_text()
