@@ -550,41 +550,25 @@ def cmd_stream(args, parser) -> int:
         rng = _trial_rng(args.seed, trial)
         ti = int(rng.integers(problem.n_dists))
         stream = SampleStream(problem.dists[ti], rng)
+        row = {"trial": trial, "true": problem.solutions[ti]}
         try:
             rep = stream_solve(problem, args.tau, args.delta, stream)
         except StreamExhaustedError as exc:
-            rows.append(
-                {
-                    "trial": trial,
-                    "true": problem.solutions[ti],
-                    "outcome": "exhausted",
-                    "solution": None,
-                    "correct": False,
-                    "updates": None,
-                    "samples": stream.drawn,
-                    "persistent_bits": None,
-                    "peak_bits": None,
-                    "within_bound": True,
-                    "note": str(exc),
-                }
-            )
-            continue
+            rep = {"outcome": "exhausted", "solution": None, "updates": None, "ledger": {}}
+            row["note"] = str(exc)
         ledger = rep["ledger"]
-        rows.append(
-            {
-                "trial": trial,
-                "true": problem.solutions[ti],
-                "outcome": rep["outcome"],
-                "solution": rep["solution"],
-                "correct": rep["solution"] == problem.solutions[ti],
-                "updates": rep["updates"],
-                "samples": ledger["samples"],
-                "persistent_bits": ledger["persistent_bits"],
-                "peak_bits": ledger["peak_bits"],
-                "within_bound": ledger["within_bound"],
-            }
+        row.update(
+            outcome=rep["outcome"],
+            solution=rep["solution"],
+            correct=rep["solution"] == problem.solutions[ti],
+            updates=rep["updates"],
+            samples=stream.drawn,
+            persistent_bits=ledger.get("persistent_bits"),
+            peak_bits=ledger.get("peak_bits"),
+            within_bound=ledger.get("within_bound", True),
         )
-        bound_broken = bound_broken or not ledger["within_bound"]
+        rows.append(row)
+        bound_broken = bound_broken or not row["within_bound"]
     n_ok = sum(1 for r in rows if r["correct"])
     report = {
         "command": "stream",

@@ -22,7 +22,6 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -413,6 +412,23 @@ def _kv_gap(d: FiniteDistribution, d0: FiniteDistribution, phi: np.ndarray) -> f
     return abs(math.sqrt(max(d.expectation(phi), 0.0)) - math.sqrt(max(d0.expectation(phi), 0.0)))
 
 
+def _maximal_family(witnesses: dict, ground_size: int, tau: float, kappa: str) -> CoverFamily:
+    """The family of the maximal subsets among the keys of ``witnesses``
+    (subset -> witness query), ordered by size, then by members."""
+    maximal: list[frozenset] = []
+    for key in sorted(witnesses, key=len, reverse=True):
+        if not any(key < other for other in maximal):
+            maximal.append(key)
+    maximal.sort(key=lambda s: (len(s), sorted(s)))
+    return CoverFamily(
+        ground_size=ground_size,
+        sets=tuple(maximal),
+        witnesses=tuple(witnesses[s] for s in maximal),
+        tau=tau,
+        kappa=kappa,
+    )
+
+
 def achievable_subsets(
     dists: Sequence[FiniteDistribution],
     d0: FiniteDistribution,
@@ -434,10 +450,10 @@ def achievable_subsets(
     dimension values derived from it are upper bounds.
     """
     m = len(dists)
+    threshold = tau + STRICT_EPS
     if kappa == K1:
         if m > guard:
             raise GuardExceededError(f"achievable_subsets: |dists| = {m} exceeds guard {guard}")
-        threshold = tau + STRICT_EPS
         witnesses: dict[frozenset, np.ndarray] = {}
         # signed sets as tuples of (index, sign), grown in index order
         frontier: list[tuple[tuple, np.ndarray]] = []
@@ -461,28 +477,12 @@ def achievable_subsets(
                             next_frontier.append((cand, res.query))
             frontier = next_frontier
         for signed, phi in achievable_signed:
-            key = frozenset(i for i, _ in signed)
-            if key not in witnesses or len(key) == 0:
-                witnesses[key] = phi
-        # keep only maximal subsets
-        keys = sorted(witnesses, key=len, reverse=True)
-        maximal: list[frozenset] = []
-        for key in keys:
-            if not any(key < other for other in maximal):
-                maximal.append(key)
-        maximal.sort(key=lambda s: (len(s), sorted(s)))
-        return CoverFamily(
-            ground_size=m,
-            sets=tuple(maximal),
-            witnesses=tuple(witnesses[s] for s in maximal),
-            tau=tau,
-            kappa=K1,
-        )
+            witnesses.setdefault(frozenset(i for i, _ in signed), phi)
+        return _maximal_family(witnesses, m, tau, K1)
     if kappa == KV:
         n = len(d0.domain)
         if n > 16:
             raise GuardExceededError(f"achievable_subsets KV: 2^{n} vertex queries exceed guard")
-        threshold = tau + STRICT_EPS
         best: dict[frozenset, np.ndarray] = {}
         for bits in range(1, 2**n):
             phi = np.array([(bits >> i) & 1 for i in range(n)], dtype=float)
@@ -491,19 +491,7 @@ def achievable_subsets(
             )
             if covered and covered not in best:
                 best[covered] = phi
-        keys = sorted(best, key=len, reverse=True)
-        maximal = []
-        for key in keys:
-            if not any(key < other for other in maximal):
-                maximal.append(key)
-        maximal.sort(key=lambda s: (len(s), sorted(s)))
-        return CoverFamily(
-            ground_size=m,
-            sets=tuple(maximal),
-            witnesses=tuple(best[s] for s in maximal),
-            tau=tau,
-            kappa=KV,
-        )
+        return _maximal_family(best, m, tau, KV)
     raise ValueError(f"unknown kappa tag {kappa!r}")
 
 

@@ -25,7 +25,6 @@ within 1e-8; the functions re-check this before returning.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -279,6 +278,22 @@ def kbarv(mu: Measure, dists: Sequence[FiniteDistribution], d0: FiniteDistributi
     )
 
 
+def _largest_achievable_mass(mu, dists, d0, tau, kappa, exactness) -> NormReport:
+    """The heaviest achievable subset of mu's support, with its witness."""
+    idx, sub, w = _support(mu, dists)
+    family = achievable_subsets(sub, d0, tau, kappa=kappa)
+    if not family.sets:
+        return NormReport(value=0.0, exactness=exactness, certificate={"subset": [], "query": None})
+    masses = [float(sum(w[i] for i in s)) for s in family.sets]
+    j = int(np.argmax(masses))
+    subset = sorted(idx[i] for i in family.sets[j])
+    return NormReport(
+        value=masses[j],
+        exactness=exactness,
+        certificate={"subset": subset, "query": family.witnesses[j]},
+    )
+
+
 def kappa1_frac(
     mu: Measure,
     dists: Sequence[FiniteDistribution],
@@ -291,18 +306,7 @@ def kappa1_frac(
     every D in S; "strictly above" is realized as >= tau + STRICT_EPS. At
     tau = 0 this is the mass of distributions distinct from D0.
     """
-    idx, sub, w = _support(mu, dists)
-    family = achievable_subsets(sub, d0, tau, kappa=K1)
-    if not family.sets:
-        return NormReport(value=0.0, exactness=EXACT, certificate={"subset": [], "query": None})
-    masses = [float(sum(w[i] for i in s)) for s in family.sets]
-    j = int(np.argmax(masses))
-    subset = sorted(idx[i] for i in family.sets[j])
-    return NormReport(
-        value=masses[j],
-        exactness=EXACT,
-        certificate={"subset": subset, "query": family.witnesses[j]},
-    )
+    return _largest_achievable_mass(mu, dists, d0, tau, K1, EXACT)
 
 
 def kappav_frac(
@@ -316,18 +320,7 @@ def kappav_frac(
     Witness queries are binary vertices (guarded by 2^|X|); richer queries
     could only distinguish more, hence LOWER_BOUND.
     """
-    idx, sub, w = _support(mu, dists)
-    family = achievable_subsets(sub, d0, tau, kappa=KV)
-    if not family.sets:
-        return NormReport(value=0.0, exactness=LOWER_BOUND, certificate={"subset": [], "query": None})
-    masses = [float(sum(w[i] for i in s)) for s in family.sets]
-    j = int(np.argmax(masses))
-    subset = sorted(idx[i] for i in family.sets[j])
-    return NormReport(
-        value=masses[j],
-        exactness=LOWER_BOUND,
-        certificate={"subset": subset, "query": family.witnesses[j]},
-    )
+    return _largest_achievable_mass(mu, dists, d0, tau, KV, LOWER_BOUND)
 
 
 def kbarv_frac(

@@ -1,12 +1,22 @@
 """Multiplicative-weights machinery and oracle-driven solvers.
 
-The solvers share one skeleton: maintain a candidate distribution D_t as a
-multiplicative-weights mixture, ask distinguishing queries suggested by a
-cover oracle, and either detect a discrepancy (update D_t) or commit to a
-solution. Update counts are capped by ceil(36 * KL_bound / tau^2) (K1
-margins; the square-root-scale variant uses gamma = tau^2/9 and budget
-ceil(324 * KL_bound / tau^4)); exceeding the cap while every oracle answer
-was valid is flagged as a theorem violation rather than silently retried.
+The MW solvers (universal search, verifiable search and, in
+``streaming``, the sample-driven search) run one driver, ``_run_mw``: keep
+a candidate distribution D_t as a multiplicative-weights mixture, and at
+each step either detect a discrepancy (a triggered loss vector, which
+updates D_t) or commit to a finished outcome. Search, the verifiable
+fallback and streaming share one trigger scan, ``_first_trigger``: a
+witness triggers when its answer strays more than 2 tau / 3 from its
+expectation under D_t (on the kappa scale), and the sign of the gap is the
+sign of the update. The budget rule is the same everywhere: at most
+ceil(36 * KL_bound / tau^2) updates (K1 margins; the square-root-scale
+variant uses gamma = tau^2/9 and budget ceil(324 * KL_bound / tau^4)); a
+trigger found after the last allowed update ends the run as
+``budget_exceeded`` without being applied, so a run makes at most budget + 1
+steps. Exceeding the cap while every oracle answer was valid is flagged as a
+theorem violation rather than silently retried. Every ``RunReport`` is built
+by ``_run_report``, which reads the query count, transcript and valid-answer
+fraction from the session.
 
 Solvers:
 
@@ -174,7 +184,7 @@ class CoverStep:
     for randomized runs — a solution measure, a sampling measure over the
     queries, and the fractional cover value d."""
 
-    solution_index: int | None
+    solution_index: int
     queries: tuple
     targets: tuple
     unservable: tuple = ()
@@ -297,6 +307,31 @@ class RunReport:
         return out
 
 
+def _run_report(
+    session: OracleSession,
+    outcome: str,
+    solution,
+    updates: int = 0,
+    details: dict | None = None,
+    breaks_guarantee: bool = False,
+) -> RunReport:
+    """The one way to build a RunReport: the query count, transcript and
+    valid-answer fraction come from the session, and the run is a theorem
+    violation when its outcome breaks a guarantee although every answer was
+    valid. Which outcomes break a guarantee is the caller's call."""
+    valid = session.transcript.valid_fraction
+    return RunReport(
+        outcome=outcome,
+        solution=solution,
+        queries=session.query_count,
+        updates=updates,
+        transcript=session.transcript,
+        valid_answer_fraction=valid,
+        theorem_violation=breaks_guarantee and valid == 1.0,
+        details=details or {},
+    )
+
+
 def _check_session(session: OracleSession, kappa: str, tau_oracle: float) -> None:
     want = STAT if kappa == K1 else VROOT
     if session.spec.kind != want:
@@ -307,10 +342,58 @@ def _check_session(session: OracleSession, kappa: str, tau_oracle: float) -> Non
         )
 
 
+# ---------------------------------------------------------------------------
+# the multiplicative-weights driver
+# ---------------------------------------------------------------------------
+
+
 def _gap(kappa: str, expected: float, answered: float) -> float:
     if kappa == K1:
         return abs(expected - answered)
     return abs(math.sqrt(max(expected, 0.0)) - math.sqrt(max(answered, 0.0)))
+
+
+def _first_trigger(t_vec: np.ndarray, queries, answer, kappa: str, tau: float):
+    """Scan ``queries`` in order against the answer source ``answer(phi)``.
+
+    Returns ``(j, sign)`` for the first query whose answer strays more than
+    2 tau / 3 (on the kappa scale) from its expectation under ``t_vec``,
+    with sign +1 when the mixture overestimates, so that the loss
+    ``sign * queries[j]`` moves mass toward the answer; None when nothing
+    triggers.
+    """
+    for j, phi in enumerate(queries):
+        expected = float(t_vec @ phi)
+        v = answer(phi)
+        if _gap(kappa, expected, v) > 2.0 * tau / 3.0:
+            return j, (1.0 if expected > v else -1.0)
+    return None
+
+
+def _run_mw(state: MWState, budget: int, step):
+    """The multiplicative-weights loop of every MW solver.
+
+    ``step(weights)`` returns either the triggered loss vector (an ndarray)
+    or a finished result ``(outcome, solution, details)``. A trigger found
+    after ``budget`` updates ends the run as ``BUDGET_EXCEEDED`` and is not
+    applied, so a run makes at most ``budget`` updates in at most
+    ``budget + 1`` steps. Returns the result and the final state, whose
+    ``step`` is the number of updates made.
+    """
+    while True:
+        result = step(state.weights)
+        if not isinstance(result, np.ndarray):
+            return result, state
+        if state.step >= budget:
+            return (BUDGET_EXCEEDED, None, {"budget": budget}), state
+        state = state.update(result)
+
+
+def _proposal(problem: ProblemSpec, cover_step: CoverStep, f_idx: int):
+    """Finished result of a step where nothing triggered: solution ``f_idx``,
+    listing the close members the cover's proposal leaves unserved."""
+    details = {"cover_incomplete": list(cover_step.unservable)} if cover_step.unservable else {}
+    return SOLVED, problem.solutions[f_idx], details
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +409,7 @@ def solve_search_universal(
     mode: str = "det",
     delta: float | None = None,
     rng: np.random.Generator | None = None,
-    cover_oracle=None,
     kl_bound: float | None = None,
-    coefficient_simplex: bool = False,
 ) -> RunReport:
     """Multiplicative-weights search over a finite distribution family.
 
@@ -339,9 +420,6 @@ def solve_search_universal(
     and ``rng``: each step samples ceil(d ln(T/delta)) witnesses from the
     cover measure and the final solution is drawn from the step's solution
     measure.
-
-    In ``coefficient_simplex`` mode the weights live on the family's
-    convex-combination coefficients instead of the domain simplex.
     """
     if mode not in ("det", "rand"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -352,75 +430,33 @@ def solve_search_universal(
     if kl_bound is None:
         kl_bound = math.log(problem.n_dists) if problem.n_dists > 1 else 1.0
     budget = update_budget(kl_bound, tau, kappa)
-    if cover_oracle is None:
-        cover_oracle = margin_cover(problem, tau, kappa=kappa, randomized=(mode == "rand"))
-    dist_mat = np.array([d.weights for d in problem.dists])
-    if coefficient_simplex:
-        state = MWState.start(np.full(problem.n_dists, 1.0), gamma)
-    else:
-        state = MWState.start(mixture(list(problem.dists)).weights, gamma)
-    updates = 0
+    cover = margin_cover(problem, tau, kappa=kappa, randomized=(mode == "rand"))
     delta_step = None if delta is None else delta / max(budget, 1)
-    while True:
-        t_vec = state.weights @ dist_mat if coefficient_simplex else state.weights
-        step = cover_oracle(t_vec)
-        if mode == "det":
-            chosen = list(range(len(step.queries)))
-        else:
-            if len(step.queries) == 0:
-                chosen = []
-            else:
-                s = max(math.ceil(step.d * math.log(1.0 / delta_step)), 1)
-                cdf = np.cumsum(step.query_measure)
-                draws = np.minimum(
-                    np.searchsorted(cdf, rng.random(s), side="right"), len(cdf) - 1
-                )
-                chosen = sorted(set(int(j) for j in draws))
-        triggered = None
-        for j in chosen:
-            phi = step.queries[j]
-            expected = float(t_vec @ phi)
-            v = session.query(phi)
-            if _gap(kappa, expected, v) > 2.0 * tau / 3.0:
-                sign = 1.0 if expected > v else -1.0
-                triggered = sign * phi
-                break
-        if triggered is None:
-            f_idx = step.solution_index
-            solution = None if f_idx is None else problem.solutions[f_idx]
-            if mode == "rand" and step.solution_measure is not None:
-                f_idx = int(
-                    np.searchsorted(np.cumsum(step.solution_measure.weights), rng.random())
-                )
-                f_idx = min(f_idx, problem.n_solutions - 1)
-                solution = problem.solutions[f_idx]
-            details = {}
-            if step.unservable:
-                details["cover_incomplete"] = list(step.unservable)
-            return RunReport(
-                outcome=SOLVED,
-                solution=solution,
-                queries=session.query_count,
-                updates=updates,
-                transcript=session.transcript,
-                valid_answer_fraction=session.transcript.valid_fraction,
-                details=details,
-            )
-        if updates >= budget:
-            valid = session.transcript.valid_fraction
-            return RunReport(
-                outcome=BUDGET_EXCEEDED,
-                solution=None,
-                queries=session.query_count,
-                updates=updates,
-                transcript=session.transcript,
-                valid_answer_fraction=valid,
-                theorem_violation=(valid == 1.0),
-                details={"budget": budget},
-            )
-        loss = dist_mat @ triggered if coefficient_simplex else triggered
-        state = state.update(loss)
-        updates += 1
+
+    def step(t_vec):
+        cover_step = cover(t_vec)
+        queries = cover_step.queries
+        if mode == "rand" and queries:
+            s = max(math.ceil(cover_step.d * math.log(1.0 / delta_step)), 1)
+            cdf = np.cumsum(cover_step.query_measure)
+            draws = np.minimum(np.searchsorted(cdf, rng.random(s), side="right"), len(cdf) - 1)
+            queries = [queries[j] for j in sorted(set(int(j) for j in draws))]
+        hit = _first_trigger(t_vec, queries, session.query, kappa, tau)
+        if hit is not None:
+            j, sign = hit
+            return sign * queries[j]
+        f_idx = cover_step.solution_index
+        if mode == "rand":
+            f_idx = int(np.searchsorted(np.cumsum(cover_step.solution_measure.weights), rng.random()))
+            f_idx = min(f_idx, problem.n_solutions - 1)
+        return _proposal(problem, cover_step, f_idx)
+
+    start = MWState.start(mixture(list(problem.dists)).weights, gamma)
+    (outcome, solution, details), state = _run_mw(start, budget, step)
+    return _run_report(
+        session, outcome, solution, state.step, details,
+        breaks_guarantee=(outcome == BUDGET_EXCEEDED),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -477,14 +513,8 @@ def solve_decision_sampled(
         if abs(v - float(d0.weights @ phi)) > tau / 2.0:
             verdict = "not-reference"
             break
-    return RunReport(
-        outcome=SOLVED,
-        solution=verdict,
-        queries=session.query_count,
-        updates=0,
-        transcript=session.transcript,
-        valid_answer_fraction=session.transcript.valid_fraction,
-        details={"witness_budget": s, "cover_value": cover.value},
+    return _run_report(
+        session, SOLVED, verdict, details={"witness_budget": s, "cover_value": cover.value}
     )
 
 
@@ -520,53 +550,31 @@ def solve_verifiable(
         [problem.verify[f].values for f in problem.solutions]
     )  # (F, X)
     dist_mat = np.array([d.weights for d in problem.dists])
-    state = MWState.start(mixture(list(problem.dists)).weights, gamma)
-    updates = 0
 
-    def finish(outcome, solution, extra=None):
-        # STUCK is a legal outcome (the instance may simply not be verifiably
-        # well-posed at this radius); only blowing the update budget on valid
-        # answers contradicts a theorem.
-        valid = session.transcript.valid_fraction
-        return RunReport(
-            outcome=outcome,
-            solution=solution,
-            queries=session.query_count,
-            updates=updates,
-            transcript=session.transcript,
-            valid_answer_fraction=valid,
-            theorem_violation=(outcome == BUDGET_EXCEEDED and valid == 1.0),
-            details=extra or {},
-        )
-
-    while True:
-        t_vec = state.weights
-        vals = verify_mat @ t_vec
-        candidates = np.flatnonzero(vals <= theta)
-        triggered = None
+    def step(t_vec):
+        candidates = np.flatnonzero(verify_mat @ t_vec <= theta)
         if candidates.size:
             fi = int(candidates[0])
             phi = verify_mat[fi]
-            v = session.query(phi)
-            if v <= theta + 2.0 * tau / 3.0:
-                return finish(SOLVED, problem.solutions[fi], {"theta": theta})
-            triggered = -phi  # mixture underestimates phi_f; push mass toward it
-        else:
-            for i in range(problem.n_dists):
-                gap, phi = _k1_witness(dist_mat[i], t_vec)
-                if gap <= tau:
-                    continue
-                expected = float(t_vec @ phi)
-                v = session.query(phi)
-                if abs(expected - v) > 2.0 * tau / 3.0:
-                    triggered = phi if expected > v else -phi
-                    break
-            if triggered is None:
-                return finish(STUCK, None, {"theta": theta})
-        if updates >= budget:
-            return finish(BUDGET_EXCEEDED, None, {"budget": budget, "theta": theta})
-        state = state.update(triggered)
-        updates += 1
+            if session.query(phi) <= theta + 2.0 * tau / 3.0:
+                return SOLVED, problem.solutions[fi], {}
+            return -phi  # mixture underestimates phi_f; push mass toward it
+        far = [phi for gap, phi in (_k1_witness(d, t_vec) for d in dist_mat) if gap > tau]
+        hit = _first_trigger(t_vec, far, session.query, K1, tau)
+        if hit is None:
+            return STUCK, None, {}
+        j, sign = hit
+        return sign * far[j]
+
+    start = MWState.start(mixture(list(problem.dists)).weights, gamma)
+    (outcome, solution, details), state = _run_mw(start, budget, step)
+    # STUCK is a legal outcome (the instance may simply not be verifiably
+    # well-posed at this radius); only blowing the update budget on valid
+    # answers contradicts a theorem.
+    return _run_report(
+        session, outcome, solution, state.step, {**details, "theta": theta},
+        breaks_guarantee=(outcome == BUDGET_EXCEEDED),
+    )
 
 
 def solve_optimizing(
@@ -608,17 +616,11 @@ def solve_optimizing(
         total_updates += report.updates
         if report.outcome == SOLVED:
             best_solution = report.solution
-    valid = session.transcript.valid_fraction
     solved = best_solution is not None
-    return RunReport(
-        outcome=SOLVED if solved else STUCK,
-        solution=best_solution,
-        queries=session.query_count,
-        updates=total_updates,
-        transcript=session.transcript,
-        valid_answer_fraction=valid,
-        theorem_violation=(not solved and valid == 1.0),
-        details={"theta_hat": hi, "probes": probes, "inner_tau": inner_tau},
+    return _run_report(
+        session, SOLVED if solved else STUCK, best_solution, total_updates,
+        {"theta_hat": hi, "probes": probes, "inner_tau": inner_tau},
+        breaks_guarantee=not solved,
     )
 
 
@@ -651,13 +653,8 @@ def learn_with_heavy_points(
     """
     if eps >= 1.0:
         labels = -np.ones(len(marginal.domain))
-        return RunReport(
-            outcome=SOLVED,
-            solution=(labels, None),
-            queries=0,
-            updates=0,
-            transcript=session.transcript,
-            valid_answer_fraction=1.0,
+        return _run_report(
+            session, SOLVED, (labels, None),
             details={"note": "eps >= 1: the constant hypothesis is trivially accurate"},
         )
     if session.spec.kind != STAT or session.spec.tau > eps**2 / 13.0 + 1e-15:
@@ -688,13 +685,8 @@ def learn_with_heavy_points(
 
     measured = session.query(disagreement_query(labels))
     if measured < 5.0 * eps / 6.0:
-        return RunReport(
-            outcome=SOLVED,
-            solution=(labels, None),
-            queries=session.query_count,
-            updates=0,
-            transcript=session.transcript,
-            valid_answer_fraction=session.transcript.valid_fraction,
+        return _run_report(
+            session, SOLVED, (labels, None),
             details={"measured_error": measured, "heavy_points": len(heavy)},
         )
     heavy_set = set(heavy)
@@ -717,27 +709,16 @@ def learn_with_heavy_points(
                 h[i] = c[i]
         measured_c = session.query(disagreement_query(h))
         if measured_c <= eps / 2.0:
-            return RunReport(
-                outcome=SOLVED,
-                solution=(h, concept_id),
-                queries=session.query_count,
-                updates=0,
-                transcript=session.transcript,
-                valid_answer_fraction=session.transcript.valid_fraction,
+            return _run_report(
+                session, SOLVED, (h, concept_id),
                 details={
                     "measured_error": measured_c,
                     "heavy_points": len(heavy),
                     "candidates": len(candidates),
                 },
             )
-    valid = session.transcript.valid_fraction
-    return RunReport(
-        outcome=STUCK,
-        solution=(labels, None),
-        queries=session.query_count,
-        updates=0,
-        transcript=session.transcript,
-        valid_answer_fraction=valid,
-        theorem_violation=(valid == 1.0),
+    return _run_report(
+        session, STUCK, (labels, None),
         details={"candidates": len(candidates), "heavy_points": len(heavy)},
+        breaks_guarantee=True,
     )

@@ -1,15 +1,18 @@
 """Streaming search: the universal solver driven by raw samples.
 
 Instead of an oracle, the solver sees a stream of samples from the unknown
-distribution. Each witness expectation is replaced by an empirical mean of
-n_est fresh samples, where
+distribution. It runs the same MW driver and trigger scan as
+``solvers.solve_search_universal``, with each witness expectation replaced
+by an empirical mean of n_est fresh samples, where
 
     n_est = ceil((9 / (2 tau^2)) * ln(2 / delta')),
-    delta' = delta * tau^2 / (36 * R_KL * q),
+    delta' = delta / ((T + 1) * q),
 
-(Hoeffding at accuracy tau/3, confidence delta', union-bounded over the at
-most ceil(36 R_KL / tau^2) * q estimates a run can make; q = |family| and
-R_KL = ln q bounds the KL radius from the uniform mixture).
+with T = ceil(36 R_KL / tau^2) the update budget, q = |family| and R_KL
+(ln q by default) the KL radius from the uniform mixture. This is Hoeffding
+at accuracy tau/3 and confidence delta', union-bounded over every estimate
+a run can make: under the shared budget rule a run makes at most T updates
+in at most T + 1 cover steps, and each step estimates at most q witnesses.
 
 The state that must persist across stream items is tiny: the update history
 — one (distribution index, sign) pair per multiplicative-weights update,
@@ -20,7 +23,7 @@ bit-for-bit), so it is charged to peak (working) memory, not to the
 persistent budget. The per-run ledger records
 
     persistent_bits <= T * (ceil(log2 q) + 1) + counter_width,
-    samples         <= T * q * n_est,
+    samples         <= (T + 1) * q * n_est,
 
 and the peak adds the 64-bit-per-cell mixture vector, one accumulator, a
 sample register, and the witness loop index.
@@ -34,7 +37,7 @@ import numpy as np
 
 from .core import K1, FiniteDistribution, ProblemSpec, mixture
 from .errors import StreamExhaustedError
-from .solvers import BUDGET_EXCEEDED, SOLVED, margin_cover
+from .solvers import MWState, _first_trigger, _k1_witness, _proposal, _run_mw, margin_cover
 
 __all__ = [
     "SampleStream",
@@ -72,7 +75,9 @@ def stream_requirements(problem: ProblemSpec, tau: float, delta: float, kl_bound
     q = problem.n_dists
     r_kl = kl_bound if kl_bound is not None else (math.log(q) if q > 1 else 1.0)
     t_budget = math.ceil(36.0 * r_kl / tau**2)
-    delta_prime = delta * tau**2 / (36.0 * r_kl * q)
+    # a run makes at most t_budget updates in at most t_budget + 1 cover
+    # steps, each with at most q estimates
+    delta_prime = delta / ((t_budget + 1) * q)
     n_est = math.ceil((9.0 / (2.0 * tau**2)) * math.log(2.0 / delta_prime))
     index_bits = math.ceil(math.log2(q)) if q > 1 else 0
     counter_width = math.ceil(math.log2(n_est + 1))
@@ -85,13 +90,19 @@ def stream_requirements(problem: ProblemSpec, tau: float, delta: float, kl_bound
         "index_bits": index_bits,
         "counter_width": counter_width,
         "persistent_bound": t_budget * (index_bits + 1) + counter_width,
-        "samples_bound": t_budget * q * n_est,
+        "samples_bound": (t_budget + 1) * q * n_est,
     }
 
 
-def _mw_apply(weights: np.ndarray, phi: np.ndarray, sign: float, gamma: float) -> np.ndarray:
-    w = weights * (1.0 - gamma * sign * phi)
-    return w / w.sum()
+# perfbench/tracing.py looks this name up to count streaming MW updates; it
+# goes when that lookup does.
+_mw_apply = MWState.update
+
+
+def _start_state(problem: ProblemSpec, tau: float) -> MWState:
+    # The uniform mixture as it is, not renormalised: a mixture that sums to
+    # 1 - 2e-16 (biclique(8,2)) would change bits under MWState.start.
+    return MWState(weights=mixture(list(problem.dists)).weights, gamma=tau / 3.0)
 
 
 def replay_weights(problem: ProblemSpec, tau: float, history) -> np.ndarray:
@@ -103,13 +114,10 @@ def replay_weights(problem: ProblemSpec, tau: float, history) -> np.ndarray:
     solver's incremental mixture must match this bit-for-bit, which is what
     licenses charging the mixture to scratch rather than persistent memory.
     """
-    gamma = tau / 3.0
-    w = mixture(list(problem.dists)).weights.copy()
+    state = _start_state(problem, tau)
     for target, sign in history:
-        diff = problem.dists[target].weights - w
-        phi = np.where(diff >= 0, 1.0, -1.0)
-        w = _mw_apply(w, phi, sign, gamma)
-    return w
+        state = state.update(sign * _k1_witness(problem.dists[target].weights, state.weights)[1])
+    return state.weights
 
 
 def stream_solve(
@@ -127,38 +135,27 @@ def stream_solve(
     within_bound}. StreamExhaustedError propagates when the stream runs dry.
     """
     req = stream_requirements(problem, tau, delta, kl_bound)
-    gamma = tau / 3.0
     cover = margin_cover(problem, tau, kappa=K1, randomized=False)
     n_x = len(problem.domain)
-    weights = mixture(list(problem.dists)).weights.copy()
     history: list[tuple[int, int]] = []
     estimates = 0
-    outcome = None
-    solution = None
-    details: dict = {}
-    while True:
-        step = cover(weights)
-        triggered = False
-        for phi, target in zip(step.queries, step.targets):
-            draws = stream.draw_block(req["n_est"])
-            est = float(np.mean(phi[draws]))
-            estimates += 1
-            if abs(float(weights @ phi) - est) > 2.0 * tau / 3.0:
-                sign = 1.0 if float(weights @ phi) > est else -1.0
-                history.append((int(target), int(sign)))
-                weights = _mw_apply(weights, phi, sign, gamma)
-                triggered = True
-                break
-        if not triggered:
-            outcome = SOLVED
-            f_idx = step.solution_index
-            solution = None if f_idx is None else problem.solutions[f_idx]
-            if step.unservable:
-                details["cover_incomplete"] = list(step.unservable)
-            break
-        if len(history) >= req["t_budget"]:
-            outcome = BUDGET_EXCEEDED
-            break
+
+    def estimate(phi):
+        nonlocal estimates
+        estimates += 1
+        return float(np.mean(phi[stream.draw_block(req["n_est"])]))
+
+    def step(weights):
+        cover_step = cover(weights)
+        hit = _first_trigger(weights, cover_step.queries, estimate, K1, tau)
+        if hit is None:
+            return _proposal(problem, cover_step, cover_step.solution_index)
+        j, sign = hit
+        history.append((int(cover_step.targets[j]), int(sign)))
+        return sign * cover_step.queries[j]
+
+    (outcome, solution, details), state = _run_mw(_start_state(problem, tau), req["t_budget"], step)
+    del history[state.step:]  # a trigger past the budget is not applied
     persistent_bits = len(history) * (req["index_bits"] + 1) + req["counter_width"]
     # scratch: the replayable mixture vector, one accumulator, the sample
     # register, and the witness loop index
@@ -181,7 +178,7 @@ def stream_solve(
     return {
         "outcome": outcome,
         "solution": solution,
-        "updates": len(history),
+        "updates": state.step,
         "history": history,
         "ledger": ledger,
         **details,

@@ -510,19 +510,77 @@ def test_cover_chain_on_random_families(data):
 _GOLDEN = Path(__file__).parent / "golden"
 
 
+_BICLIQUE_4_2 = ["--gen", "biclique", "--n", "4", "--k", "2"]
+
+
+def _golden_case(argv, golden, id=None):
+    return pytest.param(argv, golden, id=id or golden)
+
+
 @pytest.mark.parametrize(
-    "flags,tau,golden",
+    "argv,golden",
     [
-        (["--gen", "biclique", "--n", "3", "--k", "1"], "0.2", "dims_biclique_3_1_tau0.2.json"),
-        (["--gen", "biclique", "--n", "4", "--k", "3"], "0.2", "dims_biclique_4_3_tau0.2.json"),
-        (["--gen", "line", "--p", "2"], "0.1", "dims_line_2_tau0.1.json"),
+        # The three dims cases keep the ids they had when the test took
+        # generator flags and tau separately.
+        _golden_case(
+            ["dims", "--gen", "biclique", "--n", "3", "--k", "1", "--kind", "decision", "--tau", "0.2"],
+            "dims_biclique_3_1_tau0.2.json",
+            id="flags0-0.2-dims_biclique_3_1_tau0.2.json",
+        ),
+        _golden_case(
+            ["dims", "--gen", "biclique", "--n", "4", "--k", "3", "--kind", "decision", "--tau", "0.2"],
+            "dims_biclique_4_3_tau0.2.json",
+            id="flags1-0.2-dims_biclique_4_3_tau0.2.json",
+        ),
+        _golden_case(
+            ["dims", "--gen", "line", "--p", "2", "--kind", "decision", "--tau", "0.1"],
+            "dims_line_2_tau0.1.json",
+            id="flags2-0.1-dims_line_2_tau0.1.json",
+        ),
+        _golden_case(
+            ["solve", "--gen", "line", "--p", "5", "--tau", "0.2", "--trials", "20", "--seed", "1"],
+            "solve_line_5_tau0.2.json",
+        ),
+        _golden_case(
+            ["solve", *_BICLIQUE_4_2, "--kappa", "kv", "--tau", "0.15", "--trials", "3", "--seed", "4"],
+            "solve_biclique_4_2_kv_tau0.15.json",
+        ),
+        _golden_case(
+            ["solve", *_BICLIQUE_4_2, "--tau", "0.2", "--mode", "rand", "--delta", "0.1",
+             "--trials", "3", "--seed", "1"],
+            "solve_biclique_4_2_rand_tau0.2.json",
+        ),
+        _golden_case(
+            ["solve", *_BICLIQUE_4_2, "--kind", "verifiable", "--tau", "0.2", "--theta", "0.3",
+             "--trials", "10", "--seed", "2"],
+            "solve_biclique_4_2_verifiable_theta0.3.json",
+        ),
+        _golden_case(
+            ["solve", *_BICLIQUE_4_2, "--kind", "verifiable", "--tau", "0.2", "--eps", "0.2",
+             "--trials", "5", "--seed", "2"],
+            "solve_biclique_4_2_verifiable_eps0.2.json",
+        ),
+        _golden_case(
+            ["solve", *_BICLIQUE_4_2, "--kind", "decision", "--tau", "0.2", "--delta", "0.1",
+             "--trials", "10", "--seed", "5"],
+            "solve_biclique_4_2_decision_tau0.2.json",
+        ),
+        _golden_case(
+            ["stream", "--gen", "biclique", "--n", "6", "--k", "2", "--tau", "0.2", "--delta", "0.1",
+             "--trials", "20", "--seed", "7"],
+            "stream_biclique_6_2_tau0.2.json",
+        ),
     ],
 )
-def test_dims_reports_are_byte_identical_to_golden(flags, tau, golden, capsys):
-    """Every number of these reports passes through the simplex kernel (the
-    max-margin LPs, both cover LPs and the crsd game LP), so a changed pivot
-    sequence or a changed floating-point operation shows up here."""
+def test_dims_reports_are_byte_identical_to_golden(argv, golden, capsys):
+    """Seeded CLI reports must not move. Every number of the dims reports
+    passes through the simplex kernel (the max-margin LPs, both cover LPs
+    and the crsd game LP), so a changed pivot sequence or a changed
+    floating-point operation shows up there; the solve and stream reports
+    pin every solver's trajectory (search in both modes and both scales,
+    verifiable with solved and stuck runs, optimizing, decision and the
+    streaming solver)."""
     from sqlab.cli import main
 
-    assert main(["dims", *flags, "--kind", "decision", "--tau", tau]) == 0
+    assert main(argv) == 0
     assert capsys.readouterr().out == (_GOLDEN / golden).read_text()

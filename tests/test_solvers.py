@@ -17,6 +17,7 @@ from sqlab import (
     SEARCH,
     VERIFIABLE,
     average_regret,
+    biclique,
     decision_cover,
     learn_with_heavy_points,
     margin_cover,
@@ -290,6 +291,29 @@ def test_universal_search_session_validation():
                                mode="rand")  # rand needs delta and rng
 
 
+def _kl_for_budget(budget, tau):
+    """A KL bound whose K1 update budget ceil(36 KL / tau^2) is ``budget``."""
+    return (budget - 0.5) * tau**2 / 36.0
+
+
+@pytest.mark.parametrize("budget,outcome", [(3, "solved"), (2, "budget_exceeded")])
+def test_universal_search_budget_rule(budget, outcome):
+    """biclique(4,2) member 0 needs exactly 3 updates: a budget of 3 lets the
+    confirming step run and solve; with 2, the third trigger ends the run
+    unapplied, and on exact answers that contradicts the theorem."""
+    prob = biclique(4, 2)
+    tau = 0.2
+    session = OracleSession(stat(tau / 3.0), exact_answers(), prob.dists[0], np.random.default_rng(0))
+    rep = solve_search_universal(prob, tau, session, kl_bound=_kl_for_budget(budget, tau))
+    assert update_budget(_kl_for_budget(budget, tau), tau) == budget
+    assert (rep.outcome, rep.updates) == (outcome, budget)
+    assert rep.queries == (20 if outcome == "solved" else 15)
+    assert rep.theorem_violation == (outcome == "budget_exceeded")
+    assert rep.details == ({} if outcome == "solved" else {"budget": budget})
+    if outcome == "solved":
+        assert rep.solution == prob.solutions[0]
+
+
 # ---------------------------------------------------------------------------
 # decision
 # ---------------------------------------------------------------------------
@@ -384,6 +408,24 @@ def test_verifiable_stuck_is_legal():
     assert rep.solution is None
     assert not rep.theorem_violation
     assert rep.valid_answer_fraction == 1.0
+
+
+@pytest.mark.parametrize("budget,outcome", [(7, "solved"), (6, "budget_exceeded")])
+def test_verifiable_budget_rule(budget, outcome):
+    """Member 3 of verifiable biclique(4,2) is accepted after exactly 7
+    updates; one fewer allowed update turns the run into a theorem
+    violation (unlike ``stuck``, which is legal)."""
+    prob = biclique(4, 2, kind=VERIFIABLE)
+    tau = 0.2
+    session = OracleSession(stat(tau / 3.0), exact_answers(), prob.dists[3], np.random.default_rng(0))
+    rep = solve_verifiable(prob, 0.3, tau, session, kl_bound=_kl_for_budget(budget, tau))
+    assert (rep.outcome, rep.updates) == (outcome, budget)
+    assert rep.theorem_violation == (outcome == "budget_exceeded")
+    if outcome == "solved":
+        assert rep.details == {"theta": 0.3}
+    else:
+        assert rep.solution is None
+        assert rep.details == {"budget": budget, "theta": 0.3}
 
 
 def test_verifiable_requires_verify_queries():

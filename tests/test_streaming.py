@@ -25,7 +25,8 @@ def test_stream_requirements_frozen_biclique():
     assert req["index_bits"] == 5
     assert req["counter_width"] == 11
     assert req["persistent_bound"] == 2999 * 6 + 11 == 18005
-    assert req["samples_bound"] == 2999 * 28 * 1613 == 135446836
+    # a run makes at most t_budget + 1 cover steps of at most q estimates
+    assert req["samples_bound"] == 3000 * 28 * 1613 == 135492000
 
 
 def test_stream_requirements_singleton_family():
@@ -132,3 +133,29 @@ def test_replay_weights_matches_manual_updates():
         manual = manual * (1.0 - gamma * sign * phi)
         manual = manual / manual.sum()
     assert np.array_equal(w, manual)
+
+
+@pytest.mark.parametrize("budget,outcome", [(3, "solved"), (2, "budget_exceeded")])
+def test_stream_solve_budget_rule(budget, outcome):
+    """The stream follows the search rule: this run needs exactly 3 updates,
+    so with t_budget = 3 the confirming step runs and solves it (its 4 cover
+    steps draw more than t_budget * q * n_est samples, which the
+    (t_budget + 1) * q * n_est bound counts); with t_budget = 2 the third
+    trigger ends the run and is neither applied nor recorded."""
+    prob = biclique(4, 2)
+    tau = 0.2
+    kl_bound = (budget - 0.5) * tau**2 / 36.0
+    req = stream_requirements(prob, tau, 0.1, kl_bound)
+    assert req["t_budget"] == budget
+    stream = SampleStream(prob.dists[0], np.random.default_rng(1))
+    rep = stream_solve(prob, tau, 0.1, stream, kl_bound=kl_bound)
+    assert (rep["outcome"], rep["updates"]) == (outcome, budget)
+    assert len(rep["history"]) == budget
+    ledger = rep["ledger"]
+    assert ledger["within_bound"]
+    assert ledger["samples"] == ledger["estimates"] * req["n_est"]
+    if outcome == "solved":
+        assert rep["solution"] == prob.solutions[0]
+        assert ledger["samples"] > budget * req["q"] * req["n_est"]
+    else:
+        assert rep["solution"] is None and rep["budget"] == budget
