@@ -23,7 +23,9 @@ On top of that:
   that a solution measure already serves, filtering candidate centers, or
   sweeping the verification threshold. Candidate centers are drawn from a
   finite list (uniform, family mixture, caller-supplied), so these report
-  LOWER_BOUNDs of the suprema they approximate.
+  LOWER_BOUNDs of the suprema they approximate. They take K1 only and
+  raise ValueError under KV, where the inner values are upper bounds and
+  the composite would bound the supremum in no direction.
 - ``crsd``: the zero-sum-game dimension 1 / min_mu max_sigma E_mu |<sigma, D - D0>|
   over sign queries sigma (exact for K1 within the domain guard).
 - ``combined_relation_audit``: checks the provable bracket between crsd and
@@ -304,6 +306,14 @@ def _default_solution_measures(problem: ProblemSpec):
     return measures
 
 
+def _require_k1(name: str, kappa: str) -> None:
+    """The search-type dimensions take K1 only: under KV every inner
+    ``rsd_decision`` value is an UPPER_BOUND, and a max-min of upper bounds
+    over a finite center list bounds the supremum in no direction."""
+    if kappa != K1:
+        raise ValueError(f"{name} has no certified direction under kappa {kappa!r}; use K1")
+
+
 def rsd_search(
     problem: ProblemSpec,
     tau: float,
@@ -323,6 +333,7 @@ def rsd_search(
     """
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
+    _require_k1("rsd_search", kappa)
     centers = _default_centers(problem, d0_candidates)
     measures = solution_measures or _default_solution_measures(problem)
     best_val, best_cert = -1.0, {}
@@ -380,6 +391,7 @@ def rsd_verifiable(
     """
     if problem.verify is None:
         raise ValueError("rsd_verifiable needs a problem with verify queries")
+    _require_k1("rsd_verifiable", kappa)
     centers = [
         (tag, d) for tag, d in _default_centers(problem, d0_candidates)
         if float(_verify_values(problem, d).min()) > theta
@@ -422,6 +434,7 @@ def rsd_optimizing(
     """
     if problem.verify is None:
         raise ValueError("rsd_optimizing needs a problem with verify queries")
+    _require_k1("rsd_optimizing", kappa)
     if theta_grid is None:
         theta_grid = np.linspace(0.0, 1.0, 21)
     centers = _default_centers(problem, d0_candidates)

@@ -8,6 +8,17 @@ or adversarial answers pinned to the tolerance boundary). A
 records every exchange in a :class:`Transcript` together with a validity
 flag checked against the true distribution.
 
+Queries are answered in blocks. ``OracleSession.answers(block)`` takes the
+rows of a 2-D array (or a sequence of ``QueryFn``s and value vectors),
+checks the block's shape and range once, and computes every true value
+(and the exact or reference answers) in one matrix-vector product before
+the first answer. It then yields the answers row by row and records each
+row's transcript entry only when it yields that row, so a caller that
+stops after row j has asked exactly rows 0..j; sampled answers draw their
+samples per yielded row, leaving the rng and ``samples_used`` where j + 1
+single queries would. ``OracleSession.query`` and the module-level
+``answer`` are one-row blocks of the same path.
+
 Oracle kinds:
 
 - STAT(tau): queries phi: X -> [-1,1]; any answer within tau of E_D[phi] is
@@ -203,30 +214,79 @@ def edge_answers(direction: int = 1) -> AnswerStrategy:
     return AnswerStrategy(mode=EDGE_MODE, direction=direction)
 
 
-def _query_values(dist: FiniteDistribution, query) -> np.ndarray:
-    if isinstance(query, QueryFn):
-        if query.domain != dist.domain:
-            raise SqlabError("query and distribution domains differ")
-        return query.values
-    values = np.asarray(query, dtype=float)
-    if values.shape != dist.weights.shape:
+def _block_values(spec: OracleSpec, dist: FiniteDistribution, block) -> np.ndarray:
+    """The value rows of a query block as one (rows, |X|) array.
+
+    ``block`` is a 2-D array or a sequence of ``QueryFn``s and value
+    vectors. Its shape and the range of every row are checked here, once,
+    before any row is answered: VSTAT and VROOT take UNIT queries (values in
+    [0, 1]), STAT takes values in [-1, 1]. A 2-D float array is used as it
+    is (when C-contiguous), not copied.
+    """
+    n = len(dist.weights)
+    if isinstance(block, np.ndarray) and block.ndim == 2:
+        values = np.ascontiguousarray(block, dtype=float)
+    else:
+        rows = []
+        for query in block:
+            if isinstance(query, QueryFn):
+                if query.domain != dist.domain:
+                    raise SqlabError("query and distribution domains differ")
+                if spec.kind in (VSTAT, VROOT) and query.range_tag != UNIT:
+                    raise ValueError(f"{spec.kind} queries must have UNIT range")
+                rows.append(query.values)
+            else:
+                row = np.asarray(query, dtype=float)
+                if row.shape != (n,):
+                    raise SqlabError("query vector length does not match the domain")
+                rows.append(row)
+        values = np.array(rows, dtype=float).reshape(len(rows), n)
+    if values.shape[1:] != (n,):
         raise SqlabError("query vector length does not match the domain")
+    lo = -1.0 if spec.kind == STAT else 0.0
+    if values.size and (values.min() < lo - 1e-12 or values.max() > 1 + 1e-12):
+        raise ValueError(f"{spec.kind} queries must take values in [{lo:g},1]")
     return values
 
 
-def _check_range(spec: OracleSpec, query) -> None:
-    if spec.kind in (VSTAT, VROOT):
-        if isinstance(query, QueryFn):
-            if query.range_tag != UNIT:
-                raise ValueError(f"{spec.kind} queries must have UNIT range")
+def _answer_rows(
+    spec: OracleSpec,
+    strategy: AnswerStrategy,
+    dist: FiniteDistribution,
+    block,
+    rng: np.random.Generator | None,
+):
+    """Yield ``(true value, answer)`` for each row of ``block`` in order.
+
+    The block is checked and the true values (and the exact or reference
+    answers) are computed as matrix-vector products before the first row is
+    yielded. Sampled answers draw their samples row by row, only for the
+    rows the caller consumes, so the rng stream is the one of per-row calls.
+    """
+    if strategy.mode == SAMPLED_MODE and rng is None:
+        raise ValueError("sampled answers need an rng")
+    values = _block_values(spec, dist, block)
+    # einsum sums each row in an order that does not depend on the other
+    # rows (BLAS matrix-vector kernels do), so a query's true value is the
+    # same whichever block it is asked in
+    p = np.einsum("ij,j->i", values, dist.weights)
+    if strategy.mode == EXACT_MODE:
+        answers = p
+    elif strategy.mode == REFERENCE_MODE:
+        answers = np.einsum("ij,j->i", values, strategy.reference.weights)
+    for j in range(len(values)):
+        pj = float(p[j])
+        if strategy.mode == SAMPLED_MODE:
+            v = float(values[j, dist.sample_indices(rng, strategy.samples)].mean())
+        elif strategy.mode == EDGE_MODE:
+            # push exactly to the boundary, staying valid
+            if spec.kind == VROOT:
+                v = max(math.sqrt(max(pj, 0.0)) + strategy.direction * spec.tau, 0.0) ** 2
+            else:
+                v = pj + strategy.direction * tolerance(spec, pj)
         else:
-            v = np.asarray(query, dtype=float)
-            if np.any(v < -1e-12) or np.any(v > 1 + 1e-12):
-                raise ValueError(f"{spec.kind} queries must take values in [0,1]")
-    elif spec.kind == STAT:
-        v = query.values if isinstance(query, QueryFn) else np.asarray(query, dtype=float)
-        if np.any(v < -1 - 1e-12) or np.any(v > 1 + 1e-12):
-            raise ValueError("STAT queries must take values in [-1,1]")
+            v = float(answers[j])
+        yield pj, v
 
 
 def answer(
@@ -237,23 +297,7 @@ def answer(
     rng: np.random.Generator | None = None,
 ) -> float:
     """One oracle answer (no transcript; see OracleSession for bookkeeping)."""
-    _check_range(spec, query)
-    values = _query_values(dist, query)
-    p = float(dist.weights @ values)
-    if strategy.mode == EXACT_MODE:
-        return p
-    if strategy.mode == SAMPLED_MODE:
-        if rng is None:
-            raise ValueError("sampled answers need an rng")
-        idx = dist.sample_indices(rng, strategy.samples)
-        return float(values[idx].mean())
-    if strategy.mode == REFERENCE_MODE:
-        return float(strategy.reference.weights @ values)
-    # edge: push exactly to the boundary, staying valid
-    if spec.kind == VROOT:
-        root = math.sqrt(max(p, 0.0)) + strategy.direction * spec.tau
-        return max(root, 0.0) ** 2
-    return p + strategy.direction * tolerance(spec, p)
+    return next(_answer_rows(spec, strategy, dist, [query], rng))[1]
 
 
 def one_stat(
@@ -353,23 +397,34 @@ class OracleSession:
         self.transcript = Transcript()
         self.samples_used = 0
 
-    def query(self, query) -> float:
-        values = _query_values(self.dist, query)
-        p = float(self.dist.weights @ values)
-        v = answer(self.spec, self.strategy, self.dist, query, self.rng)
-        if self.strategy.mode == SAMPLED_MODE:
-            self.samples_used += self.strategy.samples
-        self.transcript.append(
-            TranscriptEntry(
-                index=len(self.transcript),
-                kind=self.spec.kind,
-                param=self.spec.param,
-                value=v,
-                valid=validate(self.spec, p, v),
-                true_value=p,
+    def answers(self, block):
+        """Answer the rows of ``block`` one at a time, in order.
+
+        ``block`` is a 2-D array or a sequence of ``QueryFn``s and value
+        vectors; the whole block is checked before the first answer, and a
+        bad block raises with nothing recorded. Each row's transcript entry
+        (and, for sampled answers, its samples) is taken when that row's
+        answer is yielded, so a caller that stops after row j has asked
+        exactly rows 0..j.
+        """
+        sampled = self.strategy.mode == SAMPLED_MODE
+        for p, v in _answer_rows(self.spec, self.strategy, self.dist, block, self.rng):
+            if sampled:
+                self.samples_used += self.strategy.samples
+            self.transcript.append(
+                TranscriptEntry(
+                    index=len(self.transcript),
+                    kind=self.spec.kind,
+                    param=self.spec.param,
+                    value=v,
+                    valid=validate(self.spec, p, v),
+                    true_value=p,
+                )
             )
-        )
-        return v
+            yield v
+
+    def query(self, query) -> float:
+        return next(self.answers([query]))
 
     def one_sample(self, values: Sequence[int]) -> int:
         if self.spec.kind != ONE_STAT:

@@ -8,15 +8,24 @@ updates D_t) or commit to a finished outcome. Search, the verifiable
 fallback and streaming share one trigger scan, ``_first_trigger``: a
 witness triggers when its answer strays more than 2 tau / 3 from its
 expectation under D_t (on the kappa scale), and the sign of the gap is the
-sign of the update. The budget rule is the same everywhere: at most
-ceil(36 * KL_bound / tau^2) updates (K1 margins; the square-root-scale
-variant uses gamma = tau^2/9 and budget ceil(324 * KL_bound / tau^4)); a
-trigger found after the last allowed update ends the run as
-``budget_exceeded`` without being applied, so a run makes at most budget + 1
-steps. Exceeding the cap while every oracle answer was valid is flagged as a
-theorem violation rather than silently retried. Every ``RunReport`` is built
-by ``_run_report``, which reads the query count, transcript and valid-answer
-fraction from the session.
+sign of the update. A cover step is answered as one block: its witnesses
+are the rows of a 2-D array, their expectations under D_t are one
+matrix-vector product, and the scan consumes the answer source
+(``OracleSession.answers`` for search and the verifiable fallback, a
+per-row sample-mean generator for streaming) only up to the first
+trigger, so only the rows actually reached are asked. The K1 margins of
+the whole family against D_t come from one vectorized pass
+(``_k1_witnesses``), which builds sign witnesses for the far members only;
+KV keeps a per-member threshold scan.
+
+The budget rule is the same everywhere: at most ceil(36 * KL_bound / tau^2)
+updates (K1 margins; the square-root-scale variant uses gamma = tau^2/9 and
+budget ceil(324 * KL_bound / tau^4)); a trigger found after the last allowed
+update ends the run as ``budget_exceeded`` without being applied, so a run
+makes at most budget + 1 steps. Exceeding the cap while every oracle answer
+was valid is flagged as a theorem violation rather than silently retried.
+Every ``RunReport`` is built by ``_run_report``, which reads the query count,
+transcript and valid-answer fraction from the session.
 
 Solvers:
 
@@ -25,7 +34,8 @@ Solvers:
   ceil(d ln(1/delta')) witnesses per step from a fractional cover measure
   and finally draws the answer from a solution measure.
 - ``solve_decision_sampled``: distinguish reference vs family with
-  ceil(d ln(1/delta)) witnesses sampled once from the fractional cover.
+  ceil(d ln(1/delta)) witnesses sampled once from the fractional cover,
+  asked as one block up to the first distinguishing answer.
 - ``solve_verifiable``: accept a solution whose verify query measures at
   most theta + 2 tau / 3 (certifying D[phi_f] <= theta + tau), otherwise
   turn the failed verification into an update.
@@ -138,11 +148,14 @@ def update_budget(kl_bound: float, tau: float, kappa: str = K1) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _k1_witness(d: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
-    """Best signed query separating d from t: sign(d - t), margin = L1 gap."""
-    diff = d - t
-    phi = np.where(diff >= 0, 1.0, -1.0)
-    return float(np.abs(diff).sum()), phi
+def _k1_witnesses(dist_mat: np.ndarray, t_vec: np.ndarray):
+    """The K1 margins |D_i - t|_1 of every row of ``dist_mat`` against
+    ``t_vec``, and a function giving the best signed queries sign(D_i - t)
+    of chosen rows as one 2-D block, built for those rows only."""
+    diff = dist_mat - t_vec
+    gaps = np.abs(diff, out=diff).sum(axis=1)
+    # d - t >= 0 exactly when d >= t: two unequal doubles never differ by 0
+    return gaps, lambda rows: np.where((dist_mat >= t_vec)[rows], 1.0, -1.0)
 
 
 def _kv_witness(d: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
@@ -168,8 +181,15 @@ def _kv_witness(d: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
     return best_gap, best_phi
 
 
-def _witness(kappa: str):
-    return _k1_witness if kappa == K1 else _kv_witness
+def _kv_witnesses(dist_mat: np.ndarray, t_vec: np.ndarray):
+    """``_k1_witnesses`` on the square-root scale: one threshold scan per row."""
+    found = [_kv_witness(d, t_vec) for d in dist_mat]
+    gaps = np.array([gap for gap, _ in found])
+    return gaps, lambda rows: np.array([found[i][1] for i in rows]).reshape(len(rows), t_vec.size)
+
+
+def _witnesses(kappa: str):
+    return _k1_witnesses if kappa == K1 else _kv_witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +200,13 @@ def _witness(kappa: str):
 @dataclass(frozen=True)
 class CoverStep:
     """What to do at the current mixture: a proposed solution index, the
-    witness queries (with the distribution index each one targets), and —
-    for randomized runs — a solution measure, a sampling measure over the
-    queries, and the fractional cover value d."""
+    witness queries as the rows of one 2-D block (with the distribution
+    index each row targets), and — for randomized runs — a solution
+    measure, a sampling measure over the rows, and the fractional cover
+    value d."""
 
     solution_index: int
-    queries: tuple
+    queries: np.ndarray
     targets: tuple
     unservable: tuple = ()
     solution_measure: Measure | None = None
@@ -199,45 +220,32 @@ def margin_cover(problem: ProblemSpec, tau: float, kappa: str = K1, randomized: 
     At mixture D_t: distributions within margin tau are "close"; the
     proposed solution is the first one valid for every close distribution
     (falling back to best coverage). Every far distribution the proposal
-    does not serve gets its maximum-margin witness, in index order. In
-    randomized mode the far witnesses are additionally grouped into a
-    fractional cover (via the achievable-subset family against D_t) so a
-    solver can sample few of them.
+    does not serve gets its maximum-margin witness, in index order, as one
+    row of the step's query block; the margins of the whole family come
+    from one vectorized pass, and witness rows are built for the far
+    members only. In randomized mode the far members are instead grouped
+    into a fractional cover (via the achievable-subset family against D_t)
+    whose witnesses form the block, so a solver can sample few of them.
     """
-    witness_fn = _witness(kappa)
-    dist_mat = [d.weights for d in problem.dists]
+    witnesses = _witnesses(kappa)
+    dist_mat = np.array([d.weights for d in problem.dists])
+    serves = problem.validity  # serves[f, i]: solution f is valid for dist i
 
     def oracle(t_vec: np.ndarray) -> CoverStep:
-        gaps = []
-        for w in dist_mat:
-            gap, phi = witness_fn(w, t_vec)
-            gaps.append((gap, phi))
-        close = [i for i, (gap, _) in enumerate(gaps) if gap <= tau]
-        close_set = set(close)
-        f_idx = None
-        for fi in range(problem.n_solutions):
-            if close_set <= set(problem.solved_dist_indices(fi)):
-                f_idx = fi
-                break
+        gaps, witness_rows = witnesses(dist_mat, t_vec)
+        close = gaps <= tau
+        covering = np.flatnonzero(serves[:, close].all(axis=1))
         unservable: tuple = ()
-        if f_idx is None:
-            overlaps = [
-                len(close_set & set(problem.solved_dist_indices(fi)))
-                for fi in range(problem.n_solutions)
-            ]
-            f_idx = int(np.argmax(overlaps))
-            unservable = tuple(
-                sorted(close_set - set(problem.solved_dist_indices(f_idx)))
-            )
-        served = set(problem.solved_dist_indices(f_idx))
-        far_targets = [
-            i for i in range(problem.n_dists) if i not in served and gaps[i][0] > tau
-        ]
-        queries = tuple(gaps[i][1] for i in far_targets)
+        if covering.size:
+            f_idx = int(covering[0])
+        else:
+            f_idx = int(np.argmax(serves[:, close].sum(axis=1)))
+            unservable = tuple(int(i) for i in np.flatnonzero(close & ~serves[f_idx]))
+        far_targets = [int(i) for i in np.flatnonzero(~serves[f_idx] & ~close)]
         if not randomized:
             return CoverStep(
                 solution_index=f_idx,
-                queries=queries,
+                queries=witness_rows(far_targets),
                 targets=tuple(far_targets),
                 unservable=unservable,
             )
@@ -248,11 +256,12 @@ def margin_cover(problem: ProblemSpec, tau: float, kappa: str = K1, randomized: 
                 [problem.dists[i] for i in far_targets], t_dist, tau, kappa=kappa
             )
             cover = fractional_cover(family)
-            queries = tuple(family.witnesses)
+            queries = np.array(family.witnesses).reshape(-1, dist_mat.shape[1])
             targets = tuple(tuple(sorted(far_targets[i] for i in s)) for s in family.sets)
             q_measure, d_value = cover.q, cover.value
         else:
-            queries, targets, q_measure, d_value = (), (), np.zeros(0), 0.0
+            queries, targets = np.zeros((0, dist_mat.shape[1])), ()
+            q_measure, d_value = np.zeros(0), 0.0
         return CoverStep(
             solution_index=f_idx,
             queries=queries,
@@ -353,20 +362,22 @@ def _gap(kappa: str, expected: float, answered: float) -> float:
     return abs(math.sqrt(max(expected, 0.0)) - math.sqrt(max(answered, 0.0)))
 
 
-def _first_trigger(t_vec: np.ndarray, queries, answer, kappa: str, tau: float):
-    """Scan ``queries`` in order against the answer source ``answer(phi)``.
+def _first_trigger(t_vec: np.ndarray, block, answers, kappa: str, tau: float):
+    """Scan the rows of the 2-D ``block`` in order against the answer source.
 
-    Returns ``(j, sign)`` for the first query whose answer strays more than
+    ``answers(block)`` yields one answer per row and is consumed only up to
+    the first trigger, so an oracle session records just the rows asked.
+    Returns ``(j, sign)`` for the first row whose answer strays more than
     2 tau / 3 (on the kappa scale) from its expectation under ``t_vec``,
     with sign +1 when the mixture overestimates, so that the loss
-    ``sign * queries[j]`` moves mass toward the answer; None when nothing
+    ``sign * block[j]`` moves mass toward the answer; None when nothing
     triggers.
     """
-    for j, phi in enumerate(queries):
-        expected = float(t_vec @ phi)
-        v = answer(phi)
-        if _gap(kappa, expected, v) > 2.0 * tau / 3.0:
-            return j, (1.0 if expected > v else -1.0)
+    expected = block @ t_vec
+    for j, v in enumerate(answers(block)):
+        e = float(expected[j])
+        if _gap(kappa, e, v) > 2.0 * tau / 3.0:
+            return j, (1.0 if e > v else -1.0)
     return None
 
 
@@ -436,12 +447,12 @@ def solve_search_universal(
     def step(t_vec):
         cover_step = cover(t_vec)
         queries = cover_step.queries
-        if mode == "rand" and queries:
+        if mode == "rand" and len(queries):
             s = max(math.ceil(cover_step.d * math.log(1.0 / delta_step)), 1)
             cdf = np.cumsum(cover_step.query_measure)
             draws = np.minimum(np.searchsorted(cdf, rng.random(s), side="right"), len(cdf) - 1)
-            queries = [queries[j] for j in sorted(set(int(j) for j in draws))]
-        hit = _first_trigger(t_vec, queries, session.query, kappa, tau)
+            queries = queries[np.unique(draws)]
+        hit = _first_trigger(t_vec, queries, session.answers, kappa, tau)
         if hit is not None:
             j, sign = hit
             return sign * queries[j]
@@ -506,13 +517,12 @@ def solve_decision_sampled(
     s = max(math.ceil(cover.value * math.log(1.0 / delta)), 1)
     cdf = np.cumsum(cover.q)
     draws = np.minimum(np.searchsorted(cdf, rng.random(s), side="right"), len(cdf) - 1)
-    verdict = "reference"
-    for j in sorted(set(int(j) for j in draws)):
-        phi = family.witnesses[j]
-        v = session.query(phi)
-        if abs(v - float(d0.weights @ phi)) > tau / 2.0:
-            verdict = "not-reference"
-            break
+    block = np.array([family.witnesses[j] for j in np.unique(draws)])
+    ref_values = block @ d0.weights
+    distinguished = any(
+        abs(v - float(r)) > tau / 2.0 for v, r in zip(session.answers(block), ref_values)
+    )
+    verdict = "not-reference" if distinguished else "reference"
     return _run_report(
         session, SOLVED, verdict, details={"witness_budget": s, "cover_value": cover.value}
     )
@@ -559,8 +569,9 @@ def solve_verifiable(
             if session.query(phi) <= theta + 2.0 * tau / 3.0:
                 return SOLVED, problem.solutions[fi], {}
             return -phi  # mixture underestimates phi_f; push mass toward it
-        far = [phi for gap, phi in (_k1_witness(d, t_vec) for d in dist_mat) if gap > tau]
-        hit = _first_trigger(t_vec, far, session.query, K1, tau)
+        gaps, witness_rows = _k1_witnesses(dist_mat, t_vec)
+        far = witness_rows(np.flatnonzero(gaps > tau))
+        hit = _first_trigger(t_vec, far, session.answers, K1, tau)
         if hit is None:
             return STUCK, None, {}
         j, sign = hit

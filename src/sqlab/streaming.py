@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import K1, FiniteDistribution, ProblemSpec, mixture
 from .errors import StreamExhaustedError
-from .solvers import MWState, _first_trigger, _k1_witness, _proposal, _run_mw, margin_cover
+from .solvers import MWState, _first_trigger, _k1_witnesses, _proposal, _run_mw, margin_cover
 
 __all__ = [
     "SampleStream",
@@ -115,8 +115,10 @@ def replay_weights(problem: ProblemSpec, tau: float, history) -> np.ndarray:
     licenses charging the mixture to scratch rather than persistent memory.
     """
     state = _start_state(problem, tau)
+    dist_mat = np.array([d.weights for d in problem.dists])
     for target, sign in history:
-        state = state.update(sign * _k1_witness(problem.dists[target].weights, state.weights)[1])
+        witness_rows = _k1_witnesses(dist_mat, state.weights)[1]
+        state = state.update(sign * witness_rows(target))
     return state.weights
 
 
@@ -140,14 +142,17 @@ def stream_solve(
     history: list[tuple[int, int]] = []
     estimates = 0
 
-    def estimate(phi):
+    def estimates_of(block):
+        # one fresh block of n_est samples per witness, drawn only when the
+        # scan reaches that witness
         nonlocal estimates
-        estimates += 1
-        return float(np.mean(phi[stream.draw_block(req["n_est"])]))
+        for phi in block:
+            estimates += 1
+            yield float(np.mean(phi[stream.draw_block(req["n_est"])]))
 
     def step(weights):
         cover_step = cover(weights)
-        hit = _first_trigger(weights, cover_step.queries, estimate, K1, tau)
+        hit = _first_trigger(weights, cover_step.queries, estimates_of, K1, tau)
         if hit is None:
             return _proposal(problem, cover_step, cover_step.solution_index)
         j, sign = hit

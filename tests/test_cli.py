@@ -106,6 +106,23 @@ def test_dims_enumerates_the_family_once_per_report(monkeypatch, capsys):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("kind,skipped", [
+    ("search", ["rsd_search"]),
+    ("verifiable", ["rsd_verifiable", "rsd_optimizing"]),
+])
+def test_dims_kv_skips_the_search_type_dimensions(kind, skipped, capsys):
+    code, out = run_cli(
+        ["dims", "--gen", "biclique", "--n", "3", "--k", "1", "--kind", kind,
+         "--tau", "0.2", "--kappa", "kv", "--eps", "0.2"],
+        capsys,
+    )
+    assert code == 0
+    report = json.loads(out)
+    for name in skipped:
+        assert "no certified direction" in report[name]["skipped"]
+    assert report["rsd_decision"]["exactness"] == "upper_bound"
+
+
 def test_dims_requires_tau(capsys):
     code, _ = run_cli(["dims", "--gen", "biclique", "--n", "4", "--k", "2"], capsys)
     assert code == 1

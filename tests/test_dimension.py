@@ -280,6 +280,19 @@ def test_rsd_verifiable_requires_verify_queries():
         rsd_optimizing(prob, eps=0.1, tau=0.1)
 
 
+def test_search_type_dimensions_refuse_kv():
+    """Under KV the inner rsd_decision values are upper bounds, so a
+    max-min over them is certified in no direction: all three refuse."""
+    prob = biclique(3, 1)
+    vprob = biclique(4, 2, kind="verifiable")
+    with pytest.raises(ValueError, match="rsd_search"):
+        rsd_search(prob, tau=0.1, kappa=KV)
+    with pytest.raises(ValueError, match="rsd_verifiable"):
+        rsd_verifiable(vprob, theta=0.2, tau=0.1, kappa=KV)
+    with pytest.raises(ValueError, match="rsd_optimizing"):
+        rsd_optimizing(vprob, eps=0.1, tau=0.1, kappa=KV)
+
+
 # ---------------------------------------------------------------------------
 # randomized -> deterministic witness sampling
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from sqlab import (
     vroot,
     vstat,
 )
+from sqlab.errors import SqlabError
 from sqlab.oracles import tolerance, validate
 
 from tests.util import small_domain
@@ -145,6 +146,99 @@ def test_range_checks():
     too_big = np.array([1.5, 0.0])
     with pytest.raises(ValueError):
         OracleSession(stat(0.1), exact_answers(), d).query(too_big)
+
+
+# ---------------------------------------------------------------------------
+# block answers
+# ---------------------------------------------------------------------------
+
+_BLOCK_DIST = [0.05, 0.15, 0.3, 0.2, 0.1, 0.2]
+_BLOCK_REF = [0.2, 0.1, 0.1, 0.3, 0.2, 0.1]
+
+
+def _block(kind, rows=7):
+    """A mixed block for ``kind``: value vectors and QueryFns in range."""
+    d = _dist(_BLOCK_DIST)
+    values = np.random.default_rng(11).random((rows, len(_BLOCK_DIST)))
+    if kind == "stat":
+        values = 2.0 * values - 1.0
+    tag = "signed" if kind == "stat" else "unit"
+    return [QueryFn(d.domain, v, tag) if i % 2 else v for i, v in enumerate(values)]
+
+
+def _strategies():
+    return [
+        exact_answers(),
+        sampled_answers(50),
+        reference_answers(_dist(_BLOCK_REF)),
+        edge_answers(+1),
+        edge_answers(-1),
+    ]
+
+
+@pytest.mark.parametrize("spec", [stat(0.1), vstat(40), vroot(0.1)], ids=lambda s: s.kind)
+@pytest.mark.parametrize("strategy", _strategies(), ids=lambda s: f"{s.mode}{s.direction:+d}")
+@pytest.mark.parametrize("as_array", [False, True], ids=["rows", "array"])
+def test_block_answers_match_per_row_queries(spec, strategy, as_array):
+    d = _dist(_BLOCK_DIST)
+    block = _block(spec.kind)
+    if as_array:
+        block = np.array([q.values if isinstance(q, QueryFn) else q for q in block])
+    one = OracleSession(spec, strategy, d, np.random.default_rng(4))
+    twin = OracleSession(spec, strategy, d, np.random.default_rng(4))
+    got = list(one.answers(block))
+    want = [twin.query(q) for q in block]
+    assert got == want
+    assert one.transcript.entries == twin.transcript.entries
+    assert one.samples_used == twin.samples_used
+    assert one.rng.random() == twin.rng.random()
+
+
+@pytest.mark.parametrize("stop", [0, 1, 4])
+def test_block_answers_record_only_consumed_rows(stop):
+    d = _dist(_BLOCK_DIST)
+    block = _block("stat")
+    one = OracleSession(stat(0.1), sampled_answers(30), d, np.random.default_rng(9))
+    twin = OracleSession(stat(0.1), sampled_answers(30), d, np.random.default_rng(9))
+    rows = one.answers(block)
+    got = [next(rows) for _ in range(stop)]
+    want = [twin.query(q) for q in block[:stop]]
+    assert got == want
+    assert one.query_count == stop
+    assert one.transcript.entries == twin.transcript.entries
+    assert one.samples_used == twin.samples_used == 30 * stop
+    assert one.rng.random() == twin.rng.random()
+
+
+def test_bad_blocks_raise_before_any_answer():
+    d = _dist(_BLOCK_DIST)
+    good = _block("vstat")
+    signed = QueryFn(d.domain, np.array([-1.0, 1.0, 0.0, 0.0, 0.0, 0.0]), "signed")
+    other = QueryFn(small_domain(5), np.full(5, 0.5), "unit")
+    bad_blocks = [
+        (good + [np.full(6, 1.5)], ValueError),  # out of range after the first rows
+        (good + [signed], ValueError),  # a SIGNED QueryFn for VSTAT
+        (good + [np.full(5, 0.5)], SqlabError),  # a row of the wrong length
+        (good + [other], SqlabError),  # a query over another domain
+        (np.full((3, 5), 0.5), SqlabError),  # a 2-D block of the wrong width
+        (np.full(6, 0.5), SqlabError),  # one vector is not a block
+    ]
+    for block, error in bad_blocks:
+        session = OracleSession(vstat(40), sampled_answers(20), d, np.random.default_rng(2))
+        rows = session.answers(block)
+        with pytest.raises(error):
+            next(rows)
+        assert session.query_count == 0
+        assert session.samples_used == 0
+        assert session.rng.random() == np.random.default_rng(2).random()
+
+
+def test_empty_block_answers_nothing():
+    d = _dist(_BLOCK_DIST)
+    session = OracleSession(stat(0.1), exact_answers(), d)
+    assert list(session.answers([])) == []
+    assert list(session.answers(np.zeros((0, 6)))) == []
+    assert session.query_count == 0
 
 
 # ---------------------------------------------------------------------------

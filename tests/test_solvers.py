@@ -163,6 +163,42 @@ def test_margin_cover_at_uniform_mixture():
         assert gap > 0.2
 
 
+@pytest.mark.parametrize("kappa", [K1, KV])
+@pytest.mark.parametrize("randomized", [False, True])
+def test_margin_cover_without_far_members_gives_an_empty_block(kappa, randomized):
+    # at radius 2 every member is close, so no witness is needed; no
+    # solution serves all three, so the best-overlap proposal leaves two
+    prob = search_problem()
+    step = margin_cover(prob, tau=2.0, kappa=kappa, randomized=randomized)(
+        mixture([D1, D2, D3]).weights
+    )
+    assert step.queries.shape == (0, len(prob.domain))
+    assert step.targets == ()
+    assert step.unservable == (1, 2)
+
+
+def test_k1_witnesses_match_the_per_member_rule():
+    """The vectorized margins and signs equal the one-member-at-a-time
+    rule: |d - t|_1 and sign(d - t) with ties (d == t) signed +1."""
+    from sqlab.solvers import _k1_witnesses
+
+    rng = np.random.default_rng(3)
+    dist_mat = rng.dirichlet(np.ones(9), size=6)
+    t = rng.dirichlet(np.ones(9))
+    dist_mat[2] = t  # an exact tie on every element
+    dist_mat[4, :3] = t[:3]
+    gaps, witness_rows = _k1_witnesses(dist_mat, t)
+    rows = [0, 2, 4, 5]
+    block = witness_rows(rows)
+    assert block.shape == (4, 9)
+    for j, i in enumerate(rows):
+        diff = dist_mat[i] - t
+        assert gaps[i] == np.abs(diff).sum()
+        assert np.array_equal(block[j], np.where(diff >= 0, 1.0, -1.0))
+    assert gaps[2] == 0.0 and np.all(block[1] == 1.0)
+    assert witness_rows([]).shape == (0, 9)
+
+
 def test_margin_cover_randomized_mode():
     prob = search_problem()
     oracle = margin_cover(prob, tau=0.2, randomized=True)
@@ -243,16 +279,21 @@ def test_universal_search_edge_adversary_terminates_correctly():
 
 
 class _RecordingSession(OracleSession):
-    """OracleSession that keeps each query's value vector for replay."""
+    """OracleSession that keeps the value vector of each query it answers.
+
+    A row of a block counts only once its answer is consumed: the rows a
+    scan never reaches were not asked and are not recorded.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.vectors = []
 
-    def query(self, query):
-        vals = query.values if isinstance(query, QueryFn) else np.asarray(query, dtype=float)
-        self.vectors.append(np.array(vals))
-        return super().query(query)
+    def answers(self, block):
+        rows = [q.values if isinstance(q, QueryFn) else np.asarray(q, dtype=float) for q in block]
+        for vals, v in zip(rows, super().answers(block)):
+            self.vectors.append(np.array(vals))
+            yield v
 
 
 def test_universal_search_reference_adversary_transcript_property():
