@@ -635,25 +635,43 @@ def cmd_merge(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 
-def main(argv=None) -> int:
+_COMMANDS = {
+    "gen": cmd_gen,
+    "dims": cmd_dims,
+    "audit": cmd_audit,
+    "solve": cmd_solve,
+    "stream": cmd_stream,
+    "merge": cmd_merge,
+}
+
+
+def _parsers(argv) -> tuple[argparse.ArgumentParser, dict]:
+    """A fresh top-level parser and its subcommand parsers.
+
+    Every subcommand is registered, so ``--help`` and usage errors list
+    them all, but only the one named on the command line gets its flags:
+    that is the only subcommand parser a call can reach. A fresh parser per
+    call keeps one call's ``--config`` defaults out of the next.
+    """
     parser = _Parser(prog="sqlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    command = next((a for a in argv if not a.startswith("-")), None)
     handlers = {}
-    for name, handler in [
-        ("gen", cmd_gen),
-        ("dims", cmd_dims),
-        ("audit", cmd_audit),
-        ("solve", cmd_solve),
-        ("stream", cmd_stream),
-        ("merge", cmd_merge),
-    ]:
+    for name, handler in _COMMANDS.items():
         p = sub.add_parser(name, parents=[], add_help=True)
         p.__class__ = _Parser
-        _add_common(p)
-        if name == "merge":
-            p.add_argument("inputs", nargs="*", help="result JSON files to merge")
+        if name == command:
+            _add_common(p)
+            if name == "merge":
+                p.add_argument("inputs", nargs="*", help="result JSON files to merge")
         p.set_defaults(handler=handler)
         handlers[name] = p
+    return parser, handlers
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, handlers = _parsers(argv)
     args = parser.parse_args(argv)
     if _config_defaults(args, handlers[args.command]):
         args = parser.parse_args(argv)

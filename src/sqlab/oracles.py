@@ -8,16 +8,23 @@ or adversarial answers pinned to the tolerance boundary). A
 records every exchange in a :class:`Transcript` together with a validity
 flag checked against the true distribution.
 
-Queries are answered in blocks. ``OracleSession.answers(block)`` takes the
-rows of a 2-D array (or a sequence of ``QueryFn``s and value vectors),
-checks the block's shape and range once, and computes every true value
-(and the exact or reference answers) in one matrix-vector product before
-the first answer. It then yields the answers row by row and records each
-row's transcript entry only when it yields that row, so a caller that
-stops after row j has asked exactly rows 0..j; sampled answers draw their
-samples per yielded row, leaving the rng and ``samples_used`` where j + 1
-single queries would. ``OracleSession.query`` and the module-level
-``answer`` are one-row blocks of the same path.
+Queries are answered in blocks. ``OracleSession.scan(block, stop)`` takes
+the rows of a 2-D array (or a sequence of ``QueryFn``s and value vectors),
+checks the block's shape and range once, and computes every true value in
+one matrix-vector product. Exact, reference and edge answers come for the
+whole block in the same vector pass, and the first row at which the
+vectorized predicate ``stop(rows, answers)`` holds is found with one
+``flatnonzero``; sampled answers draw their samples row by row, only up to
+that row, so the rng and ``samples_used`` end where j + 1 single queries
+would leave them. Only the consumed rows 0..j are asked: their transcript
+entries go in as one columnar append, with validity from ``valid_answers``,
+the array form of ``validate``. ``OracleSession.answers(block)`` yields the
+answers of the same path lazily, one recorded row at a time, and
+``OracleSession.query`` and the module-level ``answer`` are one-row blocks.
+
+A :class:`Transcript` stores its entries as growing columns (kind, param,
+value, valid, true value) and builds :class:`TranscriptEntry` objects only
+when they are read.
 
 Oracle kinds:
 
@@ -41,7 +48,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
@@ -61,6 +68,7 @@ __all__ = [
     "one_stat_spec",
     "tolerance",
     "validate",
+    "valid_answers",
     "AnswerStrategy",
     "exact_answers",
     "sampled_answers",
@@ -137,26 +145,35 @@ def one_stat_spec(bits: int) -> OracleSpec:
     return OracleSpec(kind=ONE_STAT, bits=bits)
 
 
+def _tolerances(spec: OracleSpec, p: np.ndarray) -> np.ndarray:
+    """``tolerance`` at every true value in ``p``."""
+    if spec.kind == STAT or spec.kind == VROOT:
+        return np.full_like(p, float(spec.tau))
+    if spec.kind == VSTAT:
+        spread = p * (1.0 - p) if spec.vstat_strict else p
+        return np.maximum(1.0 / spec.n, np.sqrt(np.maximum(spread, 0.0) / spec.n))
+    raise ValueError(f"tolerance undefined for oracle kind {spec.kind!r}")
+
+
 def tolerance(spec: OracleSpec, p: float) -> float:
     """The allowed answer deviation at true value p (sqrt scale for VROOT)."""
-    if spec.kind == STAT:
-        return float(spec.tau)
-    if spec.kind == VSTAT:
-        if spec.vstat_strict:
-            return max(1.0 / spec.n, math.sqrt(max(p * (1.0 - p), 0.0) / spec.n))
-        return max(1.0 / spec.n, math.sqrt(max(p, 0.0) / spec.n))
+    return float(_tolerances(spec, np.float64(p)))
+
+
+def valid_answers(spec: OracleSpec, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Which answers ``v`` are valid for queries with true values ``p``
+    (elementwise; the one validity rule, which ``validate`` applies to a
+    single answer)."""
     if spec.kind == VROOT:
-        return float(spec.tau)
-    raise ValueError(f"tolerance undefined for oracle kind {spec.kind!r}")
+        # answers below 0 are never valid; the clip only keeps sqrt quiet
+        gap = np.abs(np.sqrt(np.maximum(v, 0.0)) - np.sqrt(np.maximum(p, 0.0)))
+        return (v >= 0) & (gap <= spec.tau + VALIDITY_ATOL)
+    return np.abs(v - p) <= _tolerances(spec, p) + VALIDITY_ATOL
 
 
 def validate(spec: OracleSpec, p: float, v: float) -> bool:
     """Is answer v valid for a query with true value p?"""
-    if spec.kind == VROOT:
-        if v < 0:
-            return False
-        return abs(math.sqrt(v) - math.sqrt(max(p, 0.0))) <= spec.tau + VALIDITY_ATOL
-    return abs(v - p) <= tolerance(spec, p) + VALIDITY_ATOL
+    return bool(valid_answers(spec, np.float64(p), np.float64(v)))
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +266,20 @@ def _block_values(spec: OracleSpec, dist: FiniteDistribution, block) -> np.ndarr
     return values
 
 
-def _answer_rows(
+def _answer_block(
     spec: OracleSpec,
     strategy: AnswerStrategy,
     dist: FiniteDistribution,
     block,
     rng: np.random.Generator | None,
 ):
-    """Yield ``(true value, answer)`` for each row of ``block`` in order.
+    """``(values, true values, answers)`` of a query block.
 
-    The block is checked and the true values (and the exact or reference
-    answers) are computed as matrix-vector products before the first row is
-    yielded. Sampled answers draw their samples row by row, only for the
-    rows the caller consumes, so the rng stream is the one of per-row calls.
+    The block is checked and the true values (and the exact, reference or
+    edge answers) are computed for all rows at once, before any row is
+    answered. Sampled answers are None here: they are drawn row by row with
+    ``_sample_mean``, only for the rows a caller consumes, so the rng stream
+    is the one of per-row calls.
     """
     if strategy.mode == SAMPLED_MODE and rng is None:
         raise ValueError("sampled answers need an rng")
@@ -271,22 +289,22 @@ def _answer_rows(
     # same whichever block it is asked in
     p = np.einsum("ij,j->i", values, dist.weights)
     if strategy.mode == EXACT_MODE:
-        answers = p
-    elif strategy.mode == REFERENCE_MODE:
-        answers = np.einsum("ij,j->i", values, strategy.reference.weights)
-    for j in range(len(values)):
-        pj = float(p[j])
-        if strategy.mode == SAMPLED_MODE:
-            v = float(values[j, dist.sample_indices(rng, strategy.samples)].mean())
-        elif strategy.mode == EDGE_MODE:
-            # push exactly to the boundary, staying valid
-            if spec.kind == VROOT:
-                v = max(math.sqrt(max(pj, 0.0)) + strategy.direction * spec.tau, 0.0) ** 2
-            else:
-                v = pj + strategy.direction * tolerance(spec, pj)
-        else:
-            v = float(answers[j])
-        yield pj, v
+        return values, p, p
+    if strategy.mode == REFERENCE_MODE:
+        return values, p, np.einsum("ij,j->i", values, strategy.reference.weights)
+    if strategy.mode == EDGE_MODE:
+        # push exactly to the boundary, staying valid
+        if spec.kind != VROOT:
+            return values, p, p + strategy.direction * _tolerances(spec, p)
+        root = np.maximum(np.sqrt(np.maximum(p, 0.0)) + strategy.direction * spec.tau, 0.0)
+        # Python's float power, not numpy's square: the two differ in the
+        # last bit on some inputs, and these answers keep the bits they had
+        return values, p, np.array([r**2 for r in root.tolist()])
+    return values, p, None
+
+
+def _sample_mean(row: np.ndarray, dist: FiniteDistribution, samples: int, rng) -> float:
+    return float(row[dist.sample_indices(rng, samples)].mean())
 
 
 def answer(
@@ -297,7 +315,10 @@ def answer(
     rng: np.random.Generator | None = None,
 ) -> float:
     """One oracle answer (no transcript; see OracleSession for bookkeeping)."""
-    return next(_answer_rows(spec, strategy, dist, [query], rng))[1]
+    values, _, fixed = _answer_block(spec, strategy, dist, [query], rng)
+    if fixed is None:
+        return _sample_mean(values[0], dist, strategy.samples, rng)
+    return float(fixed[0])
 
 
 def one_stat(
@@ -331,28 +352,61 @@ class TranscriptEntry:
     true_value: float
 
 
-@dataclass
-class Transcript:
-    """Ordered record of oracle exchanges; __len__ is the query count."""
+def _as_list(column) -> list:
+    """Python scalars, so that entries read back as plain floats and bools."""
+    return column.tolist() if isinstance(column, np.ndarray) else list(column)
 
-    entries: list = field(default_factory=list)
+
+class Transcript:
+    """Ordered record of oracle exchanges; __len__ is the query count.
+
+    The entries are stored as growing columns (kind, param, value, valid,
+    true value), which an oracle session extends one block at a time;
+    ``entries`` and iteration build the :class:`TranscriptEntry` objects on
+    demand.
+    """
+
+    def __init__(self):
+        self._kind: list = []
+        self._param: list = []
+        self._value: list = []
+        self._valid: list = []
+        self._true_value: list = []
 
     def append(self, entry: TranscriptEntry) -> None:
-        if entry.index != len(self.entries):
+        if entry.index != len(self):
             raise ValueError("transcript entries must be appended in order")
-        self.entries.append(entry)
+        self.extend(entry.kind, entry.param, [entry.value], [entry.valid], [entry.true_value])
+
+    def extend(self, kind: str, param: float, values, valid, true_values) -> None:
+        """Record a block of exchanges under one oracle kind and parameter:
+        parallel sequences (or 1-D arrays) of answers, validity flags and
+        true values."""
+        n = len(values)
+        if not (len(valid) == len(true_values) == n):
+            raise ValueError("transcript columns must have one value per exchange")
+        self._kind += [kind] * n
+        self._param += [param] * n
+        self._value += _as_list(values)
+        self._valid += _as_list(valid)
+        self._true_value += _as_list(true_values)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._value)
 
     def __iter__(self):
-        return iter(self.entries)
+        columns = zip(self._kind, self._param, self._value, self._valid, self._true_value)
+        return (TranscriptEntry(i, *row) for i, row in enumerate(columns))
+
+    @property
+    def entries(self) -> list:
+        return list(self)
 
     @property
     def valid_fraction(self) -> float:
-        if not self.entries:
+        if not self._valid:
             return 1.0
-        return sum(1 for e in self.entries if e.valid) / len(self.entries)
+        return sum(self._valid) / len(self._valid)
 
     def to_jsonl(self, fp: IO[str] | str) -> None:
         """One JSON object per line: {index, kind, param, value, valid}."""
@@ -366,7 +420,7 @@ class Transcript:
                     "valid": e.valid,
                 }
             )
-            for e in self.entries
+            for e in self
         ]
         payload = "\n".join(lines) + ("\n" if lines else "")
         if isinstance(fp, str):
@@ -397,34 +451,58 @@ class OracleSession:
         self.transcript = Transcript()
         self.samples_used = 0
 
-    def answers(self, block):
-        """Answer the rows of ``block`` one at a time, in order.
+    def scan(self, block, stop=None):
+        """Answer the rows of ``block`` in order up to the first stop.
 
         ``block`` is a 2-D array or a sequence of ``QueryFn``s and value
-        vectors; the whole block is checked before the first answer, and a
-        bad block raises with nothing recorded. Each row's transcript entry
-        (and, for sampled answers, its samples) is taken when that row's
-        answer is yielded, so a caller that stops after row j has asked
-        exactly rows 0..j.
+        vectors; the whole block is checked before anything is recorded, so
+        a bad block raises with nothing asked. ``stop(rows, answers)`` is
+        an elementwise predicate over row indices (an index array, or one
+        index) and their answers. Returns ``(j, answers)``: j is the first
+        row at which ``stop`` holds (None when it never does, or when no
+        ``stop`` is given), and ``answers`` holds the answers of the
+        consumed rows 0..j (all rows when j is None), which are the only
+        rows recorded in the transcript.
         """
-        sampled = self.strategy.mode == SAMPLED_MODE
-        for p, v in _answer_rows(self.spec, self.strategy, self.dist, block, self.rng):
-            if sampled:
-                self.samples_used += self.strategy.samples
-            self.transcript.append(
-                TranscriptEntry(
-                    index=len(self.transcript),
-                    kind=self.spec.kind,
-                    param=self.spec.param,
-                    value=v,
-                    valid=validate(self.spec, p, v),
-                    true_value=p,
-                )
-            )
+        values, p, answers = _answer_block(self.spec, self.strategy, self.dist, block, self.rng)
+        j = None
+        if answers is None:  # sampled: draw row by row, up to the stop
+            answers = np.empty(len(p))
+            for i, row in enumerate(values):
+                answers[i] = self._draw(row)
+                if stop is not None and stop(i, answers[i]):
+                    j = i
+                    break
+        elif stop is not None:
+            hits = np.flatnonzero(stop(np.arange(len(p)), answers))
+            j = int(hits[0]) if hits.size else None
+        n = len(p) if j is None else j + 1
+        self._record(p[:n], answers[:n])
+        return j, answers[:n]
+
+    def answers(self, block):
+        """Answer the rows of ``block`` lazily, one at a time, in order.
+
+        The block is checked as in ``scan`` before the first answer. Each
+        row's transcript entry (and, for sampled answers, its samples) is
+        taken when that row's answer is yielded, so a caller that stops
+        after row j has asked exactly rows 0..j.
+        """
+        values, p, answers = _answer_block(self.spec, self.strategy, self.dist, block, self.rng)
+        for i in range(len(p)):
+            v = self._draw(values[i]) if answers is None else float(answers[i])
+            self._record(p[i : i + 1], np.array([v]))
             yield v
 
     def query(self, query) -> float:
-        return next(self.answers([query]))
+        return float(self.scan([query])[1][0])
+
+    def _draw(self, row: np.ndarray) -> float:
+        self.samples_used += self.strategy.samples
+        return _sample_mean(row, self.dist, self.strategy.samples, self.rng)
+
+    def _record(self, p: np.ndarray, v: np.ndarray) -> None:
+        self.transcript.extend(self.spec.kind, self.spec.param, v, valid_answers(self.spec, p, v), p)
 
     def one_sample(self, values: Sequence[int]) -> int:
         if self.spec.kind != ONE_STAT:

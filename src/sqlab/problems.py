@@ -208,18 +208,13 @@ def line_marginal(p: int, a=None, kind: str = "uniform") -> FiniteDistribution:
         raise ValueError(f"unknown marginal kind {kind!r}")
     if a is None:
         raise ValueError("the skewed marginal needs the line it favors")
-    labels = line_labels(p, a)
+    return FiniteDistribution(domain, _skewed_weights(p, line_labels(p, a)))
+
+
+def _skewed_weights(p: int, labels: np.ndarray) -> np.ndarray:
     on = 1.0 / (2.0 * p) + 1.0 / (2.0 * p * p)
     off = 1.0 / (2.0 * p * p)
-    return FiniteDistribution(domain, np.where(labels > 0, on, off))
-
-
-def _line_joint_reference(p: int) -> FiniteDistribution:
-    base = line_domain(p)
-    joint = FiniteDomain(
-        tuple((z1, z2, b) for (z1, z2) in base.elements for b in (-1, 1))
-    )
-    return FiniteDistribution.uniform(joint)
+    return np.where(labels > 0, on, off)
 
 
 def line_problem(p: int, kind: str = SEARCH, marginal: str = "skewed") -> ProblemSpec:
@@ -232,18 +227,27 @@ def line_problem(p: int, kind: str = SEARCH, marginal: str = "skewed") -> Proble
     """
     if p > _LINE_GUARD:
         raise GuardExceededError(f"line family guarded at p <= {_LINE_GUARD}")
+    if marginal not in ("skewed", "uniform"):
+        raise ValueError(f"unknown marginal kind {marginal!r}")
     base = line_domain(p)
+    # pac_lift's labeled domain, (z, -1) then (z, +1) for each z, built once
+    # and shared by every member and the reference
+    joint = FiniteDomain(tuple((z1, z2, b) for (z1, z2) in base.elements for b in (-1, 1)))
     lines = [(a1, a2) for a1 in range(p) for a2 in range(p)]
+    uniform = line_marginal(p).weights
     dists = []
     for a in lines:
-        marg = line_marginal(p, a, kind=marginal)
-        target = {z: (1 if line_labels(p, a)[base.index_of(z)] > 0 else -1) for z in base.elements}
-        dists.append(pac_lift(marg, target))
-    reference = _line_joint_reference(p)
+        labels = line_labels(p, a)
+        marg = _skewed_weights(p, labels) if marginal == "skewed" else uniform
+        # pac_lift(marg, ell_a): the mass of z sits on (z, ell_a(z))
+        on = labels > 0
+        lifted = np.column_stack([np.where(on, 0.0, marg), np.where(on, marg, 0.0)])
+        dists.append(FiniteDistribution(joint, lifted.reshape(-1)))
+    reference = FiniteDistribution.uniform(joint)
     if kind == SEARCH:
         return ProblemSpec(
             kind=SEARCH,
-            domain=dists[0].domain,
+            domain=joint,
             dists=tuple(dists),
             solutions=tuple(lines),
             validity=np.eye(len(lines), dtype=bool),
@@ -252,7 +256,7 @@ def line_problem(p: int, kind: str = SEARCH, marginal: str = "skewed") -> Proble
     if kind == DECISION:
         return ProblemSpec(
             kind=DECISION,
-            domain=dists[0].domain,
+            domain=joint,
             dists=tuple(dists),
             solutions=("not-reference",),
             validity=np.ones((1, len(dists)), dtype=bool),

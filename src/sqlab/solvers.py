@@ -8,15 +8,18 @@ updates D_t) or commit to a finished outcome. Search, the verifiable
 fallback and streaming share one trigger scan, ``_first_trigger``: a
 witness triggers when its answer strays more than 2 tau / 3 from its
 expectation under D_t (on the kappa scale), and the sign of the gap is the
-sign of the update. A cover step is answered as one block: its witnesses
-are the rows of a 2-D array, their expectations under D_t are one
-matrix-vector product, and the scan consumes the answer source
-(``OracleSession.answers`` for search and the verifiable fallback, a
-per-row sample-mean generator for streaming) only up to the first
-trigger, so only the rows actually reached are asked. The K1 margins of
-the whole family against D_t come from one vectorized pass
-(``_k1_witnesses``), which builds sign witnesses for the far members only;
-KV keeps a per-member threshold scan.
+sign of the update. A cover step is answered as one vectorized scan: its
+witnesses are the rows of a 2-D array, their expectations under D_t are
+one matrix-vector product, and the answer source's ``scan(block, stop)``
+(``OracleSession.scan`` for search, the verifiable fallback and the
+sampled decision solver; a per-row sample-mean scan for streaming) stops
+at the first row whose gap predicate holds, so only the rows actually
+reached are asked and recorded. The K1 margins of the whole family against
+D_t come from one vectorized pass (``_k1_witnesses``), which builds sign
+witnesses for the far members only; KV keeps a per-member threshold scan.
+``MWState.update`` checks the loss and the positivity of the new weights,
+then builds its successor without the public constructor's copy and
+re-checks, which hold by construction.
 
 The budget rule is the same everywhere: at most ceil(36 * KL_bound / tau^2)
 updates (K1 margins; the square-root-scale variant uses gamma = tau^2/9 and
@@ -121,7 +124,16 @@ class MWState:
         if np.any(np.abs(z) > 1.0 + 1e-12):
             raise ValueError("losses must lie in [-1, 1]")
         w = self.weights * (1.0 - self.gamma * z)
-        return MWState(weights=w / w.sum(), gamma=self.gamma, step=self.step + 1)
+        w /= w.sum()
+        if not np.all(w > 0):
+            raise ValueError("multiplicative weights must stay strictly positive")
+        # gamma is unchanged and w sums to 1 by construction, so the
+        # successor skips the constructor's copy and re-checks
+        w.setflags(write=False)
+        successor = object.__new__(MWState)
+        for name, value in (("weights", w), ("gamma", self.gamma), ("step", self.step + 1)):
+            object.__setattr__(successor, name, value)
+        return successor
 
 
 def average_regret(weight_history: Sequence[np.ndarray], losses: Sequence[np.ndarray]) -> float:
@@ -155,7 +167,7 @@ def _k1_witnesses(dist_mat: np.ndarray, t_vec: np.ndarray):
     diff = dist_mat - t_vec
     gaps = np.abs(diff, out=diff).sum(axis=1)
     # d - t >= 0 exactly when d >= t: two unequal doubles never differ by 0
-    return gaps, lambda rows: np.where((dist_mat >= t_vec)[rows], 1.0, -1.0)
+    return gaps, lambda rows: np.where(dist_mat[rows] >= t_vec, 1.0, -1.0)
 
 
 def _kv_witness(d: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
@@ -240,8 +252,8 @@ def margin_cover(problem: ProblemSpec, tau: float, kappa: str = K1, randomized: 
             f_idx = int(covering[0])
         else:
             f_idx = int(np.argmax(serves[:, close].sum(axis=1)))
-            unservable = tuple(int(i) for i in np.flatnonzero(close & ~serves[f_idx]))
-        far_targets = [int(i) for i in np.flatnonzero(~serves[f_idx] & ~close)]
+            unservable = tuple(np.flatnonzero(close & ~serves[f_idx]).tolist())
+        far_targets = np.flatnonzero(~serves[f_idx] & ~close).tolist()
         if not randomized:
             return CoverStep(
                 solution_index=f_idx,
@@ -356,29 +368,35 @@ def _check_session(session: OracleSession, kappa: str, tau_oracle: float) -> Non
 # ---------------------------------------------------------------------------
 
 
-def _gap(kappa: str, expected: float, answered: float) -> float:
-    if kappa == K1:
-        return abs(expected - answered)
-    return abs(math.sqrt(max(expected, 0.0)) - math.sqrt(max(answered, 0.0)))
-
-
-def _first_trigger(t_vec: np.ndarray, block, answers, kappa: str, tau: float):
+def _first_trigger(t_vec: np.ndarray, block, scan, kappa: str, tau: float):
     """Scan the rows of the 2-D ``block`` in order against the answer source.
 
-    ``answers(block)`` yields one answer per row and is consumed only up to
-    the first trigger, so an oracle session records just the rows asked.
-    Returns ``(j, sign)`` for the first row whose answer strays more than
-    2 tau / 3 (on the kappa scale) from its expectation under ``t_vec``,
-    with sign +1 when the mixture overestimates, so that the loss
-    ``sign * block[j]`` moves mass toward the answer; None when nothing
-    triggers.
+    ``scan(block, stop)`` answers rows up to the first at which the
+    vectorized predicate ``stop(rows, answers)`` holds and returns that row
+    (or None) with the answers of the rows it consumed, so an oracle session
+    records just the rows asked (``OracleSession.scan`` has this signature).
+    The predicate is the gap between answer and expectation under ``t_vec``
+    (``block @ t_vec``, computed once) above 2 tau / 3 on the kappa scale.
+    Returns ``(j, sign)`` for that row, with sign +1 when the mixture
+    overestimates, so that the loss ``sign * block[j]`` moves mass toward
+    the answer; None when nothing triggers.
     """
     expected = block @ t_vec
-    for j, v in enumerate(answers(block)):
-        e = float(expected[j])
-        if _gap(kappa, e, v) > 2.0 * tau / 3.0:
-            return j, (1.0 if e > v else -1.0)
-    return None
+    bound = 2.0 * tau / 3.0
+    if kappa == K1:
+        def stop(rows, answers):
+            # the builtin abs: on the one-row calls of a sampled scan it
+            # costs a third of a numpy ufunc call on a scalar
+            return abs(expected[rows] - answers) > bound
+    else:
+        def stop(rows, answers):
+            # np.sqrt of a clipped value is bit-identical to math.sqrt
+            root = np.sqrt(np.maximum(expected[rows], 0.0))
+            return np.abs(root - np.sqrt(np.maximum(answers, 0.0))) > bound
+    j, answers = scan(block, stop)
+    if j is None:
+        return None
+    return j, (1.0 if expected[j] > answers[j] else -1.0)
 
 
 def _run_mw(state: MWState, budget: int, step):
@@ -452,7 +470,7 @@ def solve_search_universal(
             cdf = np.cumsum(cover_step.query_measure)
             draws = np.minimum(np.searchsorted(cdf, rng.random(s), side="right"), len(cdf) - 1)
             queries = queries[np.unique(draws)]
-        hit = _first_trigger(t_vec, queries, session.answers, kappa, tau)
+        hit = _first_trigger(t_vec, queries, session.scan, kappa, tau)
         if hit is not None:
             j, sign = hit
             return sign * queries[j]
@@ -519,10 +537,8 @@ def solve_decision_sampled(
     draws = np.minimum(np.searchsorted(cdf, rng.random(s), side="right"), len(cdf) - 1)
     block = np.array([family.witnesses[j] for j in np.unique(draws)])
     ref_values = block @ d0.weights
-    distinguished = any(
-        abs(v - float(r)) > tau / 2.0 for v, r in zip(session.answers(block), ref_values)
-    )
-    verdict = "not-reference" if distinguished else "reference"
+    first, _ = session.scan(block, lambda rows, a: np.abs(a - ref_values[rows]) > tau / 2.0)
+    verdict = "reference" if first is None else "not-reference"
     return _run_report(
         session, SOLVED, verdict, details={"witness_budget": s, "cover_value": cover.value}
     )
@@ -571,7 +587,7 @@ def solve_verifiable(
             return -phi  # mixture underestimates phi_f; push mass toward it
         gaps, witness_rows = _k1_witnesses(dist_mat, t_vec)
         far = witness_rows(np.flatnonzero(gaps > tau))
-        hit = _first_trigger(t_vec, far, session.answers, K1, tau)
+        hit = _first_trigger(t_vec, far, session.scan, K1, tau)
         if hit is None:
             return STUCK, None, {}
         j, sign = hit

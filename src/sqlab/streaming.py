@@ -3,7 +3,10 @@
 Instead of an oracle, the solver sees a stream of samples from the unknown
 distribution. It runs the same MW driver and trigger scan as
 ``solvers.solve_search_universal``, with each witness expectation replaced
-by an empirical mean of n_est fresh samples, where
+by an empirical mean of n_est fresh samples. Its answer source has the
+signature of ``OracleSession.scan``: it draws one block of n_est samples per
+witness the scan reaches and stops at the first trigger, so the samples
+drawn are those of a row-by-row loop. Here
 
     n_est = ceil((9 / (2 tau^2)) * ln(2 / delta')),
     delta' = delta / ((T + 1) * q),
@@ -142,17 +145,21 @@ def stream_solve(
     history: list[tuple[int, int]] = []
     estimates = 0
 
-    def estimates_of(block):
+    def scan(block, stop):
         # one fresh block of n_est samples per witness, drawn only when the
         # scan reaches that witness
         nonlocal estimates
-        for phi in block:
+        answers = np.empty(len(block))
+        for j, phi in enumerate(block):
             estimates += 1
-            yield float(np.mean(phi[stream.draw_block(req["n_est"])]))
+            answers[j] = np.mean(phi[stream.draw_block(req["n_est"])])
+            if stop(j, answers[j]):
+                return j, answers[: j + 1]
+        return None, answers
 
     def step(weights):
         cover_step = cover(weights)
-        hit = _first_trigger(weights, cover_step.queries, estimates_of, K1, tau)
+        hit = _first_trigger(weights, cover_step.queries, scan, K1, tau)
         if hit is None:
             return _proposal(problem, cover_step, cover_step.solution_index)
         j, sign = hit

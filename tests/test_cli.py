@@ -350,3 +350,32 @@ def test_config_rejects_unknown_options(tmp_path, capsys):
     code, _ = run_cli(["dims", "--gen", "biclique", "--n", "3", "--k", "1", "--tau", "0.2",
                        "--config", str(path)], capsys)
     assert code == 1
+
+
+def test_config_defaults_do_not_leak_into_the_next_call(tmp_path, capsys):
+    report = _solve_with_config(tmp_path, capsys, {"trials": 3, "seed": 4}, [])
+    assert report["trials"] == 3
+    code, out = run_cli(["solve", "--gen", "biclique", "--n", "4", "--k", "2", "--tau", "0.3"],
+                        capsys)
+    assert code == 0
+    plain = json.loads(out)
+    assert plain["trials"] == 1 and plain["seed"] is None
+    assert len(plain["results"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# help
+# ---------------------------------------------------------------------------
+
+
+def test_help_lists_every_command(capsys):
+    code, out = run_cli(["--help"], capsys)
+    assert code == 0
+    assert "{gen,dims,audit,solve,stream,merge}" in out
+
+
+@pytest.mark.parametrize("command", ["gen", "dims", "audit", "solve", "stream", "merge"])
+def test_subcommand_help_lists_its_flags(command, capsys):
+    code, out = run_cli([command, "--help"], capsys)
+    assert code == 0
+    assert "--config" in out and "--tau" in out

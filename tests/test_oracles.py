@@ -24,7 +24,7 @@ from sqlab import (
     vstat,
 )
 from sqlab.errors import SqlabError
-from sqlab.oracles import tolerance, validate
+from sqlab.oracles import tolerance, valid_answers, validate
 
 from tests.util import small_domain
 
@@ -76,6 +76,53 @@ def test_validate_frozen_examples():
     assert not validate(stat(0.1), 0.5, 0.61)
 
 
+def _scalar_rule(spec, p, v):
+    """The validity rule written out per answer with ``math``."""
+    if spec.kind == "vroot":
+        return v >= 0 and abs(math.sqrt(v) - math.sqrt(max(p, 0.0))) <= spec.tau + 1e-12
+    if spec.kind == "vstat":
+        spread = p * (1.0 - p) if spec.vstat_strict else p
+        tol = max(1.0 / spec.n, math.sqrt(max(spread, 0.0) / spec.n))
+    else:
+        tol = spec.tau
+    return abs(v - p) <= tol + 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec", [stat(0.1), vstat(100), vstat(1e6), vstat(100, strict=True), vroot(0.05), vroot(0.5)],
+    ids=lambda s: f"{s.kind}{'-strict' if s.vstat_strict else ''}-{s.param:g}",
+)
+def test_valid_answers_match_the_scalar_rule_at_the_boundary(spec):
+    """Answers a few ulps either side of the tolerance boundary and of the
+    boundary plus the 1e-12 slack, at small and large true values (VSTAT's
+    tolerance turns at p = 1/n), with negative answers on the square-root
+    scale."""
+    p = np.array([0.0, 1e-9, 1e-6, 1e-4, 0.003, 0.01, 0.25, 0.5, 0.97, 1.0])
+    edges = []
+    for slack in (0.0, 1e-12):
+        for d in (-1, 1):
+            if spec.kind == "vroot":
+                edges.append(np.maximum(np.sqrt(p) + d * (spec.tau + slack), 0.0) ** 2)
+            else:
+                edges.append(p + d * (np.array([tolerance(spec, x) for x in p]) + slack))
+    if spec.kind == "vroot":
+        edges.append(np.full_like(p, -1e-300))
+    pp, vv = [], []
+    for edge in edges:
+        for ulps in range(-3, 4):
+            shifted = edge.copy()
+            for _ in range(abs(ulps)):
+                shifted = np.nextafter(shifted, np.inf if ulps > 0 else -np.inf)
+            pp.append(p)
+            vv.append(shifted)
+    pp, vv = np.concatenate(pp), np.concatenate(vv)
+    got = valid_answers(spec, pp, vv)
+    want = [_scalar_rule(spec, float(a), float(b)) for a, b in zip(pp, vv)]
+    assert got.tolist() == want
+    assert [validate(spec, float(a), float(b)) for a, b in zip(pp, vv)] == want
+    assert any(want) and not all(want)
+
+
 # ---------------------------------------------------------------------------
 # answer strategies
 # ---------------------------------------------------------------------------
@@ -110,6 +157,25 @@ def test_edge_answers_valid_for_every_spec(spec, direction):
         session = OracleSession(spec, edge_answers(direction), d)
         session.query(phi)
         assert session.transcript.entries[0].valid, (spec.kind, direction, p)
+
+
+@pytest.mark.parametrize("spec", [stat(0.17), vstat(50), vstat(50, strict=True), vroot(0.2)])
+@pytest.mark.parametrize("direction", [+1, -1])
+def test_edge_answers_are_the_scalar_boundary_formula(spec, direction):
+    """Edge answers for a whole block equal the per-answer formula in
+    Python floats, bit for bit (on the square-root scale Python's power
+    and numpy's square differ in the last bit on some inputs)."""
+    d = _dist([0.3, 0.7])
+    block = np.random.default_rng(12).random((5000, 2))
+    session = OracleSession(spec, edge_answers(direction), d)
+    _, got = session.scan(block)
+    want = []
+    for p in [e.true_value for e in session.transcript]:
+        if spec.kind == "vroot":
+            want.append(max(math.sqrt(max(p, 0.0)) + direction * spec.tau, 0.0) ** 2)
+        else:
+            want.append(p + direction * tolerance(spec, p))
+    assert got.tolist() == want
 
 
 def test_sampled_answers_are_empirical_means_and_deterministic():
@@ -241,6 +307,59 @@ def test_empty_block_answers_nothing():
     assert session.query_count == 0
 
 
+@pytest.mark.parametrize("spec", [stat(0.1), vstat(40), vroot(0.1)], ids=lambda s: s.kind)
+@pytest.mark.parametrize("strategy", _strategies(), ids=lambda s: f"{s.mode}{s.direction:+d}")
+@pytest.mark.parametrize("stop_at", [0, 1, 4, None], ids=["row0", "row1", "row4", "never"])
+def test_scan_matches_per_row_answers(spec, strategy, stop_at):
+    """``scan`` records, draws and answers exactly what consuming
+    ``answers`` row by row up to the same stop does."""
+    d = _dist(_BLOCK_DIST)
+    block = _block(spec.kind)
+    one = OracleSession(spec, strategy, d, np.random.default_rng(6))
+    twin = OracleSession(spec, strategy, d, np.random.default_rng(6))
+
+    def stop(rows, answers):
+        return (np.asarray(rows) == stop_at) & (np.asarray(answers) > -np.inf)
+
+    j, got = one.scan(block, stop)
+    want = []
+    for i, v in enumerate(twin.answers(block)):
+        want.append(v)
+        if i == stop_at:
+            break
+    assert j == stop_at
+    assert got.tolist() == want
+    assert one.query_count == len(want) == (len(block) if stop_at is None else stop_at + 1)
+    assert one.transcript.entries == twin.transcript.entries
+    assert one.samples_used == twin.samples_used
+    assert one.rng.random() == twin.rng.random()
+
+
+def test_scan_stops_on_the_answers():
+    """The predicate sees the answers: the first exact answer above 0.5."""
+    d = _dist(_BLOCK_DIST)
+    block = np.array([q.values if isinstance(q, QueryFn) else q for q in _block("vstat")])
+    true_values = block @ d.weights
+    session = OracleSession(vstat(40), exact_answers(), d)
+    j, answers = session.scan(block, lambda rows, a: a > 0.5)
+    first = int(np.flatnonzero(true_values > 0.5)[0])
+    assert j == first
+    assert answers.tolist() == [e.true_value for e in session.transcript]
+    assert session.query_count == first + 1
+
+
+def test_scan_of_a_bad_block_records_nothing():
+    d = _dist(_BLOCK_DIST)
+    bad = _block("vstat") + [np.full(6, 1.5)]
+    for strategy in _strategies():
+        session = OracleSession(vstat(40), strategy, d, np.random.default_rng(2))
+        with pytest.raises(ValueError):
+            session.scan(bad, lambda rows, answers: answers > 2.0)
+        assert session.query_count == 0
+        assert session.samples_used == 0
+        assert session.rng.random() == np.random.default_rng(2).random()
+
+
 # ---------------------------------------------------------------------------
 # single-sample oracle
 # ---------------------------------------------------------------------------
@@ -300,6 +419,24 @@ def test_transcript_enforces_append_order():
         t.append(TranscriptEntry(5, "stat", 0.1, 0.5, True, 0.5))
     assert len(t) == 1
     assert Transcript().valid_fraction == 1.0
+
+
+def test_transcript_block_appends_read_back_as_entries():
+    from sqlab.oracles import Transcript, TranscriptEntry
+
+    t = Transcript()
+    t.extend("stat", 0.1, np.array([0.5, 0.25]), np.array([True, False]), np.array([0.5, 0.5]))
+    t.append(TranscriptEntry(2, "stat", 0.1, 0.75, True, 0.7))
+    assert len(t) == 3
+    assert t.entries == [
+        TranscriptEntry(0, "stat", 0.1, 0.5, True, 0.5),
+        TranscriptEntry(1, "stat", 0.1, 0.25, False, 0.5),
+        TranscriptEntry(2, "stat", 0.1, 0.75, True, 0.7),
+    ]
+    assert all(type(e.value) is float and type(e.valid) is bool for e in t)
+    assert t.valid_fraction == 2 / 3
+    with pytest.raises(ValueError):
+        t.extend("stat", 0.1, [0.5], [True, True], [0.5])
 
 
 # ---------------------------------------------------------------------------

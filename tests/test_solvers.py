@@ -30,8 +30,16 @@ from sqlab import (
     update_budget,
 )
 from sqlab.core import DECISION
-from sqlab.oracles import OracleSession, edge_answers, exact_answers, reference_answers, stat, vroot
-from sqlab.solvers import MWState
+from sqlab.oracles import (
+    OracleSession,
+    edge_answers,
+    exact_answers,
+    reference_answers,
+    sampled_answers,
+    stat,
+    vroot,
+)
+from sqlab.solvers import MWState, _first_trigger
 
 from tests.util import small_domain
 
@@ -134,6 +142,33 @@ def test_mw_regret_bound_on_random_losses(seed, m, gamma):
         losses.append(z)
         state = state.update(z)
     assert average_regret(history, losses) <= gamma
+
+
+def test_mw_update_matches_the_checked_constructor():
+    """The successor an update builds is the one the public constructor
+    would build from the renormalized weights, bit for bit and read-only."""
+    rng = np.random.default_rng(3)
+    state = MWState.start(rng.random(7), gamma=0.3)
+    for _ in range(20):
+        z = rng.uniform(-1.0, 1.0, size=7)
+        w = state.weights * (1.0 - state.gamma * z)
+        checked = MWState(weights=w / w.sum(), gamma=state.gamma, step=state.step + 1)
+        state = state.update(z)
+        assert state.weights.tobytes() == checked.weights.tobytes()
+        assert (state.gamma, state.step) == (checked.gamma, checked.step)
+        assert not state.weights.flags.writeable
+
+
+def test_mw_update_keeps_its_checks():
+    state = MWState.start([0.5, 0.5], gamma=0.5)
+    with pytest.raises(ValueError):
+        state.update([1.0, 0.0, 0.0])  # shape
+    with pytest.raises(ValueError):
+        state.update([1.0 + 1e-9, 0.0])  # range
+    # a weight that underflows to 0 breaks positivity
+    tiny = MWState(weights=np.array([5e-324, 1.0]), gamma=0.5)
+    with pytest.raises(ValueError):
+        tiny.update([1.0, -1.0])
 
 
 def test_update_budget_values():
@@ -289,11 +324,58 @@ class _RecordingSession(OracleSession):
         super().__init__(*args, **kwargs)
         self.vectors = []
 
-    def answers(self, block):
+    def scan(self, block, stop=None):
+        j, answers = super().scan(block, stop)
         rows = [q.values if isinstance(q, QueryFn) else np.asarray(q, dtype=float) for q in block]
-        for vals, v in zip(rows, super().answers(block)):
-            self.vectors.append(np.array(vals))
-            yield v
+        self.vectors += [np.array(vals) for vals in rows[: len(answers)]]
+        return j, answers
+
+
+def _first_trigger_per_row(t_vec, block, session, kappa, tau):
+    """The trigger rule asked one row at a time, with the gap in ``math``."""
+    expected = block @ t_vec
+    for j, v in enumerate(session.answers(block)):
+        e = float(expected[j])
+        if kappa == K1:
+            gap = abs(e - v)
+        else:
+            gap = abs(math.sqrt(max(e, 0.0)) - math.sqrt(max(v, 0.0)))
+        if gap > 2.0 * tau / 3.0:
+            return j, (1.0 if e > v else -1.0)
+    return None
+
+
+@pytest.mark.parametrize("kappa", [K1, KV])
+@pytest.mark.parametrize("mode", ["exact", "sampled", "edge+1", "edge-1"])
+def test_first_trigger_scan_matches_the_per_row_rule(kappa, mode):
+    """``_first_trigger`` over ``OracleSession.scan`` finds the row, the
+    sign and the recorded transcript of the scalar per-row rule."""
+    prob = biclique(4, 2)
+    tau = 0.2
+    spec = stat(tau / 3.0) if kappa == K1 else vroot(tau / 3.0)
+    strategy = {
+        "exact": exact_answers(),
+        "sampled": sampled_answers(60),
+        "edge+1": edge_answers(+1),
+        "edge-1": edge_answers(-1),
+    }[mode]
+    rng = np.random.default_rng(8)
+    for trial in range(12):
+        # mixtures from the true member itself to a random point,
+        # so that scans stop early, late and never
+        truth = prob.dists[trial % prob.n_dists]
+        lam = trial / 11.0
+        t_vec = (1.0 - lam) * truth.weights + lam * rng.dirichlet(np.ones(len(prob.domain)))
+        block = (rng.random((9, len(prob.domain))) < 0.5).astype(float)
+        if kappa == K1:
+            block = 2.0 * block - 1.0
+        one = OracleSession(spec, strategy, truth, np.random.default_rng(trial))
+        twin = OracleSession(spec, strategy, truth, np.random.default_rng(trial))
+        assert _first_trigger(t_vec, block, one.scan, kappa, tau) == _first_trigger_per_row(
+            t_vec, block, twin, kappa, tau
+        )
+        assert one.transcript.entries == twin.transcript.entries
+        assert one.samples_used == twin.samples_used
 
 
 def test_universal_search_reference_adversary_transcript_property():
