@@ -11,6 +11,14 @@ Bland loop whenever ratios that tie within 1e-12 of the minimum also lie
 within 1e-12 of each other (as on every small integer LP tested); see
 ``_run_simplex``.
 
+``achievable_subsets`` settles each candidate signed subset by the cheapest
+test that decides it: a closure prune (a candidate with an unachievable
+drop-one subset is skipped), then a certificate from the pool of witnesses
+found so far, and only then a ``max_margin`` LP. Each maximal set keeps the
+witness one LP per candidate would give it (the LP query of its first signed
+set in walk order), re-derived at the end when the pool certified that set,
+so the family does not depend on the order the pool grew in.
+
 Conventions:
 
 - ``lp_solve`` maximizes c.x subject to A_ub x <= b_ub, A_eq x = b_eq,
@@ -412,21 +420,30 @@ def _kv_gap(d: FiniteDistribution, d0: FiniteDistribution, phi: np.ndarray) -> f
     return abs(math.sqrt(max(d.expectation(phi), 0.0)) - math.sqrt(max(d0.expectation(phi), 0.0)))
 
 
-def _maximal_family(witnesses: dict, ground_size: int, tau: float, kappa: str) -> CoverFamily:
-    """The family of the maximal subsets among the keys of ``witnesses``
-    (subset -> witness query), ordered by size, then by members."""
+def _maximal_family(sets, witness, ground_size: int, tau: float, kappa: str) -> CoverFamily:
+    """The family of the maximal subsets among ``sets``, ordered by size,
+    then by members; ``witness(s)`` gives each maximal set's query."""
     maximal: list[frozenset] = []
-    for key in sorted(witnesses, key=len, reverse=True):
+    for key in sorted(sets, key=len, reverse=True):
         if not any(key < other for other in maximal):
             maximal.append(key)
     maximal.sort(key=lambda s: (len(s), sorted(s)))
     return CoverFamily(
         ground_size=ground_size,
         sets=tuple(maximal),
-        witnesses=tuple(witnesses[s] for s in maximal),
+        witnesses=tuple(witness(s) for s in maximal),
         tau=tau,
         kappa=kappa,
     )
+
+
+def _drop_one(signed: tuple, p: int) -> tuple:
+    """``signed`` without its member at position ``p``, signs flipped when
+    needed so that the first member is +1 (the walk's normal form)."""
+    rest = signed[:p] + signed[p + 1 :]
+    if rest[0][1] == 1:
+        return rest
+    return tuple((i, -s) for i, s in rest)
 
 
 def achievable_subsets(
@@ -439,11 +456,29 @@ def achievable_subsets(
     """All maximal subsets a single query distinguishes from the center.
 
     K1: exact. A subset S is achievable when some phi in [-1,1]^X has
-    |E_D[phi] - E_{D0}[phi]| > tau for every D in S simultaneously; the
+    |E_D[phi] - E_{D0}[phi]| > tau for every D in S simultaneously. The
     enumeration walks signed subsets (each D may sit on either side of the
-    margin) in index order, which visits every achievable signed set because
-    achievability is closed under taking signed subsets. Worst case is
-    exponential in |dists| — hence the guard.
+    margin; the first member is +1, since -phi flips every side) level by
+    level, extending each achievable signed set by one later member. Each
+    candidate is settled by the cheapest test that decides it:
+
+    1. closure prune: achievability is closed under signed subsets, so a
+       candidate with a drop-one signed subset that is not achievable is
+       skipped without an LP;
+    2. pooled certification: every witness found so far (the singletons'
+       sign queries and each achieving LP's query) is kept with its margins
+       against all members, and a candidate that one pooled witness, or its
+       negation, separates at margin >= tau + STRICT_EPS is achievable;
+    3. otherwise one ``max_margin`` LP decides it, and its query joins the
+       pool when it achieves.
+
+    A maximal set's witness is ``max_margin``'s query on the first signed
+    set of that set in walk order, the witness a one-LP-per-candidate walk
+    reports; when the walk certified that signed set from the pool, its LP
+    is solved at the end, so the family does not depend on which pooled
+    witness happened to certify it. (Should that LP fall short of the
+    threshold, the pooled witness is kept: it is a valid certificate.)
+    Worst case is exponential in |dists| — hence the guard.
 
     KV: heuristic family from binary-vertex witnesses phi in {0,1}^X
     (guarded by 2^|X|); the family under-approximates achievability, so
@@ -454,31 +489,63 @@ def achievable_subsets(
     if kappa == K1:
         if m > guard:
             raise GuardExceededError(f"achievable_subsets: |dists| = {m} exceeds guard {guard}")
-        witnesses: dict[frozenset, np.ndarray] = {}
-        # signed sets as tuples of (index, sign), grown in index order
-        frontier: list[tuple[tuple, np.ndarray]] = []
+        # unsigned set -> (its first signed set in walk order, LP query or
+        # None, certifying pooled query or None)
+        first: dict[frozenset, tuple] = {}
+        pool: list[np.ndarray] = []  # witness queries, one row of ``table`` each
+        frontier: list[tuple] = []
         for i, d in enumerate(dists):
             res = max_margin([d], d0)
             if res.value >= threshold:
-                frontier.append((((i, 1),), res.query))
-        achievable_signed: list[tuple[tuple, np.ndarray]] = []
+                frontier.append(((i, 1),))
+                first[frozenset((i,))] = (frontier[-1], res.query, None)
+                pool.append(res.query)
+        n = len(d0.domain)
+        diffs = np.array([d.weights - d0.weights for d in dists]).reshape(m, n)
+        table = np.array(pool).reshape(len(pool), n) @ diffs.T  # [r, i] = <pool[r], D_i - D0>
+
+        def settle(signed: tuple):
+            """(LP query or None, pooled query or None) when ``signed`` is
+            achievable, else None."""
+            nonlocal table
+            idx = [i for i, _ in signed]
+            margins = table[:, idx] * np.array([s for _, s in signed])
+            up = margins.min(axis=1) >= threshold
+            down = -margins.max(axis=1) >= threshold
+            hit = np.flatnonzero(up | down)
+            if hit.size:
+                r = int(hit[0])
+                return None, pool[r] if up[r] else -pool[r]
+            res = max_margin([dists[i] for i in idx], d0, [s for _, s in signed])
+            if res.value < threshold:
+                return None
+            pool.append(res.query)
+            table = np.vstack([table, diffs @ res.query])
+            return res.query, None
+
         while frontier:
-            achievable_signed.extend(frontier)
-            next_frontier = []
-            for signed, _ in frontier:
-                last = signed[-1][0]
-                for j in range(last + 1, m):
+            known = set(frontier)
+            grown = []
+            for signed in frontier:
+                for j in range(signed[-1][0] + 1, m):
                     for sign in (1, -1):
                         cand = signed + ((j, sign),)
-                        sub = [dists[i] for i, _ in cand]
-                        ss = [s for _, s in cand]
-                        res = max_margin(sub, d0, ss)
-                        if res.value >= threshold:
-                            next_frontier.append((cand, res.query))
-            frontier = next_frontier
-        for signed, phi in achievable_signed:
-            witnesses.setdefault(frozenset(i for i, _ in signed), phi)
-        return _maximal_family(witnesses, m, tau, K1)
+                        if any(_drop_one(cand, p) not in known for p in range(len(signed))):
+                            continue
+                        found = settle(cand)
+                        if found is not None:
+                            grown.append(cand)
+                            first.setdefault(frozenset(i for i, _ in cand), (cand, *found))
+            frontier = grown
+
+        def witness(s: frozenset) -> np.ndarray:
+            signed, query, pooled = first[s]
+            if query is not None:
+                return query
+            res = max_margin([dists[i] for i, _ in signed], d0, [s for _, s in signed])
+            return res.query if res.value >= threshold else pooled
+
+        return _maximal_family(first, witness, m, tau, K1)
     if kappa == KV:
         n = len(d0.domain)
         if n > 16:
@@ -491,7 +558,7 @@ def achievable_subsets(
             )
             if covered and covered not in best:
                 best[covered] = phi
-        return _maximal_family(best, m, tau, KV)
+        return _maximal_family(best, best.__getitem__, m, tau, KV)
     raise ValueError(f"unknown kappa tag {kappa!r}")
 
 

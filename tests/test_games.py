@@ -21,15 +21,17 @@ from sqlab import (
     UnboundedError,
     UncoverableError,
     achievable_subsets,
+    biclique,
     exact_min_cover,
     fractional_cover,
     greedy_cover,
+    line_problem,
     lp_solve,
     max_margin,
     verify_cover_family,
     zero_sum,
 )
-from sqlab.games import CoverFamily
+from sqlab.games import STRICT_EPS, CoverFamily
 
 from tests.util import brute_force_lp, random_dists, small_domain
 
@@ -353,8 +355,6 @@ def test_margin_agrees_with_highs_against_mw_centers(seed):
     """The LP shape randomized search makes: signed subsets of biclique(4,2)
     against a center that is a multiplicative-weights mixture of the family."""
     linprog = pytest.importorskip("scipy.optimize").linprog
-    from sqlab import biclique
-
     dists = list(biclique(4, 2).dists)
     n = len(dists[0].weights)
     rng = np.random.default_rng(700 + seed)
@@ -399,6 +399,9 @@ def test_achievable_subsets_concrete():
         assert not any(s < t for t in family.sets if t is not s)
     for phi in family.witnesses:
         assert np.all(np.abs(phi) <= 1.0 + 1e-9)
+    assert achievable_subsets([], d0, tau=0.3).sets == ()
+    # no member clears the radius: nothing to pool and nothing achievable
+    assert achievable_subsets(dists, d0, tau=2.0).sets == ()
 
 
 def test_achievable_subsets_kv_vertex_family():
@@ -416,6 +419,216 @@ def test_achievable_subsets_guard():
     dists = [_dist([0.5 + 0.01 * (i + 1), 0.5 - 0.01 * (i + 1)]) for i in range(21)]
     with pytest.raises(GuardExceededError):
         achievable_subsets(dists, d0, tau=0.001)
+
+
+def _achievable_subsets_reference(dists, d0, tau):
+    """The K1 family from one ``max_margin`` LP per candidate signed subset:
+    the walk without closure pruning or pooled certification, kept to pin
+    the pruned walk's sets, order and witnesses."""
+    threshold = tau + STRICT_EPS
+    frontier = []
+    for i, d in enumerate(dists):
+        res = max_margin([d], d0)
+        if res.value >= threshold:
+            frontier.append((((i, 1),), res.query))
+    witnesses = {}
+    while frontier:
+        for signed, phi in frontier:
+            witnesses.setdefault(frozenset(i for i, _ in signed), phi)
+        grown = []
+        for signed, _ in frontier:
+            for j in range(signed[-1][0] + 1, len(dists)):
+                for sign in (1, -1):
+                    cand = signed + ((j, sign),)
+                    res = max_margin([dists[i] for i, _ in cand], d0, [s for _, s in cand])
+                    if res.value >= threshold:
+                        grown.append((cand, res.query))
+        frontier = grown
+    maximal = [s for s in witnesses if not any(s < t for t in witnesses)]
+    maximal.sort(key=lambda s: (len(s), sorted(s)))
+    return CoverFamily(
+        ground_size=len(dists),
+        sets=tuple(maximal),
+        witnesses=tuple(witnesses[s] for s in maximal),
+        tau=tau,
+    )
+
+
+def _assert_same_family(dists, d0, tau):
+    family = achievable_subsets(dists, d0, tau)
+    reference = _achievable_subsets_reference(dists, d0, tau)
+    assert family.sets == reference.sets
+    assert len(family.witnesses) == len(reference.witnesses)
+    for phi, ref_phi in zip(family.witnesses, reference.witnesses):
+        assert np.array_equal(phi, ref_phi)
+    verify_cover_family(dists, d0, family)
+    verify_cover_family(dists, d0, reference)
+
+
+# The nine ``sqlab dims`` benchmark instances, then biclique(4,2) and line(3).
+_FAMILY_INSTANCES = [
+    (biclique, (3, 1), 0.2), (biclique, (3, 2), 0.2), (biclique, (4, 1), 0.1),
+    (biclique, (4, 1), 0.2), (biclique, (4, 3), 0.2), (biclique, (5, 1), 0.1),
+    (biclique, (5, 4), 0.2), (line_problem, (2,), 0.1), (line_problem, (2,), 0.2),
+    (biclique, (4, 2), 0.2), (line_problem, (3,), 0.2),
+]
+
+
+@pytest.mark.parametrize(
+    "generator,params,tau",
+    _FAMILY_INSTANCES,
+    ids=[f"{g.__name__}{params}-{tau}".replace(" ", "") for g, params, tau in _FAMILY_INSTANCES],
+)
+def test_pruned_walk_repeats_the_one_lp_per_candidate_family(generator, params, tau):
+    """The same maximal sets, in the same order, with bit-identical
+    witnesses."""
+    problem = generator(*params, kind="decision")
+    _assert_same_family(list(problem.dists), problem.reference, tau)
+
+
+@pytest.mark.parametrize("seed,tau", [(0, 0.2), (1, 0.25), (2, 0.25)])
+def test_pruned_walk_repeats_the_family_at_mw_centers(seed, tau, monkeypatch):
+    """The families randomized search builds: the far targets of
+    biclique(6,2) against a multiplicative-weights mixture center. Each
+    center has 14 far targets; at tau 0.25 their family has 39-60 maximal
+    sets, which the reference walk enumerates in about a second, against
+    ten at tau 0.2."""
+    from sqlab import solvers
+
+    problem = biclique(6, 2)
+    dist_mat = np.array([d.weights for d in problem.dists])
+    rng = np.random.default_rng(900 + seed)
+    log_w = -0.5 * rng.integers(0, 8, problem.n_dists)
+    w = np.exp(log_w - log_w.max())
+    calls = []
+    build = solvers.achievable_subsets
+
+    def spy(dists, d0, tau, kappa=K1):
+        calls.append((dists, d0, tau))
+        return build(dists, d0, tau, kappa=kappa)
+
+    monkeypatch.setattr(solvers, "achievable_subsets", spy)
+    solvers.margin_cover(problem, tau, randomized=True)(w @ dist_mat / w.sum())
+    (far, center, far_tau), = calls
+    assert len(far) == 14
+    _assert_same_family(far, center, far_tau)
+
+
+@given(data=st.data())
+def test_pruned_walk_repeats_the_family_on_random_instances(data):
+    n = data.draw(st.integers(2, 8))
+    m = data.draw(st.integers(1, 6))
+    weights = st.lists(st.integers(1, 10), min_size=n, max_size=n).map(lambda c: np.array(c) / sum(c))
+    dists = [_dist(data.draw(weights)) for _ in range(m)]
+    d0 = _dist(data.draw(weights))
+    tau = data.draw(st.floats(0.01, 0.8))
+    _assert_same_family(dists, d0, tau)
+
+
+def _highs_margin(linprog, g):
+    """max t over phi in [-1,1]^n subject to <phi, g_i> >= t for every row."""
+    k, n = g.shape
+    res = linprog(
+        np.r_[np.zeros(n), -1.0],
+        A_ub=np.hstack([-g, np.ones((k, 1))]),
+        b_ub=np.zeros(k),
+        bounds=[(-1.0, 1.0)] * n + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+@pytest.mark.parametrize("block", range(6))
+def test_achievable_family_agrees_with_highs(block):
+    """Every signed subset (first member +1) of 60 seeded small families is
+    solved by HiGHS; its maximal achievable sets must be sqlab's family.
+    tau sits midway between two HiGHS margins at least 1e-4 apart, so no
+    set lies within solver tolerance of the threshold."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    from itertools import combinations, product
+
+    for seed in range(10 * block, 10 * block + 10):
+        rng = np.random.default_rng(1300 + seed)
+        m = 3 + seed % 3
+        dists, d0 = random_dists(rng, n_points=3 + seed % 4, n_dists=m)
+        diff = np.array([d.weights - d0.weights for d in dists])
+        margins = {}
+        for k in range(1, m + 1):
+            for members in combinations(range(m), k):
+                for tail in product((1, -1), repeat=k - 1):
+                    signs = np.array((1, *tail), dtype=float)
+                    margins[members, tuple(signs)] = _highs_margin(linprog, signs[:, None] * diff[list(members)])
+        values = np.unique(np.round(list(margins.values()), 9))
+        gaps = np.flatnonzero(np.diff(values) > 1e-4)
+        cut = int(gaps[rng.integers(len(gaps))])
+        tau = float(values[cut] + values[cut + 1]) / 2
+        achievable = {frozenset(s) for (s, _), v in margins.items() if v >= tau + STRICT_EPS}
+        expected = {s for s in achievable if not any(s < t for t in achievable)}
+        family = achievable_subsets(dists, d0, tau)
+        assert set(family.sets) == expected, seed
+        verify_cover_family(dists, d0, family)
+
+
+def _count_margins(monkeypatch):
+    from sqlab import games
+
+    calls = [0]
+    solve = games.max_margin
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(games, "max_margin", counted)
+    return calls
+
+
+def test_pooled_witness_stands_when_the_final_lp_falls_short(monkeypatch):
+    """biclique(5,4)'s one maximal set is certified from the pool during the
+    walk, so its witness LP is solved last. Should that LP read below the
+    threshold, the set stays, with the pooled witness as its certificate."""
+    from sqlab import games
+
+    problem = biclique(5, 4, kind="decision")
+    dists, d0 = list(problem.dists), problem.reference
+    solve = games.max_margin
+    calls = _count_margins(monkeypatch)
+    exact = achievable_subsets(dists, d0, 0.2)
+    last, seen = calls[0], [0]
+
+    def short_last(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        seen[0] += 1
+        if seen[0] < last:
+            return res
+        return games.MarginResult(value=0.0, query=np.zeros_like(res.query), mixture=res.mixture)
+
+    monkeypatch.setattr(games, "max_margin", short_last)
+    family = achievable_subsets(dists, d0, 0.2)
+    assert seen[0] == last
+    assert family.sets == exact.sets == (frozenset(range(problem.n_dists)),)
+    assert not np.array_equal(family.witnesses[0], exact.witnesses[0])
+    verify_cover_family(dists, d0, family)
+
+
+def test_line_3_decision_cover_makes_few_margin_lps(monkeypatch):
+    """One LP per candidate made 9,423 max_margin calls here."""
+    from sqlab.solvers import decision_cover
+
+    calls = _count_margins(monkeypatch)
+    family, cover = decision_cover(line_problem(3, kind="decision"), 0.2)
+    assert calls[0] <= 412
+    assert family.sets == (frozenset(range(9)),)
+
+
+def test_biclique_5_4_family_makes_few_margin_lps(monkeypatch):
+    """One LP per candidate made 121 max_margin calls here."""
+    problem = biclique(5, 4, kind="decision")
+    calls = _count_margins(monkeypatch)
+    family = achievable_subsets(list(problem.dists), problem.reference, 0.2)
+    assert calls[0] <= 21
+    assert family.sets == (frozenset(range(problem.n_dists)),)
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +749,10 @@ def _golden_case(argv, golden, id=None):
             ["dims", "--gen", "line", "--p", "2", "--kind", "decision", "--tau", "0.1"],
             "dims_line_2_tau0.1.json",
             id="flags2-0.1-dims_line_2_tau0.1.json",
+        ),
+        _golden_case(
+            ["dims", "--gen", "line", "--p", "3", "--kind", "decision", "--tau", "0.2"],
+            "dims_line_3_decision_tau0.2.json",
         ),
         _golden_case(
             ["solve", "--gen", "line", "--p", "5", "--tau", "0.2", "--trials", "20", "--seed", "1"],
