@@ -56,7 +56,7 @@ from .dimension import (
     sd_decision,
     simple_lower_bound,
 )
-from .errors import GuardExceededError, SqlabError, StreamExhaustedError, UncoverableError
+from .errors import GuardExceededError, SqlabError, UncoverableError
 from .norms import kbar1, kbar2, kbar2_spectral, kbarv, rho
 from .oracles import (
     OracleSession,
@@ -550,23 +550,20 @@ def cmd_stream(args, parser) -> int:
         rng = _trial_rng(args.seed, trial)
         ti = int(rng.integers(problem.n_dists))
         stream = SampleStream(problem.dists[ti], rng)
-        row = {"trial": trial, "true": problem.solutions[ti]}
-        try:
-            rep = stream_solve(problem, args.tau, args.delta, stream)
-        except StreamExhaustedError as exc:
-            rep = {"outcome": "exhausted", "solution": None, "updates": None, "ledger": {}}
-            row["note"] = str(exc)
+        rep = stream_solve(problem, args.tau, args.delta, stream)
         ledger = rep["ledger"]
-        row.update(
-            outcome=rep["outcome"],
-            solution=rep["solution"],
-            correct=rep["solution"] == problem.solutions[ti],
-            updates=rep["updates"],
-            samples=stream.drawn,
-            persistent_bits=ledger.get("persistent_bits"),
-            peak_bits=ledger.get("peak_bits"),
-            within_bound=ledger.get("within_bound", True),
-        )
+        row = {
+            "trial": trial,
+            "true": problem.solutions[ti],
+            "outcome": rep["outcome"],
+            "solution": rep["solution"],
+            "correct": rep["solution"] == problem.solutions[ti],
+            "updates": rep["updates"],
+            "samples": stream.drawn,
+            "persistent_bits": ledger["persistent_bits"],
+            "peak_bits": ledger["peak_bits"],
+            "within_bound": ledger["within_bound"],
+        }
         rows.append(row)
         bound_broken = bound_broken or not row["within_bound"]
     n_ok = sum(1 for r in rows if r["correct"])
@@ -581,7 +578,7 @@ def cmd_stream(args, parser) -> int:
         "results": rows,
         "summary": {
             "success_rate": n_ok / max(len(rows), 1),
-            "mean_samples": sum(r["samples"] or 0 for r in rows) / max(len(rows), 1),
+            "mean_samples": sum(r["samples"] for r in rows) / max(len(rows), 1),
             "bound_broken": bound_broken,
         },
     }

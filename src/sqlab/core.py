@@ -39,6 +39,7 @@ __all__ = [
     "QueryFn",
     "Measure",
     "ProblemSpec",
+    "binary_table",
     "expectation",
     "mixture",
     "kl_divergence",
@@ -283,6 +284,22 @@ class Measure:
 # ---------------------------------------------------------------------------
 # operations on distributions
 # ---------------------------------------------------------------------------
+
+
+def binary_table(n: int) -> np.ndarray:
+    """The 2^n x n float table whose row i holds the bits of i, least significant first.
+
+    Built by doubling: rows 2^j to 2^(j+1) - 1 are a copy of the rows
+    before them with bit j set. Each entry is written about twice, where
+    shifting and masking an index column builds two integer tables of the
+    same size before the float one.
+    """
+    table = np.zeros((1 << n, n))
+    for j in range(n):
+        half = 1 << j
+        table[half : 2 * half] = table[:half]
+        table[half : 2 * half, j] = 1.0
+    return table
 
 
 def expectation(dist: FiniteDistribution, query) -> float:

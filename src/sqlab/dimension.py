@@ -51,6 +51,7 @@ from .core import (
     FiniteDistribution,
     Measure,
     ProblemSpec,
+    binary_table,
     mixture,
 )
 from .errors import (
@@ -491,11 +492,11 @@ def crsd(
     n = len(d0.domain)
     if n > 16:
         raise GuardExceededError(f"crsd: 2^{n} sign rows exceed the guard")
-    cols = np.arange(n)
     diff = np.array([d.weights - d0.weights for d in dists])  # (m, n)
     if kappa == K1:
-        sigmas = ((np.arange(1 << (n - 1))[:, None] >> cols) & 1) * 2.0 - 1.0
-        sigmas[:, n - 1] = 1.0  # fix the last coordinate; |<sigma, g>| is sign-symmetric
+        # Fix the last coordinate to +1; |<sigma, g>| is sign-symmetric.
+        sigmas = np.ones((1 << (n - 1), n))
+        sigmas[:, :-1] = binary_table(n - 1) * 2.0 - 1.0
         payoff = np.abs(sigmas @ diff.T)  # (2^(n-1), m)
         game = zero_sum(payoff)
         value = game.value
@@ -512,7 +513,7 @@ def crsd(
             },
         )
     if kappa == KV:
-        vertices = ((np.arange(1 << n)[:, None] >> cols) & 1).astype(float)
+        vertices = binary_table(n)
         d_mat = np.array([d.weights for d in dists])
         dv = np.sqrt(np.clip(vertices @ d_mat.T, 0.0, None))
         zv = np.sqrt(np.clip(vertices @ d0.weights, 0.0, None))

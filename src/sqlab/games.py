@@ -288,24 +288,43 @@ def zero_sum(matrix: np.ndarray) -> GameResult:
     player's value is 1/sum(u) for min sum(u) s.t. M'^T u >= 1, u >= 0.
     The optimal column strategy falls out of the dual. Self-checks both
     strategies against the reported value within 1e-7.
+
+    Each payoff row is one LP column, and a row equal element for element
+    to an earlier row is dropped before the solve (one lexicographic sort
+    and a neighbour compare find them); the row strategy is scattered back
+    with 0 on every dropped row. This is exact. Every pivot updates equal
+    columns with the same arithmetic, so a copy keeps the reduced cost of
+    the earlier column it copies, and Bland's rule, which enters the first
+    improving column, never picks it. Dropping copies renumbers the other
+    columns in order, so the ratio test's lowest-index tie-break picks the
+    same rows too. The pivots, and with them the primal point, the duals
+    and the value, are those of the full-width LP; the value is summed over
+    the scattered point as the full-width LP sums it, so it matches to the
+    last bit.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.size == 0:
         raise ValueError("payoff matrix must be 2-d and non-empty")
     shift = 1.0 - float(m.min())
-    mp = m + shift
     n_rows, n_cols = m.shape
+    order = np.lexsort(m.T[::-1])
+    ranked = m[order]
+    first = np.ones(n_rows, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    keep = np.sort(order[first])  # the sort is stable: each run starts at its first occurrence
     # maximize -sum(u) s.t. -M'^T u <= -1
     res = lp_solve(
-        c=-np.ones(n_rows),
-        a_ub=-mp.T,
+        c=-np.ones(keep.size),
+        a_ub=-(m[keep] + shift).T,
         b_ub=-np.ones(n_cols),
     )
-    total = -res.value
+    u = np.zeros(n_rows)
+    u[keep] = res.x
+    total = float(np.ones(n_rows) @ u)  # summed as lp_solve sums the full-width objective
     if total <= 0:
         raise NumericalError("zero-sum reduction produced a non-positive scale")
     value = 1.0 / total - shift
-    row = res.x / res.x.sum()
+    row = u / u.sum()
     dual = np.clip(res.y_ub, 0.0, None)
     if dual.sum() <= 0:
         raise NumericalError("zero-sum dual strategy vanished")

@@ -238,28 +238,6 @@ def test_stream_dispatch(capsys):
     assert all(r["within_bound"] for r in report["results"])
 
 
-def test_stream_rows_share_one_shape_when_the_stream_runs_dry(monkeypatch, capsys):
-    """A run that exhausts a capped stream gets a row with the same keys as a
-    solved one (plus the note), and does not count as a broken bound."""
-    import sqlab.cli
-    from sqlab.streaming import SampleStream
-
-    monkeypatch.setattr(sqlab.cli, "SampleStream", lambda d, rng: SampleStream(d, rng, limit=32000))
-    code, out = run_cli(
-        ["stream", "--gen", "biclique", "--n", "4", "--k", "2", "--tau", "0.2",
-         "--delta", "0.1", "--trials", "2", "--seed", "1"],
-        capsys,
-    )
-    assert code == 0
-    solved, dry = json.loads(out)["results"]
-    assert solved["outcome"] == "solved" and solved["correct"] is True
-    assert set(dry) == set(solved) | {"note"}
-    assert dry["outcome"] == "exhausted" and dry["correct"] is False
-    assert dry["solution"] is dry["updates"] is dry["persistent_bits"] is dry["peak_bits"] is None
-    assert dry["samples"] == 31510 and dry["within_bound"] is True
-    assert dry["note"].startswith("stream capped at 32000 samples")
-
-
 def test_stream_rejects_decision_instances(capsys):
     code, _ = run_cli(
         ["stream", "--gen", "biclique", "--n", "4", "--k", "2", "--kind", "decision",

@@ -26,6 +26,7 @@ from sqlab import (
     mixture,
     pac_lift,
 )
+from sqlab.core import binary_table
 
 from tests.util import small_domain
 
@@ -162,6 +163,21 @@ def test_measure_mass_support_conditioning():
     assert list(cond.support) == [0, 2]
     with pytest.raises(ValueError):
         Measure.point_mass(3, 1).conditioned_on([0, 2])
+
+
+# ---------------------------------------------------------------------------
+# binary tables
+# ---------------------------------------------------------------------------
+
+
+def test_binary_table_matches_shift_and_mask():
+    """Row i holds the bits of i, least significant first, as float64; n = 0
+    (one empty row) is what crsd asks for at |X| = 1."""
+    for n in range(17):
+        reference = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+        table = binary_table(n)
+        assert table.dtype == np.float64 and table.shape == (1 << n, n)
+        assert np.array_equal(table, reference)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from sqlab import (
     UncoverableError,
     achievable_subsets,
     biclique,
+    crsd,
     exact_min_cover,
     fractional_cover,
     greedy_cover,
@@ -31,7 +32,7 @@ from sqlab import (
     verify_cover_family,
     zero_sum,
 )
-from sqlab.games import STRICT_EPS, CoverFamily
+from sqlab.games import STRICT_EPS, CoverFamily, GameResult
 
 from tests.util import brute_force_lp, random_dists, small_domain
 
@@ -297,6 +298,112 @@ def test_game_strategies_are_mutual_best_responses(seed, shape):
     assert float(np.max(m @ res.col_strategy)) <= res.value + 1e-7
     assert res.row_strategy.sum() == pytest.approx(1.0)
     assert res.col_strategy.sum() == pytest.approx(1.0)
+
+
+def _zero_sum_reference(matrix):
+    """zero_sum with one LP column per payoff row, repeated rows included:
+    the full-width solve the distinct-row solve must repeat."""
+    m = np.asarray(matrix, dtype=float)
+    shift = 1.0 - float(m.min())
+    n_rows, n_cols = m.shape
+    res = lp_solve(c=-np.ones(n_rows), a_ub=-(m + shift).T, b_ub=-np.ones(n_cols))
+    dual = np.clip(res.y_ub, 0.0, None)
+    return GameResult(
+        value=1.0 / -res.value - shift,
+        row_strategy=res.x / res.x.sum(),
+        col_strategy=dual / dual.sum(),
+    )
+
+
+def _highs_game_value(linprog, m):
+    """max v over row mixtures x subject to (x^T M)_j >= v for every column."""
+    n_rows, n_cols = m.shape
+    res = linprog(
+        np.r_[np.zeros(n_rows), -1.0],
+        A_ub=np.hstack([-m.T, np.ones((n_cols, 1))]),
+        b_ub=np.zeros(n_cols),
+        A_eq=np.r_[np.ones(n_rows), 0.0][None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * n_rows + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+def _assert_distinct_row_solve_is_exact(m):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    res = zero_sum(m)
+    ref = _zero_sum_reference(m)
+    assert res.value == ref.value
+    assert np.array_equal(res.col_strategy, ref.col_strategy)
+    assert np.array_equal(res.row_strategy, ref.row_strategy)
+    first = {}
+    for i, row in enumerate(map(tuple, m.tolist())):
+        first.setdefault(row, i)
+    repeat = np.ones(len(m), dtype=bool)
+    repeat[list(first.values())] = False
+    assert not np.any(res.row_strategy[repeat])
+    assert res.value == pytest.approx(_highs_game_value(linprog, m), abs=1e-9)
+
+
+def _crsd_payoff(problem, kappa, monkeypatch):
+    """The payoff matrix crsd hands to zero_sum."""
+    from sqlab import dimension
+
+    seen = []
+    monkeypatch.setattr(dimension, "zero_sum", lambda m: seen.append(m) or zero_sum(m))
+    dimension.crsd(list(problem.dists), problem.reference, kappa)
+    (payoff,) = seen
+    return payoff
+
+
+# The instances of the nine ``sqlab dims`` benchmark reports (crsd does not
+# depend on tau; biclique(5, k) has 32 domain points, past the 2^16 guard,
+# and never reaches the game), then the KV vertex game.
+_GAME_INSTANCES = [
+    (biclique, (3, 1), K1), (biclique, (3, 2), K1), (biclique, (4, 1), K1),
+    (biclique, (4, 3), K1), (line_problem, (2,), K1), (biclique, (3, 1), KV),
+]
+
+
+@pytest.mark.parametrize(
+    "generator,params,kappa",
+    _GAME_INSTANCES,
+    ids=[f"{g.__name__}{params}-{kappa}".replace(" ", "") for g, params, kappa in _GAME_INSTANCES],
+)
+def test_distinct_row_game_repeats_the_full_width_solve_on_crsd_games(
+    generator, params, kappa, monkeypatch
+):
+    payoff = _crsd_payoff(generator(*params, kind="decision"), kappa, monkeypatch)
+    _assert_distinct_row_solve_is_exact(payoff)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_distinct_row_game_repeats_the_full_width_solve_on_repeated_rows(seed):
+    """A few distinct rows, each repeated and interleaved with the others, up
+    to 300 rows in all; every third seed draws small integers, whose games
+    are degenerate. Summing the value over the distinct rows alone changes
+    its last bits on some of these games."""
+    rng = np.random.default_rng(1500 + seed)
+    k, n_cols = int(rng.integers(2, 9)), int(rng.integers(2, 7))
+    if seed % 3:
+        base = rng.uniform(-2.0, 2.0, size=(k, n_cols))
+    else:
+        base = rng.integers(-2, 3, size=(k, n_cols)).astype(float)
+    _assert_distinct_row_solve_is_exact(base[rng.integers(k, size=int(rng.integers(k, 300)))])
+
+
+def test_crsd_game_lp_has_one_column_per_distinct_sign_row(monkeypatch):
+    """biclique(4, 1): 2^15 sign rows, 160 distinct payoff rows."""
+    from sqlab import games
+
+    widths = []
+    solve = games.lp_solve
+    monkeypatch.setattr(games, "lp_solve", lambda c, **rows: widths.append(len(c)) or solve(c, **rows))
+    problem = biclique(4, 1, kind="decision")
+    crsd(list(problem.dists), problem.reference)
+    assert widths == [160]
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +860,17 @@ def _golden_case(argv, golden, id=None):
         _golden_case(
             ["dims", "--gen", "line", "--p", "3", "--kind", "decision", "--tau", "0.2"],
             "dims_line_3_decision_tau0.2.json",
+        ),
+        # The widest K1 crsd game (32,768 sign rows, 160 of them distinct)
+        # and the KV vertex game, both solved by zero_sum.
+        _golden_case(
+            ["dims", "--gen", "biclique", "--n", "4", "--k", "1", "--kind", "decision", "--tau", "0.1"],
+            "dims_biclique_4_1_tau0.1.json",
+        ),
+        _golden_case(
+            ["dims", "--gen", "biclique", "--n", "3", "--k", "1", "--kind", "decision", "--tau", "0.2",
+             "--kappa", "kv"],
+            "dims_biclique_3_1_kv_tau0.2.json",
         ),
         _golden_case(
             ["solve", "--gen", "line", "--p", "5", "--tau", "0.2", "--trials", "20", "--seed", "1"],

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sqlab import (
     FiniteDistribution,
     GuardExceededError,
     Measure,
+    biclique,
     kappa1_frac,
     kappav_frac,
     kbar1,
@@ -16,6 +19,7 @@ from sqlab import (
     kbar2_spectral,
     kbarv,
     kbarv_frac,
+    line_problem,
     rho,
 )
 from sqlab.norms import EXACT, LOWER_BOUND
@@ -157,6 +161,113 @@ def test_kbarv_guard():
     d0 = FiniteDistribution.uniform(dom)
     with pytest.raises(GuardExceededError):
         kbarv(Measure.uniform(1), [d0], d0)
+
+
+def _kbarv_reference(mu, dists, d0):
+    """kbarv scoring one ascent candidate at a time, rebuilding the member
+    matrix per call: the loop the blocked ascent must repeat."""
+    idx = list(mu.support)
+    sub, w = [dists[i] for i in idx], mu.weights[idx]
+    n = len(d0.domain)
+
+    def gaps(phis):
+        d_mat = np.array([d.weights for d in sub])
+        dv = np.sqrt(np.clip(phis @ d_mat.T, 0.0, None))
+        zv = np.sqrt(np.clip(phis @ d0.weights, 0.0, None))
+        return np.abs(dv - zv[:, None])
+
+    vertices = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    vals = gaps(vertices) @ w
+    j = int(np.argmax(vals))
+    best_phi, best_val = vertices[j].copy(), float(vals[j])
+    for x in range(n):
+        current = best_phi[x]
+        for v in np.linspace(0.0, 1.0, 17):
+            if v == current:
+                continue
+            cand = best_phi.copy()
+            cand[x] = v
+            val = float(gaps(cand[None, :])[0] @ w)
+            if val > best_val + 1e-15:
+                best_val, best_phi = val, cand
+    return best_val, best_phi
+
+
+def _assert_kbarv_matches_reference(mu, dists, d0):
+    report = kbarv(mu, dists, d0)
+    value, query = _kbarv_reference(mu, dists, d0)
+    assert report.value == value
+    assert np.array_equal(report.certificate["query"], query)
+
+
+# The instances of the nine ``sqlab dims`` benchmark reports (kbarv does not
+# depend on tau); biclique(5, k) has 32 domain points, past the 2^16 vertex
+# guard.
+_DIMS_INSTANCES = [
+    (biclique, (3, 1)), (biclique, (3, 2)), (biclique, (4, 1)), (biclique, (4, 3)),
+    (biclique, (5, 1)), (biclique, (5, 4)), (line_problem, (2,)),
+]
+
+
+@pytest.mark.parametrize(
+    "generator,params",
+    _DIMS_INSTANCES,
+    ids=[f"{g.__name__}{params}".replace(" ", "") for g, params in _DIMS_INSTANCES],
+)
+def test_blocked_kbarv_ascent_repeats_the_one_candidate_loop(generator, params):
+    problem = generator(*params, kind="decision")
+    dists, d0 = list(problem.dists), problem.reference
+    mu = Measure.uniform(problem.n_dists)
+    if len(d0.domain) > 16:
+        with pytest.raises(GuardExceededError):
+            kbarv(mu, dists, d0)
+        return
+    _assert_kbarv_matches_reference(mu, dists, d0)
+
+
+# Families whose best query is not a vertex, so the ascent accepts
+# candidates, several in one coordinate where the answer lies far from
+# the vertex it started at: (member counts, center counts, mu counts). On
+# the last three, scoring the 16 candidates as one matrix product moves
+# the reported value by an ulp.
+_ASCENT_FAMILIES = [
+    ([[9, 10, 8, 7, 3, 3], [6, 2, 3, 8, 6, 4], [10, 6, 7, 10, 7, 3], [6, 9, 1, 4, 4, 4],
+      [5, 9, 4, 2, 9, 10]], [5, 4, 5, 9, 3, 7], [1, 4, 2, 1, 1]),
+    ([[8, 1, 9, 1, 1, 10, 4], [0, 3, 8, 3, 8, 5, 7], [6, 0, 3, 10, 6, 2, 9],
+      [9, 9, 5, 0, 3, 8, 1]], [10, 0, 1, 2, 8, 1, 10], [0, 4, 3, 3]),
+    ([[0, 1, 2, 0, 3], [6, 10, 6, 3, 0], [4, 9, 8, 6, 6]], [1, 2, 10, 4, 2], [2, 5, 5]),
+    ([[0, 7, 1, 7, 5], [6, 6, 5, 3, 0]], [1, 8, 5, 2, 10], [3, 1]),
+    ([[2, 0, 6, 6, 9, 2], [1, 8, 10, 2, 2, 8], [6, 3, 6, 7, 0, 7], [6, 9, 2, 9, 7, 4],
+      [0, 7, 10, 2, 1, 1]], [2, 7, 2, 9, 9, 8], [0, 3, 1, 3, 3]),
+    ([[8, 0, 7, 0, 2, 10, 1, 8], [4, 4, 3, 6, 10, 6, 3, 2], [9, 1, 1, 0, 2, 6, 8, 1],
+      [4, 1, 8, 9, 1, 0, 4, 8]], [5, 0, 1, 1, 8, 2, 8, 8], [1, 3, 1, 4]),
+    ([[8, 10, 4, 4, 5, 7, 10, 3], [4, 6, 1, 10, 7, 9, 8, 7], [8, 0, 8, 8, 4, 9, 4, 10]],
+     [10, 1, 1, 8, 8, 2, 5, 8], [0, 5, 1]),
+]
+
+
+@pytest.mark.parametrize("members,center,mu_counts", _ASCENT_FAMILIES)
+def test_blocked_kbarv_ascent_repeats_the_one_candidate_loop_off_the_vertices(
+    members, center, mu_counts
+):
+    dists = [_dist(np.array(c) / sum(c)) for c in members]
+    mu = Measure(len(members), np.array(mu_counts) / sum(mu_counts))
+    d0 = _dist(np.array(center) / sum(center))
+    query = kbarv(mu, dists, d0).certificate["query"]
+    assert np.any((query > 0.0) & (query < 1.0))
+    _assert_kbarv_matches_reference(mu, dists, d0)
+
+
+@given(data=st.data())
+def test_blocked_kbarv_ascent_repeats_the_one_candidate_loop_on_random_families(data):
+    n = data.draw(st.integers(1, 8))
+    m = data.draw(st.integers(1, 5))
+    weights = st.lists(st.integers(0, 10), min_size=n, max_size=n).filter(any)
+    dists = [_dist(np.array(c) / sum(c)) for c in (data.draw(weights) for _ in range(m + 1))]
+    d0 = dists.pop()
+    mu_counts = data.draw(st.lists(st.integers(0, 5), min_size=m, max_size=m).filter(any))
+    mu = Measure(m, np.array(mu_counts) / sum(mu_counts))
+    _assert_kbarv_matches_reference(mu, dists, d0)
 
 
 @pytest.mark.parametrize("seed", range(8))
