@@ -655,8 +655,7 @@ def _parsers(argv) -> tuple[argparse.ArgumentParser, dict]:
     command = next((a for a in argv if not a.startswith("-")), None)
     handlers = {}
     for name, handler in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[], add_help=True)
-        p.__class__ = _Parser
+        p = sub.add_parser(name)
         if name == command:
             _add_common(p)
             if name == "merge":

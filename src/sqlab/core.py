@@ -40,6 +40,10 @@ __all__ = [
     "Measure",
     "ProblemSpec",
     "binary_table",
+    "draw_indices",
+    "witness_count",
+    "sqrt_scale",
+    "sqrt_gap",
     "expectation",
     "mixture",
     "kl_divergence",
@@ -183,9 +187,7 @@ class FiniteDistribution:
 
     def sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` i.i.d. element indices."""
-        cdf = np.cumsum(self.weights)
-        r = rng.random(size)
-        return np.minimum(np.searchsorted(cdf, r, side="right"), len(self.domain) - 1)
+        return draw_indices(self.weights, rng, size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,6 +302,41 @@ def binary_table(n: int) -> np.ndarray:
         table[half : 2 * half] = table[:half]
         table[half : 2 * half, j] = 1.0
     return table
+
+
+def draw_indices(weights: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` i.i.d. indices from the probability vector ``weights``.
+
+    Inverse CDF: one ``rng.random`` uniform per draw, located among the
+    cumulative sums; the last index takes a uniform beyond a total that
+    rounds below 1.
+    """
+    cdf = np.cumsum(weights)
+    return np.minimum(np.searchsorted(cdf, rng.random(size), side="right"), len(cdf) - 1)
+
+
+def witness_count(d: float, delta: float) -> int:
+    """ceil(d ln(1/delta)), at least 1: the number of witnesses drawn from
+    a fractional cover of value d at failure probability delta."""
+    return max(math.ceil(d * math.log(1.0 / delta)), 1)
+
+
+def sqrt_scale(x):
+    """sqrt(max(x, 0)) elementwise: expectations on the square-root (KV) scale."""
+    return np.sqrt(np.maximum(x, 0.0))
+
+
+def sqrt_gap(a, b):
+    """|sqrt(a) - sqrt(b)| elementwise on the square-root scale: the KV
+    discrimination gap between expectations ``a`` and ``b``, an array of
+    ``a``'s shape (``b`` broadcasts to it)."""
+    # One buffer, worked in place: a fresh temporary per step, with the
+    # caller's ``a`` still alive, made glibc trim and re-fault the heap on
+    # every norms.kbarv call at |X| = 16 and raised its peak memory.
+    gap = np.maximum(a, 0.0, out=np.empty(np.shape(a)))
+    np.sqrt(gap, out=gap)
+    gap -= sqrt_scale(b)
+    return np.abs(gap, out=gap)
 
 
 def expectation(dist: FiniteDistribution, query) -> float:

@@ -52,7 +52,10 @@ from .core import (
     Measure,
     ProblemSpec,
     binary_table,
+    draw_indices,
     mixture,
+    sqrt_gap,
+    witness_count,
 )
 from .errors import (
     GuardExceededError,
@@ -515,10 +518,7 @@ def crsd(
     if kappa == KV:
         vertices = binary_table(n)
         d_mat = np.array([d.weights for d in dists])
-        dv = np.sqrt(np.clip(vertices @ d_mat.T, 0.0, None))
-        zv = np.sqrt(np.clip(vertices @ d0.weights, 0.0, None))
-        payoff = np.abs(dv - zv[:, None])
-        game = zero_sum(payoff)
+        game = zero_sum(sqrt_gap(vertices @ d_mat.T, (vertices @ d0.weights)[:, None]))
         mu = Measure(len(dists), game.col_strategy / game.col_strategy.sum())
         upper = kbar2(mu, list(dists), d0)
         if upper.value <= 1e-12:
@@ -590,11 +590,9 @@ def rand_to_det(
         raise ValueError("delta must lie in (0, 1)")
     if mu.size != family.ground_size:
         raise ValueError("mu must weight the family's ground set")
-    s = math.ceil(d * math.log(1.0 / delta))
-    s = max(s, 1)
-    cdf = np.cumsum(q)
+    s = witness_count(d, delta)
     for attempt in range(1, max_attempts + 1):
-        draws = np.minimum(np.searchsorted(cdf, rng.random(s), side="right"), len(q) - 1)
+        draws = draw_indices(q, rng, s)
         covered = set()
         for j in draws:
             covered |= family.sets[int(j)]

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import K1, KV, FiniteDistribution
+from .core import K1, KV, FiniteDistribution, binary_table, sqrt_gap
 from .errors import (
     GuardExceededError,
     InfeasibleError,
@@ -435,10 +435,6 @@ class CoverFamily:
         return [i for i in range(self.ground_size) if i not in hit]
 
 
-def _kv_gap(d: FiniteDistribution, d0: FiniteDistribution, phi: np.ndarray) -> float:
-    return abs(math.sqrt(max(d.expectation(phi), 0.0)) - math.sqrt(max(d0.expectation(phi), 0.0)))
-
-
 def _maximal_family(sets, witness, ground_size: int, tau: float, kappa: str) -> CoverFamily:
     """The family of the maximal subsets among ``sets``, ordered by size,
     then by members; ``witness(s)`` gives each maximal set's query."""
@@ -501,7 +497,10 @@ def achievable_subsets(
 
     KV: heuristic family from binary-vertex witnesses phi in {0,1}^X
     (guarded by 2^|X|); the family under-approximates achievability, so
-    dimension values derived from it are upper bounds.
+    dimension values derived from it are upper bounds. Every member's gap at
+    every vertex comes from one product with ``binary_table(|X|)``, and each
+    covered set keeps the first vertex (in table order) that covers exactly
+    it.
     """
     m = len(dists)
     threshold = tau + STRICT_EPS
@@ -569,14 +568,16 @@ def achievable_subsets(
         n = len(d0.domain)
         if n > 16:
             raise GuardExceededError(f"achievable_subsets KV: 2^{n} vertex queries exceed guard")
+        vertices = binary_table(n)
+        d_mat = np.array([d.weights for d in dists]).reshape(m, n)
+        hit = sqrt_gap(vertices @ d_mat.T, (vertices @ d0.weights)[:, None]) >= threshold
+        # the first vertex of each distinct row of ``hit``, skipping phi = 0
+        _, first = np.unique(hit[1:], axis=0, return_index=True)
         best: dict[frozenset, np.ndarray] = {}
-        for bits in range(1, 2**n):
-            phi = np.array([(bits >> i) & 1 for i in range(n)], dtype=float)
-            covered = frozenset(
-                i for i, d in enumerate(dists) if _kv_gap(d, d0, phi) >= threshold
-            )
-            if covered and covered not in best:
-                best[covered] = phi
+        for r in (first + 1).tolist():
+            covered = frozenset(np.flatnonzero(hit[r]).tolist())
+            if covered:
+                best[covered] = vertices[r].copy()
         return _maximal_family(best, best.__getitem__, m, tau, KV)
     raise ValueError(f"unknown kappa tag {kappa!r}")
 
@@ -592,7 +593,7 @@ def verify_cover_family(
             if family.kappa == K1:
                 gap = abs(dists[i].expectation(phi) - d0.expectation(phi))
             else:
-                gap = _kv_gap(dists[i], d0, phi)
+                gap = sqrt_gap(dists[i].expectation(phi), d0.expectation(phi))
             if gap < family.tau + STRICT_EPS / 2:
                 raise NumericalError(
                     f"witness for set {sorted(s)} fails on element {i} (gap {gap:.3e})"

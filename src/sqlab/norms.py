@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import K1, KV, FiniteDistribution, Measure, binary_table, likelihood_hat
+from .core import K1, KV, FiniteDistribution, Measure, binary_table, likelihood_hat, sqrt_gap
 from .errors import GuardExceededError, NumericalError
 from .games import STRICT_EPS, achievable_subsets
 
@@ -237,9 +237,7 @@ def _sqrt_gaps(phis: np.ndarray, d_mat: np.ndarray, d0) -> np.ndarray:
     a single ``phis[i][None, :]``, so every query's gaps are bitwise what
     scoring it alone gives, whatever q is.
     """
-    dv = np.sqrt(np.clip(phis @ d_mat.T, 0.0, None))
-    zv = np.sqrt(np.clip(phis @ d0.weights, 0.0, None))
-    return np.abs(dv - zv[..., None])
+    return sqrt_gap(phis @ d_mat.T, (phis @ d0.weights)[..., None])
 
 
 def kbarv(mu: Measure, dists: Sequence[FiniteDistribution], d0: FiniteDistribution) -> NormReport:

@@ -18,9 +18,7 @@ vectorized predicate ``stop(rows, answers)`` holds is found with one
 that row, so the rng and ``samples_used`` end where j + 1 single queries
 would leave them. Only the consumed rows 0..j are asked: their transcript
 entries go in as one columnar append, with validity from ``valid_answers``,
-the array form of ``validate``. ``OracleSession.answers(block)`` yields the
-answers of the same path lazily, one recorded row at a time, and
-``OracleSession.query`` and the module-level ``answer`` are one-row blocks.
+the array form of ``validate``. ``OracleSession.query`` is a one-row block.
 
 A :class:`Transcript` stores its entries as growing columns (kind, param,
 value, valid, true value) and builds :class:`TranscriptEntry` objects only
@@ -53,7 +51,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .core import SIGNED, UNIT, FiniteDistribution, QueryFn
+from .core import SIGNED, UNIT, FiniteDistribution, QueryFn, sqrt_gap, sqrt_scale
 from .errors import SqlabError
 
 __all__ = [
@@ -74,7 +72,6 @@ __all__ = [
     "sampled_answers",
     "reference_answers",
     "edge_answers",
-    "answer",
     "one_stat",
     "TranscriptEntry",
     "Transcript",
@@ -151,7 +148,7 @@ def _tolerances(spec: OracleSpec, p: np.ndarray) -> np.ndarray:
         return np.full_like(p, float(spec.tau))
     if spec.kind == VSTAT:
         spread = p * (1.0 - p) if spec.vstat_strict else p
-        return np.maximum(1.0 / spec.n, np.sqrt(np.maximum(spread, 0.0) / spec.n))
+        return np.maximum(1.0 / spec.n, sqrt_scale(spread / spec.n))
     raise ValueError(f"tolerance undefined for oracle kind {spec.kind!r}")
 
 
@@ -166,8 +163,7 @@ def valid_answers(spec: OracleSpec, p: np.ndarray, v: np.ndarray) -> np.ndarray:
     single answer)."""
     if spec.kind == VROOT:
         # answers below 0 are never valid; the clip only keeps sqrt quiet
-        gap = np.abs(np.sqrt(np.maximum(v, 0.0)) - np.sqrt(np.maximum(p, 0.0)))
-        return (v >= 0) & (gap <= spec.tau + VALIDITY_ATOL)
+        return (v >= 0) & (sqrt_gap(v, p) <= spec.tau + VALIDITY_ATOL)
     return np.abs(v - p) <= _tolerances(spec, p) + VALIDITY_ATOL
 
 
@@ -296,7 +292,7 @@ def _answer_block(
         # push exactly to the boundary, staying valid
         if spec.kind != VROOT:
             return values, p, p + strategy.direction * _tolerances(spec, p)
-        root = np.maximum(np.sqrt(np.maximum(p, 0.0)) + strategy.direction * spec.tau, 0.0)
+        root = np.maximum(sqrt_scale(p) + strategy.direction * spec.tau, 0.0)
         # Python's float power, not numpy's square: the two differ in the
         # last bit on some inputs, and these answers keep the bits they had
         return values, p, np.array([r**2 for r in root.tolist()])
@@ -305,20 +301,6 @@ def _answer_block(
 
 def _sample_mean(row: np.ndarray, dist: FiniteDistribution, samples: int, rng) -> float:
     return float(row[dist.sample_indices(rng, samples)].mean())
-
-
-def answer(
-    spec: OracleSpec,
-    strategy: AnswerStrategy,
-    dist: FiniteDistribution,
-    query,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """One oracle answer (no transcript; see OracleSession for bookkeeping)."""
-    values, _, fixed = _answer_block(spec, strategy, dist, [query], rng)
-    if fixed is None:
-        return _sample_mean(values[0], dist, strategy.samples, rng)
-    return float(fixed[0])
 
 
 def one_stat(
@@ -372,11 +354,6 @@ class Transcript:
         self._value: list = []
         self._valid: list = []
         self._true_value: list = []
-
-    def append(self, entry: TranscriptEntry) -> None:
-        if entry.index != len(self):
-            raise ValueError("transcript entries must be appended in order")
-        self.extend(entry.kind, entry.param, [entry.value], [entry.valid], [entry.true_value])
 
     def extend(self, kind: str, param: float, values, valid, true_values) -> None:
         """Record a block of exchanges under one oracle kind and parameter:
@@ -480,20 +457,6 @@ class OracleSession:
         self._record(p[:n], answers[:n])
         return j, answers[:n]
 
-    def answers(self, block):
-        """Answer the rows of ``block`` lazily, one at a time, in order.
-
-        The block is checked as in ``scan`` before the first answer. Each
-        row's transcript entry (and, for sampled answers, its samples) is
-        taken when that row's answer is yielded, so a caller that stops
-        after row j has asked exactly rows 0..j.
-        """
-        values, p, answers = _answer_block(self.spec, self.strategy, self.dist, block, self.rng)
-        for i in range(len(p)):
-            v = self._draw(values[i]) if answers is None else float(answers[i])
-            self._record(p[i : i + 1], np.array([v]))
-            yield v
-
     def query(self, query) -> float:
         return float(self.scan([query])[1][0])
 
@@ -511,16 +474,7 @@ class OracleSession:
             raise ValueError("ONE_STAT needs an rng")
         out = one_stat(self.dist, values, self.spec.bits, self.rng)
         self.samples_used += 1
-        self.transcript.append(
-            TranscriptEntry(
-                index=len(self.transcript),
-                kind=ONE_STAT,
-                param=float(self.spec.bits),
-                value=float(out),
-                valid=True,
-                true_value=float("nan"),
-            )
-        )
+        self.transcript.extend(ONE_STAT, float(self.spec.bits), [float(out)], [True], [float("nan")])
         return out
 
     @property

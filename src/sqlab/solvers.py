@@ -35,7 +35,7 @@ Solvers:
 - ``solve_search_universal``: search over a finite family. Deterministic
   mode queries every per-distribution witness; randomized mode samples
   ceil(d ln(1/delta')) witnesses per step from a fractional cover measure
-  and finally draws the answer from a solution measure.
+  and outputs the proposed solution once none of them triggers.
 - ``solve_decision_sampled``: distinguish reference vs family with
   ceil(d ln(1/delta)) witnesses sampled once from the fractional cover,
   asked as one block up to the first distinguishing answer.
@@ -61,9 +61,11 @@ from .core import (
     K1,
     KV,
     FiniteDistribution,
-    Measure,
     ProblemSpec,
+    draw_indices,
     mixture,
+    sqrt_gap,
+    witness_count,
 )
 from .errors import UncoverableError
 from .games import achievable_subsets, fractional_cover
@@ -183,7 +185,7 @@ def _kv_witness(d: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
     for order in (np.argsort(-ratio, kind="stable"), np.argsort(ratio, kind="stable")):
         dc = np.cumsum(d[order])
         tc = np.cumsum(t[order])
-        gaps = np.abs(np.sqrt(np.clip(dc, 0, None)) - np.sqrt(np.clip(tc, 0, None)))
+        gaps = sqrt_gap(dc, tc)
         j = int(np.argmax(gaps))
         if gaps[j] > best_gap:
             best_gap = float(gaps[j])
@@ -213,15 +215,13 @@ def _witnesses(kappa: str):
 class CoverStep:
     """What to do at the current mixture: a proposed solution index, the
     witness queries as the rows of one 2-D block (with the distribution
-    index each row targets), and — for randomized runs — a solution
-    measure, a sampling measure over the rows, and the fractional cover
-    value d."""
+    index each row targets), and — for randomized runs — a sampling
+    measure over the rows and the fractional cover value d."""
 
     solution_index: int
     queries: np.ndarray
     targets: tuple
     unservable: tuple = ()
-    solution_measure: Measure | None = None
     query_measure: np.ndarray | None = None
     d: float | None = None
 
@@ -279,7 +279,6 @@ def margin_cover(problem: ProblemSpec, tau: float, kappa: str = K1, randomized: 
             queries=queries,
             targets=targets,
             unservable=unservable,
-            solution_measure=Measure.point_mass(problem.n_solutions, f_idx),
             query_measure=q_measure,
             d=d_value,
         )
@@ -390,9 +389,7 @@ def _first_trigger(t_vec: np.ndarray, block, scan, kappa: str, tau: float):
             return abs(expected[rows] - answers) > bound
     else:
         def stop(rows, answers):
-            # np.sqrt of a clipped value is bit-identical to math.sqrt
-            root = np.sqrt(np.maximum(expected[rows], 0.0))
-            return np.abs(root - np.sqrt(np.maximum(answers, 0.0))) > bound
+            return sqrt_gap(expected[rows], answers) > bound
     j, answers = scan(block, stop)
     if j is None:
         return None
@@ -418,11 +415,11 @@ def _run_mw(state: MWState, budget: int, step):
         state = state.update(result)
 
 
-def _proposal(problem: ProblemSpec, cover_step: CoverStep, f_idx: int):
-    """Finished result of a step where nothing triggered: solution ``f_idx``,
-    listing the close members the cover's proposal leaves unserved."""
+def _proposal(problem: ProblemSpec, cover_step: CoverStep):
+    """Finished result of a step where nothing triggered: the cover's
+    proposed solution, listing the close members it leaves unserved."""
     details = {"cover_incomplete": list(cover_step.unservable)} if cover_step.unservable else {}
-    return SOLVED, problem.solutions[f_idx], details
+    return SOLVED, problem.solutions[cover_step.solution_index], details
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +444,7 @@ def solve_search_universal(
     updates on any answer deviating by more than 2 tau / 3, and outputs the
     proposed solution once nothing triggers. ``mode="rand"`` needs ``delta``
     and ``rng``: each step samples ceil(d ln(T/delta)) witnesses from the
-    cover measure and the final solution is drawn from the step's solution
-    measure.
+    cover measure.
     """
     if mode not in ("det", "rand"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -466,19 +462,13 @@ def solve_search_universal(
         cover_step = cover(t_vec)
         queries = cover_step.queries
         if mode == "rand" and len(queries):
-            s = max(math.ceil(cover_step.d * math.log(1.0 / delta_step)), 1)
-            cdf = np.cumsum(cover_step.query_measure)
-            draws = np.minimum(np.searchsorted(cdf, rng.random(s), side="right"), len(cdf) - 1)
-            queries = queries[np.unique(draws)]
+            s = witness_count(cover_step.d, delta_step)
+            queries = queries[np.unique(draw_indices(cover_step.query_measure, rng, s))]
         hit = _first_trigger(t_vec, queries, session.scan, kappa, tau)
         if hit is not None:
             j, sign = hit
             return sign * queries[j]
-        f_idx = cover_step.solution_index
-        if mode == "rand":
-            f_idx = int(np.searchsorted(np.cumsum(cover_step.solution_measure.weights), rng.random()))
-            f_idx = min(f_idx, problem.n_solutions - 1)
-        return _proposal(problem, cover_step, f_idx)
+        return _proposal(problem, cover_step)
 
     start = MWState.start(mixture(list(problem.dists)).weights, gamma)
     (outcome, solution, details), state = _run_mw(start, budget, step)
@@ -532,10 +522,8 @@ def solve_decision_sampled(
         raise ValueError("delta must lie in (0, 1)")
     d0 = problem.reference
     family, cover = cover if cover is not None else decision_cover(problem, tau)
-    s = max(math.ceil(cover.value * math.log(1.0 / delta)), 1)
-    cdf = np.cumsum(cover.q)
-    draws = np.minimum(np.searchsorted(cdf, rng.random(s), side="right"), len(cdf) - 1)
-    block = np.array([family.witnesses[j] for j in np.unique(draws)])
+    s = witness_count(cover.value, delta)
+    block = np.array([family.witnesses[j] for j in np.unique(draw_indices(cover.q, rng, s))])
     ref_values = block @ d0.weights
     first, _ = session.scan(block, lambda rows, a: np.abs(a - ref_values[rows]) > tau / 2.0)
     verdict = "reference" if first is None else "not-reference"

@@ -161,7 +161,7 @@ def stream_solve(
         cover_step = cover(weights)
         hit = _first_trigger(weights, cover_step.queries, scan, K1, tau)
         if hit is None:
-            return _proposal(problem, cover_step, cover_step.solution_index)
+            return _proposal(problem, cover_step)
         j, sign = hit
         history.append((int(cover_step.targets[j]), int(sign)))
         return sign * cover_step.queries[j]

@@ -324,6 +324,24 @@ def test_rand_to_det_samples_a_full_cover():
     assert again == out
 
 
+def test_rand_to_det_output_is_pinned():
+    """A seeded case whose first attempt falls short: s = ceil(1.2 ln 4) = 2
+    draws from a skewed Q per attempt, accepted on the second attempt with
+    element 2 (mass 0.2 < delta) left uncovered; the rng ends where the two
+    attempts leave it."""
+    rng = np.random.default_rng(5)
+    out = rand_to_det(_pairwise_family(), np.array([0.6, 0.3, 0.1]), d=1.2,
+                      mu=Measure.from_weights([0.5, 0.3, 0.2]), delta=0.25, rng=rng)
+    assert out == {
+        "witness_sets": [0],
+        "samples": 2,
+        "attempts": 2,
+        "uncovered": [2],
+        "uncovered_mass": 0.2,
+    }
+    assert rng.random() == 0.053930702381656426
+
+
 def test_rand_to_det_flags_a_broken_cover_measure():
     family = _pairwise_family()
     bad_q = np.array([1.0, 0.0, 0.0])  # never samples a set containing 2

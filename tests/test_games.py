@@ -5,6 +5,7 @@ programs (shares no code with the simplex) and KKT certificates on larger
 ones (primal/dual feasibility plus a zero duality gap prove optimality).
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -572,6 +573,64 @@ def _assert_same_family(dists, d0, tau):
     verify_cover_family(dists, d0, reference)
 
 
+def _kv_families_reference(dists, d0, taus):
+    """The KV vertex family at each radius in ``taus``, one binary vertex
+    query at a time with one scalar square-root-scale gap per member (the
+    per-vertex loop the one-product family replaced), kept to pin that
+    family's sets, order and witnesses."""
+    n = len(d0.domain)
+    vertices = []
+    for bits in range(1, 2**n):
+        phi = np.array([(bits >> i) & 1 for i in range(n)], dtype=float)
+        root = math.sqrt(max(d0.expectation(phi), 0.0))
+        gaps = [abs(math.sqrt(max(d.expectation(phi), 0.0)) - root) for d in dists]
+        vertices.append((phi, gaps))
+    families = []
+    for tau in taus:
+        best = {}
+        for phi, gaps in vertices:
+            covered = frozenset(i for i, gap in enumerate(gaps) if gap >= tau + STRICT_EPS)
+            if covered and covered not in best:
+                best[covered] = phi
+        maximal = [s for s in best if not any(s < t for t in best)]
+        maximal.sort(key=lambda s: (len(s), sorted(s)))
+        families.append(CoverFamily(
+            ground_size=len(dists),
+            sets=tuple(maximal),
+            witnesses=tuple(best[s] for s in maximal),
+            tau=tau,
+            kappa=KV,
+        ))
+    return families
+
+
+_KV_INSTANCES = [
+    (biclique, (3, 1)), (biclique, (3, 2)), (biclique, (4, 1)), (biclique, (4, 2)),
+    (biclique, (4, 3)), (line_problem, (2,)),
+]
+_KV_TAUS = (0.05, 0.1, 0.15, 0.2)
+
+
+@pytest.mark.parametrize(
+    "generator,params",
+    _KV_INSTANCES,
+    ids=[f"{g.__name__}{params}".replace(" ", "") for g, params in _KV_INSTANCES],
+)
+def test_kv_family_repeats_the_per_vertex_loop(generator, params):
+    """The same maximal sets, in the same order, with bit-identical vertex
+    witnesses, at every radius."""
+    problem = generator(*params, kind="decision")
+    dists, d0 = list(problem.dists), problem.reference
+    references = _kv_families_reference(dists, d0, _KV_TAUS)
+    for tau, reference in zip(_KV_TAUS, references):
+        family = achievable_subsets(dists, d0, tau, kappa=KV)
+        assert family.sets == reference.sets
+        assert len(family.witnesses) == len(reference.witnesses)
+        for phi, ref_phi in zip(family.witnesses, reference.witnesses):
+            assert np.array_equal(phi, ref_phi)
+        verify_cover_family(dists, d0, family)
+
+
 # The nine ``sqlab dims`` benchmark instances, then biclique(4,2) and line(3).
 _FAMILY_INSTANCES = [
     (biclique, (3, 1), 0.2), (biclique, (3, 2), 0.2), (biclique, (4, 1), 0.1),
@@ -871,6 +930,11 @@ def _golden_case(argv, golden, id=None):
             ["dims", "--gen", "biclique", "--n", "3", "--k", "1", "--kind", "decision", "--tau", "0.2",
              "--kappa", "kv"],
             "dims_biclique_3_1_kv_tau0.2.json",
+        ),
+        # The KV vertex family and game on a 16-point domain.
+        _golden_case(
+            ["dims", *_BICLIQUE_4_2, "--kind", "decision", "--kappa", "kv", "--tau", "0.2"],
+            "dims_biclique_4_2_kv_tau0.2.json",
         ),
         _golden_case(
             ["solve", "--gen", "line", "--p", "5", "--tau", "0.2", "--trials", "20", "--seed", "1"],

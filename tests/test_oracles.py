@@ -252,9 +252,10 @@ def test_block_answers_match_per_row_queries(spec, strategy, as_array):
         block = np.array([q.values if isinstance(q, QueryFn) else q for q in block])
     one = OracleSession(spec, strategy, d, np.random.default_rng(4))
     twin = OracleSession(spec, strategy, d, np.random.default_rng(4))
-    got = list(one.answers(block))
+    j, got = one.scan(block)
     want = [twin.query(q) for q in block]
-    assert got == want
+    assert j is None
+    assert got.tolist() == want
     assert one.transcript.entries == twin.transcript.entries
     assert one.samples_used == twin.samples_used
     assert one.rng.random() == twin.rng.random()
@@ -266,13 +267,13 @@ def test_block_answers_record_only_consumed_rows(stop):
     block = _block("stat")
     one = OracleSession(stat(0.1), sampled_answers(30), d, np.random.default_rng(9))
     twin = OracleSession(stat(0.1), sampled_answers(30), d, np.random.default_rng(9))
-    rows = one.answers(block)
-    got = [next(rows) for _ in range(stop)]
-    want = [twin.query(q) for q in block[:stop]]
-    assert got == want
-    assert one.query_count == stop
+    j, got = one.scan(block, lambda rows, answers: np.asarray(rows) == stop)
+    want = [twin.query(q) for q in block[: stop + 1]]
+    assert j == stop
+    assert got.tolist() == want
+    assert one.query_count == stop + 1
     assert one.transcript.entries == twin.transcript.entries
-    assert one.samples_used == twin.samples_used == 30 * stop
+    assert one.samples_used == twin.samples_used == 30 * (stop + 1)
     assert one.rng.random() == twin.rng.random()
 
 
@@ -291,9 +292,8 @@ def test_bad_blocks_raise_before_any_answer():
     ]
     for block, error in bad_blocks:
         session = OracleSession(vstat(40), sampled_answers(20), d, np.random.default_rng(2))
-        rows = session.answers(block)
         with pytest.raises(error):
-            next(rows)
+            session.scan(block)
         assert session.query_count == 0
         assert session.samples_used == 0
         assert session.rng.random() == np.random.default_rng(2).random()
@@ -302,8 +302,9 @@ def test_bad_blocks_raise_before_any_answer():
 def test_empty_block_answers_nothing():
     d = _dist(_BLOCK_DIST)
     session = OracleSession(stat(0.1), exact_answers(), d)
-    assert list(session.answers([])) == []
-    assert list(session.answers(np.zeros((0, 6)))) == []
+    for block in ([], np.zeros((0, 6))):
+        j, answers = session.scan(block, lambda rows, a: np.ones(len(rows), dtype=bool))
+        assert j is None and answers.size == 0
     assert session.query_count == 0
 
 
@@ -311,8 +312,8 @@ def test_empty_block_answers_nothing():
 @pytest.mark.parametrize("strategy", _strategies(), ids=lambda s: f"{s.mode}{s.direction:+d}")
 @pytest.mark.parametrize("stop_at", [0, 1, 4, None], ids=["row0", "row1", "row4", "never"])
 def test_scan_matches_per_row_answers(spec, strategy, stop_at):
-    """``scan`` records, draws and answers exactly what consuming
-    ``answers`` row by row up to the same stop does."""
+    """``scan`` records, draws and answers exactly what asking the rows
+    one ``query`` at a time up to the same stop does."""
     d = _dist(_BLOCK_DIST)
     block = _block(spec.kind)
     one = OracleSession(spec, strategy, d, np.random.default_rng(6))
@@ -323,8 +324,8 @@ def test_scan_matches_per_row_answers(spec, strategy, stop_at):
 
     j, got = one.scan(block, stop)
     want = []
-    for i, v in enumerate(twin.answers(block)):
-        want.append(v)
+    for i, q in enumerate(block):
+        want.append(twin.query(q))
         if i == stop_at:
             break
     assert j == stop_at
@@ -373,6 +374,11 @@ def test_one_sample_oracle():
     assert set(outs) <= {0, 1, 3}
     assert session.samples_used == 50
     assert session.query_count == 50
+    for i, entry in enumerate(session.transcript):
+        assert (entry.index, entry.kind, entry.param, entry.value, entry.valid) == (
+            i, "onestat", 2.0, float(outs[i]), True
+        )
+        assert type(entry.value) is float and math.isnan(entry.true_value)
     with pytest.raises(ValueError):
         session.one_sample(np.array([0, 1, 4]))  # 4 >= 2^2
     with pytest.raises(ValueError):
@@ -410,23 +416,13 @@ def test_transcript_jsonl_round_trip(tmp_path):
         assert entry["valid"] is True
 
 
-def test_transcript_enforces_append_order():
-    from sqlab.oracles import Transcript, TranscriptEntry
-
-    t = Transcript()
-    t.append(TranscriptEntry(0, "stat", 0.1, 0.5, True, 0.5))
-    with pytest.raises(ValueError):
-        t.append(TranscriptEntry(5, "stat", 0.1, 0.5, True, 0.5))
-    assert len(t) == 1
-    assert Transcript().valid_fraction == 1.0
-
-
 def test_transcript_block_appends_read_back_as_entries():
     from sqlab.oracles import Transcript, TranscriptEntry
 
     t = Transcript()
+    assert t.valid_fraction == 1.0
     t.extend("stat", 0.1, np.array([0.5, 0.25]), np.array([True, False]), np.array([0.5, 0.5]))
-    t.append(TranscriptEntry(2, "stat", 0.1, 0.75, True, 0.7))
+    t.extend("stat", 0.1, [0.75], [True], [0.7])
     assert len(t) == 3
     assert t.entries == [
         TranscriptEntry(0, "stat", 0.1, 0.5, True, 0.5),
