@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -127,14 +128,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=["det", "rand"], default="det", help="solver mode")
 
 
-def _config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser) -> bool:
-    """Install the ``--config`` file's values as ``parser``'s defaults.
+def _config_values(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    """The ``--config`` file's values, keyed by option name ({} without one).
 
-    Returns whether there was a config; the command line must then be
-    parsed again, so that every flag given on it wins over the file.
+    A string value is converted by its flag's type, as argparse converts a
+    string default; an unknown key is a usage error.
     """
     if not getattr(args, "config", None):
-        return False
+        return {}
     try:
         with open(args.config) as fh:
             conf = json.load(fh)
@@ -142,15 +143,19 @@ def _config_defaults(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         parser.error(f"cannot read --config: {exc}")
     if not isinstance(conf, dict):
         parser.error("--config must contain a JSON object")
-    options = {action.dest for action in parser._actions}
-    defaults = {}
+    actions = {action.dest: action for action in parser._actions}
+    values = {}
     for key, value in conf.items():
-        attr = key.replace("-", "_")
-        if attr not in options:
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             parser.error(f"--config contains unknown option {key!r}")
-        defaults[attr] = value
-    parser.set_defaults(**defaults)
-    return True
+        if isinstance(value, str) and action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError):
+                parser.error(f"--config has an invalid value for {key!r}: {value!r}")
+        values[action.dest] = value
+    return values
 
 
 def _build_problem(args, parser) -> ProblemSpec:
@@ -484,6 +489,8 @@ def _solve_one_trial(problem, args, trial, parser, cover=None):
         valid_answer_fraction=rep.valid_answer_fraction,
         theorem_violation=bool(rep.theorem_violation),
     )
+    if rep.details.get("cover_incomplete"):  # close members the proposal leaves unserved
+        row["cover_incomplete"] = rep.details["cover_incomplete"]
     return row
 
 
@@ -642,37 +649,44 @@ _COMMANDS = {
 }
 
 
-def _parsers(argv) -> tuple[argparse.ArgumentParser, dict]:
-    """A fresh top-level parser and its subcommand parsers.
+@functools.lru_cache(maxsize=None)
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and one parser per subcommand, built once.
 
-    Every subcommand is registered, so ``--help`` and usage errors list
-    them all, but only the one named on the command line gets its flags:
-    that is the only subcommand parser a call can reach. A fresh parser per
-    call keeps one call's ``--config`` defaults out of the next.
+    Parsing leaves a parser as it was: ``--config`` values go into the
+    parse namespace, never into a parser's defaults.
     """
     parser = _Parser(prog="sqlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    command = next((a for a in argv if not a.startswith("-")), None)
     handlers = {}
     for name, handler in _COMMANDS.items():
-        p = sub.add_parser(name)
-        if name == command:
-            _add_common(p)
-            if name == "merge":
-                p.add_argument("inputs", nargs="*", help="result JSON files to merge")
+        p = handlers[name] = sub.add_parser(name)
+        _add_common(p)
+        if name == "merge":
+            p.add_argument("inputs", nargs="*", help="result JSON files to merge")
         p.set_defaults(handler=handler)
-        handlers[name] = p
     return parser, handlers
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, handlers = _parsers(argv)
+    parser, handlers = _parsers()
     args = parser.parse_args(argv)
-    if _config_defaults(args, handlers[args.command]):
-        args = parser.parse_args(argv)
+    sub = handlers[args.command]
+    values = _config_values(args, sub)
+    if values:
+        # Parse the subcommand's arguments again into a namespace that holds
+        # the file's values: argparse fills in a default only where the
+        # namespace has none, and every flag given on the command line wins.
+        rest = argv[argv.index(args.command) + 1 :]
+        args = sub.parse_args(rest, namespace=argparse.Namespace(command=args.command, **values))
+        # A positional is always set by the parse (``[]`` for nargs="*" when
+        # the command line gives none); the file's value stands in for that.
+        for action in sub._actions:
+            if not action.option_strings and action.dest in values and not getattr(args, action.dest):
+                setattr(args, action.dest, values[action.dest])
     try:
-        return args.handler(args, handlers[args.command])
+        return args.handler(args, sub)
     except SqlabError as exc:
         sys.stderr.write(f"sqlab: {exc}\n")
         return EXIT_USAGE

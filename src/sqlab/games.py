@@ -4,12 +4,17 @@ Everything here is exact small-scale machinery: a two-phase primal simplex
 with Bland's rule (no cycling, no external solver), zero-sum game values via
 the classic shift-positive reduction, maximum-margin separation queries, and
 the achievable-subset / fractional-cover machinery the dimension layer is
-built on. The simplex kernel is vectorized: each iteration finds the
-entering column, runs the ratio test and pivots with a few numpy vector
-operations. Its pivots and arithmetic are those of a scalar row-by-row
-Bland loop whenever ratios that tie within 1e-12 of the minimum also lie
-within 1e-12 of each other (as on every small integer LP tested); see
-``_run_simplex``.
+built on. The simplex kernel (``_run_simplex``) is one dense tableau loop:
+each iteration picks the entering column with one ``argmin``, runs the ratio
+test over the few rows as plain floats and pivots with one rank-1 update.
+Optional per-variable upper bounds are bounds of that loop, not rows: a
+variable at its bound is a complemented nonbasic column, and a bound flip
+moves only the right-hand side. The pivots are those of the same program
+with one ``x_j <= upper_j`` row per bound (the ranks of Bland's rule are
+that tableau's column indices), on a tableau smaller by those rows. With
+bounds, the primal point is read from a basis solve on the original rows,
+as the duals are; ``max_margin`` keeps its box 0 <= phi + 1 <= 2 this way,
+so its LP has k rows instead of k + |X|.
 
 ``achievable_subsets`` settles each candidate signed subset by the cheapest
 test that decides it: a closure prune (a candidate with an unachievable
@@ -22,8 +27,9 @@ so the family does not depend on the order the pool grew in.
 Conventions:
 
 - ``lp_solve`` maximizes c.x subject to A_ub x <= b_ub, A_eq x = b_eq,
-  x >= 0, and returns primal and dual points. Infeasible and unbounded
-  programs raise distinct errors.
+  0 <= x <= upper, and returns primal and dual points (the duals of the
+  bounds included). Infeasible and unbounded programs raise distinct
+  errors.
 - Strict inequalities ("margin > tau") are realized as
   margin >= tau + STRICT_EPS so achievability is a closed condition.
 """
@@ -65,63 +71,151 @@ __all__ = [
 #: Margin slack standing in for strict inequalities over floats.
 STRICT_EPS = 1e-9
 
-_PIVOT_TOL = 1e-9
+_PIVOT_TOL = 1e-9  # improving reduced cost; pivot entry of a program without bounds
+# A pivot entry of a program with bounds, against its column's written scale s
+# (see _run_simplex): it counts above _SURE_PIVOT * s, is rounding noise at
+# or below _ZERO_PIVOT * s, and in between counts above _NOISE_TOL * s times
+# the largest multiplier of its row.
+_SURE_PIVOT = 1e-3
+_ZERO_PIVOT = 1e-12
+_NOISE_TOL = 1e-7
 _FEAS_TOL = 1e-8
 _GAP_TOL = 1e-7
 _MAX_ITER = 50_000
+_LAST = np.iinfo(np.int64).max  # rank of a column that may not enter
 
 
 @dataclass(frozen=True)
 class LPResult:
-    """Optimal value, primal point, and dual values per constraint row."""
+    """Optimal value, primal point, and dual values per constraint row and
+    per upper bound (``y_upper[j]`` is 0 for a variable without one)."""
 
     value: float
     x: np.ndarray
     y_ub: np.ndarray
     y_eq: np.ndarray
+    y_upper: np.ndarray
 
 
 def _pivot(t: np.ndarray, row: int, col: int) -> None:
     """Rank-1 update: scale the pivot row, then eliminate ``col`` from every
-    other row that has a non-zero entry in it."""
-    t[row] /= t[row, col]
-    factors = t[:, col].copy()
+    other row that has a non-zero entry in it (rows whose entry is zero are
+    left as they are, signed zeros included)."""
+    pivot_row = t[row]
+    pivot_row /= pivot_row[col]
+    factors = t[:, col, None].copy()
     factors[row] = 0.0
-    rows = factors.nonzero()[0]
-    t[rows] -= factors[rows, None] * t[row]
+    np.subtract(t, factors * pivot_row, out=t, where=factors != 0.0)
 
 
-def _run_simplex(t: np.ndarray, basis: np.ndarray, allowed: np.ndarray) -> None:
+def _flip(t: np.ndarray, col: int, upper: float) -> None:
+    """Complement the nonbasic column ``col`` (x -> upper - x): only the
+    right-hand side and the column itself change."""
+    t[:, -1] -= upper * t[:, col]
+    t[:, col] *= -1.0
+
+
+def _run_simplex(t: np.ndarray, basis: np.ndarray, allowed: np.ndarray, box=None) -> None:
     """Primal simplex iterations (maximization) with Bland's rule, in place.
 
     The last row of ``t`` holds reduced costs z - c, the last column the RHS.
     ``allowed[j]`` masks columns permitted to enter (used to pin artificials
-    in phase 2). Each iteration is a handful of vector operations: the
-    entering column is the first allowed one with reduced cost below
-    -1e-9, the ratio test takes the smallest ratio over rows with a pivot
-    entry above 1e-9 (ratios within 1e-12 of it tie, and the tie goes to
-    the row whose basic variable has the smallest index: textbook Bland),
-    and the pivot is one rank-1 update. A scalar loop that carries a
-    running best row by row can end elsewhere on a chain of near-ties
-    spread wider than 1e-12; both rules are Bland's and cannot cycle.
+    in phase 2). The entering column is the improving allowed one (reduced
+    cost below -1e-9) of least rank; the ratio test takes the smallest
+    ratio over rows with a pivot entry above 1e-9 (without bounds; see
+    below for the cut with them; ratios within 1e-12 of the least tie, and
+    the tie goes to the least rank: textbook Bland), and the pivot is one
+    rank-1 update. A scalar loop that carries a running best row by row can
+    end elsewhere on a chain of near-ties spread wider than 1e-12; both
+    rules are Bland's and cannot cycle.
+
+    ``box = (upper, rank, ident, scale)`` adds upper bounds: the
+    bounded-variable simplex (Dantzig, *Econometrica* 23(2), 1955; Chvatal,
+    *Linear Programming*, 1983, ch. 8). A column at its upper bound is kept complemented
+    (x' = upper - x), so every nonbasic column reads 0. The ratio test also
+    stops where a basic variable reaches its upper bound (it leaves and is
+    complemented), or where the entering variable reaches its own: that
+    step is a bound flip, which negates one column and moves the right-hand
+    side, with no pivot. ``rank[0, j]`` ranks column j moving off or onto
+    the bound it reads 0 at, ``rank[1, j]`` off or onto the other one; they
+    are the column indices that the variable and its box slack have in the
+    tableau with one ``x_j <= upper_j`` row per bound, so the pivots are
+    that tableau's. Without ``box`` both ranks are the column index and no
+    bound is finite.
+
+    With ``box`` the ratio test tells rounding noise from a pivot by scale,
+    not by one absolute cut: ``ident`` are the columns of the
+    starting (identity) basis, so ``t[i, ident]`` holds the multipliers
+    that make row i from the written rows, and ``scale[j]`` is column j's
+    largest written entry in magnitude. An entry that is zero in exact
+    arithmetic carries rounding noise of about 1e-16 times the product of
+    the two; pivoting on such noise (entries of 2e-9 occur in columns of
+    scale 1) lands on a numerically singular basis. An entry counts when it
+    exceeds 1e-7 times that product; the multipliers are read only for an
+    entry between 1e-12 and 1e-3 of its column's scale, since a smaller one
+    is noise and a larger one a pivot. The cut is relative, so a program
+    written with coefficients of 1e-8 keeps every row of its ratio test.
     """
-    # The tableaux are small (tens of rows), so each step is written with
-    # as few numpy calls as it takes: call overhead, not arithmetic, is
-    # most of an iteration's cost.
+    # The tableaux are small (a few to tens of rows): the ratio test runs
+    # over plain floats, and each step makes as few numpy calls as it can,
+    # since call overhead, not arithmetic, is most of an iteration's cost.
+    if box is None:
+        width = t.shape[1] - 1
+        upper, rank = np.full(width, np.inf), np.tile(np.arange(width), (2, 1))
+        ident, sure, zero, noise = None, [_PIVOT_TOL] * width, [_PIVOT_TOL] * width, None
+    else:
+        upper, rank, ident, scale = box
+        sure, zero = (_SURE_PIVOT * scale).tolist(), (_ZERO_PIVOT * scale).tolist()
+        noise = (_NOISE_TOL * scale).tolist()
+    order = np.where(allowed, rank[0], _LAST)  # entering rank of each column
+    bound = upper.tolist()
+    # per row: the basic variable's upper bound and its ranks at either bound
+    room = [bound[j] for j in basis.tolist()]
+    leave_down, leave_up = rank[0, basis].tolist(), rank[1, basis].tolist()
     for _ in range(_MAX_ITER):
-        improving = allowed & (t[-1, :-1] < -_PIVOT_TOL)
-        entering = int(improving.argmax())
-        if not improving[entering]:
+        key = np.where(t[-1, :-1] < -_PIVOT_TOL, order, _LAST)
+        entering = int(key.argmin())
+        if key[entering] == _LAST:
             return
-        col = t[:-1, entering]
-        rows = (col > _PIVOT_TOL).nonzero()[0]
-        if not rows.size:
+        col, rhs = t[:-1, entering].tolist(), t[:-1, -1].tolist()
+        hi, lo = sure[entering], zero[entering]
+        multipliers = None
+        ratios = []  # (ratio, rank, row); row -1 is the entering bound
+        for i, a in enumerate(col):
+            if -hi <= a <= hi:  # small for its column: noise or a pivot?
+                if -lo <= a <= lo:
+                    continue
+                if multipliers is None:
+                    multipliers = np.abs(t[:-1, ident]).max(axis=1).tolist()
+                if abs(a) <= noise[entering] * multipliers[i]:
+                    continue
+            if a > 0:
+                ratios.append((rhs[i] / a, leave_down[i], i))
+            elif room[i] < math.inf:
+                ratios.append(((room[i] - rhs[i]) / -a, leave_up[i], i))
+        flip = bound[entering]
+        if flip < math.inf:
+            ratios.append((flip, int(rank[1, entering]), -1))
+        if not ratios:
             raise UnboundedError("objective is unbounded above")
-        ratios = t[rows, -1] / col[rows]
-        ties = rows[ratios <= ratios.min() + 1e-12]
-        leaving = int(ties[basis[ties].argmin()])
-        _pivot(t, leaving, entering)
-        basis[leaving] = entering
+        least = min(ratios)[0]
+        _, leaving = min((k, i) for r, k, i in ratios if r <= least + 1e-12)
+        if leaving < 0:
+            flipped = entering
+            _flip(t, entering, flip)
+        else:
+            out = int(basis[leaving])
+            _pivot(t, leaving, entering)
+            basis[leaving] = entering
+            room[leaving] = flip
+            leave_down[leaving], leave_up[leaving] = rank[0, entering], rank[1, entering]
+            if col[leaving] > 0:
+                continue
+            flipped = out  # the leaving variable stops at its upper bound
+            _flip(t, out, bound[out])
+        rank[0, flipped], rank[1, flipped] = rank[1, flipped], rank[0, flipped]
+        if allowed[flipped]:
+            order[flipped] = rank[0, flipped]
     raise NumericalError("simplex did not terminate (iteration cap hit)")
 
 
@@ -131,12 +225,23 @@ def lp_solve(
     b_ub: Sequence[float] | None = None,
     a_eq: np.ndarray | None = None,
     b_eq: Sequence[float] | None = None,
+    upper: Sequence[float] | None = None,
 ) -> LPResult:
-    """Maximize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
+    """Maximize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, 0 <= x <= upper.
 
-    Two-phase dense simplex with Bland's anti-cycling rule. Returns the
-    optimum with a primal point and dual values (y_ub >= 0 for the
-    inequality rows, y_eq free). Infeasible programs raise
+    Two-phase dense simplex with Bland's anti-cycling rule. ``upper`` gives
+    per-variable upper bounds (``np.inf`` for none); they are bounds of the
+    simplex, not rows: a variable at its bound is a nonbasic column kept
+    complemented, and a bound flip changes only the right-hand side (see
+    ``_run_simplex``). The pivots are those of the same program with one
+    ``x_j <= upper_j`` row per bound appended to ``a_ub``, on a tableau
+    smaller by those rows and their slack columns.
+
+    The duals come from a basis solve on the original rows, y = c_B B^{-1},
+    and the dual of bound j is max(c_j - y.A_j, 0) (``y_upper``). With
+    bounds, the primal point comes from a basis solve too, with each
+    variable at its upper bound set to it; without, it is the tableau's
+    final right-hand side. Infeasible programs raise
     :class:`InfeasibleError`, unbounded ones :class:`UnboundedError`; the
     primal/dual pair is self-checked (feasibility within 1e-8, duality gap
     within 1e-7 relative) and a failure raises :class:`NumericalError`.
@@ -147,42 +252,60 @@ def lp_solve(
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
     a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float).reshape(-1, n)
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
+    if upper is not None:
+        upper = np.asarray(upper, dtype=float).ravel()
+        if upper.size != n or np.isnan(upper).any():
+            raise ValueError("upper needs one bound (a number or inf) per variable")
+        if upper.min(initial=0.0) < 0:
+            raise InfeasibleError("an upper bound lies below the lower bound 0")
     m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
     m = m_ub + m_eq
-
-    # Equality form: scale rows so the RHS is non-negative; <= rows get a
-    # slack column whose coefficient carries the row scaling.
-    rows = np.vstack([a_ub, a_eq]) if m else np.zeros((0, n))
-    rhs = np.concatenate([b_ub, b_eq])
-    scale = np.where(rhs < 0, -1.0, 1.0)
-    rows = rows * scale[:, None]
-    rhs = rhs * scale
-
-    slack = np.zeros((m, m_ub))
-    np.fill_diagonal(slack, scale[:m_ub])
-    eq_mat = np.hstack([rows, slack]) if m else np.zeros((0, n + m_ub))
     n_total = n + m_ub
 
-    # Natural basis where a +1 slack exists; artificials elsewhere.
-    basis = n + np.arange(m)
-    art_rows = np.flatnonzero((np.arange(m) >= m_ub) | (scale < 0))
-    art_cols = n_total + np.arange(art_rows.size)
-    if art_rows.size:
-        art = np.zeros((m, art_rows.size))
-        art[art_rows, np.arange(art_rows.size)] = 1.0
-        basis[art_rows] = art_cols
-        eq_mat = np.hstack([eq_mat, art])
-    width = eq_mat.shape[1]
-
+    # Equality form: scale rows so the RHS is non-negative; <= rows get a
+    # slack column whose coefficient carries the row scaling. The natural
+    # basis is the slacks where a +1 slack exists, artificials elsewhere.
+    rhs = np.concatenate([b_ub, b_eq])
+    negative = rhs < 0
+    scale = 1.0 - 2.0 * negative
+    art_rows = (negative | (np.arange(m) >= m_ub)).nonzero()[0]
+    art_cols = np.arange(n_total, n_total + art_rows.size)
+    width = n_total + art_rows.size
     tableau = np.zeros((m + 1, width + 1))
-    tableau[:m, :width] = eq_mat
-    tableau[:m, -1] = rhs
+    tableau[:m, :n] = (np.vstack([a_ub, a_eq]) if m_eq else a_ub) * scale[:, None]
+    tableau[:m, -1] = rhs * scale
+    slacks = np.arange(m_ub)
+    tableau[slacks, n + slacks] = scale[:m_ub]
+    tableau[art_rows, art_cols] = 1.0
+    basis = np.arange(n, n + m)
+    basis[art_rows] = art_cols
+    eq_mat, rhs = tableau[:m, :width].copy(), tableau[:m, -1].copy()
     allowed = np.ones(width, dtype=bool)
-    row_ids = list(range(m))  # original row index per surviving tableau row
+    row_ids = np.arange(m)  # original row index per surviving tableau row
+
+    # Ranks in the tableau with one row per finite bound: those rows follow
+    # the <= rows, so their slacks follow the <= slacks and precede the
+    # artificials. A column is complemented when its ranks are swapped.
+    boxed = np.zeros(0, dtype=int) if upper is None else (upper < np.inf).nonzero()[0]
+    box: dict = {}  # passed to _run_simplex only when there is a bound
+    if boxed.size:
+        bound = np.full(width, np.inf)
+        bound[:n] = upper
+        rank = np.arange(width)[None, :].repeat(2, axis=0)
+        rank[:, n_total:] += boxed.size
+        rank[1, boxed] = np.arange(n_total, n_total + boxed.size)
+        col_scale = np.abs(eq_mat).max(axis=0, initial=0.0)
+        box["box"] = (bound, rank, basis.copy(), col_scale)
 
     def install_objective(cost: np.ndarray) -> None:
+        offset = 0.0
+        if box:
+            at_upper = rank[0] > rank[1]
+            if at_upper.any():  # a complemented column has cost -c and adds c * upper
+                offset = float(cost[at_upper] @ bound[at_upper])
+                cost = np.where(at_upper, -cost, cost)
         tableau[-1, :width] = -cost
-        tableau[-1, -1] = 0.0
+        tableau[-1, -1] = offset
         for i in range(m):
             cb = cost[basis[i]]
             if cb != 0.0:
@@ -192,7 +315,7 @@ def lp_solve(
         phase1 = np.zeros(width)
         phase1[art_cols] = -1.0
         install_objective(phase1)
-        _run_simplex(tableau, basis, allowed)
+        _run_simplex(tableau, basis, allowed, **box)
         if tableau[-1, -1] < -_FEAS_TOL:
             raise InfeasibleError(
                 f"no feasible point (artificial residual {-tableau[-1, -1]:.3e})"
@@ -210,55 +333,71 @@ def lp_solve(
         if drop:
             keep = [i for i in range(m) if i not in drop]
             tableau = np.vstack([tableau[keep], tableau[-1:]])
-            basis = basis[keep]
-            row_ids = [row_ids[i] for i in keep]
+            basis, eq_mat, rhs, row_ids = basis[keep], eq_mat[keep], rhs[keep], row_ids[keep]
             m = len(keep)
         allowed[art_cols] = False
 
     phase2 = np.zeros(width)
     phase2[:n] = c
     install_objective(phase2)
-    _run_simplex(tableau, basis, allowed)
-
-    x_full = np.zeros(width)
-    x_full[basis] = tableau[:m, -1]
-    x = x_full[:n]
+    _run_simplex(tableau, basis, allowed, **box)
 
     # Duals from y = c_B B^{-1} over the surviving equality-form rows
-    # (dropped redundant rows keep dual 0).
+    # (dropped redundant rows keep dual 0). With bounds, the primal point
+    # comes from a solve with the same basis, B x_B = b - (columns at their
+    # upper bound) * upper. Without, it is the final right-hand side, which
+    # keeps every game and cover value bit-identical (a basis solve moves
+    # the crsd value of biclique(3,1) in its last digits).
+    x_full = np.zeros(width)
     y_scaled = np.zeros(m_ub + m_eq)
+    if box:
+        at_upper = rank[0] > rank[1]
+        at_upper[basis] = False
+        x_full[at_upper] = bound[at_upper]
+    else:
+        x_full[basis] = tableau[:m, -1]
     if m:
-        b_mat = eq_mat[np.ix_(row_ids, basis)]
-        cb = phase2[basis]
+        b_mat = eq_mat[:, basis]
         try:
-            y_part = np.linalg.solve(b_mat.T, cb)
+            if box:
+                x_full[basis] = np.linalg.solve(b_mat, rhs - eq_mat @ x_full)
+            y_scaled[row_ids] = np.linalg.solve(b_mat.T, phase2[basis])
         except np.linalg.LinAlgError as exc:  # pragma: no cover - degenerate basis
-            raise NumericalError(f"dual extraction failed: {exc}") from exc
-        y_scaled[row_ids] = y_part
+            raise NumericalError(f"basis solve failed: {exc}") from exc
+    x = x_full[:n]
     y = y_scaled * scale  # undo row scaling
     y_ub, y_eq = y[:m_ub], y[m_ub:]
+    y_upper = np.zeros(n)
+    if box:  # the dual of bound j prices what column j still gains
+        gain = c - y_ub @ a_ub - y_eq @ a_eq if m_eq else c - y_ub @ a_ub
+        y_upper[boxed] = np.maximum(gain[boxed], 0.0)
 
     value = float(c @ x)
-    _self_check(c, a_ub, b_ub, a_eq, b_eq, x, y_ub, y_eq, value)
-    return LPResult(value=value, x=x, y_ub=y_ub, y_eq=y_eq)
+    _self_check(c, a_ub, b_ub, a_eq, b_eq, upper, x, y_ub, y_eq, y_upper, value)
+    return LPResult(value=value, x=x, y_ub=y_ub, y_eq=y_eq, y_upper=y_upper)
 
 
-def _self_check(c, a_ub, b_ub, a_eq, b_eq, x, y_ub, y_eq, value) -> None:
-    scale_ref = max(1.0, float(np.max(np.abs(c))) if c.size else 1.0)
-    if np.any(x < -_FEAS_TOL):
+def _self_check(c, a_ub, b_ub, a_eq, b_eq, upper, x, y_ub, y_eq, y_upper, value) -> None:
+    """Certify the pair: x feasible, (y_ub >= 0, y_eq, y_upper >= 0) dual
+    feasible, and equal objective values (weak duality makes both optimal)."""
+    scale_ref = max(1.0, float(np.abs(c).max()) if c.size else 1.0)
+    if c.size and x.min() < -_FEAS_TOL:
         raise NumericalError("primal point violates x >= 0")
-    if a_ub.shape[0] and np.any(a_ub @ x - b_ub > _FEAS_TOL * 10):
+    if c.size and upper is not None and (x - upper).max() > _FEAS_TOL:
+        raise NumericalError("primal point violates x <= upper")
+    if b_ub.size and (a_ub @ x - b_ub).max() > _FEAS_TOL * 10:
         raise NumericalError("primal point violates an inequality row")
-    if a_eq.shape[0] and np.any(np.abs(a_eq @ x - b_eq) > _FEAS_TOL * 10):
+    if b_eq.size and np.abs(a_eq @ x - b_eq).max() > _FEAS_TOL * 10:
         raise NumericalError("primal point violates an equality row")
-    if y_ub.size and np.any(y_ub < -_FEAS_TOL):
+    if y_ub.size and y_ub.min() < -_FEAS_TOL:
         raise NumericalError("dual point violates y >= 0")
-    reduced = c - (y_ub @ a_ub if y_ub.size else 0.0) - (y_eq @ a_eq if y_eq.size else 0.0)
-    if np.any(reduced > _FEAS_TOL * 10 * scale_ref):
+    reduced = c - y_ub @ a_ub - y_eq @ a_eq - y_upper
+    if c.size and reduced.max() > _FEAS_TOL * 10 * scale_ref:
         raise NumericalError("dual point violates feasibility")
-    dual_value = float(y_ub @ b_ub if y_ub.size else 0.0) + float(
-        y_eq @ b_eq if y_eq.size else 0.0
-    )
+    dual_value = float(y_ub @ b_ub) + float(y_eq @ b_eq)
+    if upper is not None:
+        boxed = y_upper > 0
+        dual_value += float(y_upper[boxed] @ upper[boxed])
     if abs(dual_value - value) > _GAP_TOL * max(1.0, abs(value)):
         raise NumericalError(f"duality gap {abs(dual_value - value):.3e} exceeds tolerance")
 
@@ -281,6 +420,12 @@ class GameResult:
     col_strategy: np.ndarray
 
 
+def _row_keys(m: np.ndarray) -> np.ndarray:
+    """One sort key per row, equal on equal rows: a weighted row sum with
+    fixed weights drawn once from a seeded generator."""
+    return m @ np.random.default_rng(0).uniform(1.0, 2.0, m.shape[1])
+
+
 def zero_sum(matrix: np.ndarray) -> GameResult:
     """Solve max_x min_y x^T M y over mixed strategies.
 
@@ -290,24 +435,26 @@ def zero_sum(matrix: np.ndarray) -> GameResult:
     strategies against the reported value within 1e-7.
 
     Each payoff row is one LP column, and a row equal element for element
-    to an earlier row is dropped before the solve (one lexicographic sort
-    and a neighbour compare find them); the row strategy is scattered back
-    with 0 on every dropped row. This is exact. Every pivot updates equal
-    columns with the same arithmetic, so a copy keeps the reduced cost of
-    the earlier column it copies, and Bland's rule, which enters the first
-    improving column, never picks it. Dropping copies renumbers the other
-    columns in order, so the ratio test's lowest-index tie-break picks the
-    same rows too. The pivots, and with them the primal point, the duals
-    and the value, are those of the full-width LP; the value is summed over
-    the scattered point as the full-width LP sums it, so it matches to the
-    last bit.
+    to the row before it in key order is dropped before the solve: the rows
+    are sorted on one key each (``_row_keys``) and neighbours compared. The
+    row strategy is scattered back with 0 on every dropped row. This is
+    exact, and so is keeping a copy that the sort leaves apart from its
+    first occurrence (rows with equal keys that differ can sit between
+    them). Every pivot updates equal columns with the same arithmetic, so a
+    copy keeps the reduced cost of the earlier column it copies, and
+    Bland's rule, which enters the first improving column, never picks it.
+    Dropping copies renumbers the other columns in order, so the ratio
+    test's lowest-index tie-break picks the same rows too. The pivots, and
+    with them the primal point, the duals and the value, are those of the
+    full-width LP; the value is summed over the scattered point as the
+    full-width LP sums it, so it matches to the last bit.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.size == 0:
         raise ValueError("payoff matrix must be 2-d and non-empty")
     shift = 1.0 - float(m.min())
     n_rows, n_cols = m.shape
-    order = np.lexsort(m.T[::-1])
+    order = np.argsort(_row_keys(m), kind="stable")
     ranked = m[order]
     first = np.ones(n_rows, dtype=bool)
     first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
@@ -380,26 +527,25 @@ def max_margin(
         phi = np.where(g[0] >= 0, 1.0, -1.0)
         return MarginResult(value=float(np.abs(g[0]).sum()), query=phi, mixture=np.ones(1))
     k = len(dists)
-    # Variables: u = phi + 1 in [0, 2] (n of them), then t >= 0.
-    # Margin rows:  <u, g_D> - t >= sum(g_D)  =>  -<u, g_D> + t <= -sum(g_D).
+    # Variables: u = phi + 1 in [0, 2] (n of them, the box as bounds), then
+    # t >= 0. Margin rows:  <u, g_D> - t >= sum(g_D)  =>  -<u, g_D> + t <= -sum(g_D).
     # sum(g_D) = sum(D - D0) = 0 exactly; its float value (about 1e-17 of
     # either sign) would flip a negative row and force a phase 1, so the
     # right-hand side is written as an exact zero.
-    a_ub = np.zeros((k + n, n + 1))
-    b_ub = np.zeros(k + n)
-    a_ub[:k, :n] = -g
-    a_ub[:k, n] = 1.0
-    a_ub[k:, :n] = np.eye(n)
-    b_ub[k:] = 2.0
+    a_ub = np.empty((k, n + 1))
+    a_ub[:, :n] = -g
+    a_ub[:, n] = 1.0
     c = np.zeros(n + 1)
     c[n] = 1.0
-    res = lp_solve(c, a_ub=a_ub, b_ub=b_ub)
+    upper = np.full(n + 1, 2.0)
+    upper[n] = np.inf
+    res = lp_solve(c, a_ub=a_ub, b_ub=np.zeros(k), upper=upper)
     phi = np.clip(res.x[:n] - 1.0, -1.0, 1.0)
     margins = g @ phi
     value = float(res.value)
     if float(margins.min()) < value - 1e-8:
         raise NumericalError("margin certificate fails to reach the LP value")
-    lam = np.clip(res.y_ub[:k], 0.0, None)
+    lam = np.clip(res.y_ub, 0.0, None)
     lam = lam / lam.sum() if lam.sum() > 0 else np.full(k, 1.0 / k)
     return MarginResult(value=value, query=phi, mixture=lam)
 

@@ -188,6 +188,32 @@ def test_solve_verifiable_dispatch(capsys):
     assert report["summary"]["theorem_violations"] == 0
 
 
+def test_solve_rows_name_the_close_members_the_cover_leaves_unserved(capsys):
+    """All three members of biclique(3,1) lie within tau of the uniform
+    mixture on the square-root scale, so the proposal [1] is output with no
+    query; each row says which close members it does not serve."""
+    code, out = run_cli(
+        ["solve", "--gen", "biclique", "--n", "3", "--k", "1", "--kappa", "kv",
+         "--tau", "0.2", "--trials", "4", "--seed", "2"],
+        capsys,
+    )
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert [r["solution"] for r in rows] == [[1]] * 4
+    assert all(r["queries"] == 0 and r["cover_incomplete"] == [1, 2] for r in rows)
+    assert sum(r["correct"] for r in rows) == 1
+
+
+def test_solve_rows_omit_cover_incomplete_when_the_cover_serves_all(capsys):
+    code, out = run_cli(
+        ["solve", "--gen", "biclique", "--n", "4", "--k", "2", "--tau", "0.3",
+         "--trials", "3", "--seed", "1"],
+        capsys,
+    )
+    assert code == 0
+    assert not any("cover_incomplete" in r for r in json.loads(out)["results"])
+
+
 def test_solve_requires_seed_for_many_trials(capsys):
     code, _ = run_cli(
         ["solve", "--gen", "biclique", "--n", "4", "--k", "2", "--tau", "0.3",
@@ -339,6 +365,44 @@ def test_config_defaults_do_not_leak_into_the_next_call(tmp_path, capsys):
     plain = json.loads(out)
     assert plain["trials"] == 1 and plain["seed"] is None
     assert len(plain["results"]) == 1
+
+
+def test_config_string_values_are_converted_by_the_flag_type(tmp_path, capsys):
+    report = _solve_with_config(tmp_path, capsys, {"trials": "2", "seed": "4"}, [])
+    assert report["trials"] == 2 and report["seed"] == 4
+
+
+def test_parsers_are_built_once(tmp_path, capsys):
+    """One parser per process; a --config call on it leaves nothing behind
+    for the next call."""
+    from sqlab import cli
+
+    parser = cli._parsers()[0]
+    report = _solve_with_config(tmp_path, capsys, {"trials": 3, "seed": 4, "delta": 0.05}, [])
+    assert report["trials"] == 3 and report["delta"] == 0.05
+    code, out = run_cli(["solve", "--gen", "biclique", "--n", "4", "--k", "2", "--tau", "0.3"],
+                        capsys)
+    assert code == 0
+    plain = json.loads(out)
+    assert plain["trials"] == 1 and plain["seed"] is None and plain["delta"] is None
+    assert cli._parsers()[0] is parser
+
+
+def test_merge_takes_its_inputs_from_config(tmp_path, capsys):
+    """A config file can name merge's positional inputs; paths on the
+    command line win over it."""
+    for name, trials in (("a.json", 1), ("b.json", 2)):
+        rows = [{"trial": t, "correct": True, "theorem_violation": False} for t in range(trials)]
+        (tmp_path / name).write_text(json.dumps({"command": "solve", "results": rows}))
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"inputs": [str(tmp_path / "a.json")]}))
+    code, out = run_cli(["merge", "--config", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["sources"] == [str(tmp_path / "a.json")]
+    code, out = run_cli(["merge", "--config", str(path), str(tmp_path / "b.json")], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["sources"] == [str(tmp_path / "b.json")] and report["summary"]["trials"] == 2
 
 
 # ---------------------------------------------------------------------------

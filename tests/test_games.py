@@ -5,6 +5,7 @@ programs (shares no code with the simplex) and KKT certificates on larger
 ones (primal/dual feasibility plus a zero duality gap prove optimality).
 """
 
+import json
 import math
 from pathlib import Path
 
@@ -138,7 +139,7 @@ def _random_integer_lp(rng):
     return c, a_ub, np.asarray(b_ub, dtype=float), a_eq, np.asarray(b_eq, dtype=float)
 
 
-def _highs(linprog, c, a_ub, b_ub, a_eq, b_eq):
+def _highs(linprog, c, a_ub, b_ub, a_eq, b_eq, upper=None):
     """("infeasible" | "unbounded" | "optimal", value) from HiGHS. Feasibility
     is settled first with a zero objective: HiGHS's presolve can report an
     unbounded program as infeasible."""
@@ -147,7 +148,7 @@ def _highs(linprog, c, a_ub, b_ub, a_eq, b_eq):
         b_ub=b_ub if len(b_ub) else None,
         A_eq=a_eq if len(b_eq) else None,
         b_eq=b_eq if len(b_eq) else None,
-        bounds=(0, None),
+        bounds=(0, None) if upper is None else [(0, u if u < np.inf else None) for u in upper],
         method="highs",
     )
     feasible = linprog(np.zeros_like(c), **rows)
@@ -178,6 +179,84 @@ def test_lp_agrees_with_highs_on_integer_programs(seed):
         else:
             assert lp_solve(c, a_ub, b_ub, a_eq, b_eq).value == pytest.approx(value, abs=1e-7)
     assert seen == {"infeasible", "unbounded", "optimal"}
+
+
+def _random_bounded_integer_lp(rng):
+    """``_random_integer_lp`` plus upper bounds: each variable gets an
+    integer bound in 0..3 (0 pins it at 0) or none."""
+    c, a_ub, b_ub, a_eq, b_eq = _random_integer_lp(rng)
+    upper = np.where(rng.random(c.size) < 0.7, rng.integers(0, 4, c.size), np.inf)
+    return c, a_ub, b_ub, a_eq, b_eq, upper
+
+
+def _bounds_as_rows(c, a_ub, b_ub, upper):
+    """The same program with one x_j <= upper_j row per finite bound."""
+    boxed = np.flatnonzero(upper < np.inf)
+    rows = np.eye(len(c))[boxed]
+    return np.vstack([a_ub, rows]), np.concatenate([b_ub, upper[boxed]])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bounded_lp_agrees_with_highs_and_with_bounds_as_rows(seed):
+    """Upper bounds as simplex bounds: HiGHS's status and value, a certified
+    point inside the box, and the vertex the same program reaches with the
+    bounds written as rows (the bounded kernel makes that tableau's pivots)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(2100 + seed)
+    seen = set()
+    for _ in range(150):
+        c, a_ub, b_ub, a_eq, b_eq, upper = _random_bounded_integer_lp(rng)
+        status, value = _highs(linprog, c, a_ub, b_ub, a_eq, b_eq, upper)
+        seen.add(status)
+        if status == "infeasible":
+            with pytest.raises(InfeasibleError):
+                lp_solve(c, a_ub, b_ub, a_eq, b_eq, upper=upper)
+            continue
+        if status == "unbounded":
+            with pytest.raises(UnboundedError):
+                lp_solve(c, a_ub, b_ub, a_eq, b_eq, upper=upper)
+            continue
+        res = lp_solve(c, a_ub, b_ub, a_eq, b_eq, upper=upper)
+        assert res.value == pytest.approx(value, abs=1e-7)
+        assert np.all(res.x >= -1e-9) and np.all(res.x <= upper + 1e-9)
+        assert np.all(res.y_upper >= 0) and not np.any(res.y_upper[upper == np.inf])
+        rows = lp_solve(c, *_bounds_as_rows(c, a_ub, b_ub, upper), a_eq, b_eq)
+        assert res.value == pytest.approx(rows.value, abs=1e-9)
+        assert np.allclose(res.x, rows.x, atol=1e-9)
+    assert seen == {"infeasible", "unbounded", "optimal"}
+
+
+def test_bounds_alone_flip_every_gaining_variable():
+    """No rows: each variable with a positive cost flips to its bound, and
+    the bound duals are the costs."""
+    res = lp_solve([2.0, -1.0, 0.5], upper=[3.0, 4.0, 1.0])
+    assert res.value == 6.5
+    assert res.x.tolist() == [3.0, 0.0, 1.0]
+    assert res.y_upper.tolist() == [2.0, 0.0, 0.5]
+    with pytest.raises(UnboundedError):
+        lp_solve([1.0, 1.0], upper=[1.0, np.inf])
+
+
+def test_small_coefficient_programs_keep_their_ratio_test():
+    """Pivot entries are judged against their column's scale: a program
+    written with coefficients of 1e-8 is bounded, with or without bounds."""
+    assert lp_solve([1.0], a_ub=[[1e-8]], b_ub=[1.0]).value == pytest.approx(1e8, rel=1e-12)
+    assert lp_solve([1.0], a_ub=[[1e-8]], b_ub=[1.0], upper=[5e7]).value == pytest.approx(5e7, rel=1e-12)
+    # a + 2b <= 1, 3a + b <= 1 in units of 1e8, b <= 0.4: optimum at (0.2, 0.4)
+    a_ub = [[1e-8, 2e-8], [3e-8, 1e-8]]
+    for upper in (None, [3e7, 4e7]):
+        res = lp_solve([1.0, 1.0], a_ub=a_ub, b_ub=[1.0, 1.0], upper=upper)
+        assert res.value == pytest.approx(6e7, rel=1e-12)
+        assert res.x == pytest.approx([2e7, 4e7], rel=1e-12)
+
+
+def test_lp_rejects_bad_upper_bounds():
+    with pytest.raises(ValueError):
+        lp_solve([1.0, 1.0], upper=[1.0])
+    with pytest.raises(ValueError):
+        lp_solve([1.0], upper=[np.nan])
+    with pytest.raises(InfeasibleError):
+        lp_solve([1.0, 1.0], upper=[1.0, -0.5])
 
 
 def _pivot_reference(t, row, col):
@@ -395,6 +474,30 @@ def test_distinct_row_game_repeats_the_full_width_solve_on_repeated_rows(seed):
     _assert_distinct_row_solve_is_exact(base[rng.integers(k, size=int(rng.integers(k, 300)))])
 
 
+def test_distinct_row_game_stays_exact_when_key_ties_keep_copies(monkeypatch):
+    """With the plain row sum as the sort key, a row and its reverse tie and
+    interleave in key order, so some copies stay in the LP. They are never
+    entered: every game still repeats the full-width solve bit for bit."""
+    from sqlab import games
+
+    widths = []
+    solve = games.lp_solve
+    monkeypatch.setattr(games, "lp_solve", lambda c, **rows: widths.append(len(c)) or solve(c, **rows))
+    monkeypatch.setattr(games, "_row_keys", lambda m: m.sum(axis=1))
+    kept_copies = 0
+    for seed in range(12):
+        rng = np.random.default_rng(1600 + seed)
+        k, n_cols = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        base = rng.integers(-2, 3, size=(k, n_cols)).astype(float)
+        base = np.vstack([base, base[:, ::-1]])
+        m = base[rng.integers(len(base), size=60)]
+        _assert_distinct_row_solve_is_exact(m)
+        distinct = len({tuple(row) for row in m.tolist()})
+        assert widths[-1] >= distinct
+        kept_copies += widths[-1] - distinct
+    assert kept_copies > 0
+
+
 def test_crsd_game_lp_has_one_column_per_distinct_sign_row(monkeypatch):
     """biclique(4, 1): 2^15 sign rows, 160 distinct payoff rows."""
     from sqlab import games
@@ -486,6 +589,38 @@ def test_margin_agrees_with_highs_against_mw_centers(seed):
         assert ref.status == 0
         assert res.value == pytest.approx(-ref.fun, abs=1e-7)
         assert float((g @ res.query).min()) >= res.value - 1e-8
+
+
+def test_margin_lp_keeps_the_box_as_bounds(monkeypatch):
+    """k margin rows and n + 1 columns; 0 <= phi + 1 <= 2 is the bounds."""
+    from sqlab import games
+
+    shapes = []
+    solve = games.lp_solve
+    monkeypatch.setattr(
+        games, "lp_solve",
+        lambda c, **rows: shapes.append((rows["a_ub"].shape, rows["upper"].tolist())) or solve(c, **rows),
+    )
+    dists, d0 = random_dists(np.random.default_rng(5), n_points=6, n_dists=3)
+    max_margin(dists, d0, [1, -1, 1])
+    assert shapes == [((3, 7), [2.0] * 6 + [math.inf])]
+
+
+def test_margin_stress_fixture_solves_to_its_highs_value():
+    """The first of the 16,000 programs of ``tests/lp_stress.py`` on which
+    the dense-tableau kernel, with the box kept as 64 rows, raised
+    ``NumericalError`` (its dual point violated y >= 0). The value matches
+    HiGHS within 1e-9, and the query and the mixture certify it to 1e-12."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    record = json.loads((Path(__file__).parent / "fixtures" / "max_margin_stress_first_failure.json").read_text())
+    domain = small_domain(len(record["center_weights"]))
+    d0 = FiniteDistribution(domain, np.array(record["center_weights"]))
+    dists = [FiniteDistribution(domain, np.array(w)) for w in record["member_weights"]]
+    res = max_margin(dists, d0, record["signs"])
+    g = np.array([s * (d.weights - d0.weights) for s, d in zip(record["signs"], dists)])
+    assert abs(res.value - _highs_margin(linprog, g)) <= 1e-9
+    assert float((g @ res.query).min()) >= res.value - 1e-12
+    assert float(np.abs(res.mixture @ g).sum()) <= res.value + 1e-12
 
 
 # ---------------------------------------------------------------------------
