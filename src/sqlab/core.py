@@ -41,6 +41,7 @@ __all__ = [
     "ProblemSpec",
     "binary_table",
     "draw_indices",
+    "draw_counts",
     "witness_count",
     "sqrt_scale",
     "sqrt_gap",
@@ -313,6 +314,21 @@ def draw_indices(weights: np.ndarray, rng: np.random.Generator, size: int) -> np
     """
     cdf = np.cumsum(weights)
     return np.minimum(np.searchsorted(cdf, rng.random(size), side="right"), len(cdf) - 1)
+
+
+def draw_counts(weights: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Per-index counts of the draw ``draw_indices(weights, rng, size)`` makes.
+
+    The same ``size`` uniforms, sorted: index i takes those below ``cdf[i]``
+    and at or above ``cdf[i - 1]``, and the last index takes the rest (the
+    clamp of ``draw_indices``). Equal to ``np.bincount`` of that draw with
+    ``minlength=len(weights)``, and leaves ``rng`` in the same state, at
+    O(size log size + |X| log size) instead of O(size log |X|) unsorted.
+    """
+    cdf = np.cumsum(weights)
+    u = rng.random(size)
+    u.sort()
+    return np.diff(np.searchsorted(u, cdf[:-1], side="left"), prepend=0, append=size)
 
 
 def witness_count(d: float, delta: float) -> int:

@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .core import K1, FiniteDistribution, ProblemSpec, mixture
+from .core import K1, FiniteDistribution, ProblemSpec, draw_counts, mixture
 from .errors import StreamExhaustedError
 from .solvers import MWState, _first_trigger, _k1_witnesses, _proposal, _run_mw, margin_cover
 
@@ -53,8 +53,8 @@ __all__ = [
 class SampleStream:
     """A capped source of i.i.d. samples (domain indices) from a distribution.
 
-    ``draw_block`` raises StreamExhaustedError once the cap would be
-    exceeded — running dry is a different failure mode than answering
+    ``draw_block`` and ``draw_counts`` raise StreamExhaustedError, drawing
+    nothing, once the cap would be exceeded — running dry is a different failure mode than answering
     wrongly, and is reported as such.
     """
 
@@ -64,13 +64,22 @@ class SampleStream:
         self.limit = limit
         self.drawn = 0
 
-    def draw_block(self, n: int) -> np.ndarray:
+    def _take(self, n: int) -> None:
         if self.limit is not None and self.drawn + n > self.limit:
             raise StreamExhaustedError(
                 f"stream capped at {self.limit} samples; {self.drawn} drawn, {n} more requested"
             )
         self.drawn += n
+
+    def draw_block(self, n: int) -> np.ndarray:
+        self._take(n)
         return self.dist.sample_indices(self.rng, n)
+
+    def draw_counts(self, n: int) -> np.ndarray:
+        """Per-point counts of the block ``draw_block(n)`` would draw, from the
+        same uniforms; the cap and the ``drawn`` count are the same too."""
+        self._take(n)
+        return draw_counts(self.dist.weights, self.rng, n)
 
 
 def stream_requirements(problem: ProblemSpec, tau: float, delta: float, kl_bound: float | None = None) -> dict:
@@ -147,12 +156,13 @@ def stream_solve(
 
     def scan(block, stop):
         # one fresh block of n_est samples per witness, drawn only when the
-        # scan reaches that witness
+        # scan reaches that witness; the rows are +-1, so the mean from the
+        # block's counts has the bits of the mean over its samples
         nonlocal estimates
         answers = np.empty(len(block))
         for j, phi in enumerate(block):
             estimates += 1
-            answers[j] = np.mean(phi[stream.draw_block(req["n_est"])])
+            answers[j] = stream.draw_counts(req["n_est"]) @ phi / req["n_est"]
             if stop(j, answers[j]):
                 return j, answers[: j + 1]
         return None, answers

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sqlab import (
@@ -26,7 +26,7 @@ from sqlab import (
     mixture,
     pac_lift,
 )
-from sqlab.core import binary_table
+from sqlab.core import binary_table, draw_counts, draw_indices
 
 from tests.util import small_domain
 
@@ -94,6 +94,31 @@ def test_distribution_sampling_matches_weights():
     # determinism under a fixed seed
     idx2 = FiniteDistribution(dom, d.weights).sample_indices(np.random.default_rng(0), 20000)
     assert np.array_equal(idx, idx2)
+
+
+@given(
+    weights=st.lists(st.sampled_from([0.0, 1e-9, 0.1, 0.3, 1.0]), min_size=1, max_size=8),
+    total=st.sampled_from([1.0, 1.0 - 2.0**-52, 0.999, 0.5]),
+    size=st.integers(0, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(weights=[1.0], total=1.0, size=50, seed=0)  # a single point
+@example(weights=[0.0, 1.0, 0.0], total=1.0, size=50, seed=1)  # zero weights at both ends
+@example(weights=[0.3, 0.3, 0.0], total=0.5, size=200, seed=2)  # the clamp lands on a zero weight
+def test_draw_counts_is_the_bincount_of_draw_indices(weights, total, size, seed):
+    """Counting the sorted uniforms gives the counts of the unsorted draw,
+    including the clamp of a cdf whose total rounds below 1, and consumes the
+    same uniforms."""
+    w = np.array(weights)
+    if w.sum() == 0.0:
+        w[-1] = 1.0
+    w = w / w.sum() * total
+    rng_idx, rng_cnt = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = np.bincount(draw_indices(w, rng_idx, size), minlength=len(w))
+    counts = draw_counts(w, rng_cnt, size)
+    assert np.array_equal(counts, expected)
+    assert counts.shape == (len(w),) and counts.sum() == size
+    assert rng_cnt.bit_generator.state == rng_idx.bit_generator.state
 
 
 def test_uniform_and_close_to():

@@ -54,6 +54,36 @@ def test_sample_stream_cap():
         stream.draw_block(1)
 
 
+def test_sample_stream_count_path_cap():
+    """The count path shares the block path's cap: a refused request draws
+    nothing, so ``drawn`` and the rng stay as they were."""
+    dist = FiniteDistribution.uniform(biclique(4, 2).domain)
+    rng = np.random.default_rng(0)
+    stream = SampleStream(dist, rng, limit=100)
+    assert stream.draw_counts(60).sum() == 60 and stream.drawn == 60
+    state = rng.bit_generator.state
+    with pytest.raises(StreamExhaustedError):
+        stream.draw_counts(41)
+    assert stream.drawn == 60 and rng.bit_generator.state == state
+    assert stream.draw_counts(40).sum() == 40 and stream.drawn == 100
+
+
+@pytest.mark.parametrize("n", [1, 7, 1613, 6451])
+def test_stream_estimate_from_counts_is_bit_equal_to_the_block_mean(n):
+    """For +-1 rows every partial sum is an exact integer, so the mean from
+    the counts has the bits of the mean over the block's samples."""
+    prob = biclique(8, 2)
+    rows = np.where(np.random.default_rng(n).random((5, len(prob.domain))) < 0.5, -1.0, 1.0)
+    for dist in prob.dists[:4]:
+        by_block = SampleStream(dist, np.random.default_rng([n, 1]))
+        by_counts = SampleStream(dist, np.random.default_rng([n, 1]))
+        for phi in rows:
+            mean = np.mean(phi[by_block.draw_block(n)])
+            from_counts = by_counts.draw_counts(n) @ phi / n
+            assert np.float64(from_counts).tobytes() == np.float64(mean).tobytes()
+        assert by_counts.drawn == by_block.drawn == 5 * n
+
+
 def test_sample_stream_values_and_determinism():
     dom = biclique(4, 2).domain
     dist = FiniteDistribution.uniform(dom)
