@@ -8,14 +8,27 @@ signature of ``OracleSession.scan``: it draws one block of n_est samples per
 witness the scan reaches and stops at the first trigger, so the samples
 drawn are those of a row-by-row loop. Here
 
-    n_est = ceil((9 / (2 tau^2)) * ln(2 / delta')),
+    n_est = ceil((18 / tau^2) * ln(2 / delta')),
     delta' = delta / ((T + 1) * q),
 
 with T = ceil(36 R_KL / tau^2) the update budget, q = |family| and R_KL
 (ln q by default) the KL radius from the uniform mixture. This is Hoeffding
-at accuracy tau/3 and confidence delta', union-bounded over every estimate
-a run can make: under the shared budget rule a run makes at most T updates
-in at most T + 1 cover steps, and each step estimates at most q witnesses.
+at accuracy tau/3 and confidence delta' for variables of range 2: a witness
+is a +-1 sign vector, so a sample's value phi(x) lies in [-1, 1], and the
+mean of n samples misses E[phi] by tau/3 or more with probability at most
+2 exp(-2 n (tau/3)^2 / 2^2) = 2 exp(-n tau^2 / 18), which is at most delta'
+once n >= (18 / tau^2) ln(2 / delta'). It is union-bounded over every
+estimate a run can make: under the shared budget rule a run makes at most T
+updates in at most T + 1 cover steps, and each step estimates at most q
+witnesses.
+
+The simulator takes each estimate from the block's counts: ``draw_counts``
+gives how often each domain point occurs among the n_est samples that
+``draw_block`` would list, from the same uniforms, and the estimate is
+counts @ phi / n_est, bit for bit the mean over the listed samples. That is
+only the simulator's shortcut. The ledger prices an algorithm that reads
+the stream one sample at a time, adding phi(x) into one accumulator and
+counting the samples in one reused counter.
 
 The state that must persist across stream items is tiny: the update history
 — one (distribution index, sign) pair per multiplicative-weights update,
@@ -83,14 +96,20 @@ class SampleStream:
 
 
 def stream_requirements(problem: ProblemSpec, tau: float, delta: float, kl_bound: float | None = None) -> dict:
-    """Budgets and widths for a streaming run on this family."""
+    """Budgets and widths for a streaming run on this family.
+
+    ``n_est`` is Hoeffding's sample count for range-2 variables: the +-1
+    witness values of n samples average within tau/3 of their expectation
+    except with probability 2 exp(-2 n (tau/3)^2 / 2^2) <= delta', which
+    holds for n >= (18 / tau^2) ln(2 / delta').
+    """
     q = problem.n_dists
     r_kl = kl_bound if kl_bound is not None else (math.log(q) if q > 1 else 1.0)
     t_budget = math.ceil(36.0 * r_kl / tau**2)
     # a run makes at most t_budget updates in at most t_budget + 1 cover
     # steps, each with at most q estimates
     delta_prime = delta / ((t_budget + 1) * q)
-    n_est = math.ceil((9.0 / (2.0 * tau**2)) * math.log(2.0 / delta_prime))
+    n_est = math.ceil((18.0 / tau**2) * math.log(2.0 / delta_prime))
     index_bits = math.ceil(math.log2(q)) if q > 1 else 0
     counter_width = math.ceil(math.log2(n_est + 1))
     return {

@@ -21,12 +21,13 @@ def test_stream_requirements_frozen_biclique():
     assert req["q"] == 28
     assert req["t_budget"] == 2999
     assert req["delta_prime"] == pytest.approx(1.19e-6, rel=3e-3)
-    assert req["n_est"] == 1613
+    # Hoeffding for the range-2 witness values: ceil(18 / tau^2 * ln(2 / delta'))
+    assert req["n_est"] == 6451
     assert req["index_bits"] == 5
-    assert req["counter_width"] == 11
-    assert req["persistent_bound"] == 2999 * 6 + 11 == 18005
+    assert req["counter_width"] == 13
+    assert req["persistent_bound"] == 2999 * 6 + 13 == 18007
     # a run makes at most t_budget + 1 cover steps of at most q estimates
-    assert req["samples_bound"] == 3000 * 28 * 1613 == 135492000
+    assert req["samples_bound"] == 3000 * 28 * 6451 == 541884000
 
 
 def test_stream_requirements_singleton_family():
