@@ -15,6 +15,7 @@ __all__ = [
     "InfeasibleError",
     "UnboundedError",
     "NumericalError",
+    "OracleMismatchError",
     "UncoverableError",
     "TheoremViolationError",
     "StreamExhaustedError",
@@ -47,6 +48,11 @@ class UnboundedError(SqlabError):
 
 class NumericalError(SqlabError):
     """An internal numerical self-check failed (duality gap, certificate)."""
+
+
+class OracleMismatchError(SqlabError, ValueError):
+    """An oracle session does not fit its solver: the wrong oracle kind, or a
+    tolerance looser than the solver needs."""
 
 
 class UncoverableError(SqlabError):

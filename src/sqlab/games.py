@@ -717,8 +717,12 @@ def achievable_subsets(
         vertices = binary_table(n)
         d_mat = np.array([d.weights for d in dists]).reshape(m, n)
         hit = sqrt_gap(vertices @ d_mat.T, (vertices @ d0.weights)[:, None]) >= threshold
-        # the first vertex of each distinct row of ``hit``, skipping phi = 0
-        _, first = np.unique(hit[1:], axis=0, return_index=True)
+        # the first vertex of each distinct row of ``hit``, skipping phi = 0;
+        # each row packed along the members into one byte string, which
+        # sorts like the row and far faster than a row of m bools
+        packed = np.packbits(hit[1:], axis=1)
+        _, first = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                             return_index=True)
         best: dict[frozenset, np.ndarray] = {}
         for r in (first + 1).tolist():
             covered = frozenset(np.flatnonzero(hit[r]).tolist())

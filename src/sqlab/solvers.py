@@ -67,7 +67,7 @@ from .core import (
     sqrt_gap,
     witness_count,
 )
-from .errors import UncoverableError
+from .errors import OracleMismatchError, UncoverableError
 from .games import achievable_subsets, fractional_cover
 from .oracles import STAT, VROOT, OracleSession, Transcript
 
@@ -355,9 +355,9 @@ def _run_report(
 def _check_session(session: OracleSession, kappa: str, tau_oracle: float) -> None:
     want = STAT if kappa == K1 else VROOT
     if session.spec.kind != want:
-        raise ValueError(f"{kappa} solvers need a {want} oracle session")
+        raise OracleMismatchError(f"{kappa} solvers need a {want} oracle session")
     if session.spec.tau > tau_oracle + 1e-12:
-        raise ValueError(
+        raise OracleMismatchError(
             f"oracle tolerance {session.spec.tau} is looser than required {tau_oracle}"
         )
 
@@ -517,7 +517,7 @@ def solve_decision_sampled(
     if problem.reference is None:
         raise ValueError("decision solving needs a reference distribution")
     if session.spec.kind != STAT or session.spec.tau > tau / 2.0 + 1e-12:
-        raise ValueError("decision solver needs a STAT oracle at tolerance tau/2")
+        raise OracleMismatchError("decision solver needs a STAT oracle at tolerance tau/2")
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0, 1)")
     d0 = problem.reference
@@ -673,7 +673,7 @@ def learn_with_heavy_points(
             details={"note": "eps >= 1: the constant hypothesis is trivially accurate"},
         )
     if session.spec.kind != STAT or session.spec.tau > eps**2 / 13.0 + 1e-15:
-        raise ValueError("the learner needs a STAT oracle at tolerance eps^2/13")
+        raise OracleMismatchError("the learner needs a STAT oracle at tolerance eps^2/13")
     joint_domain = session.dist.domain
     base = marginal.domain
     n = len(base)

@@ -2,6 +2,10 @@
 formatting, and exit-code conventions (0 ok, 1 usage, 2 broken guarantee)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +216,35 @@ def test_solve_rows_omit_cover_incomplete_when_the_cover_serves_all(capsys):
     )
     assert code == 0
     assert not any("cover_incomplete" in r for r in json.loads(out)["results"])
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        ["--oracle", "onestat"],  # the default parameter tau/3 is no bit width
+        ["--oracle", "onestat", "--param", "1"],
+        ["--oracle", "vstat"],  # the default parameter tau/3 is no sample size
+        ["--oracle", "vstat", "--param", "100"],
+        ["--oracle", "vroot"],
+    ],
+)
+def test_solve_rejects_an_oracle_the_solver_cannot_use_as_a_usage_error(oracle):
+    """A K1 search takes a STAT session only; any other oracle, or a
+    parameter its kind cannot take, exits 1 with one error line and no
+    traceback, run as a real process so that a traceback would show."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "sqlab.cli", "solve", "--gen", "biclique", "--n", "4", "--k", "2",
+         "--tau", "0.2", *oracle],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("sqlab solve: error: ")
+    assert proc.stdout == ""
 
 
 def test_solve_requires_seed_for_many_trials(capsys):

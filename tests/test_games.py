@@ -766,6 +766,17 @@ def test_kv_family_repeats_the_per_vertex_loop(generator, params):
         verify_cover_family(dists, d0, family)
 
 
+def test_kv_family_repeats_the_per_vertex_loop_past_one_packed_byte():
+    """Twelve members: each hit row packs into two bytes, and the family
+    still has the loop's sets, order and witnesses."""
+    dists, d0 = random_dists(np.random.default_rng(12), 7, 12, alpha=0.5)
+    taus = (0.15, 0.25, 0.35)
+    for tau, reference in zip(taus, _kv_families_reference(dists, d0, taus)):
+        family = achievable_subsets(dists, d0, tau, kappa=KV)
+        assert family.sets == reference.sets and len(family.sets) > 1
+        assert all(np.array_equal(a, b) for a, b in zip(family.witnesses, reference.witnesses))
+
+
 # The nine ``sqlab dims`` benchmark instances, then biclique(4,2) and line(3).
 _FAMILY_INSTANCES = [
     (biclique, (3, 1), 0.2), (biclique, (3, 2), 0.2), (biclique, (4, 1), 0.1),
