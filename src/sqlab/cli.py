@@ -195,7 +195,8 @@ def _trial_rng(seed, trial: int) -> np.random.Generator:
 def _oracle_spec(args, default_kind: str, default_param: float):
     kind = args.oracle or default_kind
     param = args.param if args.param is not None else default_param
-    build = {"stat": stat, "vstat": vstat, "vroot": vroot, "onestat": lambda bits: one_stat_spec(int(bits))}
+    build = {"stat": stat, "vstat": vstat, "vroot": vroot,
+             "onestat": lambda bits: one_stat_spec(int(bits))}
     try:
         return build[kind](param)
     except ValueError as exc:  # a parameter this oracle kind cannot take

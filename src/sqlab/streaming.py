@@ -67,8 +67,8 @@ class SampleStream:
     """A capped source of i.i.d. samples (domain indices) from a distribution.
 
     ``draw_block`` and ``draw_counts`` raise StreamExhaustedError, drawing
-    nothing, once the cap would be exceeded — running dry is a different failure mode than answering
-    wrongly, and is reported as such.
+    nothing, once the cap would be exceeded — running dry is a different
+    failure mode than answering wrongly, and is reported as such.
     """
 
     def __init__(self, dist: FiniteDistribution, rng: np.random.Generator, limit: int | None = None):
