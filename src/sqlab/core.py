@@ -328,7 +328,10 @@ def draw_counts(weights: np.ndarray, rng: np.random.Generator, size: int) -> np.
     cdf = np.cumsum(weights)
     u = rng.random(size)
     u.sort()
-    return np.diff(np.searchsorted(u, cdf[:-1], side="left"), prepend=0, append=size)
+    counts = np.searchsorted(u, cdf, side="left")  # the uniforms below each cdf value
+    counts[-1] = size
+    counts[1:] -= counts[:-1].copy()
+    return counts
 
 
 def witness_count(d: float, delta: float) -> int:
