@@ -322,8 +322,9 @@ def draw_counts(weights: np.ndarray, rng: np.random.Generator, size: int) -> np.
     The same ``size`` uniforms, sorted: index i takes those below ``cdf[i]``
     and at or above ``cdf[i - 1]``, and the last index takes the rest (the
     clamp of ``draw_indices``). Equal to ``np.bincount`` of that draw with
-    ``minlength=len(weights)``, and leaves ``rng`` in the same state, at
-    O(size log size + |X| log size) instead of O(size log |X|) unsorted.
+    ``minlength=len(weights)``, and leaves ``rng`` in the same state. One
+    vectorised sort and |X| binary searches replace ``size`` scattered
+    binary searches over the cdf.
     """
     cdf = np.cumsum(weights)
     u = rng.random(size)

@@ -121,6 +121,26 @@ def test_draw_counts_is_the_bincount_of_draw_indices(weights, total, size, seed)
     assert rng_cnt.bit_generator.state == rng_idx.bit_generator.state
 
 
+class _FixedUniforms:
+    """Stands in for a Generator whose next uniforms are given."""
+
+    def __init__(self, u):
+        self.u = np.array(u, dtype=float)
+
+    def random(self, size):
+        return self.u[:size].copy()
+
+
+def test_draw_counts_sends_a_uniform_on_a_cdf_value_to_the_next_index():
+    """A uniform equal to cdf[i] is drawn as index i + 1 by draw_indices
+    (side="right"), so the counts must not keep it in cell i."""
+    w = np.array([0.25, 0.25, 0.5])
+    u = [0.0, 0.25, 0.5, 0.5, 0.75, 0.25]
+    expected = np.bincount(draw_indices(w, _FixedUniforms(u), len(u)), minlength=3)
+    assert expected.tolist() == [1, 2, 3]
+    assert np.array_equal(draw_counts(w, _FixedUniforms(u), len(u)), expected)
+
+
 def test_uniform_and_close_to():
     dom = small_domain(4)
     u = FiniteDistribution.uniform(dom)
