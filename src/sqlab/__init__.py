@@ -11,8 +11,6 @@ from .core import (
     DECISION,
     K1,
     KV,
-    OPTIMIZING,
-    PAC,
     SEARCH,
     SIGNED,
     UNIT,
@@ -25,7 +23,6 @@ from .core import (
     bayes_error,
     expectation,
     kl_divergence,
-    kl_radius_upper,
     likelihood_hat,
     mixture,
     pac_lift,
@@ -87,12 +84,10 @@ from .norms import (
     UPPER_BOUND,
     NormReport,
     kappa1_frac,
-    kappav_frac,
     kbar1,
     kbar2,
     kbar2_spectral,
     kbarv,
-    kbarv_frac,
     rho,
 )
 from .dimension import (
@@ -131,7 +126,6 @@ from .problems import (
     line_labels,
     line_marginal,
     line_problem,
-    pac_problem,
     parity_query,
 )
 from .streaming import SampleStream, replay_weights, stream_requirements, stream_solve

@@ -39,11 +39,8 @@ from .core import (
     DECISION,
     K1,
     KV,
-    OPTIMIZING,
-    PAC,
     SEARCH,
     VERIFIABLE,
-    FiniteDistribution,
     Measure,
     ProblemSpec,
 )
@@ -72,7 +69,6 @@ from .oracles import (
 )
 from .problems import biclique, line_audit, line_problem
 from .solvers import (
-    learn_with_heavy_points,
     decision_cover,
     solve_decision_sampled,
     solve_optimizing,
@@ -109,7 +105,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, help="failure probability")
     p.add_argument("--alpha", type=float, help="solution-measure removal level")
     p.add_argument("--beta", type=float, help="target success level for lower bounds")
-    p.add_argument("--eps", type=float, help="PAC / optimization accuracy")
+    p.add_argument("--eps", type=float, help="threshold-optimization accuracy")
     p.add_argument("--theta", type=float, help="verification threshold")
     p.add_argument(
         "--oracle", choices=["stat", "vstat", "vroot", "onestat"], help="oracle kind"
@@ -331,7 +327,7 @@ def cmd_dims(args, parser) -> int:
                 "exactness": s.exactness,
             },
         )
-    if problem.kind in (VERIFIABLE, PAC) and problem.threshold is not None:
+    if problem.kind == VERIFIABLE:
         theta = args.theta if args.theta is not None else problem.threshold
         attempt(
             "rsd_verifiable",
@@ -374,37 +370,7 @@ def cmd_audit(args, parser) -> int:
     return EXIT_VIOLATION if failed else EXIT_OK
 
 
-def _pac_pieces(problem: ProblemSpec):
-    """Recover (marginal, concept labelings) from a lifted PAC family."""
-    joint = problem.domain
-    base_elements = []
-    seen = set()
-    for el in joint.elements:
-        prefix = el[:-1]
-        if prefix not in seen:
-            seen.add(prefix)
-            base_elements.append(prefix)
-    from .core import FiniteDomain
-
-    base = FiniteDomain(tuple(base_elements))
-    concepts = []
-    marginal_w = None
-    for di, d in enumerate(problem.dists):
-        w = np.zeros(len(base))
-        labels = -np.ones(len(base))
-        for i, z in enumerate(base.elements):
-            neg = d.weights[joint.index_of(z + (-1,))]
-            pos = d.weights[joint.index_of(z + (1,))]
-            w[i] = neg + pos
-            labels[i] = 1.0 if pos > neg else -1.0
-        concepts.append((di, labels))
-        if marginal_w is None:
-            marginal_w = w
-    marginal = FiniteDistribution(base, marginal_w)
-    return marginal, concepts
-
-
-def _solve_one_trial(problem, args, trial, parser, cover=None):
+def _solve_one_trial(problem, args, trial, cover=None):
     rng = _trial_rng(args.seed, trial)
     tau = args.tau
     row = {"trial": trial}
@@ -434,7 +400,7 @@ def _solve_one_trial(problem, args, trial, parser, cover=None):
         )
         correct = rep.solution == problem.solutions[ti]
         row.update(true=problem.solutions[ti])
-    elif problem.kind in (VERIFIABLE, OPTIMIZING) and args.eps is not None and args.theta is None:
+    elif args.eps is not None and args.theta is None:  # the kind is VERIFIABLE from here on
         ti = int(rng.integers(problem.n_dists))
         true_dist = problem.dists[ti]
         spec = _oracle_spec(args, "stat", tau / 4.0)
@@ -449,7 +415,7 @@ def _solve_one_trial(problem, args, trial, parser, cover=None):
             )
             correct = achieved <= optimum + args.eps + tau + 1e-9
         row.update(true=problem.solutions[ti])
-    elif problem.kind in (VERIFIABLE, OPTIMIZING):
+    else:
         ti = int(rng.integers(problem.n_dists))
         true_dist = problem.dists[ti]
         theta = args.theta if args.theta is not None else problem.threshold
@@ -462,26 +428,9 @@ def _solve_one_trial(problem, args, trial, parser, cover=None):
             achieved = float(true_dist.weights @ problem.verify[rep.solution].values)
             correct = achieved <= theta + tau + 1e-9
         row.update(true=problem.solutions[ti])
-    elif problem.kind == PAC:
-        if args.eps is None and problem.eps is None and problem.threshold is None:
-            parser.error("PAC solving needs --eps")
-        eps = args.eps if args.eps is not None else (problem.eps or problem.threshold)
-        ti = int(rng.integers(problem.n_dists))
-        true_dist = problem.dists[ti]
-        marginal, concepts = _pac_pieces(problem)
-        spec = _oracle_spec(args, "stat", eps**2 / 13.0)
-        session = OracleSession(spec, _strategy(args, problem.reference), true_dist, rng)
-        rep = learn_with_heavy_points(marginal, concepts, eps, session)
-        labels, _ = rep.solution
-        true_labels = concepts[ti][1]
-        err = float(np.sum(marginal.weights[labels != true_labels]))
-        correct = err <= eps
-        row.update(true=ti, error=err)
-    else:
-        parser.error(f"no solver wired for kind {problem.kind!r}")
     row.update(
         outcome=rep.outcome,
-        solution=rep.solution if not (problem.kind == PAC) else None,
+        solution=rep.solution,
         correct=bool(correct),
         queries=rep.queries,
         updates=rep.updates,
@@ -495,7 +444,7 @@ def _solve_one_trial(problem, args, trial, parser, cover=None):
 
 def cmd_solve(args, parser) -> int:
     problem = _build_problem(args, parser)
-    if args.tau is None and problem.kind != PAC:
+    if args.tau is None:
         parser.error("solve needs --tau")
     _require_seed(args, parser)
     rows = []
@@ -507,7 +456,7 @@ def cmd_solve(args, parser) -> int:
             parser.error(str(exc))
     for trial in range(args.trials):
         try:
-            rows.append(_solve_one_trial(problem, args, trial, parser, cover=cover))
+            rows.append(_solve_one_trial(problem, args, trial, cover=cover))
         except (UncoverableError, SqlabError) as exc:
             parser.error(str(exc))
     n_ok = sum(1 for r in rows if r["correct"])
@@ -615,6 +564,8 @@ def cmd_merge(args, parser) -> int:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read {path}: {exc}")
+        if not isinstance(data, dict):
+            parser.error(f"{path} is not a report: it must contain a JSON object")
         commands.add(data.get("command"))
         merged_rows.extend(data.get("results", []))
     n_ok = sum(1 for r in merged_rows if r.get("correct"))
@@ -684,6 +635,11 @@ def main(argv=None) -> int:
         for action in sub._actions:
             if not action.option_strings and action.dest in values and not getattr(args, action.dest):
                 setattr(args, action.dest, values[action.dest])
+    # A K1 margin lies in [0, 2], and a failure probability in (0, 1).
+    if args.tau is not None and not 0 < args.tau <= 2:
+        sub.error(f"--tau must lie in (0, 2], not {args.tau:g}")
+    if args.delta is not None and not 0 < args.delta < 1:
+        sub.error(f"--delta must lie in (0, 1), not {args.delta:g}")
     try:
         return args.handler(args, sub)
     except SqlabError as exc:

@@ -9,14 +9,15 @@ Conventions used throughout the package:
 - ``likelihood_hat(D, D0)`` is the centered likelihood ratio
   Dhat(x) = D(x)/D0(x) - 1 on the support of D0 (and 0 off it), so that
   E_{D0}[Dhat] = 0 and E_D[phi] - E_{D0}[phi] = E_{D0}[phi * Dhat].
-- Labeled domains (used by PAC-style problems) have elements whose last
-  component is a label in {-1, +1}; ``pac_lift`` builds them.
+- Labeled domains (the line family's, and the heavy-point learner's) have
+  elements whose last component is a label in {-1, +1}; ``pac_lift`` builds
+  them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -31,8 +32,6 @@ __all__ = [
     "DECISION",
     "SEARCH",
     "VERIFIABLE",
-    "OPTIMIZING",
-    "PAC",
     "WEIGHT_ATOL",
     "FiniteDomain",
     "FiniteDistribution",
@@ -48,7 +47,6 @@ __all__ = [
     "expectation",
     "mixture",
     "kl_divergence",
-    "kl_radius_upper",
     "likelihood_hat",
     "bayes_error",
     "pac_lift",
@@ -71,10 +69,8 @@ KV = "kv"
 DECISION = "decision"
 SEARCH = "search"
 VERIFIABLE = "verifiable"
-OPTIMIZING = "optimizing"
-PAC = "pac"
 
-PROBLEM_KINDS = (DECISION, SEARCH, VERIFIABLE, OPTIMIZING, PAC)
+PROBLEM_KINDS = (DECISION, SEARCH, VERIFIABLE)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -400,18 +396,6 @@ def kl_divergence(d: FiniteDistribution, e: FiniteDistribution) -> float:
     return float(np.sum(dw[mask] * np.log(dw[mask] / ew[mask])))
 
 
-def kl_radius_upper(dists: Sequence[FiniteDistribution]) -> tuple[float, FiniteDistribution]:
-    """An upper bound on the KL radius of a family, with its witness center.
-
-    Uses the uniform mixture as the center, so the returned value is
-    max_D KL(D || mixture) <= ln |family|. This is an upper bound on the
-    true radius inf_center max_D KL(D || center).
-    """
-    center = mixture(dists)
-    value = max(kl_divergence(d, center) for d in dists)
-    return value, center
-
-
 def likelihood_hat(d: FiniteDistribution, d0: FiniteDistribution) -> np.ndarray:
     """Centered likelihood ratio Dhat = D/D0 - 1 on supp(D0), 0 elsewhere.
 
@@ -498,12 +482,13 @@ def pac_lift(marginal: FiniteDistribution, target) -> FiniteDistribution:
 class ProblemSpec:
     """A distribution-family problem instance.
 
-    ``kind`` is one of DECISION / SEARCH / VERIFIABLE / OPTIMIZING / PAC.
+    ``kind`` is one of DECISION / SEARCH / VERIFIABLE.
     ``validity[f_index, d_index]`` says whether solution f is acceptable for
-    distribution d. For VERIFIABLE / PAC / OPTIMIZING kinds every solution f
-    has a UNIT-range verify query phi_f and validity is tied to the
-    threshold: valid iff D[phi_f] <= threshold (for PAC the threshold is the
-    accuracy eps).
+    distribution d. For the VERIFIABLE kind every solution f has a
+    UNIT-range verify query phi_f and validity is tied to the threshold:
+    valid iff D[phi_f] <= threshold. Threshold optimization runs on
+    VERIFIABLE instances and takes its accuracy as an argument; ``eps``
+    stays in the instance schema, and no generator sets it.
     """
 
     kind: str
@@ -539,7 +524,7 @@ class ProblemSpec:
             )
         if self.kind == DECISION and self.reference is None:
             raise ValueError("decision problems need a reference distribution")
-        if self.kind in (VERIFIABLE, PAC, OPTIMIZING):
+        if self.kind == VERIFIABLE:
             if self.verify is None or self.threshold is None:
                 raise ValueError(f"{self.kind} problems need verify queries and a threshold")
             for f in solutions:
@@ -593,7 +578,6 @@ class ProblemSpec:
         verify: Mapping,
         threshold: float,
         reference: FiniteDistribution | None = None,
-        eps: float | None = None,
     ) -> "ProblemSpec":
         """Build a spec whose validity matrix is derived from the threshold rule."""
         v = np.zeros((len(solutions), len(dists)), dtype=bool)
@@ -609,5 +593,4 @@ class ProblemSpec:
             reference=reference,
             verify=dict(verify),
             threshold=threshold,
-            eps=eps,
         )

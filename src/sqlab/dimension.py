@@ -22,10 +22,10 @@ On top of that:
   search-type problems to decision dimensions by removing distributions
   that a solution measure already serves, filtering candidate centers, or
   sweeping the verification threshold. Candidate centers are drawn from a
-  finite list (uniform, family mixture, caller-supplied), so these report
-  LOWER_BOUNDs of the suprema they approximate. They take K1 only and
-  raise ValueError under KV, where the inner values are upper bounds and
-  the composite would bound the supremum in no direction.
+  finite list (uniform, family mixture), so these report LOWER_BOUNDs of
+  the suprema they approximate. They take K1 only and raise ValueError
+  under KV, where the inner values are upper bounds and the composite
+  would bound the supremum in no direction.
 - ``crsd``: the zero-sum-game dimension 1 / min_mu max_sigma E_mu |<sigma, D - D0>|
   over sign queries sigma (exact for K1 within the domain guard).
 - ``combined_relation_audit``: checks the provable bracket between crsd and
@@ -38,7 +38,6 @@ On top of that:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -64,7 +63,6 @@ from .errors import (
     UncoverableError,
 )
 from .games import (
-    STRICT_EPS,
     CoverFamily,
     achievable_subsets,
     exact_min_cover,
@@ -284,17 +282,14 @@ def sd_decision(
     )
 
 
-def _default_centers(problem: ProblemSpec, extra=None):
-    candidates = [
+def _candidate_centers(problem: ProblemSpec):
+    return [
         ("uniform-domain", FiniteDistribution.uniform(problem.domain)),
         ("uniform-mixture", mixture(list(problem.dists))),
     ]
-    for i, d in enumerate(extra or []):
-        candidates.append((f"user-{i}", d))
-    return candidates
 
 
-def _default_solution_measures(problem: ProblemSpec):
+def _solution_measures(problem: ProblemSpec):
     n = problem.n_solutions
     measures = [(f"point:{problem.solutions[i]!r}", Measure.point_mass(n, i)) for i in range(n)]
     if n <= 10:
@@ -322,8 +317,6 @@ def rsd_search(
     problem: ProblemSpec,
     tau: float,
     alpha: float = 1.0,
-    d0_candidates: Sequence[FiniteDistribution] | None = None,
-    solution_measures=None,
     kappa: str = K1,
 ) -> DimensionReport:
     """Search-problem dimension: the best center must still be hard after any
@@ -331,15 +324,15 @@ def rsd_search(
 
     value = max over candidate centers of min over solution measures P of
     rsd_decision(dists minus {D : P(Z(D)) >= alpha}, center, tau). Candidate
-    centers come from a finite default list (uniform over the domain, the
-    family mixture) plus caller-supplied ones, so the report is a
-    LOWER_BOUND of the true supremum over all centers.
+    centers come from a finite list (uniform over the domain, the family
+    mixture), so the report is a LOWER_BOUND of the true supremum over all
+    centers.
     """
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
     _require_k1("rsd_search", kappa)
-    centers = _default_centers(problem, d0_candidates)
-    measures = solution_measures or _default_solution_measures(problem)
+    centers = _candidate_centers(problem)
+    measures = _solution_measures(problem)
     best_val, best_cert = -1.0, {}
     for tag, center in centers:
         worst_val, worst_cert = math.inf, {}
@@ -384,7 +377,6 @@ def rsd_verifiable(
     problem: ProblemSpec,
     theta: float,
     tau: float,
-    d0_candidates: Sequence[FiniteDistribution] | None = None,
     kappa: str = K1,
 ) -> DimensionReport:
     """Dimension against centers on which every solution fails the threshold.
@@ -397,7 +389,7 @@ def rsd_verifiable(
         raise ValueError("rsd_verifiable needs a problem with verify queries")
     _require_k1("rsd_verifiable", kappa)
     centers = [
-        (tag, d) for tag, d in _default_centers(problem, d0_candidates)
+        (tag, d) for tag, d in _candidate_centers(problem)
         if float(_verify_values(problem, d).min()) > theta
     ]
     if not centers:
@@ -425,28 +417,24 @@ def rsd_optimizing(
     problem: ProblemSpec,
     eps: float,
     tau: float,
-    theta_grid: Sequence[float] | None = None,
-    d0_candidates: Sequence[FiniteDistribution] | None = None,
     kappa: str = K1,
 ) -> DimensionReport:
     """Dimension of threshold optimization: sweep theta, keep distributions
     that have a theta-valid solution, and demand centers that fail even at
     theta + eps.
 
-    value = max over theta in the grid and admitted centers of
+    value = max over theta in the grid 0, 0.05, ..., 1 and admitted centers of
     rsd_decision({D : min_f D[phi_f] <= theta}, center, tau).
     """
     if problem.verify is None:
         raise ValueError("rsd_optimizing needs a problem with verify queries")
     _require_k1("rsd_optimizing", kappa)
-    if theta_grid is None:
-        theta_grid = np.linspace(0.0, 1.0, 21)
-    centers = _default_centers(problem, d0_candidates)
+    centers = _candidate_centers(problem)
     dist_mins = np.array(
         [float(_verify_values(problem, d).min()) for d in problem.dists]
     )
     best_val, best_cert = 0.0, {"note": "no theta/center combination applies"}
-    for theta in theta_grid:
+    for theta in np.linspace(0.0, 1.0, 21):
         keep = [i for i in range(problem.n_dists) if dist_mins[i] <= theta]
         if not keep:
             continue

@@ -83,6 +83,7 @@ _FEAS_TOL = 1e-8
 _GAP_TOL = 1e-7
 _MAX_ITER = 50_000
 _LAST = np.iinfo(np.int64).max  # rank of a column that may not enter
+_FAMILY_GUARD = 20  # most members achievable_subsets walks under K1
 
 
 @dataclass(frozen=True)
@@ -612,7 +613,6 @@ def achievable_subsets(
     d0: FiniteDistribution,
     tau: float,
     kappa: str = K1,
-    guard: int = 20,
 ) -> CoverFamily:
     """All maximal subsets a single query distinguishes from the center.
 
@@ -651,8 +651,10 @@ def achievable_subsets(
     m = len(dists)
     threshold = tau + STRICT_EPS
     if kappa == K1:
-        if m > guard:
-            raise GuardExceededError(f"achievable_subsets: |dists| = {m} exceeds guard {guard}")
+        if m > _FAMILY_GUARD:
+            raise GuardExceededError(
+                f"achievable_subsets: |dists| = {m} exceeds guard {_FAMILY_GUARD}"
+            )
         # unsigned set -> (its first signed set in walk order, LP query or
         # None, certifying pooled query or None)
         first: dict[frozenset, tuple] = {}

@@ -3,7 +3,7 @@
 The on-disk problem schema is a single JSON object:
 
     {
-      "kind": "search",
+      "kind": "search",               # or "decision" / "verifiable"
       "domain": [id, ...],            # element ids, in order
       "dists": [[w, ...], ...],       # one weight row per distribution
       "reference": [w, ...] | null,
@@ -11,8 +11,11 @@ The on-disk problem schema is a single JSON object:
       "validity": [[bool, ...], ...], # rows = solutions, cols = dists
       "verify": {id-as-json: [v, ...]} | null,
       "threshold": float | null,
-      "eps": float | null
+      "eps": float | null             # set by no generator
     }
+
+``dumps_report(problem_to_dict(spec))`` writes it (as ``sqlab gen`` does)
+and ``load_problem`` reads it back.
 
 Element and solution ids are arbitrary JSON values; on load, lists are
 normalized back to tuples recursively so round-tripping preserves identity
@@ -40,7 +43,6 @@ __all__ = [
     "dumps_report",
     "problem_to_dict",
     "problem_from_dict",
-    "dump_problem",
     "load_problem",
 ]
 
@@ -129,15 +131,6 @@ def problem_from_dict(data: dict) -> ProblemSpec:
         threshold=data.get("threshold"),
         eps=data.get("eps"),
     )
-
-
-def dump_problem(spec: ProblemSpec, fp: IO[str] | str) -> None:
-    payload = json.dumps(problem_to_dict(spec), indent=2) + "\n"
-    if isinstance(fp, str):
-        with open(fp, "w") as handle:
-            handle.write(payload)
-    else:
-        fp.write(payload)
 
 
 def load_problem(fp: IO[str] | str) -> ProblemSpec:

@@ -15,8 +15,7 @@ is against a center distribution D0 through a single query:
   as a LOWER_BOUND from binary vertices plus one 1/16-grid coordinate-ascent
   round (the vertex (phi*+1)/2 for kbar1's certificate phi* is always among
   the candidates, which preserves kbar1 <= 4*kbarv on reports).
-- ``kappa1_frac`` / ``kappav_frac`` / ``kbarv_frac``: the largest measure
-  mass a single query (or, for kbarv_frac, a restricted family norm) can
+- ``kappa1_frac``: the largest measure mass a single signed query can
   distinguish at radius tau.
 
 Every report carries a certificate that re-evaluates to the reported value
@@ -31,9 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import K1, KV, FiniteDistribution, Measure, binary_table, likelihood_hat, sqrt_gap
+from .core import FiniteDistribution, Measure, binary_table, likelihood_hat, sqrt_gap
 from .errors import GuardExceededError, NumericalError
-from .games import STRICT_EPS, achievable_subsets
+from .games import achievable_subsets
 
 __all__ = [
     "EXACT",
@@ -46,8 +45,6 @@ __all__ = [
     "rho",
     "kbarv",
     "kappa1_frac",
-    "kappav_frac",
-    "kbarv_frac",
 ]
 
 EXACT = "exact"
@@ -286,22 +283,6 @@ def kbarv(mu: Measure, dists: Sequence[FiniteDistribution], d0: FiniteDistributi
     )
 
 
-def _largest_achievable_mass(mu, dists, d0, tau, kappa, exactness) -> NormReport:
-    """The heaviest achievable subset of mu's support, with its witness."""
-    idx, sub, w = _support(mu, dists)
-    family = achievable_subsets(sub, d0, tau, kappa=kappa)
-    if not family.sets:
-        return NormReport(value=0.0, exactness=exactness, certificate={"subset": [], "query": None})
-    masses = [float(sum(w[i] for i in s)) for s in family.sets]
-    j = int(np.argmax(masses))
-    subset = sorted(idx[i] for i in family.sets[j])
-    return NormReport(
-        value=masses[j],
-        exactness=exactness,
-        certificate={"subset": subset, "query": family.witnesses[j]},
-    )
-
-
 def kappa1_frac(
     mu: Measure,
     dists: Sequence[FiniteDistribution],
@@ -311,60 +292,19 @@ def kappa1_frac(
     """Largest mu-mass a single signed query distinguishes at radius tau (exact).
 
     A subset S counts when one phi has |E_D[phi] - E_{D0}[phi]| > tau for
-    every D in S; "strictly above" is realized as >= tau + STRICT_EPS. At
-    tau = 0 this is the mass of distributions distinct from D0.
-    """
-    return _largest_achievable_mass(mu, dists, d0, tau, K1, EXACT)
-
-
-def kappav_frac(
-    mu: Measure,
-    dists: Sequence[FiniteDistribution],
-    d0: FiniteDistribution,
-    tau: float,
-) -> NormReport:
-    """Largest mu-mass one unit-range query separates on the sqrt scale (lower bound).
-
-    Witness queries are binary vertices (guarded by 2^|X|); richer queries
-    could only distinguish more, hence LOWER_BOUND.
-    """
-    return _largest_achievable_mass(mu, dists, d0, tau, KV, LOWER_BOUND)
-
-
-def kbarv_frac(
-    mu: Measure,
-    dists: Sequence[FiniteDistribution],
-    d0: FiniteDistribution,
-    tau: float,
-) -> NormReport:
-    """Largest mu-mass of a sub-family whose restricted kbarv exceeds tau.
-
-    Enumerates subsets of the measure's support (guarded at 10 members and
-    2^10 domain points); each subset's norm uses the vertex lower bound, so
-    the reported mass is a LOWER_BOUND on the true fraction.
+    every D in S; "strictly above" is realized as >= tau + games.STRICT_EPS.
+    At tau = 0 this is the mass of distributions distinct from D0. The
+    certificate is the heaviest maximal set of mu's support and its witness.
     """
     idx, sub, w = _support(mu, dists)
-    k = len(sub)
-    n = len(d0.domain)
-    if k > 10 or n > 10:
-        raise GuardExceededError("kbarv_frac: subset enumeration guard exceeded (10 dists / 2^10 domain)")
-    vertices = binary_table(n)
-    gaps = _sqrt_gaps(vertices, np.array([d.weights for d in sub]), d0)  # (2^n, k)
-    best_mass, best_subset, best_phi = 0.0, [], None
-    for bits in range(1, 1 << k):
-        members = [i for i in range(k) if (bits >> i) & 1]
-        mass = float(w[members].sum())
-        if mass <= best_mass:
-            continue
-        restricted = w[members] / w[members].sum()
-        vals = gaps[:, members] @ restricted
-        j = int(np.argmax(vals))
-        if vals[j] >= tau + STRICT_EPS:
-            best_mass = mass
-            best_subset = [idx[i] for i in members]
-            best_phi = vertices[j].copy()
+    family = achievable_subsets(sub, d0, tau)  # K1, exact
+    if not family.sets:
+        return NormReport(value=0.0, exactness=EXACT, certificate={"subset": [], "query": None})
+    masses = [float(sum(w[i] for i in s)) for s in family.sets]
+    j = int(np.argmax(masses))
+    subset = sorted(idx[i] for i in family.sets[j])
     return NormReport(
-        value=best_mass,
-        exactness=LOWER_BOUND,
-        certificate={"subset": sorted(best_subset), "query": best_phi},
+        value=masses[j],
+        exactness=EXACT,
+        certificate={"subset": subset, "query": family.witnesses[j]},
     )

@@ -51,7 +51,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .core import SIGNED, UNIT, FiniteDistribution, QueryFn, sqrt_gap, sqrt_scale
+from .core import UNIT, FiniteDistribution, QueryFn, sqrt_gap, sqrt_scale
 from .errors import SqlabError
 
 __all__ = [

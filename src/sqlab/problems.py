@@ -1,4 +1,4 @@
-"""Problem-family generators: planted bicliques, mod-p lines, PAC lifts.
+"""Problem-family generators: planted bicliques and mod-p lines.
 
 Every generator returns a ``ProblemSpec`` whose distributions are explicit
 tables over a small finite domain, cross-checked at build time against the
@@ -30,7 +30,6 @@ import numpy as np
 
 from .core import (
     DECISION,
-    PAC,
     SEARCH,
     UNIT,
     VERIFIABLE,
@@ -39,8 +38,6 @@ from .core import (
     Measure,
     ProblemSpec,
     QueryFn,
-    bayes_error,
-    pac_lift,
 )
 from .errors import GuardExceededError
 from . import norms
@@ -59,7 +56,6 @@ __all__ = [
     "line_problem",
     "line_closed_forms",
     "line_audit",
-    "pac_problem",
 ]
 
 _BICLIQUE_GUARD = 12
@@ -339,72 +335,3 @@ def line_audit(p: int) -> dict:
     if abs(measured_mass - forms["on_line_mass"]) > 1e-12:
         raise AssertionError("on-line mass disagrees with 1/2 + 1/(2p)")
     return report
-
-
-# ---------------------------------------------------------------------------
-# PAC lifts
-# ---------------------------------------------------------------------------
-
-
-def pac_problem(
-    marginal: FiniteDistribution,
-    concepts,
-    eps: float,
-    hypotheses=None,
-) -> ProblemSpec:
-    """Agnostic-style PAC problem: one lifted joint per concept; solutions are
-    hypotheses verified by disagreement queries at threshold eps.
-
-    ``concepts`` is a list of (id, labels) with labels +-1 over the marginal's
-    domain. ``hypotheses`` defaults to every +-1 labeling when the base
-    domain has at most 16 points (ids are the label tuples), otherwise the
-    concept labelings themselves. Each lifted concept distribution is checked
-    to be realizable (Bayes error 0); the uniform-label reference has Bayes
-    error 1/2 and is attached as the reference distribution.
-    """
-    base = marginal.domain
-    n = len(base)
-    dists = []
-    for _, labels in concepts:
-        lab = np.asarray(labels, dtype=float)
-        target = {z: (1 if lab[base.index_of(z)] > 0 else -1) for z in base.elements}
-        lifted = pac_lift(marginal, target)
-        if bayes_error(lifted) > 1e-12:
-            raise AssertionError("a deterministic concept lift must have Bayes error 0")
-        dists.append(lifted)
-    joint = dists[0].domain
-    if hypotheses is None:
-        if n <= 16:
-            hypotheses = [
-                (labels, np.array(labels, dtype=float))
-                for labels in itertools.product((-1, 1), repeat=n)
-            ]
-        else:
-            hypotheses = [(cid, np.asarray(lab, dtype=float)) for cid, lab in concepts]
-    verify = {}
-    solutions = []
-    for hid, lab in hypotheses:
-        lab = np.asarray(lab, dtype=float)
-        phi = np.zeros(len(joint))
-        for i, z in enumerate(base.elements):
-            prefix = tuple(z) if isinstance(z, tuple) else (z,)
-            phi[joint.index_of(prefix + (-int(lab[i]),))] = 1.0
-        solutions.append(hid)
-        verify[hid] = QueryFn(joint, phi, range_tag=UNIT)
-    ref_weights = np.zeros(len(joint))
-    for i, z in enumerate(base.elements):
-        prefix = tuple(z) if isinstance(z, tuple) else (z,)
-        for b in (-1, 1):
-            ref_weights[joint.index_of(prefix + (b,))] = marginal.weights[i] / 2.0
-    reference = FiniteDistribution(joint, ref_weights)
-    if abs(bayes_error(reference) - 0.5) > 1e-12:
-        raise AssertionError("the uniform-label reference must have Bayes error 1/2")
-    return ProblemSpec.with_threshold_validity(
-        kind=PAC,
-        domain=joint,
-        dists=tuple(dists),
-        solutions=tuple(solutions),
-        verify=verify,
-        threshold=eps,
-        reference=reference,
-    )

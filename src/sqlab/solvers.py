@@ -44,7 +44,7 @@ Solvers:
   turn the failed verification into an update.
 - ``solve_optimizing``: binary search over the threshold to width tau/4
   with verifiable probes at inner tolerance 3 tau / 4.
-- ``learn_with_heavy_points``: the heavy-point PAC learner (label heavy
+- ``learn_with_heavy_points``: the heavy-point concept learner (label heavy
   points individually, then fall back to concepts that explain the
   remaining positive mass).
 """
@@ -640,7 +640,7 @@ def solve_optimizing(
 
 
 # ---------------------------------------------------------------------------
-# heavy-point PAC learner
+# heavy-point concept learner
 # ---------------------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from sqlab import biclique
 from sqlab import io as sqio
 from sqlab.cli import main
 
@@ -59,6 +60,19 @@ def test_gen_instance_roundtrip_through_solve(tmp_path, capsys):
     report = json.loads(out)
     assert report["summary"]["success_rate"] == 1.0
     assert report["summary"]["theorem_violations"] == 0
+
+
+def test_an_instance_of_an_unknown_kind_is_a_usage_error(tmp_path, capsys):
+    """No generator builds a "pac" instance and no solver takes one."""
+    payload = sqio.problem_to_dict(biclique(4, 2, kind="verifiable"))
+    path = tmp_path / "pac.json"
+    path.write_text(json.dumps({**payload, "kind": "pac"}))
+    for command in ("solve", "dims"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--instance", str(path), "--tau", "0.2"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"sqlab {command}: error: cannot load instance: unknown problem kind 'pac'" in err
 
 
 def test_gen_usage_errors(capsys):
@@ -230,11 +244,17 @@ def test_solve_rows_omit_cover_incomplete_when_the_cover_serves_all(capsys):
 )
 def test_solve_rejects_an_oracle_the_solver_cannot_use_as_a_usage_error(oracle):
     """A K1 search takes a STAT session only; any other oracle, or a
-    parameter its kind cannot take, exits 1 with one error line and no
-    traceback, run as a real process so that a traceback would show."""
+    parameter its kind cannot take, is a usage error."""
+    _assert_one_usage_error(
+        ["solve", "--gen", "biclique", "--n", "4", "--k", "2", "--tau", "0.2", *oracle]
+    )
+
+
+def _assert_one_usage_error(argv):
+    """``sqlab argv`` exits 1 with one error line, no traceback and no
+    output, run as a real process so that a traceback would show."""
     proc = subprocess.run(
-        [sys.executable, "-m", "sqlab.cli", "solve", "--gen", "biclique", "--n", "4", "--k", "2",
-         "--tau", "0.2", *oracle],
+        [sys.executable, "-m", "sqlab.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
@@ -243,8 +263,34 @@ def test_solve_rejects_an_oracle_the_solver_cannot_use_as_a_usage_error(oracle):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
-    assert len(errors) == 1 and errors[0].startswith("sqlab solve: error: ")
+    assert len(errors) == 1 and errors[0].startswith(f"sqlab {argv[0]}: error: ")
     assert proc.stdout == ""
+
+
+_BICLIQUE = ["--gen", "biclique", "--n", "4", "--k", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv,file",
+    [
+        (["stream", *_BICLIQUE, "--tau", "0.2", "--delta", "0"], None),
+        (["stream", *_BICLIQUE, "--tau", "0.2", "--delta", "2"], None),
+        (["stream", *_BICLIQUE, "--tau", "3", "--delta", "0.1"], None),
+        (["solve", *_BICLIQUE, "--tau", "0.2", "--mode", "rand", "--delta", "0"], None),
+        (["solve", *_BICLIQUE, "--kind", "decision", "--tau", "0.2", "--delta", "1.5"], None),
+        (["dims", *_BICLIQUE, "--tau", "-1"], None),
+        (["dims", *_BICLIQUE, "--config", "{file}"], {"tau": 0}),  # checked after --config
+        (["merge", "{file}"], [{"command": "solve", "results": []}]),  # not a JSON object
+    ],
+    ids=["stream-delta-0", "stream-delta-2", "stream-tau-3", "solve-rand-delta-0",
+         "solve-decision-delta-1.5", "dims-tau-neg", "dims-config-tau-0", "merge-array"],
+)
+def test_out_of_range_input_is_a_usage_error(argv, file, tmp_path):
+    """--tau outside (0, 2], --delta outside (0, 1) and a merge input that
+    is no report are usage errors."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(file))
+    _assert_one_usage_error([a.replace("{file}", str(path)) for a in argv])
 
 
 def test_solve_requires_seed_for_many_trials(capsys):

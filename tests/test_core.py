@@ -21,7 +21,6 @@ from sqlab import (
     SupportError,
     bayes_error,
     kl_divergence,
-    kl_radius_upper,
     likelihood_hat,
     mixture,
     pac_lift,
@@ -266,20 +265,6 @@ def test_kl_nonnegative(w1, w2):
     d = FiniteDistribution(dom, np.array(w1) / np.sum(w1))
     e = FiniteDistribution(dom, np.array(w2) / np.sum(w2))
     assert kl_divergence(d, e) >= -1e-12
-
-
-def test_kl_radius_upper_bounds_members():
-    dom = small_domain(3)
-    dists = [
-        FiniteDistribution(dom, np.array([0.7, 0.2, 0.1])),
-        FiniteDistribution(dom, np.array([0.1, 0.2, 0.7])),
-        FiniteDistribution(dom, np.array([0.1, 0.8, 0.1])),
-    ]
-    val, center = kl_radius_upper(dists)
-    for d in dists:
-        assert kl_divergence(d, center) <= val + 1e-12
-    same, _ = kl_radius_upper([dists[0], dists[0]])
-    assert same == pytest.approx(0.0)
 
 
 def test_likelihood_hat():

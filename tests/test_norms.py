@@ -13,12 +13,10 @@ from sqlab import (
     Measure,
     biclique,
     kappa1_frac,
-    kappav_frac,
     kbar1,
     kbar2,
     kbar2_spectral,
     kbarv,
-    kbarv_frac,
     line_problem,
     rho,
 )
@@ -311,28 +309,3 @@ def test_kappa1_frac_concrete():
     # weighted masses follow the measure
     skew = Measure.from_weights([0.6, 0.2, 0.2])
     assert kappa1_frac(skew, [far_up, far_down, near], d0, tau=0.3).value == pytest.approx(0.8)
-
-
-def test_kappav_frac_sanity():
-    rng = np.random.default_rng(21)
-    dists, d0 = random_dists(rng, n_points=4, n_dists=3)
-    mu = Measure.uniform(3)
-    report = kappav_frac(mu, dists, d0, tau=0.05)
-    assert report.exactness == LOWER_BOUND
-    assert 0.0 <= report.value <= 1.0 + 1e-12
-    # a larger radius can never distinguish more mass
-    bigger = kappav_frac(mu, dists, d0, tau=0.2)
-    assert bigger.value <= report.value + 1e-12
-
-
-def test_kbarv_frac_sanity_and_guard():
-    rng = np.random.default_rng(22)
-    dists, d0 = random_dists(rng, n_points=4, n_dists=3)
-    mu = Measure.uniform(3)
-    report = kbarv_frac(mu, dists, d0, tau=0.05)
-    assert report.exactness == LOWER_BOUND
-    assert 0.0 <= report.value <= 1.0 + 1e-12
-    dom = small_domain(4)
-    many = [FiniteDistribution.uniform(dom) for _ in range(11)]
-    with pytest.raises(GuardExceededError):
-        kbarv_frac(Measure.uniform(11), many, FiniteDistribution.uniform(dom), tau=0.1)

@@ -1,5 +1,5 @@
-"""Built-in problem families: planted-subcube (biclique), mod-p lines, and
-PAC lifts — closed forms checked against exact Fraction enumeration."""
+"""Built-in problem families: planted-subcube (biclique) and mod-p lines —
+closed forms checked against exact Fraction enumeration."""
 
 from fractions import Fraction
 
@@ -7,9 +7,6 @@ import numpy as np
 import pytest
 
 from sqlab import (
-    FiniteDistribution,
-    FiniteDomain,
-    PAC,
     bayes_error,
     biclique,
     biclique_conj_value,
@@ -20,7 +17,6 @@ from sqlab import (
     line_labels,
     line_marginal,
     line_problem,
-    pac_problem,
     parity_query,
 )
 from sqlab.core import DECISION, SEARCH, VERIFIABLE
@@ -223,45 +219,3 @@ def test_line_audit_small_primes(p):
 def test_line_guard():
     with pytest.raises(GuardExceededError):
         line_problem(37)
-
-
-# ---------------------------------------------------------------------------
-# PAC lifts
-# ---------------------------------------------------------------------------
-
-
-def test_pac_problem_structure():
-    dom = FiniteDomain((0, 1))
-    marginal = FiniteDistribution.uniform(dom)
-    concepts = [("id", np.array([1.0, 1.0])), ("neg", np.array([-1.0, -1.0]))]
-    prob = pac_problem(marginal, concepts, eps=0.25)
-    assert prob.kind == PAC
-    # default hypothesis class: all +-1 labelings of a 2-point domain
-    assert len(prob.solutions) == 4
-    assert prob.threshold == 0.25
-    # a hypothesis is eps-valid for a concept iff its disagreement mass is
-    # at most eps; with two equally weighted points that means agreement
-    # everywhere
-    for f, hyp in enumerate(prob.solutions):
-        for d_idx, (cid, clabels) in enumerate(concepts):
-            disagree = float(np.sum(marginal.weights[np.array(hyp) != clabels]))
-            assert prob.validity[f, d_idx] == (disagree <= 0.25 + 1e-12)
-    # verify queries measure exactly the disagreement mass
-    hyp = (1, -1)
-    q = prob.verify[hyp]
-    for d_idx, (cid, clabels) in enumerate(concepts):
-        measured = prob.dists[d_idx].expectation(q)
-        disagree = float(np.sum(marginal.weights[np.array(hyp) != clabels]))
-        assert measured == pytest.approx(disagree, abs=1e-12)
-    assert bayes_error(prob.reference) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_pac_problem_explicit_hypotheses():
-    dom = FiniteDomain(tuple(range(20)))  # > 16 points: defaults to concepts
-    rng = np.random.default_rng(0)
-    marginal = FiniteDistribution(dom, rng.dirichlet(np.ones(20)))
-    labels_a = np.where(np.arange(20) < 10, 1.0, -1.0)
-    labels_b = -labels_a
-    prob = pac_problem(marginal, [("a", labels_a), ("b", labels_b)], eps=0.1)
-    assert prob.solutions == ("a", "b")
-    assert prob.validity[0, 0] and not prob.validity[0, 1]

@@ -11,7 +11,6 @@ from sqlab import (
     FiniteDomain,
     K1,
     KV,
-    Measure,
     ProblemSpec,
     QueryFn,
     SEARCH,
@@ -40,8 +39,6 @@ from sqlab.oracles import (
     vroot,
 )
 from sqlab.solvers import MWState, _first_trigger
-
-from tests.util import small_domain
 
 
 # ---------------------------------------------------------------------------
