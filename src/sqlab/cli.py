@@ -124,11 +124,27 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=["det", "rand"], default="det", help="solver mode")
 
 
+def _config_takes(action: argparse.Action, value) -> bool:
+    """Whether a ``--config`` value has a JSON type its flag can take: a list
+    of strings for a list positional; otherwise a string, or a number for a
+    numeric flag (a whole number for an integer one)."""
+    if action.nargs == "*":
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    if isinstance(value, str):
+        return True
+    if isinstance(value, bool):  # a JSON true or false is no number
+        return False
+    if action.type is int:
+        return isinstance(value, int)
+    return action.type is float and isinstance(value, (int, float))
+
+
 def _config_values(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     """The ``--config`` file's values, keyed by option name ({} without one).
 
     A string value is converted by its flag's type, as argparse converts a
-    string default; an unknown key is a usage error.
+    string default; an unknown key, a value of a JSON type its flag cannot
+    take, or one outside its flag's choices, is a usage error.
     """
     if not getattr(args, "config", None):
         return {}
@@ -145,11 +161,15 @@ def _config_values(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         action = actions.get(key.replace("-", "_"))
         if action is None:
             parser.error(f"--config contains unknown option {key!r}")
+        if not _config_takes(action, value):
+            parser.error(f"--config has a value of the wrong type for {key!r}: {json.dumps(value)}")
         if isinstance(value, str) and action.type is not None:
             try:
                 value = action.type(value)
             except (TypeError, ValueError):
                 parser.error(f"--config has an invalid value for {key!r}: {value!r}")
+        if action.choices is not None and value not in action.choices:
+            parser.error(f"--config has an invalid choice for {key!r}: {value!r}")
         values[action.dest] = value
     return values
 
@@ -566,8 +586,11 @@ def cmd_merge(args, parser) -> int:
             parser.error(f"cannot read {path}: {exc}")
         if not isinstance(data, dict):
             parser.error(f"{path} is not a report: it must contain a JSON object")
+        rows = data.get("results", [])
+        if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+            parser.error(f"{path} is not a report: its results must be a list of JSON objects")
         commands.add(data.get("command"))
-        merged_rows.extend(data.get("results", []))
+        merged_rows.extend(rows)
     n_ok = sum(1 for r in merged_rows if r.get("correct"))
     violations = sum(1 for r in merged_rows if r.get("theorem_violation"))
     report = {

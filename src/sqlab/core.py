@@ -41,6 +41,7 @@ __all__ = [
     "binary_table",
     "draw_indices",
     "draw_counts",
+    "cdf_counts",
     "witness_count",
     "sqrt_scale",
     "sqrt_gap",
@@ -322,7 +323,12 @@ def draw_counts(weights: np.ndarray, rng: np.random.Generator, size: int) -> np.
     vectorised sort and |X| binary searches replace ``size`` scattered
     binary searches over the cdf.
     """
-    cdf = np.cumsum(weights)
+    return cdf_counts(np.cumsum(weights), rng, size)
+
+
+def cdf_counts(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``draw_counts`` from the cumulative sums ``cdf = np.cumsum(weights)``,
+    for a caller that draws from the same weights many times."""
     u = rng.random(size)
     u.sort()
     counts = np.searchsorted(u, cdf, side="left")  # the uniforms below each cdf value

@@ -19,10 +19,12 @@ so its LP has k rows instead of k + |X|.
 ``achievable_subsets`` settles each candidate signed subset by the cheapest
 test that decides it: a closure prune (a candidate with an unachievable
 drop-one subset is skipped), then a certificate from the pool of witnesses
-found so far, and only then a ``max_margin`` LP. Each maximal set keeps the
-witness one LP per candidate would give it (the LP query of its first signed
-set in walk order), re-derived at the end when the pool certified that set,
-so the family does not depend on the order the pool grew in.
+found so far, then an LP-free bracket on its margin (the uniform mixture
+bounds it from above, that mixture's sign query from below), and only then
+a ``max_margin`` LP. Each maximal set keeps the witness one LP per
+candidate would give it (the LP query of its first signed set in walk
+order), re-derived at the end when no LP settled that set, so the family
+does not depend on the order the pool grew in.
 
 Conventions:
 
@@ -599,6 +601,20 @@ def _maximal_family(sets, witness, ground_size: int, tau: float, kappa: str) -> 
     )
 
 
+def _margin_bracket(g: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Bounds on the ``max_margin`` value of the rows ``g`` (g_i = s_i (D_i -
+    D0)) without an LP: (lower, upper, phi).
+
+    The value max_phi min_i <phi, g_i> equals min over mixtures lambda of
+    |sum_i lambda_i g_i|_1, so the uniform mixture's |mean_i g_i|_1 is an
+    upper bound, and its sign query phi (+1 where the mean is >= 0) reaches
+    the lower bound min_i <phi, g_i>.
+    """
+    mean = g.mean(axis=0)
+    phi = np.where(mean >= 0, 1.0, -1.0)
+    return float((g @ phi).min()), float(np.abs(mean).sum()), phi
+
+
 def _drop_one(signed: tuple, p: int) -> tuple:
     """``signed`` without its member at position ``p``, signs flipped when
     needed so that the first member is +1 (the walk's normal form)."""
@@ -627,18 +643,26 @@ def achievable_subsets(
        candidate with a drop-one signed subset that is not achievable is
        skipped without an LP;
     2. pooled certification: every witness found so far (the singletons'
-       sign queries and each achieving LP's query) is kept with its margins
-       against all members, and a candidate that one pooled witness, or its
-       negation, separates at margin >= tau + STRICT_EPS is achievable;
-    3. otherwise one ``max_margin`` LP decides it, and its query joins the
+       sign queries, each bracket query of step 3 and each achieving LP's
+       query) is kept with its margins against all members, and a
+       candidate that one pooled witness, or its negation, separates at
+       margin >= tau + STRICT_EPS is achievable;
+    3. LP-free bracket (``_margin_bracket``): with g_i = s_i (D_i - D0), the
+       margin is min over mixtures of |sum_i lambda_i g_i|_1, so a
+       candidate whose uniform mixture has |mean_i g_i|_1 < tau +
+       STRICT_EPS / 2 is not achievable, and one that the sign query of
+       that mean separates at margin >= tau + STRICT_EPS is; that query
+       joins the pool and counts as a pooled certificate;
+    4. otherwise one ``max_margin`` LP decides it, and its query joins the
        pool when it achieves.
 
     A maximal set's witness is ``max_margin``'s query on the first signed
     set of that set in walk order, the witness a one-LP-per-candidate walk
-    reports; when the walk certified that signed set from the pool, its LP
-    is solved at the end, so the family does not depend on which pooled
-    witness happened to certify it. (Should that LP fall short of the
-    threshold, the pooled witness is kept: it is a valid certificate.)
+    reports; when the walk certified that signed set from the pool or the
+    bracket, its LP is solved at the end, so the family does not depend on
+    which pooled witness happened to certify it. (Should that LP fall short
+    of the threshold, the pooled witness is kept: it is a valid
+    certificate.)
     Worst case is exponential in |dists| — hence the guard.
 
     KV: heuristic family from binary-vertex witnesses phi in {0,1}^X
@@ -675,19 +699,27 @@ def achievable_subsets(
             achievable, else None."""
             nonlocal table
             idx = [i for i, _ in signed]
-            margins = table[:, idx] * np.array([s for _, s in signed])
+            signs = np.array([s for _, s in signed], dtype=float)
+            margins = table[:, idx] * signs
             up = margins.min(axis=1) >= threshold
             down = -margins.max(axis=1) >= threshold
             hit = np.flatnonzero(up | down)
             if hit.size:
                 r = int(hit[0])
                 return None, pool[r] if up[r] else -pool[r]
-            res = max_margin([dists[i] for i in idx], d0, [s for _, s in signed])
-            if res.value < threshold:
+            lower, upper, phi = _margin_bracket(signs[:, None] * diffs[idx])
+            if upper < tau + STRICT_EPS / 2:
                 return None
-            pool.append(res.query)
-            table = np.vstack([table, diffs @ res.query])
-            return res.query, None
+            found = (None, phi)
+            if lower < threshold:
+                res = max_margin([dists[i] for i in idx], d0, [s for _, s in signed])
+                if res.value < threshold:
+                    return None
+                phi = res.query
+                found = (phi, None)
+            pool.append(phi)
+            table = np.vstack([table, diffs @ phi])
+            return found
 
         while frontier:
             known = set(frontier)

@@ -167,9 +167,10 @@ def _k1_witnesses(dist_mat: np.ndarray, t_vec: np.ndarray):
     ``t_vec``, and a function giving the best signed queries sign(D_i - t)
     of chosen rows as one 2-D block, built for those rows only."""
     diff = dist_mat - t_vec
-    gaps = np.abs(diff, out=diff).sum(axis=1)
     # d - t >= 0 exactly when d >= t: two unequal doubles never differ by 0
-    return gaps, lambda rows: np.where(dist_mat[rows] >= t_vec, 1.0, -1.0)
+    up = diff >= 0
+    gaps = np.abs(diff, out=diff).sum(axis=1)
+    return gaps, lambda rows: np.where(up[rows], 1.0, -1.0)
 
 
 def _kv_witness(d: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:

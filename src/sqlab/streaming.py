@@ -51,7 +51,7 @@ import math
 
 import numpy as np
 
-from .core import K1, FiniteDistribution, ProblemSpec, draw_counts, mixture
+from .core import K1, FiniteDistribution, ProblemSpec, cdf_counts, mixture
 from .errors import StreamExhaustedError
 from .solvers import MWState, _first_trigger, _k1_witnesses, _proposal, _run_mw, margin_cover
 
@@ -73,6 +73,7 @@ class SampleStream:
 
     def __init__(self, dist: FiniteDistribution, rng: np.random.Generator, limit: int | None = None):
         self.dist = dist
+        self._cdf = np.cumsum(dist.weights)  # every draw_counts call reads it
         self.rng = rng
         self.limit = limit
         self.drawn = 0
@@ -92,7 +93,7 @@ class SampleStream:
         """Per-point counts of the block ``draw_block(n)`` would draw, from the
         same uniforms; the cap and the ``drawn`` count are the same too."""
         self._take(n)
-        return draw_counts(self.dist.weights, self.rng, n)
+        return cdf_counts(self._cdf, self.rng, n)
 
 
 def stream_requirements(problem: ProblemSpec, tau: float, delta: float, kl_bound: float | None = None) -> dict:

@@ -281,13 +281,24 @@ _BICLIQUE = ["--gen", "biclique", "--n", "4", "--k", "2"]
         (["dims", *_BICLIQUE, "--tau", "-1"], None),
         (["dims", *_BICLIQUE, "--config", "{file}"], {"tau": 0}),  # checked after --config
         (["merge", "{file}"], [{"command": "solve", "results": []}]),  # not a JSON object
+        (["dims", *_BICLIQUE, "--config", "{file}"], {"tau": [1]}),  # a type --tau cannot take
+        (["solve", *_BICLIQUE, "--tau", "0.2", "--config", "{file}"], {"trials": 2.0, "seed": 1}),
+        (["solve", *_BICLIQUE, "--tau", "0.2", "--config", "{file}"], {"seed": True}),
+        (["merge", "--config", "{file}"], {"inputs": "a.json"}),
+        (["solve", *_BICLIQUE, "--tau", "0.2", "--config", "{file}"], {"strategy": "edge"}),
+        (["merge", "{file}"], {"command": "solve", "results": [1, 2]}),
+        (["merge", "{file}"], {"command": "solve", "results": {"trial": 0}}),
     ],
     ids=["stream-delta-0", "stream-delta-2", "stream-tau-3", "solve-rand-delta-0",
-         "solve-decision-delta-1.5", "dims-tau-neg", "dims-config-tau-0", "merge-array"],
+         "solve-decision-delta-1.5", "dims-tau-neg", "dims-config-tau-0", "merge-array",
+         "dims-config-tau-list", "solve-config-trials-float", "solve-config-seed-bool",
+         "merge-config-inputs-string", "solve-config-strategy-not-a-choice",
+         "merge-rows-not-objects", "merge-results-not-a-list"],
 )
 def test_out_of_range_input_is_a_usage_error(argv, file, tmp_path):
-    """--tau outside (0, 2], --delta outside (0, 1) and a merge input that
-    is no report are usage errors."""
+    """--tau outside (0, 2], --delta outside (0, 1), a --config value of a
+    JSON type or outside the choices its flag can take, and a merge input
+    that is no report are usage errors."""
     path = tmp_path / "input.json"
     path.write_text(json.dumps(file))
     _assert_one_usage_error([a.replace("{file}", str(path)) for a in argv])

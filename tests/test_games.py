@@ -34,7 +34,7 @@ from sqlab import (
     verify_cover_family,
     zero_sum,
 )
-from sqlab.games import STRICT_EPS, CoverFamily, GameResult
+from sqlab.games import STRICT_EPS, CoverFamily, GameResult, _margin_bracket
 
 from tests.util import brute_force_lp, random_dists, small_domain
 
@@ -837,6 +837,24 @@ def test_pruned_walk_repeats_the_family_on_random_instances(data):
     _assert_same_family(dists, d0, tau)
 
 
+@given(data=st.data())
+def test_margin_bracket_holds_on_random_signed_subsets(data):
+    """The uniform mixture's sign query bounds the max-margin LP value from
+    below and the mixture's l1 norm from above."""
+    n = data.draw(st.integers(2, 8))
+    m = data.draw(st.integers(1, 6))
+    weights = st.lists(st.integers(1, 10), min_size=n, max_size=n).map(lambda c: np.array(c) / sum(c))
+    dists = [_dist(data.draw(weights)) for _ in range(m)]
+    d0 = _dist(data.draw(weights))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=m, max_size=m))
+    g = np.array([s * (d.weights - d0.weights) for s, d in zip(signs, dists)])
+    lower, upper, phi = _margin_bracket(g)
+    value = max_margin(dists, d0, signs).value
+    assert lower <= value + 1e-9
+    assert value <= upper + 1e-9
+    assert lower == float((g @ phi).min()) and set(np.unique(phi)) <= {-1.0, 1.0}
+
+
 def _highs_margin(linprog, g):
     """max t over phi in [-1,1]^n subject to <phi, g_i> >= t for every row."""
     k, n = g.shape
@@ -925,12 +943,13 @@ def test_pooled_witness_stands_when_the_final_lp_falls_short(monkeypatch):
 
 
 def test_line_3_decision_cover_makes_few_margin_lps(monkeypatch):
-    """One LP per candidate made 9,423 max_margin calls here."""
+    """One LP per candidate made 9,423 max_margin calls here, and the walk
+    without the LP-free bracket 412."""
     from sqlab.solvers import decision_cover
 
     calls = _count_margins(monkeypatch)
     family, cover = decision_cover(line_problem(3, kind="decision"), 0.2)
-    assert calls[0] <= 412
+    assert calls[0] <= 240
     assert family.sets == (frozenset(range(9)),)
 
 
@@ -941,6 +960,17 @@ def test_biclique_5_4_family_makes_few_margin_lps(monkeypatch):
     family = achievable_subsets(list(problem.dists), problem.reference, 0.2)
     assert calls[0] <= 21
     assert family.sets == (frozenset(range(problem.n_dists)),)
+
+
+def test_biclique_6_2_family_at_tau_0_3_makes_no_settle_lp(monkeypatch):
+    """The LP-free bracket settles every candidate here: the only margin
+    LPs are the 15 singletons' and one witness LP per maximal set (the walk
+    without the bracket made 1,826 settle LPs)."""
+    problem = biclique(6, 2, kind="decision")
+    calls = _count_margins(monkeypatch)
+    family = achievable_subsets(list(problem.dists), problem.reference, 0.3)
+    assert len(family.sets) == 386
+    assert calls[0] == problem.n_dists + len(family.sets)
 
 
 # ---------------------------------------------------------------------------
@@ -1081,6 +1111,12 @@ def _golden_case(argv, golden, id=None):
         _golden_case(
             ["dims", *_BICLIQUE_4_2, "--kind", "decision", "--kappa", "kv", "--tau", "0.2"],
             "dims_biclique_4_2_kv_tau0.2.json",
+        ),
+        # 386 maximal sets of a 15-member family, every candidate settled
+        # without a margin LP, and sd_decision over 2^15 subfamilies.
+        _golden_case(
+            ["dims", "--gen", "biclique", "--n", "6", "--k", "2", "--kind", "decision", "--tau", "0.3"],
+            "dims_biclique_6_2_tau0.3.json",
         ),
         _golden_case(
             ["solve", "--gen", "line", "--p", "5", "--tau", "0.2", "--trials", "20", "--seed", "1"],
