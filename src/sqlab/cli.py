@@ -54,7 +54,7 @@ from .dimension import (
     sd_decision,
     simple_lower_bound,
 )
-from .errors import GuardExceededError, SqlabError, UncoverableError
+from .errors import GuardExceededError, SqlabError, SupportError, UncoverableError
 from .norms import kbar1, kbar2, kbar2_spectral, kbarv, rho
 from .oracles import (
     OracleSession,
@@ -223,7 +223,7 @@ def _strategy(args, reference):
     if args.strategy == "exact":
         return exact_answers()
     if args.strategy == "sampled":
-        if not args.samples:
+        if args.samples is None:
             raise SqlabError("--strategy sampled needs --samples")
         return sampled_answers(args.samples)
     if args.strategy == "reference":
@@ -525,7 +525,10 @@ def cmd_stream(args, parser) -> int:
         rng = _trial_rng(args.seed, trial)
         ti = int(rng.integers(problem.n_dists))
         stream = SampleStream(problem.dists[ti], rng)
-        rep = stream_solve(problem, args.tau, args.delta, stream)
+        try:
+            rep = stream_solve(problem, args.tau, args.delta, stream)
+        except SupportError as exc:
+            parser.error(str(exc))
         ledger = rep["ledger"]
         row = {
             "trial": trial,
@@ -658,11 +661,18 @@ def main(argv=None) -> int:
         for action in sub._actions:
             if not action.option_strings and action.dest in values and not getattr(args, action.dest):
                 setattr(args, action.dest, values[action.dest])
-    # A K1 margin lies in [0, 2], and a failure probability in (0, 1).
+    # A K1 margin lies in [0, 2], and a failure probability in (0, 1); numpy
+    # seeds are non-negative, and a run makes one trial or more.
     if args.tau is not None and not 0 < args.tau <= 2:
         sub.error(f"--tau must lie in (0, 2], not {args.tau:g}")
     if args.delta is not None and not 0 < args.delta < 1:
         sub.error(f"--delta must lie in (0, 1), not {args.delta:g}")
+    if args.seed is not None and args.seed < 0:
+        sub.error(f"--seed must be at least 0, not {args.seed}")
+    if args.trials < 1:
+        sub.error(f"--trials must be at least 1, not {args.trials}")
+    if args.samples is not None and args.samples < 1:
+        sub.error(f"--samples must be at least 1, not {args.samples}")
     try:
         return args.handler(args, sub)
     except SqlabError as exc:

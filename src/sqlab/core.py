@@ -42,6 +42,7 @@ __all__ = [
     "draw_indices",
     "draw_counts",
     "cdf_counts",
+    "dyadic_edges",
     "witness_count",
     "sqrt_scale",
     "sqrt_gap",
@@ -316,23 +317,72 @@ def draw_indices(weights: np.ndarray, rng: np.random.Generator, size: int) -> np
 def draw_counts(weights: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
     """Per-index counts of the draw ``draw_indices(weights, rng, size)`` makes.
 
-    The same ``size`` uniforms, sorted: index i takes those below ``cdf[i]``
-    and at or above ``cdf[i - 1]``, and the last index takes the rest (the
-    clamp of ``draw_indices``). Equal to ``np.bincount`` of that draw with
-    ``minlength=len(weights)``, and leaves ``rng`` in the same state. One
-    vectorised sort and |X| binary searches replace ``size`` scattered
-    binary searches over the cdf.
+    From the same ``size`` uniforms: index i takes those below ``cdf[i]``
+    and at or above ``cdf[i - 1]``, so a uniform equal to ``cdf[i]`` goes to
+    index i + 1 as in ``draw_indices``, and the last index takes the rest
+    (the clamp of ``draw_indices``). Equal to ``np.bincount`` of that draw
+    with ``minlength=len(weights)``, and leaves ``rng`` in the same state.
+    A cdf on a dyadic grid is counted from a histogram of the uniforms,
+    any other from the sorted uniforms (``cdf_counts``); both replace
+    ``size`` scattered binary searches over the cdf.
     """
-    return cdf_counts(np.cumsum(weights), rng, size)
+    cdf = np.cumsum(weights)
+    return cdf_counts(cdf, rng, size, dyadic_edges(cdf))
 
 
-def cdf_counts(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``draw_counts`` from the cumulative sums ``cdf = np.cumsum(weights)``,
-    for a caller that draws from the same weights many times."""
+#: The finest grid ``dyadic_edges`` puts a cdf on: 2^_GRID_BITS buckets. The
+#: histogram's prefix sum costs time per bucket, the sort time per sample.
+#: Timed on a 2-vCPU x86 VM with 256 cdf values, at 2^10 buckets the
+#: histogram took 15 against 16 us for the sort at 400 samples and 73
+#: against 104 us at 6,451; at 2^12 it lost at 400 samples (35 against
+#: 24 us), at 2^13 it only tied at 6,451, and at 2^16 it took 0.6-0.8 ms.
+_GRID_BITS = 10
+
+
+def dyadic_edges(cdf: np.ndarray) -> np.ndarray | None:
+    """The grid ``cdf_counts`` buckets ``cdf`` on, or None if it is on none.
+
+    Every cdf value but the last, clipped to [0, 1], must be a multiple
+    e / K of the coarsest K = 2^k, k <= ``_GRID_BITS``, that holds them all
+    (values outside [0, 1] count as the ends: every uniform lies in [0, 1)).
+    Returns the e values followed by K, which ends the last index's bucket
+    range whatever ``cdf[-1]`` is, so a total an ulp off 1 stays on the grid.
+    """
+    scaled = np.clip(cdf[:-1], 0.0, 1.0) * (1 << _GRID_BITS)
+    if not cdf.size or not np.array_equal(scaled, np.floor(scaled)):  # empty, off the grid, or NaN
+        return None
+    edges = np.append(scaled.astype(np.intp), 1 << _GRID_BITS)
+    bits = int(np.bitwise_or.reduce(edges))
+    edges >>= (bits & -bits).bit_length() - 1  # the trailing zeros every edge shares
+    return edges
+
+
+def cdf_counts(
+    cdf: np.ndarray, rng: np.random.Generator, size: int, edges: np.ndarray | None
+) -> np.ndarray:
+    """``draw_counts`` from the cumulative sums ``cdf = np.cumsum(weights)``
+    and their grid ``edges = dyadic_edges(cdf)``, for a caller that draws
+    from the same weights many times.
+
+    Without a grid the uniforms are sorted and each cdf value is located
+    among them. On a grid of K = 2^k buckets the count is exact and O(size
+    + K): a uniform is j * 2^-53, so u * K is exact and u < e / K holds
+    exactly when bucket floor(u * K) lies below e. One histogram of the
+    buckets and its prefix sum give the uniforms below every edge; a
+    uniform equal to a cdf value lands in the bucket the value starts,
+    which counts for the next index.
+    """
     u = rng.random(size)
-    u.sort()
-    counts = np.searchsorted(u, cdf, side="left")  # the uniforms below each cdf value
-    counts[-1] = size
+    if edges is None:
+        u.sort()
+        counts = np.searchsorted(u, cdf, side="left")  # the uniforms below each cdf value
+        counts[-1] = size
+    else:
+        n_buckets = int(edges[-1])
+        u *= n_buckets
+        below = np.zeros(n_buckets + 1, dtype=np.intp)  # below[e]: the uniforms below e / K
+        np.cumsum(np.bincount(u.astype(np.intp), minlength=n_buckets), out=below[1:])
+        counts = below[edges]
     counts[1:] -= counts[:-1].copy()
     return counts
 

@@ -67,7 +67,7 @@ from .core import (
     sqrt_gap,
     witness_count,
 )
-from .errors import OracleMismatchError, UncoverableError
+from .errors import OracleMismatchError, SupportError, UncoverableError
 from .games import achievable_subsets, fractional_cover
 from .oracles import STAT, VROOT, OracleSession, Transcript
 
@@ -397,6 +397,26 @@ def _first_trigger(t_vec: np.ndarray, block, scan, kappa: str, tau: float):
     return j, (1.0 if expected[j] > answers[j] else -1.0)
 
 
+def _start_mixture(problem: ProblemSpec) -> np.ndarray:
+    """The uniform mixture of the family, where every MW solver starts.
+
+    MW weights must stay strictly positive, so a mixture without mass on
+    some domain point (every member of biclique(n, n) sits on the all-ones
+    point) is a SupportError that names those points, raised before any
+    cover is built.
+    """
+    weights = mixture(list(problem.dists)).weights
+    empty = np.flatnonzero(weights <= 0)
+    if empty.size:
+        names = ", ".join(repr(problem.domain.elements[i]) for i in empty[:4])
+        more = f" and {empty.size - 4} more" if empty.size > 4 else ""
+        raise SupportError(
+            f"the family's uniform mixture has no mass on domain points {names}{more}; "
+            "multiplicative weights need every point of the domain"
+        )
+    return weights
+
+
 def _run_mw(state: MWState, budget: int, step):
     """The multiplicative-weights loop of every MW solver.
 
@@ -453,6 +473,7 @@ def solve_search_universal(
         raise ValueError("randomized mode needs delta and rng")
     gamma = tau / 3.0 if kappa == K1 else tau**2 / 9.0
     _check_session(session, kappa, tau / 3.0)
+    start = MWState.start(_start_mixture(problem), gamma)
     if kl_bound is None:
         kl_bound = math.log(problem.n_dists) if problem.n_dists > 1 else 1.0
     budget = update_budget(kl_bound, tau, kappa)
@@ -471,7 +492,6 @@ def solve_search_universal(
             return sign * queries[j]
         return _proposal(problem, cover_step)
 
-    start = MWState.start(mixture(list(problem.dists)).weights, gamma)
     (outcome, solution, details), state = _run_mw(start, budget, step)
     return _run_report(
         session, outcome, solution, state.step, details,
@@ -558,6 +578,7 @@ def solve_verifiable(
         raise ValueError("solve_verifiable needs verify queries")
     _check_session(session, K1, tau / 3.0)
     gamma = tau / 3.0
+    start = MWState.start(_start_mixture(problem), gamma)
     if kl_bound is None:
         kl_bound = math.log(problem.n_dists) if problem.n_dists > 1 else 1.0
     budget = update_budget(kl_bound, tau, K1)
@@ -582,7 +603,6 @@ def solve_verifiable(
         j, sign = hit
         return sign * far[j]
 
-    start = MWState.start(mixture(list(problem.dists)).weights, gamma)
     (outcome, solution, details), state = _run_mw(start, budget, step)
     # STUCK is a legal outcome (the instance may simply not be verifiably
     # well-posed at this radius); only blowing the update budget on valid

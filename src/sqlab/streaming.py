@@ -25,8 +25,13 @@ witnesses.
 The simulator takes each estimate from the block's counts: ``draw_counts``
 gives how often each domain point occurs among the n_est samples that
 ``draw_block`` would list, from the same uniforms, and the estimate is
-counts @ phi / n_est, bit for bit the mean over the listed samples. That is
-only the simulator's shortcut. The ledger prices an algorithm that reads
+counts @ phi / n_est, bit for bit the mean over the listed samples. A
+distribution whose cdf lies on a dyadic grid of at most 2^10 buckets
+(every biclique(8,2) member; ``core.dyadic_edges`` finds the grid once per
+stream) is counted from a histogram of the uniforms' buckets in O(n_est),
+any other (biclique(6,2), the line family) from the sorted uniforms. The
+two agree exactly, tie rule included (``core.cdf_counts``). That is only
+the simulator's shortcut. The ledger prices an algorithm that reads
 the stream one sample at a time, adding phi(x) into one accumulator and
 counting the samples in one reused counter.
 
@@ -51,9 +56,17 @@ import math
 
 import numpy as np
 
-from .core import K1, FiniteDistribution, ProblemSpec, cdf_counts, mixture
+from .core import K1, FiniteDistribution, ProblemSpec, cdf_counts, dyadic_edges
 from .errors import StreamExhaustedError
-from .solvers import MWState, _first_trigger, _k1_witnesses, _proposal, _run_mw, margin_cover
+from .solvers import (
+    MWState,
+    _first_trigger,
+    _k1_witnesses,
+    _proposal,
+    _run_mw,
+    _start_mixture,
+    margin_cover,
+)
 
 __all__ = [
     "SampleStream",
@@ -73,7 +86,8 @@ class SampleStream:
 
     def __init__(self, dist: FiniteDistribution, rng: np.random.Generator, limit: int | None = None):
         self.dist = dist
-        self._cdf = np.cumsum(dist.weights)  # every draw_counts call reads it
+        self._cdf = np.cumsum(dist.weights)  # every draw_counts call reads it, and its grid
+        self._edges = dyadic_edges(self._cdf)
         self.rng = rng
         self.limit = limit
         self.drawn = 0
@@ -93,7 +107,7 @@ class SampleStream:
         """Per-point counts of the block ``draw_block(n)`` would draw, from the
         same uniforms; the cap and the ``drawn`` count are the same too."""
         self._take(n)
-        return cdf_counts(self._cdf, self.rng, n)
+        return cdf_counts(self._cdf, self.rng, n, self._edges)
 
 
 def stream_requirements(problem: ProblemSpec, tau: float, delta: float, kl_bound: float | None = None) -> dict:
@@ -134,7 +148,7 @@ _mw_apply = MWState.update
 def _start_state(problem: ProblemSpec, tau: float) -> MWState:
     # The uniform mixture as it is, not renormalised: a mixture that sums to
     # 1 - 2e-16 (biclique(8,2)) would change bits under MWState.start.
-    return MWState(weights=mixture(list(problem.dists)).weights, gamma=tau / 3.0)
+    return MWState(weights=_start_mixture(problem), gamma=tau / 3.0)
 
 
 def replay_weights(problem: ProblemSpec, tau: float, history) -> np.ndarray:
@@ -169,6 +183,7 @@ def stream_solve(
     within_bound}. StreamExhaustedError propagates when the stream runs dry.
     """
     req = stream_requirements(problem, tau, delta, kl_bound)
+    start = _start_state(problem, tau)
     cover = margin_cover(problem, tau, kappa=K1, randomized=False)
     n_x = len(problem.domain)
     history: list[tuple[int, int]] = []
@@ -196,7 +211,7 @@ def stream_solve(
         history.append((int(cover_step.targets[j]), int(sign)))
         return sign * cover_step.queries[j]
 
-    (outcome, solution, details), state = _run_mw(_start_state(problem, tau), req["t_budget"], step)
+    (outcome, solution, details), state = _run_mw(start, req["t_budget"], step)
     del history[state.step:]  # a trigger past the budget is not applied
     persistent_bits = len(history) * (req["index_bits"] + 1) + req["counter_width"]
     # scratch: the replayable mixture vector, one accumulator, the sample

@@ -252,7 +252,8 @@ def test_solve_rejects_an_oracle_the_solver_cannot_use_as_a_usage_error(oracle):
 
 def _assert_one_usage_error(argv):
     """``sqlab argv`` exits 1 with one error line, no traceback and no
-    output, run as a real process so that a traceback would show."""
+    output, run as a real process so that a traceback would show. Returns
+    the error line."""
     proc = subprocess.run(
         [sys.executable, "-m", "sqlab.cli", *argv],
         capture_output=True,
@@ -265,6 +266,7 @@ def _assert_one_usage_error(argv):
     errors = [line for line in proc.stderr.splitlines() if "error:" in line]
     assert len(errors) == 1 and errors[0].startswith(f"sqlab {argv[0]}: error: ")
     assert proc.stdout == ""
+    return errors[0]
 
 
 _BICLIQUE = ["--gen", "biclique", "--n", "4", "--k", "2"]
@@ -288,20 +290,44 @@ _BICLIQUE = ["--gen", "biclique", "--n", "4", "--k", "2"]
         (["solve", *_BICLIQUE, "--tau", "0.2", "--config", "{file}"], {"strategy": "edge"}),
         (["merge", "{file}"], {"command": "solve", "results": [1, 2]}),
         (["merge", "{file}"], {"command": "solve", "results": {"trial": 0}}),
+        (["solve", *_BICLIQUE, "--tau", "0.2", "--seed", "-1"], None),
+        (["stream", *_BICLIQUE, "--tau", "0.2", "--delta", "0.1", "--seed", "-1"], None),
+        (["solve", *_BICLIQUE, "--tau", "0.2", "--strategy", "sampled", "--samples", "-3"], None),
+        (["solve", *_BICLIQUE, "--tau", "0.2", "--strategy", "sampled", "--samples", "0"], None),
+        (["solve", *_BICLIQUE, "--tau", "0.2", "--trials", "-1", "--seed", "1"], None),
+        (["stream", *_BICLIQUE, "--tau", "0.2", "--delta", "0.1", "--trials", "0"], None),
+        (["solve", *_BICLIQUE, "--tau", "0.2", "--config", "{file}"], {"seed": -2}),
     ],
     ids=["stream-delta-0", "stream-delta-2", "stream-tau-3", "solve-rand-delta-0",
          "solve-decision-delta-1.5", "dims-tau-neg", "dims-config-tau-0", "merge-array",
          "dims-config-tau-list", "solve-config-trials-float", "solve-config-seed-bool",
          "merge-config-inputs-string", "solve-config-strategy-not-a-choice",
-         "merge-rows-not-objects", "merge-results-not-a-list"],
+         "merge-rows-not-objects", "merge-results-not-a-list", "solve-seed-neg",
+         "stream-seed-neg", "solve-samples-neg", "solve-samples-0", "solve-trials-neg",
+         "stream-trials-0", "solve-config-seed-neg"],
 )
 def test_out_of_range_input_is_a_usage_error(argv, file, tmp_path):
-    """--tau outside (0, 2], --delta outside (0, 1), a --config value of a
-    JSON type or outside the choices its flag can take, and a merge input
-    that is no report are usage errors."""
+    """--tau outside (0, 2], --delta outside (0, 1), a negative --seed,
+    --trials or --samples below 1, a --config value of a JSON type or outside
+    the choices its flag can take, and a merge input that is no report are
+    usage errors."""
     path = tmp_path / "input.json"
     path.write_text(json.dumps(file))
     _assert_one_usage_error([a.replace("{file}", str(path)) for a in argv])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stream", "--gen", "biclique", "--n", "2", "--k", "2", "--tau", "0.2", "--delta", "0.1"],
+        ["solve", "--gen", "biclique", "--n", "1", "--k", "1", "--tau", "0.2"],
+    ],
+    ids=["stream-biclique-2-2", "solve-biclique-1-1"],
+)
+def test_a_family_whose_mixture_misses_a_point_is_a_usage_error(argv):
+    """biclique(n, n) has one member, on the all-ones point alone, so the MW
+    start has zero-mass points: one error line that names them."""
+    assert "no mass on domain points '0" in _assert_one_usage_error(argv)
 
 
 def test_solve_requires_seed_for_many_trials(capsys):

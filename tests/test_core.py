@@ -25,7 +25,7 @@ from sqlab import (
     mixture,
     pac_lift,
 )
-from sqlab.core import binary_table, draw_counts, draw_indices
+from sqlab.core import _GRID_BITS, binary_table, draw_counts, draw_indices, dyadic_edges
 
 from tests.util import small_domain
 
@@ -137,6 +137,65 @@ def test_draw_counts_sends_a_uniform_on_a_cdf_value_to_the_next_index():
     u = [0.0, 0.25, 0.5, 0.5, 0.75, 0.25]
     expected = np.bincount(draw_indices(w, _FixedUniforms(u), len(u)), minlength=3)
     assert expected.tolist() == [1, 2, 3]
+    assert np.array_equal(draw_counts(w, _FixedUniforms(u), len(u)), expected)
+
+
+@st.composite
+def dyadic_weights(draw):
+    """(k, weights): multiples of 2^-k summing to 1, from sorted cut points
+    in [0, 2^k], so a repeated cut, a cut at 0 or one at 2^k gives a zero
+    weight in the middle or at an end."""
+    k = draw(st.integers(0, 12))
+    cuts = sorted(draw(st.lists(st.integers(0, 2**k), max_size=9)))
+    return k, np.diff([0, *cuts, 2**k]) / 2.0**k
+
+
+@given(
+    kw=dyadic_weights(),
+    total=st.sampled_from([1.0, 1.0 - 2.0**-52]),
+    size=st.integers(0, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kw=(2, np.array([0.0, 0.25, 0.0, 0.75, 0.0])), total=1.0, size=300, seed=3)
+@example(kw=(10, np.array([3, 4, 1017]) / 1024), total=1.0 - 2.0**-52, size=400, seed=4)
+def test_draw_counts_on_a_dyadic_grid_is_the_bincount_of_draw_indices(kw, total, size, seed):
+    """Dyadic weights put the cdf on a grid, which draw_counts counts from a
+    histogram of the uniforms: the counts and the rng state are those of the
+    unsorted draw. A total of 1 - 2^-52 is taken from the last positive
+    weight, so the cdf leaves the grid unless that weight is the last one."""
+    k, w = kw
+    if total != 1.0:
+        w[np.flatnonzero(w)[-1]] -= 2.0**-52
+    if k <= _GRID_BITS and (total == 1.0 or w[-1] > 0):
+        assert dyadic_edges(np.cumsum(w)) is not None
+    rng_idx, rng_cnt = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = np.bincount(draw_indices(w, rng_idx, size), minlength=len(w))
+    assert np.array_equal(draw_counts(w, rng_cnt, size), expected)
+    assert rng_cnt.bit_generator.state == rng_idx.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "weights,u,grid",
+    [
+        # cdf 1/8, 1/2, 1 on 8 buckets: 1/4, 3/8, 5/8 and 3/4 start buckets
+        # but are no cdf value
+        ([0.125, 0.375, 0.5], [0.25, 0.375, 0.625, 0.75, 0.0, 0.999], 8),
+        # uniforms exactly on cdf values 3/1024 and 7/1024, and an ulp below
+        ([3 / 1024, 4 / 1024, 1017 / 1024],
+         [3 / 1024, 7 / 1024, np.nextafter(3 / 1024, 0), np.nextafter(7 / 1024, 0)], 1024),
+        # a cdf that ends an ulp above 1, and a uniform an ulp below 1
+        ([0.25, 0.25, 0.5 + 2.0**-52, 0.0], [0.5, 1 - 2.0**-53, 0.25, 0.75], 4),
+    ],
+    ids=["bucket-edge-not-a-cdf-value", "on-a-cdf-value", "cdf-ends-an-ulp-above-1"],
+)
+def test_draw_counts_on_a_grid_matches_draw_indices_at_the_edges(weights, u, grid):
+    """Stub uniforms on bucket edges are counted as draw_indices draws them:
+    one on a cdf value goes to the next index, one on any other edge stays
+    in its cell, and the last index takes the rest."""
+    w = np.array(weights)
+    edges = dyadic_edges(np.cumsum(w))
+    assert edges is not None and edges[-1] == grid
+    expected = np.bincount(draw_indices(w, _FixedUniforms(u), len(u)), minlength=len(w))
     assert np.array_equal(draw_counts(w, _FixedUniforms(u), len(u)), expected)
 
 

@@ -1151,6 +1151,12 @@ def _golden_case(argv, golden, id=None):
              "--trials", "20", "--seed", "7"],
             "stream_biclique_6_2_tau0.2.json",
         ),
+        # biclique(4,2) members are on a dyadic grid, biclique(6,2) members
+        # are not: the two stream reports pin both ways of counting samples
+        _golden_case(
+            ["stream", *_BICLIQUE_4_2, "--tau", "0.2", "--delta", "0.1", "--trials", "20", "--seed", "7"],
+            "stream_biclique_4_2_tau0.2.json",
+        ),
     ],
 )
 def test_dims_reports_are_byte_identical_to_golden(argv, golden, capsys):

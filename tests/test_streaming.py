@@ -8,6 +8,7 @@ from sqlab import (
     FiniteDistribution,
     SampleStream,
     biclique,
+    line_problem,
     replay_weights,
     stream_requirements,
     stream_solve,
@@ -67,6 +68,20 @@ def test_sample_stream_count_path_cap():
         stream.draw_counts(41)
     assert stream.drawn == 60 and rng.bit_generator.state == state
     assert stream.draw_counts(40).sum() == 40 and stream.drawn == 100
+
+
+@pytest.mark.parametrize(
+    "build,args,buckets",
+    [(biclique, (8, 2), 1024), (biclique, (4, 2), 32), (biclique, (6, 2), None), (line_problem, (5,), None)],
+    ids=["biclique-8-2", "biclique-4-2", "biclique-6-2", "line-5"],
+)
+def test_sample_stream_counts_on_the_coarsest_dyadic_grid(build, args, buckets):
+    """biclique(8,2) and biclique(4,2) members are multiples of 2^-10 and
+    2^-5, so their streams count by histogram; biclique(6,2) and line
+    members lie on no grid of at most 2^10 buckets and sort their uniforms."""
+    for dist in build(*args).dists:
+        edges = SampleStream(dist, np.random.default_rng(0))._edges
+        assert (None if edges is None else edges[-1]) == buckets
 
 
 @pytest.mark.parametrize("n", [1, 7, 1613, 6451])
