@@ -15,9 +15,11 @@ generator parameters (``--n --k`` for biclique, ``--p --marginal`` for line,
 explicit command-line values win. ``--seed`` is required whenever
 ``--trials`` exceeds 1 so that every reported number is reproducible;
 reports contain no timestamps and serialize with sorted keys, so a rerun is
-byte-identical. ``--out`` ending in ``.csv`` writes the per-trial rows as
+byte-identical. For the commands with per-trial rows (``solve``,
+``stream``, ``merge``), ``--out`` ending in ``.csv`` writes those rows as
 RFC-4180 CSV (CRLF line endings, minimal quoting, floats as %.17g, infinite
-values as "inf"); any other ``--out`` (or stdout) gets the JSON report.
+values as "inf"); ``gen``, ``dims`` and ``audit`` take no ``.csv``. Any other
+``--out`` (or stdout) gets the JSON report.
 
 Exit codes: 0 success, 1 usage or instance errors, 2 a failed audit, a
 theorem-violation flag, or a broken resource bound.
@@ -30,6 +32,7 @@ import csv
 import functools
 import json
 import math
+import numbers
 import sys
 
 import numpy as np
@@ -54,7 +57,7 @@ from .dimension import (
     sd_decision,
     simple_lower_bound,
 )
-from .errors import GuardExceededError, SqlabError, SupportError, UncoverableError
+from .errors import GuardExceededError, SqlabError
 from .norms import kbar1, kbar2, kbar2_spectral, kbarv, rho
 from .oracles import (
     OracleSession,
@@ -203,20 +206,7 @@ def _require_seed(args, parser) -> None:
 
 
 def _trial_rng(seed, trial: int) -> np.random.Generator:
-    if seed is None:
-        return np.random.default_rng([0, trial])
-    return np.random.default_rng([seed, trial])
-
-
-def _oracle_spec(args, default_kind: str, default_param: float):
-    kind = args.oracle or default_kind
-    param = args.param if args.param is not None else default_param
-    build = {"stat": stat, "vstat": vstat, "vroot": vroot,
-             "onestat": lambda bits: one_stat_spec(int(bits))}
-    try:
-        return build[kind](param)
-    except ValueError as exc:  # a parameter this oracle kind cannot take
-        raise SqlabError(f"--oracle {kind} --param {param:g}: {exc}") from exc
+    return np.random.default_rng([seed or 0, trial])
 
 
 def _strategy(args, reference):
@@ -253,9 +243,9 @@ def _write_csv(path, rows, header):
             writer.writerow([_fmt_cell(row.get(col)) for col in header])
 
 
-def _emit(report: dict, rows, header, args) -> None:
+def _emit(report: dict, args, rows=(), header=()) -> None:
     if args.out and args.out.endswith(".csv"):
-        _write_csv(args.out, rows or [], header or [])
+        _write_csv(args.out, rows, header)
         return
     text = sqio.dumps_report(report)
     if args.out:
@@ -265,19 +255,37 @@ def _emit(report: dict, rows, header, args) -> None:
         sys.stdout.write(text)
 
 
+_SOLVE_COLUMNS = ("trial", "true", "outcome", "solution", "correct", "queries", "updates",
+                  "valid_answer_fraction", "theorem_violation")
+_STREAM_COLUMNS = ("trial", "true", "outcome", "solution", "correct", "updates", "samples",
+                   "persistent_bits", "peak_bits", "within_bound")
+# the commands whose reports have per-trial rows, which ``--out X.csv`` writes
+_ROW_COMMANDS = ("solve", "stream", "merge")
+
+
+def _count(rows, key) -> int:
+    """How many rows hold a true value in column ``key``."""
+    return sum(1 for r in rows if r.get(key))
+
+
+def _mean(rows, key) -> float:
+    """The mean of column ``key`` over the rows, 0 for no rows. A number
+    counts as itself; a flag, and any other value a merged row may hold
+    there, counts 1 when true (a missing value is false)."""
+    total = 0
+    for r in rows:
+        value = r.get(key)
+        total += value if isinstance(value, numbers.Real) else bool(value)
+    return total / max(len(rows), 1)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_gen(args, parser) -> int:
-    problem = _build_problem(args, parser)
-    payload = sqio.problem_to_dict(problem)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(sqio.dumps_report(payload))
-    else:
-        sys.stdout.write(sqio.dumps_report(payload))
+    _emit(sqio.problem_to_dict(_build_problem(args, parser)), args)
     return EXIT_OK
 
 
@@ -298,7 +306,7 @@ def cmd_dims(args, parser) -> int:
     def attempt(name, fn):
         try:
             out = fn()
-        except (GuardExceededError, UncoverableError, SqlabError, ValueError) as exc:
+        except (SqlabError, ValueError) as exc:
             report[name] = {"skipped": str(exc)}
             return
         report[name] = out
@@ -358,7 +366,7 @@ def cmd_dims(args, parser) -> int:
                 "rsd_optimizing",
                 lambda: {"value": rsd_optimizing(problem, eps=args.eps, tau=args.tau, kappa=kappa).value},
             )
-    _emit(report, None, None, args)
+    _emit(report, args)
     return EXIT_OK
 
 
@@ -371,6 +379,8 @@ def cmd_audit(args, parser) -> int:
         try:
             report["line_audit"] = line_audit(args.p)
             report["checks"].append({"name": "line_audit", "ok": True})
+        except ValueError as exc:  # a p that is no prime
+            parser.error(str(exc))
         except AssertionError as exc:
             report["line_audit"] = {"failed": str(exc)}
             report["checks"].append({"name": "line_audit", "ok": False})
@@ -381,108 +391,113 @@ def cmd_audit(args, parser) -> int:
             parser.error("the relation audit needs an instance with a reference")
         try:
             rel = combined_relation_audit(list(problem.dists), problem.reference)
-        except (GuardExceededError, SqlabError) as exc:
+        except SqlabError as exc:
             parser.error(str(exc))
         report["relation_audit"] = rel
         report["checks"].append({"name": "combined_relation", "ok": bool(rel["pass"])})
         failed = failed or not rel["pass"]
-    _emit(report, None, None, args)
+    _emit(report, args)
     return EXIT_VIOLATION if failed else EXIT_OK
 
 
-def _solve_one_trial(problem, args, trial, cover=None):
-    rng = _trial_rng(args.seed, trial)
+def _session(args, problem, kind: str, tolerance: float, true_dist, rng) -> OracleSession:
+    """The trial's oracle session: ``--oracle``/``--param`` or the solver's
+    default kind and tolerance, answered by ``--strategy`` on ``true_dist``."""
+    kind = args.oracle or kind
+    param = args.param if args.param is not None else tolerance
+    build = {"stat": stat, "vstat": vstat, "vroot": vroot,
+             "onestat": lambda bits: one_stat_spec(int(bits))}
+    try:
+        spec = build[kind](param)
+    except ValueError as exc:  # a parameter this oracle kind cannot take
+        raise SqlabError(f"--oracle {kind} --param {param:g}: {exc}") from exc
+    return OracleSession(spec, _strategy(args, problem.reference), true_dist, rng)
+
+
+def _solve_one_trial(problem, args, rng, cover) -> dict:
     tau = args.tau
-    row = {"trial": trial}
     if problem.kind == DECISION:
         is_ref = bool(rng.random() < 0.5)
         true_dist = problem.reference if is_ref else problem.dists[int(rng.integers(problem.n_dists))]
-        spec = _oracle_spec(args, "stat", tau / 2.0)
-        session = OracleSession(spec, _strategy(args, problem.reference), true_dist, rng)
+        session = _session(args, problem, "stat", tau / 2.0, true_dist, rng)
         rep = solve_decision_sampled(problem, tau, args.delta or 0.1, session, rng, cover=cover)
+        truth = "reference" if is_ref else "family"
         correct = (rep.solution == "reference") == is_ref
-        row.update(true="reference" if is_ref else "family")
-    elif problem.kind == SEARCH:
-        ti = int(rng.integers(problem.n_dists))
-        true_dist = problem.dists[ti]
-        kappa = args.kappa or K1
-        default_kind = "stat" if kappa == K1 else "vroot"
-        spec = _oracle_spec(args, default_kind, tau / 3.0)
-        session = OracleSession(spec, _strategy(args, problem.reference), true_dist, rng)
-        rep = solve_search_universal(
-            problem,
-            tau,
-            session,
-            kappa=kappa,
-            mode=args.mode,
-            delta=args.delta if args.mode == "rand" else None,
-            rng=rng if args.mode == "rand" else None,
-        )
-        correct = rep.solution == problem.solutions[ti]
-        row.update(true=problem.solutions[ti])
-    elif args.eps is not None and args.theta is None:  # the kind is VERIFIABLE from here on
-        ti = int(rng.integers(problem.n_dists))
-        true_dist = problem.dists[ti]
-        spec = _oracle_spec(args, "stat", tau / 4.0)
-        session = OracleSession(spec, _strategy(args, problem.reference), true_dist, rng)
-        rep = solve_optimizing(problem, args.eps, tau, session)
-        if rep.solution is None:
-            correct = False
-        else:
-            achieved = float(true_dist.weights @ problem.verify[rep.solution].values)
-            optimum = min(
-                float(true_dist.weights @ problem.verify[f].values) for f in problem.solutions
-            )
-            correct = achieved <= optimum + args.eps + tau + 1e-9
-        row.update(true=problem.solutions[ti])
     else:
         ti = int(rng.integers(problem.n_dists))
         true_dist = problem.dists[ti]
-        theta = args.theta if args.theta is not None else problem.threshold
-        spec = _oracle_spec(args, "stat", tau / 3.0)
-        session = OracleSession(spec, _strategy(args, problem.reference), true_dist, rng)
-        rep = solve_verifiable(problem, theta, tau, session)
-        if rep.solution is None:
-            correct = False
-        else:
-            achieved = float(true_dist.weights @ problem.verify[rep.solution].values)
-            correct = achieved <= theta + tau + 1e-9
-        row.update(true=problem.solutions[ti])
-    row.update(
-        outcome=rep.outcome,
-        solution=rep.solution,
-        correct=bool(correct),
-        queries=rep.queries,
-        updates=rep.updates,
-        valid_answer_fraction=rep.valid_answer_fraction,
-        theorem_violation=bool(rep.theorem_violation),
-    )
+        truth = problem.solutions[ti]
+        if problem.kind == SEARCH:
+            kappa = args.kappa or K1
+            session = _session(args, problem, "stat" if kappa == K1 else "vroot", tau / 3.0, true_dist, rng)
+            rand = args.mode == "rand"
+            rep = solve_search_universal(
+                problem, tau, session, kappa=kappa, mode=args.mode,
+                delta=args.delta if rand else None, rng=rng if rand else None,
+            )
+            correct = rep.solution == truth
+        else:  # VERIFIABLE: optimize to --eps when it comes without --theta, else verify
+            value = {f: float(true_dist.weights @ problem.verify[f].values) for f in problem.solutions}
+            if args.eps is not None and args.theta is None:
+                session = _session(args, problem, "stat", tau / 4.0, true_dist, rng)
+                rep = solve_optimizing(problem, args.eps, tau, session)
+                bound = min(value.values()) + args.eps
+            else:
+                bound = args.theta if args.theta is not None else problem.threshold
+                session = _session(args, problem, "stat", tau / 3.0, true_dist, rng)
+                rep = solve_verifiable(problem, bound, tau, session)
+            correct = rep.solution is not None and value[rep.solution] <= bound + tau + 1e-9
+    row = {
+        "true": truth,
+        "outcome": rep.outcome,
+        "solution": rep.solution,
+        "correct": bool(correct),
+        "queries": rep.queries,
+        "updates": rep.updates,
+        "valid_answer_fraction": rep.valid_answer_fraction,
+        "theorem_violation": bool(rep.theorem_violation),
+    }
     if rep.details.get("cover_incomplete"):  # close members the proposal leaves unserved
         row["cover_incomplete"] = rep.details["cover_incomplete"]
     return row
 
 
-def cmd_solve(args, parser) -> int:
-    problem = _build_problem(args, parser)
-    if args.tau is None:
-        parser.error("solve needs --tau")
-    _require_seed(args, parser)
+def _stream_one_trial(problem, args, rng) -> dict:
+    ti = int(rng.integers(problem.n_dists))
+    stream = SampleStream(problem.dists[ti], rng)
+    rep = stream_solve(problem, args.tau, args.delta, stream)
+    ledger = rep["ledger"]
+    truth = problem.solutions[ti]
+    return {
+        "true": truth,
+        "outcome": rep["outcome"],
+        "solution": rep["solution"],
+        "correct": rep["solution"] == truth,
+        "updates": rep["updates"],
+        "samples": stream.drawn,
+        "persistent_bits": ledger["persistent_bits"],
+        "peak_bits": ledger["peak_bits"],
+        "within_bound": ledger["within_bound"],
+    }
+
+
+def _run_trials(command, problem, args, parser, columns, one_trial, summarize) -> dict:
+    """Run the seeded trials of ``solve`` or ``stream``, emit the run report
+    and return its summary.
+
+    Trial t runs ``one_trial(rng)`` on its own ``_trial_rng(seed, t)``; a lab
+    error in a trial is a usage error. ``summarize(rows)`` gives the
+    command's summary fields beside ``success_rate``.
+    """
     rows = []
-    cover = None
-    if problem.kind == DECISION:
-        try:
-            cover = decision_cover(problem, args.tau)
-        except (UncoverableError, SqlabError) as exc:
-            parser.error(str(exc))
     for trial in range(args.trials):
         try:
-            rows.append(_solve_one_trial(problem, args, trial, cover=cover))
-        except (UncoverableError, SqlabError) as exc:
+            rows.append({"trial": trial, **one_trial(_trial_rng(args.seed, trial))})
+        except SqlabError as exc:
             parser.error(str(exc))
-    n_ok = sum(1 for r in rows if r["correct"])
-    violations = sum(1 for r in rows if r["theorem_violation"])
+    summary = {"success_rate": _mean(rows, "correct"), **summarize(rows)}
     report = {
-        "command": "solve",
+        "command": command,
         "kind": problem.kind,
         "dists": problem.n_dists,
         "tau": args.tau,
@@ -490,26 +505,35 @@ def cmd_solve(args, parser) -> int:
         "trials": args.trials,
         "seed": args.seed,
         "results": rows,
-        "summary": {
-            "success_rate": n_ok / max(len(rows), 1),
-            "mean_queries": sum(r["queries"] for r in rows) / max(len(rows), 1),
-            "mean_updates": sum(r["updates"] for r in rows) / max(len(rows), 1),
-            "theorem_violations": violations,
-        },
+        "summary": summary,
     }
-    header = [
-        "trial",
-        "true",
-        "outcome",
-        "solution",
-        "correct",
-        "queries",
-        "updates",
-        "valid_answer_fraction",
-        "theorem_violation",
-    ]
-    _emit(report, rows, header, args)
-    return EXIT_VIOLATION if violations else EXIT_OK
+    _emit(report, args, rows, columns)
+    return summary
+
+
+def cmd_solve(args, parser) -> int:
+    problem = _build_problem(args, parser)
+    if args.tau is None:
+        parser.error("solve needs --tau")
+    if problem.kind == SEARCH and args.mode == "rand" and args.delta is None:
+        parser.error("--mode rand needs --delta")
+    _require_seed(args, parser)
+    cover = None
+    if problem.kind == DECISION:
+        try:
+            cover = decision_cover(problem, args.tau)
+        except SqlabError as exc:
+            parser.error(str(exc))
+    summary = _run_trials(
+        "solve", problem, args, parser, _SOLVE_COLUMNS,
+        lambda rng: _solve_one_trial(problem, args, rng, cover),
+        lambda rows: {
+            "mean_queries": _mean(rows, "queries"),
+            "mean_updates": _mean(rows, "updates"),
+            "theorem_violations": _count(rows, "theorem_violation"),
+        },
+    )
+    return EXIT_VIOLATION if summary["theorem_violations"] else EXIT_OK
 
 
 def cmd_stream(args, parser) -> int:
@@ -519,61 +543,15 @@ def cmd_stream(args, parser) -> int:
     if args.tau is None or args.delta is None:
         parser.error("stream needs --tau and --delta")
     _require_seed(args, parser)
-    rows = []
-    bound_broken = False
-    for trial in range(args.trials):
-        rng = _trial_rng(args.seed, trial)
-        ti = int(rng.integers(problem.n_dists))
-        stream = SampleStream(problem.dists[ti], rng)
-        try:
-            rep = stream_solve(problem, args.tau, args.delta, stream)
-        except SupportError as exc:
-            parser.error(str(exc))
-        ledger = rep["ledger"]
-        row = {
-            "trial": trial,
-            "true": problem.solutions[ti],
-            "outcome": rep["outcome"],
-            "solution": rep["solution"],
-            "correct": rep["solution"] == problem.solutions[ti],
-            "updates": rep["updates"],
-            "samples": stream.drawn,
-            "persistent_bits": ledger["persistent_bits"],
-            "peak_bits": ledger["peak_bits"],
-            "within_bound": ledger["within_bound"],
-        }
-        rows.append(row)
-        bound_broken = bound_broken or not row["within_bound"]
-    n_ok = sum(1 for r in rows if r["correct"])
-    report = {
-        "command": "stream",
-        "kind": problem.kind,
-        "dists": problem.n_dists,
-        "tau": args.tau,
-        "delta": args.delta,
-        "trials": args.trials,
-        "seed": args.seed,
-        "results": rows,
-        "summary": {
-            "success_rate": n_ok / max(len(rows), 1),
-            "mean_samples": sum(r["samples"] for r in rows) / max(len(rows), 1),
-            "bound_broken": bound_broken,
+    summary = _run_trials(
+        "stream", problem, args, parser, _STREAM_COLUMNS,
+        lambda rng: _stream_one_trial(problem, args, rng),
+        lambda rows: {
+            "mean_samples": _mean(rows, "samples"),
+            "bound_broken": not all(r["within_bound"] for r in rows),
         },
-    }
-    header = [
-        "trial",
-        "true",
-        "outcome",
-        "solution",
-        "correct",
-        "updates",
-        "samples",
-        "persistent_bits",
-        "peak_bits",
-        "within_bound",
-    ]
-    _emit(report, rows, header, args)
-    return EXIT_VIOLATION if bound_broken else EXIT_OK
+    )
+    return EXIT_VIOLATION if summary["bound_broken"] else EXIT_OK
 
 
 def cmd_merge(args, parser) -> int:
@@ -594,8 +572,7 @@ def cmd_merge(args, parser) -> int:
             parser.error(f"{path} is not a report: its results must be a list of JSON objects")
         commands.add(data.get("command"))
         merged_rows.extend(rows)
-    n_ok = sum(1 for r in merged_rows if r.get("correct"))
-    violations = sum(1 for r in merged_rows if r.get("theorem_violation"))
+    violations = _count(merged_rows, "theorem_violation")
     report = {
         "command": "merge",
         "sources": list(args.inputs),
@@ -603,12 +580,12 @@ def cmd_merge(args, parser) -> int:
         "results": merged_rows,
         "summary": {
             "trials": len(merged_rows),
-            "success_rate": n_ok / max(len(merged_rows), 1),
+            "success_rate": _mean(merged_rows, "correct"),
             "theorem_violations": violations,
         },
     }
     header = sorted({key for row in merged_rows for key in row})
-    _emit(report, merged_rows, header, args)
+    _emit(report, args, merged_rows, header)
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
@@ -673,6 +650,9 @@ def main(argv=None) -> int:
         sub.error(f"--trials must be at least 1, not {args.trials}")
     if args.samples is not None and args.samples < 1:
         sub.error(f"--samples must be at least 1, not {args.samples}")
+    if args.out and args.out.endswith(".csv") and args.command not in _ROW_COMMANDS:
+        sub.error(f"--out {args.out}: {args.command} writes a JSON report; "
+                  "a .csv file takes the per-trial rows of solve, stream and merge")
     try:
         return args.handler(args, sub)
     except SqlabError as exc:

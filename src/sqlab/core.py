@@ -154,19 +154,8 @@ class FiniteDistribution:
         n = len(domain)
         return cls(domain, np.full(n, 1.0 / n))
 
-    @classmethod
-    def from_mapping(cls, domain: FiniteDomain, mapping: Mapping) -> "FiniteDistribution":
-        w = np.zeros(len(domain))
-        for el, p in mapping.items():
-            w[domain.index_of(el)] = p
-        return cls(domain, w)
-
     def weight_of(self, element) -> float:
         return float(self.weights[self.domain.index_of(element)])
-
-    @property
-    def support_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.weights > 0)
 
     def expectation(self, query) -> float:
         """E_D[phi] for a QueryFn or a raw value vector on the same domain."""
@@ -415,21 +404,14 @@ def expectation(dist: FiniteDistribution, query) -> float:
     return dist.expectation(query)
 
 
-def mixture(dists: Sequence[FiniteDistribution], coeffs: Sequence[float] | None = None) -> FiniteDistribution:
-    """The convex combination sum_i c_i D_i (uniform coefficients by default)."""
+def mixture(dists: Sequence[FiniteDistribution]) -> FiniteDistribution:
+    """The uniform mixture (1/m) sum_i D_i of m distributions."""
     if not dists:
         raise ValueError("mixture of an empty family")
     domain = dists[0].domain
     for d in dists[1:]:
         _check_same_domain(dists[0], d)
-    if coeffs is None:
-        c = np.full(len(dists), 1.0 / len(dists))
-    else:
-        c = np.asarray(coeffs, dtype=float)
-        if c.shape != (len(dists),):
-            raise ValueError("coefficient vector length does not match family size")
-        if np.any(c < 0) or abs(float(c.sum()) - 1.0) > WEIGHT_ATOL:
-            raise ValueError("mixture coefficients must be a probability vector")
+    c = np.full(len(dists), 1.0 / len(dists))
     w = np.zeros(len(domain))
     for ci, d in zip(c, dists):
         w += ci * d.weights

@@ -335,17 +335,21 @@ def rsd_search(
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
     _require_k1("rsd_search", kappa)
-    centers = _candidate_centers(problem)
-    measures = _solution_measures(problem)
+    # The served set of a solution measure does not depend on the center, and
+    # measures that serve the same set pose the same inner problem: keep the
+    # first tag of each set (a later tie never wins the strict < below).
+    by_served: dict[tuple, str] = {}
+    for p_tag, p in _solution_measures(problem):
+        served = tuple(
+            i
+            for i in range(problem.n_dists)
+            if p.mass(problem.valid_solution_indices(i)) >= alpha - 1e-12
+        )
+        by_served.setdefault(served, p_tag)
     best_val, best_cert = -1.0, {}
-    for tag, center in centers:
+    for tag, center in _candidate_centers(problem):
         worst_val, worst_cert = math.inf, {}
-        for p_tag, p in measures:
-            served = [
-                i
-                for i in range(problem.n_dists)
-                if p.mass(problem.valid_solution_indices(i)) >= alpha - 1e-12
-            ]
+        for served, p_tag in by_served.items():
             remaining = [problem.dists[i] for i in range(problem.n_dists) if i not in served]
             if remaining:
                 inner = rsd_decision(remaining, center, tau, kappa=kappa)
@@ -357,7 +361,7 @@ def rsd_search(
                 worst_val = val
                 worst_cert = {
                     "solution_measure": p_tag,
-                    "removed": served,
+                    "removed": list(served),
                     "inner": None if inner is None else inner.certificate,
                 }
             if worst_val == 0.0:

@@ -223,6 +223,8 @@ def line_problem(p: int, kind: str = SEARCH, marginal: str = "skewed") -> Proble
     """
     if p > _LINE_GUARD:
         raise GuardExceededError(f"line family guarded at p <= {_LINE_GUARD}")
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"the line family lives over GF(p) and needs a prime p, not {p}")
     if marginal not in ("skewed", "uniform"):
         raise ValueError(f"unknown marginal kind {marginal!r}")
     base = line_domain(p)

@@ -314,19 +314,6 @@ class RunReport:
     theorem_violation: bool = False
     details: dict = field(default_factory=dict)
 
-    def payload(self, seed=None) -> dict:
-        out = {
-            "outcome": self.outcome,
-            "solution": self.solution,
-            "queries": self.queries,
-            "updates": self.updates,
-            "seed": seed,
-            "valid_answer_fraction": self.valid_answer_fraction,
-            "theorem_violation": self.theorem_violation,
-        }
-        out.update(self.details)
-        return out
-
 
 def _run_report(
     session: OracleSession,

@@ -279,6 +279,7 @@ _BICLIQUE = ["--gen", "biclique", "--n", "4", "--k", "2"]
         (["stream", *_BICLIQUE, "--tau", "0.2", "--delta", "2"], None),
         (["stream", *_BICLIQUE, "--tau", "3", "--delta", "0.1"], None),
         (["solve", *_BICLIQUE, "--tau", "0.2", "--mode", "rand", "--delta", "0"], None),
+        (["solve", *_BICLIQUE, "--tau", "0.2", "--mode", "rand"], None),
         (["solve", *_BICLIQUE, "--kind", "decision", "--tau", "0.2", "--delta", "1.5"], None),
         (["dims", *_BICLIQUE, "--tau", "-1"], None),
         (["dims", *_BICLIQUE, "--config", "{file}"], {"tau": 0}),  # checked after --config
@@ -298,7 +299,7 @@ _BICLIQUE = ["--gen", "biclique", "--n", "4", "--k", "2"]
         (["stream", *_BICLIQUE, "--tau", "0.2", "--delta", "0.1", "--trials", "0"], None),
         (["solve", *_BICLIQUE, "--tau", "0.2", "--config", "{file}"], {"seed": -2}),
     ],
-    ids=["stream-delta-0", "stream-delta-2", "stream-tau-3", "solve-rand-delta-0",
+    ids=["stream-delta-0", "stream-delta-2", "stream-tau-3", "solve-rand-delta-0", "solve-rand-no-delta",
          "solve-decision-delta-1.5", "dims-tau-neg", "dims-config-tau-0", "merge-array",
          "dims-config-tau-list", "solve-config-trials-float", "solve-config-seed-bool",
          "merge-config-inputs-string", "solve-config-strategy-not-a-choice",
@@ -307,13 +308,46 @@ _BICLIQUE = ["--gen", "biclique", "--n", "4", "--k", "2"]
          "stream-trials-0", "solve-config-seed-neg"],
 )
 def test_out_of_range_input_is_a_usage_error(argv, file, tmp_path):
-    """--tau outside (0, 2], --delta outside (0, 1), a negative --seed,
-    --trials or --samples below 1, a --config value of a JSON type or outside
-    the choices its flag can take, and a merge input that is no report are
-    usage errors."""
+    """--tau outside (0, 2], --delta outside (0, 1) or missing in rand mode,
+    a negative --seed, --trials or --samples below 1, a --config value of a
+    JSON type or outside the choices its flag can take, and a merge input
+    that is no report are usage errors."""
     path = tmp_path / "input.json"
     path.write_text(json.dumps(file))
     _assert_one_usage_error([a.replace("{file}", str(path)) for a in argv])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", *_BICLIQUE],
+        ["dims", "--gen", "line", "--p", "3", "--tau", "0.2"],
+        ["audit", "--gen", "line", "--p", "3"],
+    ],
+    ids=["gen", "dims", "audit"],
+)
+def test_a_csv_out_without_per_trial_rows_is_a_usage_error(argv, tmp_path):
+    """gen, dims and audit write no per-trial rows, so a .csv --out would get
+    an empty table (or JSON under a .csv name): refused before any work."""
+    path = tmp_path / "report.csv"
+    assert "per-trial rows" in _assert_one_usage_error([*argv, "--out", str(path)])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--gen", "line", "--p", "4", "--tau", "0.2"],
+        ["audit", "--gen", "line", "--p", "4"],
+        ["audit", "--gen", "line", "--p", "1"],
+        ["solve", "--gen", "line", "--p", "0", "--tau", "0.2"],
+    ],
+    ids=["solve-p-4", "audit-p-4", "audit-p-1", "solve-p-0"],
+)
+def test_a_line_family_over_no_prime_is_a_usage_error(argv):
+    """The line family lives over GF(p): Z/4 would run as a field that it is
+    not, and audit --p 4 would report a failed audit."""
+    assert "needs a prime p" in _assert_one_usage_error(argv)
 
 
 @pytest.mark.parametrize(

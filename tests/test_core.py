@@ -288,12 +288,11 @@ def test_binary_table_matches_shift_and_mask():
 # ---------------------------------------------------------------------------
 
 
-def test_mixture_default_and_weighted():
+def test_mixture_is_uniform():
     dom = small_domain(2)
     d1 = FiniteDistribution(dom, np.array([1.0, 0.0]))
     d2 = FiniteDistribution(dom, np.array([0.0, 1.0]))
     assert np.allclose(mixture([d1, d2]).weights, [0.5, 0.5])
-    assert np.allclose(mixture([d1, d2], [0.25, 0.75]).weights, [0.25, 0.75])
 
 
 def test_mixture_rejects_domain_mismatch():

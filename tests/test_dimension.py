@@ -278,6 +278,25 @@ def test_rsd_search_golden_ladder():
     assert math.isinf(rsd_search(prob, tau=0.2).value)
 
 
+def test_rsd_search_solves_each_distinct_inner_problem_once(monkeypatch):
+    """Solution measures that serve the same members pose the same inner
+    rsd_decision: one call per (kept members, center) pair, not per measure."""
+    import sqlab.dimension as dimension
+
+    prob = biclique(4, 2)
+    calls = []
+    real = dimension.rsd_decision
+
+    def spy(dists, center, tau, **kwargs):
+        calls.append((tuple(map(id, dists)), id(center)))
+        return real(dists, center, tau, **kwargs)
+
+    monkeypatch.setattr(dimension, "rsd_decision", spy)
+    rep = dimension.rsd_search(prob, tau=0.2)
+    assert len(calls) == len(set(calls)) == 14
+    assert rep.value == pytest.approx(1.0)
+
+
 def test_rsd_search_alpha_validation():
     prob = biclique(4, 1)
     with pytest.raises(ValueError):

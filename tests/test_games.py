@@ -1171,3 +1171,27 @@ def test_dims_reports_are_byte_identical_to_golden(argv, golden, capsys):
 
     assert main(argv) == 0
     assert capsys.readouterr().out == (_GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv,golden",
+    [
+        _golden_case(
+            ["solve", "--gen", "line", "--p", "7", "--tau", "0.2", "--trials", "20", "--seed", "1"],
+            "solve_line_7_tau0.2.csv",
+        ),
+        _golden_case(
+            ["stream", "--gen", "line", "--p", "5", "--tau", "0.2", "--delta", "0.1",
+             "--trials", "20", "--seed", "3"],
+            "stream_line_5_tau0.2.csv",
+        ),
+    ],
+)
+def test_csv_reports_are_byte_identical_to_golden(argv, golden, tmp_path):
+    """The per-trial rows of ``--out X.csv``: the column order, the CRLF line
+    endings, the quoting and the cell formats, byte for byte."""
+    from sqlab.cli import main
+
+    path = tmp_path / golden
+    assert main([*argv, "--out", str(path)]) == 0
+    assert path.read_bytes() == (_GOLDEN / golden).read_bytes()

@@ -219,3 +219,9 @@ def test_line_audit_small_primes(p):
 def test_line_guard():
     with pytest.raises(GuardExceededError):
         line_problem(37)
+
+
+@pytest.mark.parametrize("p", [4, 9, 1, 0, -3])
+def test_line_problem_needs_a_prime(p):
+    with pytest.raises(ValueError, match="needs a prime p"):
+        line_problem(p)

@@ -699,18 +699,3 @@ def test_learner_tolerance_validation():
     with pytest.raises(ValueError):
         learn_with_heavy_points(marginal, [], 0.3, session)  # 0.1 > eps^2/13
 
-
-# ---------------------------------------------------------------------------
-# run report payloads
-# ---------------------------------------------------------------------------
-
-
-def test_run_report_payload():
-    prob = search_problem()
-    session = OracleSession(stat(0.2 / 3.0), exact_answers(), D2, np.random.default_rng(0))
-    rep = solve_search_universal(prob, 0.2, session, kappa=K1)
-    payload = rep.payload(seed=7)
-    assert payload["seed"] == 7
-    assert payload["outcome"] == "solved"
-    assert payload["queries"] == rep.queries
-    assert payload["theorem_violation"] is False
