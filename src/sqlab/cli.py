@@ -379,7 +379,7 @@ def cmd_audit(args, parser) -> int:
         try:
             report["line_audit"] = line_audit(args.p)
             report["checks"].append({"name": "line_audit", "ok": True})
-        except ValueError as exc:  # a p that is no prime
+        except (GuardExceededError, ValueError) as exc:  # a p too large, or no prime
             parser.error(str(exc))
         except AssertionError as exc:
             report["line_audit"] = {"failed": str(exc)}

@@ -3,9 +3,11 @@
 All dimensions here are built from one primitive: which subsets of the
 family can a single query distinguish from a center distribution at radius
 tau (``games.achievable_subsets``). Enumerating that family is most of the
-work, so ``rsd_decision`` returns the family it built in
-``DimensionReport.family`` and ``sd_decision`` takes it as ``family=``: one
-family serves both decision dimensions of a report. Nothing is cached
+work, so one family per center serves every problem posed there:
+``rsd_decision`` returns the family it built in ``DimensionReport.family``
+and ``sd_decision`` takes it as ``family=``, and ``rsd_search`` enumerates
+one family per candidate center and gives each inner problem that family
+cut to its own members (``CoverFamily.restrict``). Nothing is cached
 between calls.
 On top of that:
 
@@ -195,10 +197,17 @@ def rsd_decision(
     distinguishes reports value = inf with the witnesses. The report
     carries the family it enumerated (see ``DimensionReport.family``).
     """
-    exactness = EXACT if kappa == K1 else UPPER_BOUND
     if not dists:
+        exactness = EXACT if kappa == K1 else UPPER_BOUND
         return DimensionReport(0.0, "rsd-decision", exactness, {"note": "empty family"})
-    family = _family(dists, d0, tau, kappa)
+    return _cover_dimension(_family(dists, d0, tau, kappa))
+
+
+def _cover_dimension(family: CoverFamily) -> DimensionReport:
+    """``rsd_decision`` on an enumerated, non-empty ground family: the
+    uncovered check, the cover LP, the hardest-measure LP and their duality
+    check."""
+    exactness = EXACT if family.kappa == K1 else UPPER_BOUND
     missing = family.uncovered()
     if missing:
         return DimensionReport(
@@ -331,6 +340,11 @@ def rsd_search(
     centers come from a finite list (uniform over the domain, the family
     mixture), so the report is a LOWER_BOUND of the true supremum over all
     centers.
+
+    Each center's achievable family is enumerated once, over the members
+    that some solution measure leaves unserved; every inner problem is that
+    family cut to its own members (``CoverFamily.restrict``), which gives
+    the sets a fresh enumeration would, in the same order.
     """
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
@@ -346,26 +360,37 @@ def rsd_search(
             if p.mass(problem.valid_solution_indices(i)) >= alpha - 1e-12
         )
         by_served.setdefault(served, p_tag)
+    everyone = tuple(range(problem.n_dists))
+    if everyone in by_served:
+        # A measure that serves every member leaves nothing to decide: the
+        # value is 0 at every center, and the first center keeps it.
+        return DimensionReport(
+            value=0.0,
+            kind="rsd-search",
+            exactness=LOWER_BOUND,
+            certificate={
+                "center": _candidate_centers(problem)[0][0],
+                "solution_measure": by_served[everyone],
+                "removed": list(everyone),
+                "inner": None,
+            },
+        )
+    kept = {served: [i for i in everyone if i not in served] for served in by_served}
+    union = sorted(set().union(*kept.values()))
+    position = {i: j for j, i in enumerate(union)}
     best_val, best_cert = -1.0, {}
     for tag, center in _candidate_centers(problem):
+        full = achievable_subsets([problem.dists[i] for i in union], center, tau, kappa=kappa)
         worst_val, worst_cert = math.inf, {}
         for served, p_tag in by_served.items():
-            remaining = [problem.dists[i] for i in range(problem.n_dists) if i not in served]
-            if remaining:
-                inner = rsd_decision(remaining, center, tau, kappa=kappa)
-                val = inner.value
-            else:
-                val = 0.0
-                inner = None
-            if val < worst_val:
-                worst_val = val
+            inner = _cover_dimension(full.restrict([position[i] for i in kept[served]]))
+            if inner.value < worst_val:
+                worst_val = inner.value
                 worst_cert = {
                     "solution_measure": p_tag,
                     "removed": list(served),
-                    "inner": None if inner is None else inner.certificate,
+                    "inner": inner.certificate,
                 }
-            if worst_val == 0.0:
-                break
         if worst_val > best_val:
             best_val = worst_val
             best_cert = {"center": tag, **worst_cert}

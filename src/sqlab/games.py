@@ -565,7 +565,8 @@ class CoverFamily:
     ``sets[i]`` is a frozenset of ground indices; ``witnesses[i]`` a query
     value vector that distinguishes every member from the center at margin
     strictly above tau (>= tau + STRICT_EPS). ``kappa`` records which
-    discrimination operator the margins use.
+    discrimination operator the margins use. ``restrict`` gives the family
+    of a sub-collection around the same center without a new enumeration.
     """
 
     ground_size: int
@@ -582,6 +583,27 @@ class CoverFamily:
         for s in self.sets:
             hit |= s
         return [i for i in range(self.ground_size) if i not in hit]
+
+    def restrict(self, keep: Sequence[int]) -> CoverFamily:
+        """The family of the members ``keep`` (member ``keep[j]`` becomes
+        member j) around the same center, at the same tau and kappa.
+
+        Whether a set is achievable depends only on its own members, so the
+        maximal achievable subsets of the sub-collection are the maximal
+        cuts ``S & keep`` of this family's sets; ``_maximal_family`` lists
+        them in the order a fresh ``achievable_subsets`` walk over those
+        members would. Each cut keeps the witness of the first set it was
+        cut from, which still separates every member it keeps.
+        """
+        position = {i: j for j, i in enumerate(keep)}
+        if len(position) != len(keep) or not all(0 <= i < self.ground_size for i in keep):
+            raise ValueError(f"keep must list distinct members of 0..{self.ground_size - 1}")
+        witness: dict[frozenset, np.ndarray] = {}
+        for s, phi in zip(self.sets, self.witnesses):
+            cut = frozenset(position[i] for i in s if i in position)
+            if cut:
+                witness.setdefault(cut, phi)
+        return _maximal_family(witness, witness.__getitem__, len(keep), self.tau, self.kappa)
 
 
 def _maximal_family(sets, witness, ground_size: int, tau: float, kappa: str) -> CoverFamily:

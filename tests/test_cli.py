@@ -350,6 +350,13 @@ def test_a_line_family_over_no_prime_is_a_usage_error(argv):
     assert "needs a prime p" in _assert_one_usage_error(argv)
 
 
+@pytest.mark.parametrize("command", ["audit", "solve"])
+def test_a_line_family_past_its_guard_is_a_usage_error(command):
+    argv = [command, "--gen", "line", "--p", "37"] + (["--tau", "0.2"] if command == "solve" else [])
+    line = _assert_one_usage_error(argv)
+    assert line == f"sqlab {command}: error: line family guarded at p <= 31"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

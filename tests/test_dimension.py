@@ -28,7 +28,13 @@ from sqlab import (
     simple_lower_bound,
     verify_cover_family,
 )
-from sqlab.dimension import EXACT, LOWER_BOUND, UPPER_BOUND
+from sqlab.dimension import (
+    EXACT,
+    LOWER_BOUND,
+    UPPER_BOUND,
+    _candidate_centers,
+    _solution_measures,
+)
 from sqlab.games import CoverFamily
 
 from tests.util import random_dists, small_domain
@@ -278,23 +284,93 @@ def test_rsd_search_golden_ladder():
     assert math.isinf(rsd_search(prob, tau=0.2).value)
 
 
-def test_rsd_search_solves_each_distinct_inner_problem_once(monkeypatch):
-    """Solution measures that serve the same members pose the same inner
-    rsd_decision: one call per (kept members, center) pair, not per measure."""
+def _count_rsd_search_work(monkeypatch, prob, tau):
+    """rsd_search's report with its enumerations (the member count of each
+    ``achievable_subsets`` call), its inner problems (one (enumerations so
+    far, keep) pair per ``CoverFamily.restrict`` call, which tells the
+    centers apart) and its cover LPs."""
     import sqlab.dimension as dimension
 
+    walks, cuts, covers = [], [], []
+    enumerate_family, cut, cover = (
+        dimension.achievable_subsets, CoverFamily.restrict, dimension.fractional_cover
+    )
+
+    def walk_spy(dists, *args, **kwargs):
+        walks.append(len(dists))
+        return enumerate_family(dists, *args, **kwargs)
+
+    def cut_spy(family, keep):
+        cuts.append((len(walks), tuple(keep)))
+        return cut(family, keep)
+
+    def cover_spy(family):
+        covers.append(family)
+        return cover(family)
+
+    monkeypatch.setattr(dimension, "achievable_subsets", walk_spy)
+    monkeypatch.setattr(CoverFamily, "restrict", cut_spy)
+    monkeypatch.setattr(dimension, "fractional_cover", cover_spy)
+    return dimension.rsd_search(prob, tau=tau), walks, cuts, covers
+
+
+def test_rsd_search_solves_each_distinct_inner_problem_once(monkeypatch):
+    """One enumeration per candidate center; solution measures that serve
+    the same members pose the same inner problem, which is that center's
+    family cut to the kept members and solved by one cover LP."""
     prob = biclique(4, 2)
-    calls = []
-    real = dimension.rsd_decision
-
-    def spy(dists, center, tau, **kwargs):
-        calls.append((tuple(map(id, dists)), id(center)))
-        return real(dists, center, tau, **kwargs)
-
-    monkeypatch.setattr(dimension, "rsd_decision", spy)
-    rep = dimension.rsd_search(prob, tau=0.2)
-    assert len(calls) == len(set(calls)) == 14
+    rep, walks, cuts, covers = _count_rsd_search_work(monkeypatch, prob, 0.2)
+    assert walks == [prob.n_dists, prob.n_dists]
+    assert len(cuts) == len(set(cuts)) == len(covers) == 14
+    assert {center for center, _ in cuts} == {1, 2}
     assert rep.value == pytest.approx(1.0)
+
+
+def test_rsd_search_never_enumerates_a_member_every_measure_serves(monkeypatch):
+    """Member 0 is valid for every solution, so every solution measure
+    serves it: the centers' families leave it out, and the value is that
+    of the inner problems solved one by one."""
+    import dataclasses
+
+    base = biclique(4, 2)
+    validity = base.validity.copy()
+    validity[:, 0] = True
+    prob = dataclasses.replace(base, validity=validity)
+    rep, walks, cuts, _ = _count_rsd_search_work(monkeypatch, prob, 0.2)
+    monkeypatch.undo()
+    assert walks == [prob.n_dists - 1, prob.n_dists - 1]
+    assert len(cuts) == len(set(cuts))
+    best = -1.0
+    for _, center in _candidate_centers(prob):
+        worst = math.inf
+        for _, p in _solution_measures(prob):
+            kept = [d for i, d in enumerate(prob.dists)
+                    if p.mass(prob.valid_solution_indices(i)) < 1.0 - 1e-12]
+            worst = min(worst, rsd_decision(kept, center, 0.2).value if kept else 0.0)
+        best = max(best, worst)
+    assert rep.value == best
+
+
+def test_rsd_search_enumerates_nothing_when_a_measure_serves_every_member(monkeypatch):
+    """The last solution is valid for every member, so its point mass
+    leaves nothing to decide: the value is 0 at every center, the first
+    center keeps it, and no family is enumerated."""
+    import dataclasses
+
+    base = biclique(4, 2)
+    validity = base.validity.copy()
+    validity[-1, :] = True
+    prob = dataclasses.replace(base, validity=validity)
+    rep, walks, cuts, covers = _count_rsd_search_work(monkeypatch, prob, 0.2)
+    assert walks == cuts == covers == []
+    assert rep.value == 0.0
+    assert rep.exactness == LOWER_BOUND
+    assert rep.certificate == {
+        "center": "uniform-domain",
+        "solution_measure": f"point:{prob.solutions[-1]!r}",
+        "removed": list(range(prob.n_dists)),
+        "inner": None,
+    }
 
 
 def test_rsd_search_alpha_validation():

@@ -31,6 +31,7 @@ from sqlab import (
     line_problem,
     lp_solve,
     max_margin,
+    mixture,
     verify_cover_family,
     zero_sum,
 )
@@ -837,6 +838,74 @@ def test_pruned_walk_repeats_the_family_on_random_instances(data):
     _assert_same_family(dists, d0, tau)
 
 
+def _assert_restrict_repeats_the_walk(dists, d0, tau, keeps):
+    """Each cut of the family of ``dists`` lists the sets a fresh walk over
+    the kept members lists, in the same order, with the same uncovered
+    members, and with witnesses that still separate what they keep."""
+    full = achievable_subsets(dists, d0, tau)
+    for keep in keeps:
+        sub = [dists[i] for i in keep]
+        cut, fresh = full.restrict(keep), achievable_subsets(sub, d0, tau)
+        assert (cut.ground_size, cut.tau, cut.kappa) == (fresh.ground_size, fresh.tau, fresh.kappa)
+        assert cut.sets == fresh.sets
+        assert cut.uncovered() == fresh.uncovered()
+        verify_cover_family(sub, d0, cut)
+
+
+# The rsd_search instances, biclique(4,1) at a radius where the mixture
+# center leaves members uncovered, and the 386-set family of biclique(6,2).
+_RESTRICT_INSTANCES = [
+    (biclique, (4, 2), 0.2), (line_problem, (3,), 0.2), (biclique, (4, 1), 0.15),
+    (line_problem, (2,), 0.1), (biclique, (4, 1), 0.2), (biclique, (6, 2), 0.3),
+]
+
+
+@pytest.mark.parametrize("center", ["reference", "mixture"])
+@pytest.mark.parametrize(
+    "generator,params,tau",
+    _RESTRICT_INSTANCES,
+    ids=[f"{g.__name__}{params}-{tau}".replace(" ", "") for g, params, tau in _RESTRICT_INSTANCES],
+)
+def test_restricted_family_repeats_a_fresh_walk(generator, params, tau, center):
+    """Seeded random keeps, each in a random order (members are renumbered
+    in the order of ``keep``)."""
+    problem = generator(*params, kind="decision")
+    dists = list(problem.dists)
+    d0 = problem.reference if center == "reference" else mixture(dists)
+    rng = np.random.default_rng(len(dists))
+    keeps = [rng.permutation(len(dists))[: rng.integers(1, len(dists) + 1)].tolist()
+             for _ in range(4)]
+    _assert_restrict_repeats_the_walk(dists, d0, tau, [list(range(len(dists))), *keeps])
+
+
+def test_restrict_keeps_uncovered_members_uncovered():
+    """Member 1 lies within tau of the center; the other two do not."""
+    dists = [_dist([0.7, 0.2, 0.1]), _dist([0.34, 0.33, 0.33]), _dist([0.1, 0.2, 0.7])]
+    d0 = _dist([1 / 3, 1 / 3, 1 / 3])
+    full = achievable_subsets(dists, d0, 0.2)
+    assert full.uncovered() == [1]
+    assert full.restrict([2, 1]).uncovered() == [1]
+    assert full.restrict([1]).sets == ()
+    _assert_restrict_repeats_the_walk(dists, d0, 0.2, [[2, 1], [1, 0], [1], [0, 2]])
+    assert full.restrict([]).sets == ()
+    with pytest.raises(ValueError):
+        full.restrict([0, 0])
+    with pytest.raises(ValueError):
+        full.restrict([len(dists)])
+
+
+@given(data=st.data())
+def test_restricted_family_repeats_a_fresh_walk_on_random_instances(data):
+    n = data.draw(st.integers(2, 8))
+    m = data.draw(st.integers(1, 6))
+    weights = st.lists(st.integers(1, 10), min_size=n, max_size=n).map(lambda c: np.array(c) / sum(c))
+    dists = [_dist(data.draw(weights)) for _ in range(m)]
+    d0 = _dist(data.draw(weights))
+    tau = data.draw(st.floats(0.01, 0.8))
+    keep = data.draw(st.permutations(range(m)).flatmap(lambda p: st.integers(0, m).map(lambda k: p[:k])))
+    _assert_restrict_repeats_the_walk(dists, d0, tau, [keep])
+
+
 @given(data=st.data())
 def test_margin_bracket_holds_on_random_signed_subsets(data):
     """The uniform mixture's sign query bounds the max-margin LP value from
@@ -1117,6 +1186,21 @@ def _golden_case(argv, golden, id=None):
         _golden_case(
             ["dims", "--gen", "biclique", "--n", "6", "--k", "2", "--kind", "decision", "--tau", "0.3"],
             "dims_biclique_6_2_tau0.3.json",
+        ),
+        # The search-kind and verifiable-kind reports: rsd_search (value
+        # 1.0 and 3.0, both won at the uniform-domain center),
+        # rsd_verifiable and rsd_optimizing.
+        _golden_case(
+            ["dims", *_BICLIQUE_4_2, "--tau", "0.2"],
+            "dims_biclique_4_2_tau0.2.json",
+        ),
+        _golden_case(
+            ["dims", "--gen", "biclique", "--n", "4", "--k", "1", "--tau", "0.15"],
+            "dims_biclique_4_1_tau0.15.json",
+        ),
+        _golden_case(
+            ["dims", *_BICLIQUE_4_2, "--kind", "verifiable", "--tau", "0.2", "--eps", "0.1"],
+            "dims_biclique_4_2_verifiable_tau0.2.json",
         ),
         _golden_case(
             ["solve", "--gen", "line", "--p", "5", "--tau", "0.2", "--trials", "20", "--seed", "1"],
