@@ -412,9 +412,8 @@ def mixture(dists: Sequence[FiniteDistribution]) -> FiniteDistribution:
     for d in dists[1:]:
         _check_same_domain(dists[0], d)
     c = np.full(len(dists), 1.0 / len(dists))
-    w = np.zeros(len(domain))
-    for ci, d in zip(c, dists):
-        w += ci * d.weights
+    # an axis-0 sum adds the rows in order, as a running sum would
+    w = (c[:, None] * np.array([d.weights for d in dists])).sum(axis=0)
     # guard against float drift before the constructor's sum check
     w /= w.sum()
     return FiniteDistribution(domain, w)

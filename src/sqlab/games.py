@@ -350,7 +350,7 @@ def lp_solve(
     # comes from a solve with the same basis, B x_B = b - (columns at their
     # upper bound) * upper. Without, it is the final right-hand side, which
     # keeps every game and cover value bit-identical (a basis solve moves
-    # the crsd value of biclique(3,1) in its last digits).
+    # the rsd_decision value of biclique(4,1) at tau 0.1 in its last digits).
     x_full = np.zeros(width)
     y_scaled = np.zeros(m_ub + m_eq)
     if box:

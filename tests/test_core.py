@@ -275,7 +275,7 @@ def test_measure_mass_support_conditioning():
 
 def test_binary_table_matches_shift_and_mask():
     """Row i holds the bits of i, least significant first, as float64; n = 0
-    (one empty row) is what crsd asks for at |X| = 1."""
+    gives one empty row."""
     for n in range(17):
         reference = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
         table = binary_table(n)

@@ -5,6 +5,7 @@ programs (shares no code with the simplex) and KKT certificates on larger
 ones (primal/dual feasibility plus a zero duality gap prove optimality).
 """
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -20,6 +21,7 @@ from sqlab import (
     InfeasibleError,
     K1,
     KV,
+    NumericalError,
     UnboundedError,
     UncoverableError,
     achievable_subsets,
@@ -428,10 +430,22 @@ def _assert_distinct_row_solve_is_exact(m):
     assert res.value == pytest.approx(_highs_game_value(linprog, m), abs=1e-9)
 
 
+def _sign_payoff(dists, d0):
+    """The K1 crsd game written out: |<sigma, D_i - D0>| for every domain
+    sign row sigma with last entry +1 (rows) and every member (columns)."""
+    diff = np.array([d.weights - d0.weights for d in dists])
+    n = diff.shape[1]
+    sigmas = np.array([(*signs, 1.0) for signs in itertools.product((1.0, -1.0), repeat=n - 1)])
+    return np.abs(sigmas @ diff.T)
+
+
 def _crsd_payoff(problem, kappa, monkeypatch):
-    """The payoff matrix crsd hands to zero_sum."""
+    """The widest payoff matrix of the crsd game: the K1 sign table (crsd
+    itself never builds it), or the KV vertex game crsd hands to zero_sum."""
     from sqlab import dimension
 
+    if kappa == K1:
+        return _sign_payoff(problem.dists, problem.reference)
     seen = []
     monkeypatch.setattr(dimension, "zero_sum", lambda m: seen.append(m) or zero_sum(m))
     dimension.crsd(list(problem.dists), problem.reference, kappa)
@@ -441,7 +455,8 @@ def _crsd_payoff(problem, kappa, monkeypatch):
 
 # The instances of the nine ``sqlab dims`` benchmark reports (crsd does not
 # depend on tau; biclique(5, k) has 32 domain points, past the 2^16 guard,
-# and never reaches the game), then the KV vertex game.
+# and never reaches the game), then the KV vertex game. The K1 sign tables
+# (up to 32,768 rows, 160 of them distinct) are zero_sum's widest real games.
 _GAME_INSTANCES = [
     (biclique, (3, 1), K1), (biclique, (3, 2), K1), (biclique, (4, 1), K1),
     (biclique, (4, 3), K1), (line_problem, (2,), K1), (biclique, (3, 1), KV),
@@ -499,16 +514,93 @@ def test_distinct_row_game_stays_exact_when_key_ties_keep_copies(monkeypatch):
     assert kept_copies > 0
 
 
-def test_crsd_game_lp_has_one_column_per_distinct_sign_row(monkeypatch):
-    """biclique(4, 1): 2^15 sign rows, 160 distinct payoff rows."""
-    from sqlab import games
+# The six K1 games of the ``dims`` reports at their references.
+_CRSD_INSTANCES = [
+    (biclique, (3, 1)), (biclique, (3, 2)), (biclique, (4, 1)),
+    (biclique, (4, 3)), (biclique, (4, 2)), (line_problem, (2,)),
+]
+_CRSD_IDS = [f"{g.__name__}{params}".replace(" ", "") for g, params in _CRSD_INSTANCES]
 
-    widths = []
+
+def _assert_crsd_matches_highs(dists, d0):
+    """K1 crsd against HiGHS over every domain sign row, within 1e-9
+    relative, and its certificate against the full sign table: the hardest
+    measure's best response is at most the value, the query mixture's worst
+    member at least the value."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    payoff = _sign_payoff(dists, d0)
+    rep = crsd(dists, d0)
+    cert = rep.certificate
+    v = cert["game_value"]
+    assert rep.value == 1.0 / v
+    assert v == pytest.approx(_highs_game_value(linprog, payoff), rel=1e-9)
+    assert float((payoff @ cert["hardest_measure"]).max()) <= v * (1 + 1e-9)
+    diff = np.array([d.weights - d0.weights for d in dists])
+    queries, mix = cert["queries"], cert["query_mixture"]
+    assert np.array_equal(np.abs(queries), np.ones_like(queries))
+    assert mix.min() >= 0 and mix.sum() == pytest.approx(1.0, abs=1e-12)
+    assert float((mix @ np.abs(queries @ diff.T)).min()) >= v * (1 - 1e-9)
+    return rep
+
+
+@pytest.mark.parametrize("generator,params", _CRSD_INSTANCES, ids=_CRSD_IDS)
+def test_k1_crsd_matches_highs_at_the_dims_references(generator, params):
+    problem = generator(*params, kind="decision")
+    _assert_crsd_matches_highs(list(problem.dists), problem.reference)
+
+
+@pytest.mark.parametrize("generator,params", _CRSD_INSTANCES, ids=_CRSD_IDS)
+def test_k1_crsd_matches_highs_at_member_mixture_centers(generator, params):
+    """Seeded Dirichlet mixtures of the members as centers: the hardest
+    measure is no longer uniform, so the cutting planes run."""
+    problem = generator(*params, kind="decision")
+    dists = list(problem.dists)
+    w = np.array([d.weights for d in dists])
+    for seed in range(4):
+        mix = np.random.default_rng(1700 + seed).dirichlet(np.ones(len(dists)))
+        _assert_crsd_matches_highs(dists, FiniteDistribution(problem.domain, mix @ w))
+
+
+def test_k1_crsd_matches_highs_with_more_members_than_points():
+    """m = 12 members on |X| = 5 points: the best responses scan the 16
+    domain sign rows instead of 2^11 member patterns."""
+    dists, d0 = random_dists(np.random.default_rng(1800), 5, 12)
+    _assert_crsd_matches_highs(dists, d0)
+
+
+def test_crsd_makes_no_lp_on_the_dims_instances(monkeypatch):
+    """The six dims games close at the pure-strategy bracket: no master LP,
+    no zero_sum."""
+    from sqlab import dimension, games
+
+    calls = []
     solve = games.lp_solve
-    monkeypatch.setattr(games, "lp_solve", lambda c, **rows: widths.append(len(c)) or solve(c, **rows))
-    problem = biclique(4, 1, kind="decision")
-    crsd(list(problem.dists), problem.reference)
-    assert widths == [160]
+    spy = lambda *args, **rows: calls.append(1) or solve(*args, **rows)  # noqa: E731
+    monkeypatch.setattr(games, "lp_solve", spy)
+    monkeypatch.setattr(dimension, "lp_solve", spy)
+    for generator, params in _CRSD_INSTANCES:
+        problem = generator(*params, kind="decision")
+        rep = crsd(list(problem.dists), problem.reference)
+        assert len(rep.certificate["queries"]) == 1
+    assert calls == []
+
+
+def test_crsd_cutting_planes_refuse_a_master_that_breaks_its_own_rows(monkeypatch):
+    """A master LP whose point violates a row it was given would bring the
+    same cut back forever; crsd raises NumericalError instead."""
+    from sqlab import dimension
+    from sqlab.games import LPResult
+
+    def broken(c, a_ub, b_ub, a_eq, b_eq):
+        k, n = a_ub.shape
+        x = np.zeros(n)
+        x[0] = 1.0
+        return LPResult(0.0, x, np.full(k, 1.0 / k), np.zeros(1), np.zeros(n))
+
+    monkeypatch.setattr(dimension, "lp_solve", broken)
+    dists, d0 = random_dists(np.random.default_rng(1801), 4, 3)
+    with pytest.raises(NumericalError, match="repeat a query"):
+        crsd(dists, d0)
 
 
 # ---------------------------------------------------------------------------
@@ -1165,8 +1257,8 @@ def _golden_case(argv, golden, id=None):
             ["dims", "--gen", "line", "--p", "3", "--kind", "decision", "--tau", "0.2"],
             "dims_line_3_decision_tau0.2.json",
         ),
-        # The widest K1 crsd game (32,768 sign rows, 160 of them distinct)
-        # and the KV vertex game, both solved by zero_sum.
+        # The K1 crsd game on 16 points, closed at its pure-strategy
+        # bracket, and the KV vertex game, solved by zero_sum.
         _golden_case(
             ["dims", "--gen", "biclique", "--n", "4", "--k", "1", "--kind", "decision", "--tau", "0.1"],
             "dims_biclique_4_1_tau0.1.json",
@@ -1244,10 +1336,10 @@ def _golden_case(argv, golden, id=None):
     ],
 )
 def test_dims_reports_are_byte_identical_to_golden(argv, golden, capsys):
-    """Seeded CLI reports must not move. Every number of the dims reports
-    passes through the simplex kernel (the max-margin LPs, both cover LPs
-    and the crsd game LP), so a changed pivot sequence or a changed
-    floating-point operation shows up there; the solve and stream reports
+    """Seeded CLI reports must not move. The dims reports pass through
+    the simplex kernel (the max-margin LPs, both cover LPs and the KV crsd
+    game LP) and the K1 crsd bracket, so a changed pivot sequence or a
+    changed floating-point operation shows up there; the solve and stream reports
     pin every solver's trajectory (search in both modes and both scales,
     verifiable with solved and stuck runs, optimizing, decision and the
     streaming solver)."""
