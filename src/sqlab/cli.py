@@ -68,7 +68,6 @@ from .oracles import (
     sampled_answers,
     stat,
     vroot,
-    vstat,
 )
 from .problems import biclique, line_audit, line_problem
 from .solvers import (
@@ -110,9 +109,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, help="target success level for lower bounds")
     p.add_argument("--eps", type=float, help="threshold-optimization accuracy")
     p.add_argument("--theta", type=float, help="verification threshold")
-    p.add_argument(
-        "--oracle", choices=["stat", "vstat", "vroot", "onestat"], help="oracle kind"
-    )
+    p.add_argument("--oracle", choices=["stat", "vroot", "onestat"], help="oracle kind")
     p.add_argument("--param", type=float, help="oracle parameter (tau, n, or bits)")
     p.add_argument("--trials", type=int, default=1, help="number of seeded trials")
     p.add_argument("--seed", type=int, help="base RNG seed")
@@ -348,10 +345,11 @@ def cmd_dims(args, parser) -> int:
                 lambda: simple_lower_bound(problem, mu, d0, args.tau, args.beta).value,
             )
     if problem.kind == SEARCH:
+        alpha = 1.0 if args.alpha is None else args.alpha
         attempt(
             "rsd_search",
             lambda: {
-                "value": (s := rsd_search(problem, args.tau, alpha=args.alpha or 1.0, kappa=kappa)).value,
+                "value": (s := rsd_search(problem, args.tau, alpha=alpha, kappa=kappa)).value,
                 "exactness": s.exactness,
             },
         )
@@ -405,8 +403,7 @@ def _session(args, problem, kind: str, tolerance: float, true_dist, rng) -> Orac
     default kind and tolerance, answered by ``--strategy`` on ``true_dist``."""
     kind = args.oracle or kind
     param = args.param if args.param is not None else tolerance
-    build = {"stat": stat, "vstat": vstat, "vroot": vroot,
-             "onestat": lambda bits: one_stat_spec(int(bits))}
+    build = {"stat": stat, "vroot": vroot, "onestat": lambda bits: one_stat_spec(int(bits))}
     try:
         spec = build[kind](param)
     except ValueError as exc:  # a parameter this oracle kind cannot take
@@ -638,10 +635,13 @@ def main(argv=None) -> int:
         for action in sub._actions:
             if not action.option_strings and action.dest in values and not getattr(args, action.dest):
                 setattr(args, action.dest, values[action.dest])
-    # A K1 margin lies in [0, 2], and a failure probability in (0, 1); numpy
-    # seeds are non-negative, and a run makes one trial or more.
+    # A K1 margin lies in [0, 2], a removal level in (0, 1] and a failure
+    # probability in (0, 1); numpy seeds are non-negative, and a run makes
+    # one trial or more.
     if args.tau is not None and not 0 < args.tau <= 2:
         sub.error(f"--tau must lie in (0, 2], not {args.tau:g}")
+    if args.alpha is not None and not 0 < args.alpha <= 1:
+        sub.error(f"--alpha must lie in (0, 1], not {args.alpha:g}")
     if args.delta is not None and not 0 < args.delta < 1:
         sub.error(f"--delta must lie in (0, 1), not {args.delta:g}")
     if args.seed is not None and args.seed < 0:

@@ -21,10 +21,11 @@ test that decides it: a closure prune (a candidate with an unachievable
 drop-one subset is skipped), then a certificate from the pool of witnesses
 found so far, then an LP-free bracket on its margin (the uniform mixture
 bounds it from above, that mixture's sign query from below), and only then
-a ``max_margin`` LP. Each maximal set keeps the witness one LP per
-candidate would give it (the LP query of its first signed set in walk
-order), re-derived at the end when no LP settled that set, so the family
-does not depend on the order the pool grew in.
+a ``max_margin`` LP. Each maximal set keeps the query that certified its
+first signed set in walk order (a singleton's sign query, a pooled query or
+its negation, a bracket's sign query or an LP's query). Only the sets and
+their order are fixed; a witness is promised to be valid under
+``verify_cover_family``, not to be any particular query.
 
 Conventions:
 
@@ -603,21 +604,23 @@ class CoverFamily:
             cut = frozenset(position[i] for i in s if i in position)
             if cut:
                 witness.setdefault(cut, phi)
-        return _maximal_family(witness, witness.__getitem__, len(keep), self.tau, self.kappa)
+        return _maximal_family(witness, len(keep), self.tau, self.kappa)
 
 
-def _maximal_family(sets, witness, ground_size: int, tau: float, kappa: str) -> CoverFamily:
-    """The family of the maximal subsets among ``sets``, ordered by size,
-    then by members; ``witness(s)`` gives each maximal set's query."""
+def _maximal_family(
+    witness: dict[frozenset, np.ndarray], ground_size: int, tau: float, kappa: str
+) -> CoverFamily:
+    """The family of the maximal sets among ``witness``'s keys, ordered by
+    size, then by members, each with its query ``witness[s]``."""
     maximal: list[frozenset] = []
-    for key in sorted(sets, key=len, reverse=True):
+    for key in sorted(witness, key=len, reverse=True):
         if not any(key < other for other in maximal):
             maximal.append(key)
     maximal.sort(key=lambda s: (len(s), sorted(s)))
     return CoverFamily(
         ground_size=ground_size,
         sets=tuple(maximal),
-        witnesses=tuple(witness(s) for s in maximal),
+        witnesses=tuple(witness[s] for s in maximal),
         tau=tau,
         kappa=kappa,
     )
@@ -678,13 +681,11 @@ def achievable_subsets(
     4. otherwise one ``max_margin`` LP decides it, and its query joins the
        pool when it achieves.
 
-    A maximal set's witness is ``max_margin``'s query on the first signed
-    set of that set in walk order, the witness a one-LP-per-candidate walk
-    reports; when the walk certified that signed set from the pool or the
-    bracket, its LP is solved at the end, so the family does not depend on
-    which pooled witness happened to certify it. (Should that LP fall short
-    of the threshold, the pooled witness is kept: it is a valid
-    certificate.)
+    A maximal set's witness is the query that certified the first signed set
+    of that set in walk order, whichever step found it; no LP runs after the
+    walk. The sets and their order are those a one-LP-per-candidate walk
+    gives, but only the witnesses' validity under ``verify_cover_family`` is
+    promised, not their values.
     Worst case is exponential in |dists| — hence the guard.
 
     KV: heuristic family from binary-vertex witnesses phi in {0,1}^X
@@ -701,24 +702,24 @@ def achievable_subsets(
             raise GuardExceededError(
                 f"achievable_subsets: |dists| = {m} exceeds guard {_FAMILY_GUARD}"
             )
-        # unsigned set -> (its first signed set in walk order, LP query or
-        # None, certifying pooled query or None)
-        first: dict[frozenset, tuple] = {}
+        # unsigned set -> the query that certified its first signed set in
+        # walk order
+        first: dict[frozenset, np.ndarray] = {}
         pool: list[np.ndarray] = []  # witness queries, one row of ``table`` each
         frontier: list[tuple] = []
         for i, d in enumerate(dists):
             res = max_margin([d], d0)
             if res.value >= threshold:
                 frontier.append(((i, 1),))
-                first[frozenset((i,))] = (frontier[-1], res.query, None)
+                first[frozenset((i,))] = res.query
                 pool.append(res.query)
         n = len(d0.domain)
         diffs = np.array([d.weights - d0.weights for d in dists]).reshape(m, n)
         table = np.array(pool).reshape(len(pool), n) @ diffs.T  # [r, i] = <pool[r], D_i - D0>
 
         def settle(signed: tuple):
-            """(LP query or None, pooled query or None) when ``signed`` is
-            achievable, else None."""
+            """A query that separates ``signed`` at the threshold, or None
+            when ``signed`` is not achievable."""
             nonlocal table
             idx = [i for i, _ in signed]
             signs = np.array([s for _, s in signed], dtype=float)
@@ -728,20 +729,18 @@ def achievable_subsets(
             hit = np.flatnonzero(up | down)
             if hit.size:
                 r = int(hit[0])
-                return None, pool[r] if up[r] else -pool[r]
+                return pool[r] if up[r] else -pool[r]
             lower, upper, phi = _margin_bracket(signs[:, None] * diffs[idx])
             if upper < tau + STRICT_EPS / 2:
                 return None
-            found = (None, phi)
             if lower < threshold:
                 res = max_margin([dists[i] for i in idx], d0, [s for _, s in signed])
                 if res.value < threshold:
                     return None
                 phi = res.query
-                found = (phi, None)
             pool.append(phi)
             table = np.vstack([table, diffs @ phi])
-            return found
+            return phi
 
         while frontier:
             known = set(frontier)
@@ -752,20 +751,12 @@ def achievable_subsets(
                         cand = signed + ((j, sign),)
                         if any(_drop_one(cand, p) not in known for p in range(len(signed))):
                             continue
-                        found = settle(cand)
-                        if found is not None:
+                        phi = settle(cand)
+                        if phi is not None:
                             grown.append(cand)
-                            first.setdefault(frozenset(i for i, _ in cand), (cand, *found))
+                            first.setdefault(frozenset(i for i, _ in cand), phi)
             frontier = grown
-
-        def witness(s: frozenset) -> np.ndarray:
-            signed, query, pooled = first[s]
-            if query is not None:
-                return query
-            res = max_margin([dists[i] for i, _ in signed], d0, [s for _, s in signed])
-            return res.query if res.value >= threshold else pooled
-
-        return _maximal_family(first, witness, m, tau, K1)
+        return _maximal_family(first, m, tau, K1)
     if kappa == KV:
         n = len(d0.domain)
         if n > 16:
@@ -784,7 +775,7 @@ def achievable_subsets(
             covered = frozenset(np.flatnonzero(hit[r]).tolist())
             if covered:
                 best[covered] = vertices[r].copy()
-        return _maximal_family(best, best.__getitem__, m, tau, KV)
+        return _maximal_family(best, m, tau, KV)
     raise ValueError(f"unknown kappa tag {kappa!r}")
 
 

@@ -21,6 +21,7 @@ from sqlab import (
     InfeasibleError,
     K1,
     KV,
+    Measure,
     NumericalError,
     UnboundedError,
     UncoverableError,
@@ -30,6 +31,7 @@ from sqlab import (
     exact_min_cover,
     fractional_cover,
     greedy_cover,
+    kbar1,
     line_problem,
     lp_solve,
     max_margin,
@@ -568,6 +570,29 @@ def test_k1_crsd_matches_highs_with_more_members_than_points():
     _assert_crsd_matches_highs(dists, d0)
 
 
+@pytest.mark.parametrize("generator,params", _CRSD_INSTANCES, ids=_CRSD_IDS)
+def test_kbar1_is_the_k1_crsd_best_response_value(generator, params):
+    """``norms.kbar1(mu)`` and the K1 crsd best-response value at mu are one
+    quantity, max_sigma sum_i mu_i |<sigma, D_i - D0>|, at the uniform
+    measure and at seeded Dirichlet measures. They agree within 1e-12
+    relative but not bit for bit (at the uniform measure, which the dims
+    reports print kbar1 at, biclique(3,2) and biclique(4,2) differ in the
+    last bit), which is why the two scans stay separate: sharing one would
+    change a printed value."""
+    from sqlab.dimension import _best_responses
+
+    problem = generator(*params, kind="decision")
+    dists, d0 = list(problem.dists), problem.reference
+    g = np.array([d.weights - d0.weights for d in dists])
+    responses = _best_responses(g)
+    m = len(dists)
+    measures = [np.full(m, 1.0 / m)]
+    measures += [np.random.default_rng(1900 + seed).dirichlet(np.ones(m)) for seed in range(4)]
+    for mu in measures:
+        value = float((np.abs(responses(mu) @ g.T) @ mu).max())
+        assert kbar1(Measure.from_weights(mu), dists, d0).value == pytest.approx(value, rel=1e-12)
+
+
 def test_crsd_makes_no_lp_on_the_dims_instances(monkeypatch):
     """The six dims games close at the pure-strategy bracket: no master LP,
     no zero_sum."""
@@ -760,7 +785,7 @@ def test_achievable_subsets_guard():
 def _achievable_subsets_reference(dists, d0, tau):
     """The K1 family from one ``max_margin`` LP per candidate signed subset:
     the walk without closure pruning or pooled certification, kept to pin
-    the pruned walk's sets, order and witnesses."""
+    the pruned walk's sets and their order."""
     threshold = tau + STRICT_EPS
     frontier = []
     for i, d in enumerate(dists):
@@ -794,9 +819,6 @@ def _assert_same_family(dists, d0, tau):
     family = achievable_subsets(dists, d0, tau)
     reference = _achievable_subsets_reference(dists, d0, tau)
     assert family.sets == reference.sets
-    assert len(family.witnesses) == len(reference.witnesses)
-    for phi, ref_phi in zip(family.witnesses, reference.witnesses):
-        assert np.array_equal(phi, ref_phi)
     verify_cover_family(dists, d0, family)
     verify_cover_family(dists, d0, reference)
 
@@ -1075,34 +1097,6 @@ def _count_margins(monkeypatch):
     return calls
 
 
-def test_pooled_witness_stands_when_the_final_lp_falls_short(monkeypatch):
-    """biclique(5,4)'s one maximal set is certified from the pool during the
-    walk, so its witness LP is solved last. Should that LP read below the
-    threshold, the set stays, with the pooled witness as its certificate."""
-    from sqlab import games
-
-    problem = biclique(5, 4, kind="decision")
-    dists, d0 = list(problem.dists), problem.reference
-    solve = games.max_margin
-    calls = _count_margins(monkeypatch)
-    exact = achievable_subsets(dists, d0, 0.2)
-    last, seen = calls[0], [0]
-
-    def short_last(*args, **kwargs):
-        res = solve(*args, **kwargs)
-        seen[0] += 1
-        if seen[0] < last:
-            return res
-        return games.MarginResult(value=0.0, query=np.zeros_like(res.query), mixture=res.mixture)
-
-    monkeypatch.setattr(games, "max_margin", short_last)
-    family = achievable_subsets(dists, d0, 0.2)
-    assert seen[0] == last
-    assert family.sets == exact.sets == (frozenset(range(problem.n_dists)),)
-    assert not np.array_equal(family.witnesses[0], exact.witnesses[0])
-    verify_cover_family(dists, d0, family)
-
-
 def test_line_3_decision_cover_makes_few_margin_lps(monkeypatch):
     """One LP per candidate made 9,423 max_margin calls here, and the walk
     without the LP-free bracket 412."""
@@ -1110,7 +1104,7 @@ def test_line_3_decision_cover_makes_few_margin_lps(monkeypatch):
 
     calls = _count_margins(monkeypatch)
     family, cover = decision_cover(line_problem(3, kind="decision"), 0.2)
-    assert calls[0] <= 240
+    assert calls[0] <= 239
     assert family.sets == (frozenset(range(9)),)
 
 
@@ -1119,19 +1113,34 @@ def test_biclique_5_4_family_makes_few_margin_lps(monkeypatch):
     problem = biclique(5, 4, kind="decision")
     calls = _count_margins(monkeypatch)
     family = achievable_subsets(list(problem.dists), problem.reference, 0.2)
-    assert calls[0] <= 21
+    assert calls[0] <= 20
     assert family.sets == (frozenset(range(problem.n_dists)),)
 
 
 def test_biclique_6_2_family_at_tau_0_3_makes_no_settle_lp(monkeypatch):
     """The LP-free bracket settles every candidate here: the only margin
-    LPs are the 15 singletons' and one witness LP per maximal set (the walk
-    without the bracket made 1,826 settle LPs)."""
+    calls are the 15 singletons' sign queries, and no LP is solved (the walk
+    without the bracket made 1,826 settle LPs, and witness LPs after the
+    walk once made 386 more). Every witness is a pooled or bracket sign
+    query."""
+    from sqlab import games
+
     problem = biclique(6, 2, kind="decision")
     calls = _count_margins(monkeypatch)
-    family = achievable_subsets(list(problem.dists), problem.reference, 0.3)
+    solve, lps = games.lp_solve, [0]
+
+    def counted(*args, **kwargs):
+        lps[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(games, "lp_solve", counted)
+    dists = list(problem.dists)
+    family = achievable_subsets(dists, problem.reference, 0.3)
     assert len(family.sets) == 386
-    assert calls[0] == problem.n_dists + len(family.sets)
+    assert calls[0] == problem.n_dists == 15
+    assert lps[0] == 0
+    assert all(np.array_equal(np.abs(phi), np.ones_like(phi)) for phi in family.witnesses)
+    verify_cover_family(dists, problem.reference, family)
 
 
 # ---------------------------------------------------------------------------
