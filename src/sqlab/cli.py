@@ -635,15 +635,20 @@ def main(argv=None) -> int:
         for action in sub._actions:
             if not action.option_strings and action.dest in values and not getattr(args, action.dest):
                 setattr(args, action.dest, values[action.dest])
-    # A K1 margin lies in [0, 2], a removal level in (0, 1] and a failure
-    # probability in (0, 1); numpy seeds are non-negative, and a run makes
-    # one trial or more.
+    # A K1 margin lies in [0, 2], a removal level and a target success level
+    # in (0, 1], a failure probability in (0, 1) and an optimization accuracy
+    # in [0, inf); numpy seeds are non-negative, and a run makes one trial or
+    # more.
     if args.tau is not None and not 0 < args.tau <= 2:
         sub.error(f"--tau must lie in (0, 2], not {args.tau:g}")
     if args.alpha is not None and not 0 < args.alpha <= 1:
         sub.error(f"--alpha must lie in (0, 1], not {args.alpha:g}")
+    if args.beta is not None and not 0 < args.beta <= 1:
+        sub.error(f"--beta must lie in (0, 1], not {args.beta:g}")
     if args.delta is not None and not 0 < args.delta < 1:
         sub.error(f"--delta must lie in (0, 1), not {args.delta:g}")
+    if args.eps is not None and not args.eps >= 0:
+        sub.error(f"--eps must be at least 0, not {args.eps:g}")
     if args.seed is not None and args.seed < 0:
         sub.error(f"--seed must be at least 0, not {args.seed}")
     if args.trials < 1:

@@ -33,9 +33,9 @@ On top of that:
   writes the 2^(|X|-1)-row game out: a pure-strategy bracket at the uniform
   measure settles it without an LP when the best response pays every
   member alike, and cutting planes over generated queries otherwise; each
-  best response scans the smaller of the member sign patterns and the
-  domain sign rows. The |X| <= 16 guard stays, so the reports that skip
-  ``crsd`` keep skipping it.
+  best response is ``norms._k1_scan``, the kbar1 scan: the smaller of the
+  member sign patterns and the domain sign rows, read in blocks. The
+  |X| <= 16 guard stays, so the reports that skip ``crsd`` keep skipping it.
 - ``combined_relation_audit``: checks the provable bracket between crsd and
   rsd_decision at derived radii.
 - ``rand_to_det``: extracts a deterministic witness cover from a fractional
@@ -79,7 +79,7 @@ from .games import (
     lp_solve,
     zero_sum,
 )
-from .norms import EXACT, LOWER_BOUND, UPPER_BOUND, kappa1_frac, kbar2
+from .norms import EXACT, LOWER_BOUND, UPPER_BOUND, _k1_scan, kappa1_frac, kbar2
 
 __all__ = [
     "DimensionReport",
@@ -499,59 +499,20 @@ def rsd_optimizing(
 
 
 _BRACKET_TOL = 1e-12  # relative gap at which the K1 crsd bracket counts as closed
-_SIGN_BLOCK = 4096  # domain sign rows per block of a best-response scan
-
-
-def _sign_rows(index: np.ndarray, width: int) -> np.ndarray:
-    """The +-1 rows whose first ``width - 1`` entries are the bits of
-    ``index`` (bit 0 first; 1 is +1, 0 is -1) and whose last entry is +1."""
-    rows = np.ones((index.size, width))
-    rows[:, :-1] = ((index[:, None] >> np.arange(width - 1)) & 1) * 2.0 - 1.0
-    return rows
-
-
-def _best_responses(g: np.ndarray):
-    """The best-response oracle of the K1 game on the rows g_i = D_i - D0.
-
-    Returns a function taking a member measure mu to the sign queries within
-    ``_BRACKET_TOL`` of max_sigma sum_i mu_i |<sigma, g_i>|, each with last
-    entry +1. It enumerates the smaller sign set: when m <= |X| the member
-    patterns s (last entry +1), since the max equals max_s ||sum_i mu_i s_i
-    g_i||_1 and sign(sum_i mu_i s_i g_i) attains it; otherwise the domain
-    sign rows, in blocks of ``_SIGN_BLOCK``.
-    """
-    m, n = g.shape
-    if m <= n:
-        patterns = _sign_rows(np.arange(1 << (m - 1)), m)
-
-        def responses(mu: np.ndarray) -> np.ndarray:
-            sums = (patterns * mu) @ g
-            norms = np.abs(sums).sum(axis=1)
-            rows = np.where(sums[norms >= norms.max() * (1.0 - _BRACKET_TOL)] >= 0, 1.0, -1.0)
-            return rows * rows[:, -1:]
-
-        return responses
-    count = 1 << (n - 1)
-
-    def responses(mu: np.ndarray) -> np.ndarray:
-        values = np.concatenate([
-            np.abs(_sign_rows(np.arange(s, min(s + _SIGN_BLOCK, count)), n) @ g.T) @ mu
-            for s in range(0, count, _SIGN_BLOCK)
-        ])
-        return _sign_rows(np.flatnonzero(values >= values.max() * (1.0 - _BRACKET_TOL)), n)
-
-    return responses
 
 
 def _k1_game(g: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """min_mu max_sigma sum_i mu_i |<sigma, g_i>| over sign queries sigma.
 
-    Returns (value, hardest measure, queries, query mixture). First the
-    pure-strategy bracket at the uniform measure: its best-response value
-    bounds the game value from above, and the tied best response with the
-    largest worst member payoff bounds it from below. When the two do not
-    agree within ``_BRACKET_TOL``, Kelley cutting planes (Kelley, J. SIAM
-    8(4), 1960) tighten it: the master LP min t s.t. t >= sum_i mu_i
+    Returns (value, hardest measure, queries, query mixture). The best
+    responses at a measure are the sign queries ``norms._k1_scan`` finds
+    within ``_BRACKET_TOL`` of kbar1's value there, scored here by the
+    query payoffs |<sigma, g_i>|. First the pure-strategy bracket at the
+    uniform measure: its best-response value bounds the game value from
+    above, and the tied best response with the largest worst member payoff
+    bounds it from below. When the two do not agree within
+    ``_BRACKET_TOL``, Kelley cutting planes (Kelley, J. SIAM 8(4), 1960)
+    tighten it: the master LP min t s.t. t >= sum_i mu_i
     |<sigma_r, g_i>| over the queries so far gives the lower bound and its
     duals the query mixture; each round separates at the midpoint of the
     master's measure and the best measure so far, and at the master's
@@ -563,9 +524,8 @@ def _k1_game(g: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     own rows, and raises :class:`NumericalError`.
     """
     m = g.shape[0]
-    responses = _best_responses(g)
     best_mu = np.full(m, 1.0 / m)
-    rows = responses(best_mu)
+    rows = _k1_scan(g, best_mu, _BRACKET_TOL)[1]
     pay = np.abs(rows @ g.T)
     j = int(np.argmax(pay.min(axis=1)))
     upper, lower = float((pay @ best_mu).max()), float(pay[j].min())
@@ -587,7 +547,7 @@ def _k1_game(g: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         point /= point.sum()
         cut = None
         for probe in ((point + best_mu) / 2.0, point):
-            rows = responses(probe)
+            rows = _k1_scan(g, probe, _BRACKET_TOL)[1]
             pay = np.abs(rows @ g.T)
             values = pay @ probe
             r = int(np.argmax(values))
@@ -616,11 +576,11 @@ def crsd(
     K1 (exact): sigma ranges over sign vectors, and the game is solved by
     ``_k1_game``: a pure-strategy bracket at the uniform measure, then
     cutting planes over generated sign queries, each best response found
-    over the smaller of the 2^(m-1) member sign patterns and the 2^(|X|-1)
-    domain sign rows. The certificate holds the game value, the hardest
-    measure (its best response is the value), the generated queries and the
-    query mixture over them (its worst member payoff is the value, up to
-    1e-12 relative). The domain guard |X| <= 16 stays, although a family of
+    by kbar1's scan over the smaller of the 2^(m-1) member sign patterns and
+    the 2^(|X|-1) domain sign rows, one block at a time. The certificate
+    holds the game value, the hardest measure (its best response is the
+    value), the generated queries and the query mixture over them (its worst
+    member payoff is the value, up to 1e-12 relative). The domain guard |X| <= 16 stays, although a family of
     at most |X| members never scans the domain rows: lifting it would print
     values where the ``dims`` reports on 32-point domains print
     ``skipped``, which the benchmark's checks expect. The center must not

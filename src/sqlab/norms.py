@@ -4,8 +4,9 @@ The quantities here measure how visible a weighted family of distributions
 is against a center distribution D0 through a single query:
 
 - ``kbar1``: average absolute signed-query margin, maximized over queries
-  phi in [-1,1]^X. Exact, by enumerating sign patterns on whichever axis
-  (family support or domain) is smaller.
+  phi in [-1,1]^X. Exact, by one blocked scan of the sign patterns on
+  whichever axis (family support or domain) is smaller; the K1 ``crsd``
+  best responses come from the same scan (``_k1_scan``).
 - ``kbar2``: the same on the D0-weighted L2 scale via centered likelihood
   ratios. Exact by sign enumeration; ``kbar2_spectral`` is the relaxation to
   arbitrary unit coefficient vectors — the largest singular value of the
@@ -54,6 +55,7 @@ UPPER_BOUND = "upper_bound"
 _CERT_TOL = 1e-8
 _SIGN_GUARD = 20
 _VERTEX_GUARD = 16
+_SCAN_BLOCK = 4096  # sign vectors per block of a scan
 
 
 @dataclass(frozen=True)
@@ -70,13 +72,51 @@ def _check(value: float, recomputed: float, what: str) -> None:
         raise NumericalError(f"{what}: certificate re-evaluates to {recomputed!r}, not {value!r}")
 
 
-def _sign_chunks(k: int, chunk: int = 4096):
-    total = 1 << k
-    cols = np.arange(k)
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        bits = (np.arange(lo, hi)[:, None] >> cols) & 1
-        yield lo, bits * 2.0 - 1.0
+def _sign_blocks(width: int):
+    """The 2^(width-1) sign vectors whose last entry is +1, in blocks of at
+    most ``_SCAN_BLOCK`` rows; row r's other entries are the bits of r (bit
+    0 first; 1 is +1, 0 is -1)."""
+    count = 1 << (width - 1)
+    for lo in range(0, count, _SCAN_BLOCK):
+        index = np.arange(lo, min(lo + _SCAN_BLOCK, count))
+        rows = np.ones((index.size, width))
+        rows[:, :-1] = ((index[:, None] >> np.arange(width - 1)) & 1) * 2.0 - 1.0
+        yield rows
+
+
+def _k1_scan(g: np.ndarray, mu: np.ndarray, tol: float):
+    """max over sign queries sigma of sum_i mu_i |<sigma, g_i>|, and the
+    queries within ``tol`` (relative) of it.
+
+    Scans the smaller sign set, one block at a time, keeping only the rows
+    tied with the best so far. When m <= |X| that is the member patterns s,
+    since the max equals max_s ||sum_i mu_i s_i g_i||_1 and the sign vector
+    of that sum attains it; otherwise the domain sign rows sigma, each
+    paying sum_i |<sigma, mu_i g_i>|. sigma and -sigma pay alike, so only
+    vectors with last entry +1 are scanned, and the queries come back with
+    last entry +1, in scan order. The signed sums are added term by term,
+    not by a matrix product: BLAS sums a row in an order that depends on
+    where the row sits in its block (and numpy sends a one-row block to
+    another kernel), while here the value and the queries do not depend on
+    ``_SCAN_BLOCK``.
+    """
+    m, n = g.shape
+    weighted = mu[:, None] * g
+    terms = weighted if m <= n else weighted.T
+    value, vals, rows = 0.0, np.empty(0), np.empty((0, n))
+    for signs in _sign_blocks(len(terms)):
+        columns = signs.T.copy()  # a contiguous row per term: long inner loops
+        sums = terms[0][:, None] * columns[0]
+        for i in range(1, len(terms)):
+            sums += terms[i][:, None] * columns[i]
+        sums = sums.T.copy()  # contiguous rows, as the order of np.sum depends on it
+        vals = np.r_[vals, np.abs(sums).sum(axis=1)]
+        rows = np.vstack([rows, sums if m <= n else signs])
+        value = max(value, float(vals.max()))
+        keep = vals >= value * (1.0 - tol)
+        vals, rows = vals[keep], rows[keep]
+    rows = np.where(rows >= 0, 1.0, -1.0)
+    return value, rows * rows[:, -1:]
 
 
 def _support(mu: Measure, dists: Sequence[FiniteDistribution]):
@@ -90,41 +130,21 @@ def kbar1(mu: Measure, dists: Sequence[FiniteDistribution], d0: FiniteDistributi
     """max over phi in [-1,1]^X of sum_D mu(D) |E_D[phi] - E_{D0}[phi]| (exact).
 
     Equals max over sign patterns s of || sum_D mu(D) s_D (D - D0) ||_1, so
-    the enumeration runs over whichever of {family support, domain} is
-    smaller; the optimal query is the sign vector of the best combination.
+    ``_k1_scan`` over mu's support enumerates whichever of {family support,
+    domain} is smaller; the optimal query is its first best sign query.
     """
     idx, sub, w = _support(mu, dists)
-    n = len(d0.domain)
-    k = len(sub)
-    g = np.array([wi * (d.weights - d0.weights) for wi, d in zip(w, sub)])
+    k, n = len(sub), len(d0.domain)
     if min(k, n) > _SIGN_GUARD:
         raise GuardExceededError(f"kbar1: 2^min({k},{n}) patterns exceed the guard")
-    best_val, best_vec, best_axis = -1.0, None, None
-    if k <= n:
-        for lo, signs in _sign_chunks(k):
-            vals = np.abs(signs @ g).sum(axis=1)
-            j = int(np.argmax(vals))
-            if vals[j] > best_val:
-                best_val, best_vec, best_axis = float(vals[j]), signs[j].copy(), "signs"
-    else:
-        raw = np.array([d.weights - d0.weights for d in sub])
-        for lo, phis in _sign_chunks(n):
-            vals = np.abs(phis @ raw.T) @ w
-            j = int(np.argmax(vals))
-            if vals[j] > best_val:
-                best_val, best_vec, best_axis = float(vals[j]), phis[j].copy(), "query"
-    if best_axis == "signs":
-        combo = best_vec @ g
-        phi = np.where(combo >= 0, 1.0, -1.0)
-        signs = best_vec
-    else:
-        phi = best_vec
-        signs = np.sign(g @ phi)
-        signs[signs == 0] = 1.0
-    achieved = float(np.abs(g @ phi).sum())
-    _check(best_val, achieved, "kbar1")
+    g = np.array([d.weights - d0.weights for d in sub])
+    value, queries = _k1_scan(g, w, 0.0)
+    phi = queries[0]
+    signs = np.sign(g @ phi)
+    signs[signs == 0] = 1.0
+    _check(value, float(np.abs(g @ phi) @ w), "kbar1")
     return NormReport(
-        value=best_val,
+        value=value,
         exactness=EXACT,
         certificate={"query": phi, "signs": signs, "support": idx},
     )
@@ -147,7 +167,7 @@ def kbar2(mu: Measure, dists: Sequence[FiniteDistribution], d0: FiniteDistributi
     ghat = _ratio_matrix(sub, w, d0)
     d0w = d0.weights
     best_val, best_s = -1.0, None
-    for lo, signs in _sign_chunks(k):
+    for signs in _sign_blocks(k):
         vals = np.sqrt(((signs @ ghat) ** 2) @ d0w)
         j = int(np.argmax(vals))
         if vals[j] > best_val:

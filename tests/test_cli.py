@@ -300,6 +300,8 @@ _BICLIQUE = ["--gen", "biclique", "--n", "4", "--k", "2"]
         (["solve", *_BICLIQUE, "--tau", "0.2", "--config", "{file}"], {"seed": -2}),
         (["dims", "--gen", "biclique", "--n", "3", "--k", "1", "--tau", "0.2", "--alpha", "0"], None),
         (["dims", "--gen", "biclique", "--n", "3", "--k", "1", "--tau", "0.2", "--alpha", "2"], None),
+        (["dims", "--gen", "biclique", "--n", "3", "--k", "1", "--tau", "0.2", "--beta", "7"], None),
+        (["solve", *_BICLIQUE, "--kind", "verifiable", "--tau", "0.2", "--eps", "-0.5"], None),
     ],
     ids=["stream-delta-0", "stream-delta-2", "stream-tau-3", "solve-rand-delta-0", "solve-rand-no-delta",
          "solve-decision-delta-1.5", "dims-tau-neg", "dims-config-tau-0", "merge-array",
@@ -307,11 +309,13 @@ _BICLIQUE = ["--gen", "biclique", "--n", "4", "--k", "2"]
          "merge-config-inputs-string", "solve-config-strategy-not-a-choice",
          "merge-rows-not-objects", "merge-results-not-a-list", "solve-seed-neg",
          "stream-seed-neg", "solve-samples-neg", "solve-samples-0", "solve-trials-neg",
-         "stream-trials-0", "solve-config-seed-neg", "dims-alpha-0", "dims-alpha-2"],
+         "stream-trials-0", "solve-config-seed-neg", "dims-alpha-0", "dims-alpha-2", "dims-beta-7",
+         "solve-eps-neg"],
 )
 def test_out_of_range_input_is_a_usage_error(argv, file, tmp_path):
-    """--tau outside (0, 2], --alpha outside (0, 1], --delta outside (0, 1)
-    or missing in rand mode, a negative --seed, --trials or --samples below
+    """--tau outside (0, 2], --alpha or --beta outside (0, 1], --delta
+    outside (0, 1) or missing in rand mode, a negative --eps or --seed,
+    --trials or --samples below
     1, a --config value of a JSON type or outside the choices its flag can
     take, and a merge input that is no report are usage errors."""
     path = tmp_path / "input.json"

@@ -572,25 +572,28 @@ def test_k1_crsd_matches_highs_with_more_members_than_points():
 
 @pytest.mark.parametrize("generator,params", _CRSD_INSTANCES, ids=_CRSD_IDS)
 def test_kbar1_is_the_k1_crsd_best_response_value(generator, params):
-    """``norms.kbar1(mu)`` and the K1 crsd best-response value at mu are one
-    quantity, max_sigma sum_i mu_i |<sigma, D_i - D0>|, at the uniform
-    measure and at seeded Dirichlet measures. They agree within 1e-12
-    relative but not bit for bit (at the uniform measure, which the dims
-    reports print kbar1 at, biclique(3,2) and biclique(4,2) differ in the
-    last bit), which is why the two scans stay separate: sharing one would
-    change a printed value."""
-    from sqlab.dimension import _best_responses
+    """``norms.kbar1(mu)`` and the K1 crsd best responses at mu come from one
+    scan, ``norms._k1_scan``, at the uniform measure and at seeded Dirichlet
+    measures: kbar1's value is the scan's value bit for bit. crsd scores the
+    queries the scan returns by the query-axis payoff |<sigma, g_i>| @ mu,
+    which sums in another order: it agrees within 1e-12 relative but not
+    bit for bit (at the uniform measure biclique(3,2) and biclique(4,2)
+    differ in the last bit), and crsd keeps it because its game values are
+    the ones the master LP and the certificate re-evaluate."""
+    from sqlab.dimension import _BRACKET_TOL
+    from sqlab.norms import _k1_scan
 
     problem = generator(*params, kind="decision")
     dists, d0 = list(problem.dists), problem.reference
     g = np.array([d.weights - d0.weights for d in dists])
-    responses = _best_responses(g)
     m = len(dists)
     measures = [np.full(m, 1.0 / m)]
     measures += [np.random.default_rng(1900 + seed).dirichlet(np.ones(m)) for seed in range(4)]
     for mu in measures:
-        value = float((np.abs(responses(mu) @ g.T) @ mu).max())
-        assert kbar1(Measure.from_weights(mu), dists, d0).value == pytest.approx(value, rel=1e-12)
+        scanned, queries = _k1_scan(g, mu, _BRACKET_TOL)
+        value = kbar1(Measure.from_weights(mu), dists, d0).value
+        assert value == scanned
+        assert value == pytest.approx(float((np.abs(queries @ g.T) @ mu).max()), rel=1e-12)
 
 
 def test_crsd_makes_no_lp_on_the_dims_instances(monkeypatch):

@@ -20,7 +20,8 @@ from sqlab import (
     line_problem,
     rho,
 )
-from sqlab.norms import EXACT, LOWER_BOUND
+from sqlab import norms
+from sqlab.norms import EXACT, LOWER_BOUND, _k1_scan
 
 from tests.util import fraction_kbar1, random_dists, small_domain
 
@@ -76,6 +77,45 @@ def test_measure_size_mismatch():
     d0 = _dist([0.5, 0.5])
     with pytest.raises(ValueError):
         kbar1(Measure.uniform(3), [d0], d0)
+
+
+def _scan_cases():
+    """(rows g_i = D_i - D0, measure) pairs on both axes of the kbar1 scan:
+    generator instances (m <= |X|, member patterns) at the uniform and seeded
+    Dirichlet measures, and random families with more members than points
+    (domain sign rows)."""
+    for generator, params in [(biclique, (3, 1)), (biclique, (3, 2)), (biclique, (4, 2)),
+                              (biclique, (4, 3)), (line_problem, (2,)), (line_problem, (3,))]:
+        problem = generator(*params, kind="decision")
+        g = np.array([d.weights - problem.reference.weights for d in problem.dists])
+        m = len(g)
+        yield g, np.full(m, 1.0 / m)
+        for seed in range(2):
+            yield g, np.random.default_rng(2000 + seed).dirichlet(np.ones(m))
+    for seed in range(12):
+        rng = np.random.default_rng(2100 + seed)
+        n = int(rng.integers(2, 7))
+        dists, d0 = random_dists(rng, n, int(rng.integers(n + 1, 13)))
+        g = np.array([d.weights - d0.weights for d in dists])
+        yield g, rng.dirichlet(np.ones(len(g)))
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("tol", [0.0, 1e-12])
+def test_kbar1_scan_does_not_depend_on_its_block_size(block, tol, monkeypatch):
+    """Blocks of 1 and 3 rows against the default 4096: the same value bit
+    for bit and the same tied queries in the same order, on both axes."""
+    assert norms._SCAN_BLOCK == 4096
+    scans = [(g, mu, *_k1_scan(g, mu, tol)) for g, mu in _scan_cases()]
+    monkeypatch.setattr(norms, "_SCAN_BLOCK", block)
+    axes = set()
+    for g, mu, value, queries in scans:
+        got_value, got_queries = _k1_scan(g, mu, tol)
+        assert got_value == value
+        assert np.array_equal(got_queries, queries)
+        assert np.array_equal(queries[:, -1], np.ones(len(queries)))
+        axes.add(len(g) <= g.shape[1])
+    assert axes == {True, False}
 
 
 # ---------------------------------------------------------------------------
