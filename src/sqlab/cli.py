@@ -636,13 +636,16 @@ def main(argv=None) -> int:
             if not action.option_strings and action.dest in values and not getattr(args, action.dest):
                 setattr(args, action.dest, values[action.dest])
     # A K1 margin lies in [0, 2], a removal level and a target success level
-    # in (0, 1], a failure probability in (0, 1) and an optimization accuracy
-    # in [0, inf); numpy seeds are non-negative, and a run makes one trial or
-    # more.
+    # in (0, 1], a verification threshold in [0, 1] (verify queries take
+    # values there), a failure probability in (0, 1) and an optimization
+    # accuracy in [0, inf); numpy seeds are non-negative, and a run makes one
+    # trial or more. Each test is written so that NaN fails it.
     if args.tau is not None and not 0 < args.tau <= 2:
         sub.error(f"--tau must lie in (0, 2], not {args.tau:g}")
     if args.alpha is not None and not 0 < args.alpha <= 1:
         sub.error(f"--alpha must lie in (0, 1], not {args.alpha:g}")
+    if args.theta is not None and not 0 <= args.theta <= 1:
+        sub.error(f"--theta must lie in [0, 1], not {args.theta:g}")
     if args.beta is not None and not 0 < args.beta <= 1:
         sub.error(f"--beta must lie in (0, 1], not {args.beta:g}")
     if args.delta is not None and not 0 < args.delta < 1:

@@ -143,8 +143,8 @@ class FiniteDistribution:
             raise DomainMismatchError(
                 f"weight vector has shape {w.shape}, domain has {len(self.domain)} elements"
             )
-        if np.any(w < 0):
-            raise ValueError("distribution weights must be non-negative")
+        if not np.all(np.isfinite(w) & (w >= 0)):
+            raise ValueError("distribution weights must be finite and non-negative")
         total = float(w.sum())
         if abs(total - 1.0) > WEIGHT_ATOL:
             raise ValueError(f"weights sum to {total!r}, not 1 (tolerance {WEIGHT_ATOL})")
@@ -194,8 +194,8 @@ class QueryFn:
         if self.range_tag not in (SIGNED, UNIT):
             raise ValueError(f"unknown range tag {self.range_tag!r}")
         lo = -1.0 if self.range_tag == SIGNED else 0.0
-        if np.any(v < lo - RANGE_ATOL) or np.any(v > 1.0 + RANGE_ATOL):
-            raise ValueError(f"query values leave the declared {self.range_tag} range")
+        if not np.all((v >= lo - RANGE_ATOL) & (v <= 1.0 + RANGE_ATOL)):
+            raise ValueError(f"query values must be finite and in the {self.range_tag} range")
 
     @classmethod
     def from_callable(cls, domain: FiniteDomain, fn: Callable, range_tag: str = SIGNED) -> "QueryFn":
@@ -230,8 +230,8 @@ class Measure:
         object.__setattr__(self, "weights", w)
         if w.shape != (self.size,):
             raise ValueError("measure weight vector has wrong length")
-        if np.any(w < 0):
-            raise ValueError("measure weights must be non-negative")
+        if not np.all(np.isfinite(w) & (w >= 0)):
+            raise ValueError("measure weights must be finite and non-negative")
         if abs(float(w.sum()) - 1.0) > WEIGHT_ATOL:
             raise ValueError("measure weights must sum to 1")
 

@@ -463,7 +463,9 @@ def rsd_optimizing(
     theta + eps.
 
     value = max over theta in the grid 0, 0.05, ..., 1 and admitted centers of
-    rsd_decision({D : min_f D[phi_f] <= theta}, center, tau).
+    rsd_decision({D : min_f D[phi_f] <= theta}, center, tau), solved once
+    per distinct (kept members, center); a tie keeps the first theta's
+    certificate.
     """
     if problem.verify is None:
         raise ValueError("rsd_optimizing needs a problem with verify queries")
@@ -473,15 +475,18 @@ def rsd_optimizing(
         [float(_verify_values(problem, d).min()) for d in problem.dists]
     )
     best_val, best_cert = 0.0, {"note": "no theta/center combination applies"}
+    inners: dict[tuple, DimensionReport] = {}
     for theta in np.linspace(0.0, 1.0, 21):
         keep = [i for i in range(problem.n_dists) if dist_mins[i] <= theta]
         if not keep:
             continue
-        remaining = [problem.dists[i] for i in keep]
         for tag, center in centers:
             if float(_verify_values(problem, center).min()) <= theta + eps:
                 continue
-            inner = rsd_decision(remaining, center, tau, kappa=kappa)
+            key = (tuple(keep), tag)
+            if key not in inners:
+                inners[key] = rsd_decision([problem.dists[i] for i in keep], center, tau, kappa=kappa)
+            inner = inners[key]
             if inner.value > best_val:
                 best_val = inner.value
                 best_cert = {

@@ -1,25 +1,25 @@
 """Multiplicative-weights machinery and oracle-driven solvers.
 
-The MW solvers (universal search, verifiable search and, in
-``streaming``, the sample-driven search) run one driver, ``_run_mw``: keep
-a candidate distribution D_t as a multiplicative-weights mixture, and at
-each step either detect a discrepancy (a triggered loss vector, which
-updates D_t) or commit to a finished outcome. Search, the verifiable
-fallback and streaming share one trigger scan, ``_first_trigger``: a
-witness triggers when its answer strays more than 2 tau / 3 from its
-expectation under D_t (on the kappa scale), and the sign of the gap is the
-sign of the update. A cover step is answered as one vectorized scan: its
-witnesses are the rows of a 2-D array, their expectations under D_t are
-one matrix-vector product, and the answer source's ``scan(block, stop)``
-(``OracleSession.scan`` for search, the verifiable fallback and the
-sampled decision solver; a per-row sample-mean scan for streaming) stops
-at the first row whose gap predicate holds, so only the rows actually
-reached are asked and recorded. The K1 margins of the whole family against
-D_t come from one vectorized pass (``_k1_witnesses``), which builds sign
-witnesses for the far members only; KV keeps a per-member threshold scan.
-``MWState.update`` checks the loss and the positivity of the new weights,
-then builds its successor without the public constructor's copy and
-re-checks, which hold by construction.
+Every MW solver starts from ``_mw_start`` and runs one driver, ``_run_mw``:
+keep a candidate distribution D_t as a multiplicative-weights mixture, and
+at each step either detect a discrepancy (a triggered loss vector, which
+updates D_t) or commit to a finished outcome. An SQ algorithm sees only
+the answers, so universal search and the streaming solver are one search
+loop, ``_search``, handed ``OracleSession.scan`` or (in ``streaming``) a
+scan that answers each witness by the mean of n_est fresh samples. Search,
+the verifiable fallback and streaming share one trigger scan,
+``_first_trigger``: a witness triggers when its answer strays more than
+2 tau / 3 from its expectation under D_t (on the kappa scale), and the
+sign of the gap is the sign of the update. A cover step is answered as one
+vectorized scan: its witnesses are the rows of a 2-D array, their
+expectations under D_t are one matrix-vector product, and the answer
+source's ``scan(block, stop)`` stops at the first row whose gap predicate
+holds, so only the rows actually reached are asked and recorded. The K1
+margins of the whole family against D_t come from one vectorized pass
+(``_k1_witnesses``), which builds sign witnesses for the far members only;
+KV keeps a per-member threshold scan. ``MWState.update`` checks the loss
+and the positivity of the new weights, then builds its successor without
+the public constructor's copy and re-checks, which hold by construction.
 
 The budget rule is the same everywhere: at most ceil(36 * KL_bound / tau^2)
 updates (K1 margins; the square-root-scale variant uses gamma = tau^2/9 and
@@ -109,8 +109,8 @@ class MWState:
         object.__setattr__(self, "weights", w)
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must lie strictly between 0 and 1")
-        if np.any(w <= 0):
-            raise ValueError("multiplicative weights must stay strictly positive")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError("multiplicative weights must be finite and strictly positive")
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
 
@@ -393,8 +393,10 @@ def _first_trigger(t_vec: np.ndarray, block, scan, kappa: str, tau: float):
     return j, (1.0 if expected[j] > answers[j] else -1.0)
 
 
-def _start_mixture(problem: ProblemSpec) -> np.ndarray:
-    """The uniform mixture of the family, where every MW solver starts.
+def _mw_start(problem: ProblemSpec, tau: float, kappa: str, kl_bound: float | None):
+    """The start state of every MW run, the family's uniform mixture as
+    ``mixture`` returns it at gamma tau/3 (tau^2/9 on the square-root
+    scale), and the update budget at ``kl_bound`` (default ln q, or 1).
 
     MW weights must stay strictly positive, so a mixture without mass on
     some domain point (every member of biclique(n, n) sits on the all-ones
@@ -410,7 +412,10 @@ def _start_mixture(problem: ProblemSpec) -> np.ndarray:
             f"the family's uniform mixture has no mass on domain points {names}{more}; "
             "multiplicative weights need every point of the domain"
         )
-    return weights
+    gamma = tau / 3.0 if kappa == K1 else tau**2 / 9.0
+    if kl_bound is None:
+        kl_bound = math.log(problem.n_dists) if problem.n_dists > 1 else 1.0
+    return MWState(weights=weights, gamma=gamma), update_budget(kl_bound, tau, kappa)
 
 
 def _run_mw(state: MWState, budget: int, step):
@@ -432,11 +437,36 @@ def _run_mw(state: MWState, budget: int, step):
         state = state.update(result)
 
 
-def _proposal(problem: ProblemSpec, cover_step: CoverStep):
-    """Finished result of a step where nothing triggered: the cover's
-    proposed solution, listing the close members it leaves unserved."""
-    details = {"cover_incomplete": list(cover_step.unservable)} if cover_step.unservable else {}
-    return SOLVED, problem.solutions[cover_step.solution_index], details
+def _search(problem: ProblemSpec, tau, kappa, scan, mode, delta, rng, kl_bound):
+    """The MW search of ``solve_search_universal`` and ``stream_solve``,
+    whatever answer source ``scan`` is (see ``_first_trigger``). When no
+    witness triggers, the cover's proposal is the result, listing the close
+    members it leaves unserved. Returns the result, the final state and the
+    applied triggers, one (target, sign) pair per update."""
+    start, budget = _mw_start(problem, tau, kappa, kl_bound)
+    cover = margin_cover(problem, tau, kappa=kappa, randomized=(mode == "rand"))
+    delta_step = None if delta is None else delta / max(budget, 1)
+    triggers: list[tuple] = []
+
+    def step(t_vec):
+        cover_step = cover(t_vec)
+        queries, targets = cover_step.queries, cover_step.targets
+        if mode == "rand" and len(queries):
+            s = witness_count(cover_step.d, delta_step)
+            rows = np.unique(draw_indices(cover_step.query_measure, rng, s))
+            queries, targets = queries[rows], [targets[i] for i in rows]
+        hit = _first_trigger(t_vec, queries, scan, kappa, tau)
+        if hit is None:
+            unserved = list(cover_step.unservable)
+            details = {"cover_incomplete": unserved} if unserved else {}
+            return SOLVED, problem.solutions[cover_step.solution_index], details
+        j, sign = hit
+        triggers.append((targets[j], int(sign)))
+        return sign * queries[j]
+
+    result, state = _run_mw(start, budget, step)
+    del triggers[state.step:]  # a trigger past the budget is not applied
+    return result, state, triggers
 
 
 # ---------------------------------------------------------------------------
@@ -467,28 +497,10 @@ def solve_search_universal(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "rand" and (delta is None or rng is None):
         raise ValueError("randomized mode needs delta and rng")
-    gamma = tau / 3.0 if kappa == K1 else tau**2 / 9.0
     _check_session(session, kappa, tau / 3.0)
-    start = MWState.start(_start_mixture(problem), gamma)
-    if kl_bound is None:
-        kl_bound = math.log(problem.n_dists) if problem.n_dists > 1 else 1.0
-    budget = update_budget(kl_bound, tau, kappa)
-    cover = margin_cover(problem, tau, kappa=kappa, randomized=(mode == "rand"))
-    delta_step = None if delta is None else delta / max(budget, 1)
-
-    def step(t_vec):
-        cover_step = cover(t_vec)
-        queries = cover_step.queries
-        if mode == "rand" and len(queries):
-            s = witness_count(cover_step.d, delta_step)
-            queries = queries[np.unique(draw_indices(cover_step.query_measure, rng, s))]
-        hit = _first_trigger(t_vec, queries, session.scan, kappa, tau)
-        if hit is not None:
-            j, sign = hit
-            return sign * queries[j]
-        return _proposal(problem, cover_step)
-
-    (outcome, solution, details), state = _run_mw(start, budget, step)
+    (outcome, solution, details), state, _ = _search(
+        problem, tau, kappa, session.scan, mode, delta, rng, kl_bound
+    )
     return _run_report(
         session, outcome, solution, state.step, details,
         breaks_guarantee=(outcome == BUDGET_EXCEEDED),
@@ -573,11 +585,7 @@ def solve_verifiable(
     if problem.verify is None or problem.threshold is None:
         raise ValueError("solve_verifiable needs verify queries")
     _check_session(session, K1, tau / 3.0)
-    gamma = tau / 3.0
-    start = MWState.start(_start_mixture(problem), gamma)
-    if kl_bound is None:
-        kl_bound = math.log(problem.n_dists) if problem.n_dists > 1 else 1.0
-    budget = update_budget(kl_bound, tau, K1)
+    start, budget = _mw_start(problem, tau, K1, kl_bound)
     verify_mat = np.array(
         [problem.verify[f].values for f in problem.solutions]
     )  # (F, X)

@@ -1,21 +1,23 @@
 """Streaming search: the universal solver driven by raw samples.
 
 Instead of an oracle, the solver sees a stream of samples from the unknown
-distribution. It runs the same MW driver and trigger scan as
-``solvers.solve_search_universal``, with each witness expectation replaced
-by an empirical mean of n_est fresh samples. Its answer source has the
-signature of ``OracleSession.scan``: it draws one block of n_est samples per
-witness the scan reaches and stops at the first trigger, so the samples
-drawn are those of a row-by-row loop. Here
+distribution. An SQ algorithm sees only the answers to its queries, so the
+streaming solver is ``solvers._search``, the MW search loop of
+``solve_search_universal``, with a sample-count answer source in place of
+``OracleSession.scan``: the source draws one block of n_est fresh samples
+per witness the scan reaches, answers the witness by the block's mean, and
+stops at the first trigger, so the samples drawn are those of a row-by-row
+loop. Here
 
     n_est = ceil((18 / tau^2) * ln(2 / delta')),
     delta' = delta / ((T + 1) * q),
 
-with T = ceil(36 R_KL / tau^2) the update budget, q = |family| and R_KL
-(ln q by default) the KL radius from the uniform mixture. This is Hoeffding
-at accuracy tau/3 and confidence delta' for variables of range 2: a witness
-is a +-1 sign vector, so a sample's value phi(x) lies in [-1, 1], and the
-mean of n samples misses E[phi] by tau/3 or more with probability at most
+with T = ceil(36 R_KL / tau^2) the update budget (``update_budget``),
+q = |family| and R_KL (ln q by default) the KL radius from the uniform
+mixture. This is Hoeffding at accuracy tau/3 and confidence delta' for
+variables of range 2: a witness is a +-1 sign vector, so a sample's value
+phi(x) lies in [-1, 1], and the mean of n samples misses E[phi] by tau/3 or
+more with probability at most
 2 exp(-2 n (tau/3)^2 / 2^2) = 2 exp(-n tau^2 / 18), which is at most delta'
 once n >= (18 / tau^2) ln(2 / delta'). It is union-bounded over every
 estimate a run can make: under the shared budget rule a run makes at most T
@@ -36,12 +38,12 @@ the stream one sample at a time, adding phi(x) into one accumulator and
 counting the samples in one reused counter.
 
 The state that must persist across stream items is tiny: the update history
-— one (distribution index, sign) pair per multiplicative-weights update,
-at ceil(log2 q) + 1 bits each — plus a single reused sample counter of
-ceil(log2(n_est + 1)) bits. The mixture itself is scratch: it is a
-deterministic replay of the history (``replay_weights`` reproduces it
-bit-for-bit), so it is charged to peak (working) memory, not to the
-persistent budget. The per-run ledger records
+— the applied triggers ``_search`` returns, one (distribution index, sign)
+pair per multiplicative-weights update, at ceil(log2 q) + 1 bits each —
+plus a single reused sample counter of ceil(log2(n_est + 1)) bits. The
+mixture itself is scratch: it is a deterministic replay of the history
+(``replay_weights`` reproduces it bit-for-bit), so it is charged to peak
+(working) memory, not to the persistent budget. The per-run ledger records
 
     persistent_bits <= T * (ceil(log2 q) + 1) + counter_width,
     samples         <= (T + 1) * q * n_est,
@@ -58,15 +60,7 @@ import numpy as np
 
 from .core import K1, FiniteDistribution, ProblemSpec, cdf_counts, dyadic_edges
 from .errors import StreamExhaustedError
-from .solvers import (
-    MWState,
-    _first_trigger,
-    _k1_witnesses,
-    _proposal,
-    _run_mw,
-    _start_mixture,
-    margin_cover,
-)
+from .solvers import MWState, _k1_witnesses, _mw_start, _search, update_budget
 
 __all__ = [
     "SampleStream",
@@ -120,7 +114,7 @@ def stream_requirements(problem: ProblemSpec, tau: float, delta: float, kl_bound
     """
     q = problem.n_dists
     r_kl = kl_bound if kl_bound is not None else (math.log(q) if q > 1 else 1.0)
-    t_budget = math.ceil(36.0 * r_kl / tau**2)
+    t_budget = update_budget(r_kl, tau, K1)
     # a run makes at most t_budget updates in at most t_budget + 1 cover
     # steps, each with at most q estimates
     delta_prime = delta / ((t_budget + 1) * q)
@@ -145,12 +139,6 @@ def stream_requirements(problem: ProblemSpec, tau: float, delta: float, kl_bound
 _mw_apply = MWState.update
 
 
-def _start_state(problem: ProblemSpec, tau: float) -> MWState:
-    # The uniform mixture as it is, not renormalised: a mixture that sums to
-    # 1 - 2e-16 (biclique(8,2)) would change bits under MWState.start.
-    return MWState(weights=_start_mixture(problem), gamma=tau / 3.0)
-
-
 def replay_weights(problem: ProblemSpec, tau: float, history) -> np.ndarray:
     """Recompute the mixture from the persistent history alone.
 
@@ -160,7 +148,7 @@ def replay_weights(problem: ProblemSpec, tau: float, history) -> np.ndarray:
     solver's incremental mixture must match this bit-for-bit, which is what
     licenses charging the mixture to scratch rather than persistent memory.
     """
-    state = _start_state(problem, tau)
+    state = _mw_start(problem, tau, K1, None)[0]
     dist_mat = np.array([d.weights for d in problem.dists])
     for target, sign in history:
         witness_rows = _k1_witnesses(dist_mat, state.weights)[1]
@@ -183,10 +171,7 @@ def stream_solve(
     within_bound}. StreamExhaustedError propagates when the stream runs dry.
     """
     req = stream_requirements(problem, tau, delta, kl_bound)
-    start = _start_state(problem, tau)
-    cover = margin_cover(problem, tau, kappa=K1, randomized=False)
     n_x = len(problem.domain)
-    history: list[tuple[int, int]] = []
     estimates = 0
 
     def scan(block, stop):
@@ -202,17 +187,10 @@ def stream_solve(
                 return j, answers[: j + 1]
         return None, answers
 
-    def step(weights):
-        cover_step = cover(weights)
-        hit = _first_trigger(weights, cover_step.queries, scan, K1, tau)
-        if hit is None:
-            return _proposal(problem, cover_step)
-        j, sign = hit
-        history.append((int(cover_step.targets[j]), int(sign)))
-        return sign * cover_step.queries[j]
-
-    (outcome, solution, details), state = _run_mw(start, req["t_budget"], step)
-    del history[state.step:]  # a trigger past the budget is not applied
+    # the history is the applied triggers: one (member, sign) per update
+    (outcome, solution, details), state, history = _search(
+        problem, tau, K1, scan, "det", None, None, req["r_kl"]
+    )
     persistent_bits = len(history) * (req["index_bits"] + 1) + req["counter_width"]
     # scratch: the replayable mixture vector, one accumulator, the sample
     # register, and the witness loop index

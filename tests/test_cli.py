@@ -75,6 +75,17 @@ def test_an_instance_of_an_unknown_kind_is_a_usage_error(tmp_path, capsys):
         assert f"sqlab {command}: error: cannot load instance: unknown problem kind 'pac'" in err
 
 
+def test_an_instance_with_a_nan_weight_is_a_usage_error(tmp_path):
+    """Python's json reads NaN; the distribution refuses it, so the load
+    is a usage error and not a traceback from the norms."""
+    payload = sqio.problem_to_dict(biclique(3, 1))
+    payload["dists"][0][0] = float("nan")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    line = _assert_one_usage_error(["dims", "--instance", str(path), "--tau", "0.2"])
+    assert "cannot load instance: distribution weights must be finite" in line
+
+
 def test_gen_usage_errors(capsys):
     code, _ = run_cli(["gen"], capsys)  # neither --instance nor --gen
     assert code == 1
@@ -302,6 +313,8 @@ _BICLIQUE = ["--gen", "biclique", "--n", "4", "--k", "2"]
         (["dims", "--gen", "biclique", "--n", "3", "--k", "1", "--tau", "0.2", "--alpha", "2"], None),
         (["dims", "--gen", "biclique", "--n", "3", "--k", "1", "--tau", "0.2", "--beta", "7"], None),
         (["solve", *_BICLIQUE, "--kind", "verifiable", "--tau", "0.2", "--eps", "-0.5"], None),
+        (["solve", *_BICLIQUE, "--kind", "verifiable", "--tau", "0.2", "--theta", "nan"], None),
+        (["dims", *_BICLIQUE, "--kind", "verifiable", "--tau", "0.2", "--theta", "-0.1"], None),
     ],
     ids=["stream-delta-0", "stream-delta-2", "stream-tau-3", "solve-rand-delta-0", "solve-rand-no-delta",
          "solve-decision-delta-1.5", "dims-tau-neg", "dims-config-tau-0", "merge-array",
@@ -310,12 +323,12 @@ _BICLIQUE = ["--gen", "biclique", "--n", "4", "--k", "2"]
          "merge-rows-not-objects", "merge-results-not-a-list", "solve-seed-neg",
          "stream-seed-neg", "solve-samples-neg", "solve-samples-0", "solve-trials-neg",
          "stream-trials-0", "solve-config-seed-neg", "dims-alpha-0", "dims-alpha-2", "dims-beta-7",
-         "solve-eps-neg"],
+         "solve-eps-neg", "solve-theta-nan", "dims-theta-neg"],
 )
 def test_out_of_range_input_is_a_usage_error(argv, file, tmp_path):
-    """--tau outside (0, 2], --alpha or --beta outside (0, 1], --delta
-    outside (0, 1) or missing in rand mode, a negative --eps or --seed,
-    --trials or --samples below
+    """--tau outside (0, 2], --alpha or --beta outside (0, 1], --theta
+    outside [0, 1] (NaN included), --delta outside (0, 1) or missing in
+    rand mode, a negative --eps or --seed, --trials or --samples below
     1, a --config value of a JSON type or outside the choices its flag can
     take, and a merge input that is no report are usage errors."""
     path = tmp_path / "input.json"

@@ -73,6 +73,13 @@ def test_distribution_validates_weights():
         FiniteDistribution(dom, np.array([1.5, -0.5]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_distribution_rejects_non_finite_weights(bad):
+    """NaN passes the sign and the sum test, so it is refused on its own."""
+    with pytest.raises(ValueError, match="finite"):
+        FiniteDistribution(small_domain(2), np.array([bad, 0.5]))
+
+
 def test_distribution_expectation_and_weight_of():
     dom = small_domain(3)
     d = FiniteDistribution(dom, np.array([0.2, 0.3, 0.5]))
@@ -222,6 +229,12 @@ def test_query_range_validation():
         QueryFn(dom, np.array([-0.1, 0.5]), UNIT)
 
 
+@pytest.mark.parametrize("tag", [SIGNED, UNIT])
+def test_query_rejects_non_finite_values(tag):
+    with pytest.raises(ValueError, match="finite"):
+        QueryFn(small_domain(2), np.array([math.nan, 0.5]), tag)
+
+
 def test_indicator_and_negate():
     dom = small_domain(3)
     q = QueryFn.indicator(dom, [(1,), (2,)])
@@ -255,6 +268,12 @@ def test_measure_constructors():
         Measure.from_weights([2.0, 3.0, 5.0])  # must already be normalized
     with pytest.raises(ValueError):
         Measure(2, np.array([0.5, -0.5]))
+
+
+@pytest.mark.parametrize("weights", [[math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0]])
+def test_measure_rejects_non_finite_weights(weights):
+    with pytest.raises(ValueError, match="finite"):
+        Measure.from_weights(weights)
 
 
 def test_measure_mass_support_conditioning():

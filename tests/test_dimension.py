@@ -398,6 +398,33 @@ def test_rsd_optimizing_golden():
     assert rep.certificate["kept"] == [0, 1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize(
+    "n,k,eps,value,theta",
+    [(3, 1, 0.0, 3.0, 0.5), (4, 2, 0.0, 1.0, 0.25), (4, 2, 0.05, 1.0, 0.25), (5, 2, 0.0, 2.5, 0.25)],
+)
+def test_rsd_optimizing_enumerates_each_distinct_pair_once(monkeypatch, n, k, eps, value, theta):
+    """Thetas that keep the same members pose the same inner problem at a
+    center: its family is enumerated once, and the first theta that reaches
+    the best value keeps the certificate."""
+    import sqlab.dimension as dimension
+
+    pairs = []
+    enumerate_family = dimension.achievable_subsets
+
+    def walk_spy(dists, d0, *args, **kwargs):
+        pairs.append((tuple(d.weights.tobytes() for d in dists), d0.weights.tobytes()))
+        return enumerate_family(dists, d0, *args, **kwargs)
+
+    monkeypatch.setattr(dimension, "achievable_subsets", walk_spy)
+    vprob = biclique(n, k, kind="verifiable")
+    rep = rsd_optimizing(vprob, eps=eps, tau=0.2)
+    assert len(pairs) == len(set(pairs)) == 1
+    assert rep.value == pytest.approx(value)
+    assert rep.certificate["theta"] == pytest.approx(theta)
+    assert rep.certificate["center"] == "uniform-mixture"
+    assert rep.certificate["kept"] == list(range(vprob.n_dists))
+
+
 def test_rsd_verifiable_requires_verify_queries():
     prob = biclique(4, 1, kind="search")
     with pytest.raises(ValueError):

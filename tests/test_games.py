@@ -1339,6 +1339,17 @@ def _golden_case(argv, golden, id=None):
              "--trials", "20", "--seed", "7"],
             "stream_biclique_6_2_tau0.2.json",
         ),
+        # the benchmark's two MW instances: search on line(11), whose
+        # uniform mixture sums to exactly 1, and the stream on biclique(8,2)
+        _golden_case(
+            ["solve", "--gen", "line", "--p", "11", "--tau", "0.2", "--trials", "5", "--seed", "1"],
+            "solve_line_11_tau0.2.json",
+        ),
+        _golden_case(
+            ["stream", "--gen", "biclique", "--n", "8", "--k", "2", "--tau", "0.2", "--delta", "0.1",
+             "--trials", "5", "--seed", "7"],
+            "stream_biclique_8_2_tau0.2.json",
+        ),
         # biclique(4,2) members are on a dyadic grid, biclique(6,2) members
         # are not: the two stream reports pin both ways of counting samples
         _golden_case(

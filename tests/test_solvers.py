@@ -38,7 +38,8 @@ from sqlab.oracles import (
     stat,
     vroot,
 )
-from sqlab.solvers import MWState, _first_trigger
+from sqlab.solvers import MWState, _first_trigger, _mw_start, _search
+from sqlab.streaming import replay_weights
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +167,40 @@ def test_mw_update_keeps_its_checks():
     tiny = MWState(weights=np.array([5e-324, 1.0]), gamma=0.5)
     with pytest.raises(ValueError):
         tiny.update([1.0, -1.0])
+
+
+@pytest.mark.parametrize("weights", [[math.nan, 1.0], [math.nan, math.nan], [math.inf, 0.5]])
+def test_mw_state_rejects_non_finite_weights(weights):
+    with pytest.raises(ValueError, match="finite"):
+        MWState(weights=np.array(weights), gamma=0.5)
+
+
+def test_mw_start_keeps_the_mixture_bits():
+    """Every MW run starts from the family's uniform mixture as ``mixture``
+    returns it, not renormalized: biclique(4,2)'s sums to 1 + 2.2e-16."""
+    prob = biclique(4, 2)
+    want = mixture(list(prob.dists)).weights
+    assert float(want.sum()) != 1.0
+    state, budget = _mw_start(prob, 0.2, K1, None)
+    assert state.weights.tobytes() == want.tobytes()
+    assert (state.gamma, state.step) == (0.2 / 3.0, 0)
+    assert budget == update_budget(math.log(prob.n_dists), 0.2, K1)
+    kv_state, kv_budget = _mw_start(prob, 0.2, KV, 1.0)
+    assert (kv_state.gamma, kv_budget) == (0.2**2 / 9.0, update_budget(1.0, 0.2, KV))
+    assert replay_weights(prob, 0.2, []).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kl_bound,outcome", [(None, "solved"), (1e-4, "budget_exceeded")])
+def test_search_triggers_replay_to_its_final_state(kl_bound, outcome):
+    """The search loop returns the triggers it applied, one (member, sign)
+    per update and none past the budget; the stream keeps them as its
+    history, and they replay to the search's final mixture bit for bit."""
+    prob = biclique(4, 2)
+    session = OracleSession(stat(0.2 / 3.0), exact_answers(), prob.dists[3], np.random.default_rng(0))
+    (got, _, _), state, triggers = _search(prob, 0.2, K1, session.scan, "det", None, None, kl_bound)
+    assert got == outcome
+    assert len(triggers) == state.step > 0
+    assert state.weights.tobytes() == replay_weights(prob, 0.2, triggers).tobytes()
 
 
 def test_update_budget_values():
