@@ -38,7 +38,7 @@ __all__ = [
     "QueryFn",
     "Measure",
     "ProblemSpec",
-    "binary_table",
+    "vertex_gaps",
     "draw_indices",
     "draw_counts",
     "cdf_counts",
@@ -276,20 +276,19 @@ class Measure:
 # ---------------------------------------------------------------------------
 
 
-def binary_table(n: int) -> np.ndarray:
-    """The 2^n x n float table whose row i holds the bits of i, least significant first.
-
-    Built by doubling: rows 2^j to 2^(j+1) - 1 are a copy of the rows
-    before them with bit j set. Each entry is written about twice, where
-    shifting and masking an index column builds two integer tables of the
-    same size before the float one.
-    """
-    table = np.zeros((1 << n, n))
-    for j in range(n):
-        half = 1 << j
-        table[half : 2 * half] = table[:half]
-        table[half : 2 * half, j] = 1.0
-    return table
+def vertex_gaps(d_mat: np.ndarray, d0_weights: np.ndarray) -> np.ndarray:
+    """The C-ordered (2^n, m) table of ``sqrt_gap(D_i[phi_r], D0[phi_r])`` over
+    the rows D_i of the (m, n) ``d_mat`` and the vertices phi_r (bit j of r
+    at x_j), from subset sums built by doubling in a member-major buffer:
+    columns 2^j to 2^(j+1) - 1 are the columns before them plus weight j, so
+    vertex r adds its set bits' weights from 0.0 in increasing bit order."""
+    weights = np.vstack([d_mat, d0_weights])
+    sums = np.zeros((len(weights), 1 << weights.shape[1]))
+    for j, w in enumerate(weights.T):
+        np.add(sums[:, : 1 << j], w[:, None], out=sums[:, 1 << j : 2 << j])
+    np.sqrt(np.maximum(sums, 0.0, out=sums), out=sums)
+    sums[:-1] -= sums[-1]
+    return np.abs(sums[:-1].T, order="C")
 
 
 def draw_indices(weights: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:

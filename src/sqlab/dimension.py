@@ -58,10 +58,9 @@ from .core import (
     FiniteDistribution,
     Measure,
     ProblemSpec,
-    binary_table,
     draw_indices,
     mixture,
-    sqrt_gap,
+    vertex_gaps,
     witness_count,
 )
 from .errors import (
@@ -591,7 +590,7 @@ def crsd(
     ``skipped``, which the benchmark's checks expect. The center must not
     belong to the family (the game value would be 0).
 
-    KV (lower bound): the vertex-payoff game |sqrt(D[phi]) - sqrt(D0[phi])|
+    KV (lower bound): the vertex-payoff game (``vertex_gaps``, by ``zero_sum``)
     picks the hardest measure mu*, and the reported value is
     1 / kbar2(mu*) — kbar2 upper-bounds the sqrt-scale norm, so inverting it
     keeps the bound on the honest side.
@@ -621,9 +620,7 @@ def crsd(
             },
         )
     if kappa == KV:
-        vertices = binary_table(n)
-        d_mat = np.array([d.weights for d in dists])
-        game = zero_sum(sqrt_gap(vertices @ d_mat.T, (vertices @ d0.weights)[:, None]))
+        game = zero_sum(vertex_gaps(np.array([d.weights for d in dists]), d0.weights))
         mu = Measure(len(dists), game.col_strategy / game.col_strategy.sum())
         upper = kbar2(mu, list(dists), d0)
         if upper.value <= 1e-12:

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import K1, KV, FiniteDistribution, binary_table, sqrt_gap
+from .core import K1, KV, FiniteDistribution, sqrt_gap, vertex_gaps
 from .errors import (
     GuardExceededError,
     InfeasibleError,
@@ -462,6 +462,7 @@ def zero_sum(matrix: np.ndarray) -> GameResult:
     ranked = m[order]
     first = np.ones(n_rows, dtype=bool)
     first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    del ranked  # a copy of every row: on a KV crsd game, as large as the payoff
     keep = np.sort(order[first])  # the sort is stable: each run starts at its first occurrence
     # maximize -sum(u) s.t. -M'^T u <= -1
     res = lp_solve(
@@ -691,9 +692,9 @@ def achievable_subsets(
     KV: heuristic family from binary-vertex witnesses phi in {0,1}^X
     (guarded by 2^|X|); the family under-approximates achievability, so
     dimension values derived from it are upper bounds. Every member's gap at
-    every vertex comes from one product with ``binary_table(|X|)``, and each
-    covered set keeps the first vertex (in table order) that covers exactly
-    it.
+    every vertex comes from one ``vertex_gaps`` table, and each covered set
+    keeps the first vertex (in table order) that covers exactly it: the bits
+    of that row.
     """
     m = len(dists)
     threshold = tau + STRICT_EPS
@@ -761,9 +762,8 @@ def achievable_subsets(
         n = len(d0.domain)
         if n > 16:
             raise GuardExceededError(f"achievable_subsets KV: 2^{n} vertex queries exceed guard")
-        vertices = binary_table(n)
         d_mat = np.array([d.weights for d in dists]).reshape(m, n)
-        hit = sqrt_gap(vertices @ d_mat.T, (vertices @ d0.weights)[:, None]) >= threshold
+        hit = vertex_gaps(d_mat, d0.weights) >= threshold
         # the first vertex of each distinct row of ``hit``, skipping phi = 0;
         # each row packed along the members into one byte string, which
         # sorts like the row and far faster than a row of m bools
@@ -774,7 +774,7 @@ def achievable_subsets(
         for r in (first + 1).tolist():
             covered = frozenset(np.flatnonzero(hit[r]).tolist())
             if covered:
-                best[covered] = vertices[r].copy()
+                best[covered] = ((r >> np.arange(n)) & 1).astype(float)
         return _maximal_family(best, m, tau, KV)
     raise ValueError(f"unknown kappa tag {kappa!r}")
 

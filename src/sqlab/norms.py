@@ -13,9 +13,9 @@ is against a center distribution D0 through a single query:
   weighted ratio matrix — computed by in-repo power iteration.
 - ``rho``: average absolute pairwise D0-correlation of likelihood ratios.
 - ``kbarv``: average square-root-scale gap over unit-range queries; reported
-  as a LOWER_BOUND from binary vertices plus one 1/16-grid coordinate-ascent
-  round (the vertex (phi*+1)/2 for kbar1's certificate phi* is always among
-  the candidates, which preserves kbar1 <= 4*kbarv on reports).
+  as a LOWER_BOUND from binary vertices (``core.vertex_gaps``) plus one
+  1/16-grid ascent round (the vertex (phi*+1)/2 for kbar1's certificate phi*
+  is always among them, which preserves kbar1 <= 4*kbarv on reports).
 - ``kappa1_frac``: the largest measure mass a single signed query can
   distinguish at radius tau.
 
@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FiniteDistribution, Measure, binary_table, likelihood_hat, sqrt_gap
+from .core import FiniteDistribution, Measure, likelihood_hat, sqrt_gap, vertex_gaps
 from .errors import GuardExceededError, NumericalError
 from .games import achievable_subsets
 
@@ -263,7 +263,8 @@ def kbarv(mu: Measure, dists: Sequence[FiniteDistribution], d0: FiniteDistributi
     Reported as a LOWER_BOUND: candidates are all binary vertices (guarded
     by 2^|X|) refined by one coordinate-ascent round on the 1/16 grid. The
     binary vertices include (phi*+1)/2 for every sign query phi*, which is
-    what keeps the kbar1 <= 4 kbarv ladder intact on reported values.
+    what keeps the kbar1 <= 4 kbarv ladder intact on reported values. Their
+    gaps come from ``vertex_gaps``; the best vertex is the bits of its row.
 
     The ascent is blocked: the member matrix is built once, and each
     coordinate's 16 grid candidates (the current query with that
@@ -280,10 +281,9 @@ def kbarv(mu: Measure, dists: Sequence[FiniteDistribution], d0: FiniteDistributi
     if n > _VERTEX_GUARD:
         raise GuardExceededError(f"kbarv: 2^{n} vertices exceed the guard")
     d_mat = np.array([d.weights for d in sub])
-    vertices = binary_table(n)
-    gaps = _sqrt_gaps(vertices, d_mat, d0) @ w
+    gaps = vertex_gaps(d_mat, d0.weights) @ w
     j = int(np.argmax(gaps))
-    best_phi = vertices[j].copy()
+    best_phi = ((j >> np.arange(n)) & 1).astype(float)
     best_val = float(gaps[j])
 
     grid = np.linspace(0.0, 1.0, 17)

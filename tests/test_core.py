@@ -20,14 +20,23 @@ from sqlab import (
     QueryFn,
     SupportError,
     bayes_error,
+    biclique,
     kl_divergence,
     likelihood_hat,
+    line_problem,
     mixture,
     pac_lift,
 )
-from sqlab.core import _GRID_BITS, binary_table, draw_counts, draw_indices, dyadic_edges
+from sqlab.core import (
+    _GRID_BITS,
+    draw_counts,
+    draw_indices,
+    dyadic_edges,
+    sqrt_gap,
+    vertex_gaps,
+)
 
-from tests.util import small_domain
+from tests.util import small_domain, vertex_sums
 
 
 def weight_vectors(n, min_size=None):
@@ -288,18 +297,59 @@ def test_measure_mass_support_conditioning():
 
 
 # ---------------------------------------------------------------------------
-# binary tables
+# vertex gap tables
 # ---------------------------------------------------------------------------
 
 
-def test_binary_table_matches_shift_and_mask():
-    """Row i holds the bits of i, least significant first, as float64; n = 0
-    gives one empty row."""
-    for n in range(17):
-        reference = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
-        table = binary_table(n)
-        assert table.dtype == np.float64 and table.shape == (1 << n, n)
-        assert np.array_equal(table, reference)
+def _assert_vertex_table(table, m, n):
+    assert table.dtype == np.float64 and table.shape == (1 << n, m)
+    assert table.flags.c_contiguous
+
+
+_VERTEX_INSTANCES = [
+    (biclique, (3, 1)), (biclique, (3, 2)), (biclique, (4, 1)), (biclique, (4, 2)),
+    (biclique, (4, 3)), (biclique, (4, 4)), (line_problem, (2,)),
+]
+
+
+@pytest.mark.parametrize(
+    "generator,params",
+    _VERTEX_INSTANCES,
+    ids=[f"{g.__name__}{params}".replace(" ", "") for g, params in _VERTEX_INSTANCES],
+)
+def test_vertex_gaps_match_the_vertex_table_product_on_the_generators(generator, params):
+    """Generator weights are dyadic, so every vertex sum is exact and the
+    subset sums equal the product with the shift-and-mask vertex table to
+    the bit."""
+    problem = generator(*params, kind="decision")
+    d_mat = np.array([d.weights for d in problem.dists])
+    d0 = problem.reference.weights
+    m, n = d_mat.shape
+    table = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    gaps = vertex_gaps(d_mat, d0)
+    _assert_vertex_table(gaps, m, n)
+    assert np.array_equal(gaps, sqrt_gap(table @ d_mat.T, (table @ d0)[:, None]))
+
+
+@given(data=st.data())
+def test_vertex_gaps_add_each_vertex_left_to_right(data):
+    n = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(1, 4))
+    weights = np.array([data.draw(weight_vectors(n)) for _ in range(m + 1)])
+    sums = vertex_sums(weights)
+    gaps = vertex_gaps(weights[:m], weights[m])
+    _assert_vertex_table(gaps, m, n)
+    assert np.array_equal(gaps, sqrt_gap(sums[:, :m], sums[:, m:]))
+
+
+def test_vertex_gaps_on_one_point_and_one_member():
+    gaps = vertex_gaps(np.array([[0.25], [1.0]]), np.array([0.0625]))
+    _assert_vertex_table(gaps, 2, 1)
+    assert gaps.tolist() == [[0.0, 0.0], [0.25, 0.75]]
+    gaps = vertex_gaps(np.array([[0.5, 0.25]]), np.array([0.25, 0.5]))
+    _assert_vertex_table(gaps, 1, 2)
+    root = math.sqrt(0.5)
+    assert gaps.tolist() == [[0.0], [root - 0.5], [root - 0.5], [0.0]]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 randomized-to-deterministic conversion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from sqlab import (
     ProblemSpec,
     SEARCH,
     TheoremViolationError,
+    achievable_subsets,
     biclique,
     combined_relation_audit,
     crsd,
     det_cover,
+    kbarv,
     rand_to_det,
     rsd_decision,
     rsd_optimizing,
@@ -245,6 +248,31 @@ def test_crsd_kv_is_a_lower_bound():
     assert kv.exactness == LOWER_BOUND
     assert 0.0 < kv.value <= k1.value + 1e-9
     assert kv.certificate["kbar2_at_measure"] > 0
+
+
+# The three 2^|X| binary-vertex scans on biclique(4,2) (16 points, 6
+# members), each with its traced peak memory limit: the (2^16, 6) gap table
+# is 3 MiB, and a 2^16 x 16 float vertex table beside it would be 8 MiB more.
+_VERTEX_SCANS = [
+    ("kbarv", lambda dists, d0: kbarv(Measure.uniform(len(dists)), dists, d0), 8),
+    ("kv_family", lambda dists, d0: achievable_subsets(dists, d0, 0.2, KV), 8),
+    ("kv_crsd", lambda dists, d0: crsd(dists, d0, KV), 10),
+]
+
+
+@pytest.mark.parametrize(
+    "scan,limit_mib", [s[1:] for s in _VERTEX_SCANS], ids=[s[0] for s in _VERTEX_SCANS]
+)
+def test_vertex_scans_stay_under_their_peak_memory(scan, limit_mib):
+    problem = biclique(4, 2, kind="decision")
+    dists, d0 = list(problem.dists), problem.reference
+    tracemalloc.start()
+    try:
+        scan(dists, d0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
 
 
 def test_combined_relation_audit_concrete():

@@ -23,7 +23,7 @@ from sqlab import (
 from sqlab import norms
 from sqlab.norms import EXACT, LOWER_BOUND, _k1_scan
 
-from tests.util import fraction_kbar1, random_dists, small_domain
+from tests.util import fraction_kbar1, random_dists, small_domain, vertex_sums
 
 
 def _dist(weights):
@@ -203,7 +203,8 @@ def test_kbarv_guard():
 
 def _kbarv_reference(mu, dists, d0):
     """kbarv scoring one ascent candidate at a time, rebuilding the member
-    matrix per call: the loop the blocked ascent must repeat."""
+    matrix per call: the loop the blocked ascent must repeat. Each vertex's
+    sums are added one vertex at a time (``vertex_sums``)."""
     idx = list(mu.support)
     sub, w = [dists[i] for i in idx], mu.weights[idx]
     n = len(d0.domain)
@@ -214,10 +215,12 @@ def _kbarv_reference(mu, dists, d0):
         zv = np.sqrt(np.clip(phis @ d0.weights, 0.0, None))
         return np.abs(dv - zv[:, None])
 
-    vertices = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
-    vals = gaps(vertices) @ w
+    sums = vertex_sums(np.array([d.weights for d in sub + [d0]]))
+    dv = np.sqrt(np.clip(sums[:, :-1], 0.0, None))
+    zv = np.sqrt(np.clip(sums[:, -1], 0.0, None))
+    vals = np.abs(dv - zv[:, None]) @ w
     j = int(np.argmax(vals))
-    best_phi, best_val = vertices[j].copy(), float(vals[j])
+    best_phi, best_val = ((j >> np.arange(n)) & 1).astype(float), float(vals[j])
     for x in range(n):
         current = best_phi[x]
         for v in np.linspace(0.0, 1.0, 17):

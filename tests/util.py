@@ -29,6 +29,23 @@ def random_dists(rng: np.random.Generator, n_points: int, n_dists: int,
     return dists, d0
 
 
+def vertex_sums(weights: np.ndarray) -> np.ndarray:
+    """The (2^n, k) table of each binary vertex's sum of each of the k rows
+    of ``weights``, one vertex at a time: vertex r's sum starts from 0.0 and
+    adds the weights of the set bits of r left to right, in increasing bit
+    order."""
+    k, n = weights.shape
+    table = np.empty((1 << n, k))
+    for r in range(1 << n):
+        bits = [j for j in range(n) if r >> j & 1]
+        for i in range(k):
+            total = 0.0
+            for j in bits:
+                total += float(weights[i, j])
+            table[r, i] = total
+    return table
+
+
 def brute_force_lp(c, a_ub, b_ub):
     """Maximize c.x subject to a_ub.x <= b_ub, x >= 0, by enumerating basic
     feasible points: every vertex of the polytope lies at the intersection
