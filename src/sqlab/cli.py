@@ -58,6 +58,7 @@ from .dimension import (
     simple_lower_bound,
 )
 from .errors import GuardExceededError, SqlabError
+from .games import shared_families
 from .norms import kbar1, kbar2, kbar2_spectral, kbarv, rho
 from .oracles import (
     OracleSession,
@@ -288,82 +289,50 @@ def cmd_gen(args, parser) -> int:
 
 def cmd_dims(args, parser) -> int:
     problem = _build_problem(args, parser)
-    if args.tau is None:
+    tau, kappa = args.tau, args.kappa or K1
+    if tau is None:
         parser.error("dims needs --tau")
-    kappa = args.kappa or K1
     report: dict = {
         "command": "dims",
         "kind": problem.kind,
         "dists": problem.n_dists,
         "domain": len(problem.domain),
-        "tau": args.tau,
+        "tau": tau,
         "kappa": kappa,
     }
 
-    def attempt(name, fn):
+    def attempt(name, fn, *fields):
+        """Report ``fn()``'s value, its ``fields``, or why it was skipped."""
         try:
             out = fn()
         except (SqlabError, ValueError) as exc:
             report[name] = {"skipped": str(exc)}
             return
-        report[name] = out
+        report[name] = {f: getattr(out, f) for f in fields} if fields else out.value
 
     dists = list(problem.dists)
-    if problem.reference is not None:
-        d0 = problem.reference
-        # rsd_decision enumerates the achievable family once and sd_decision
-        # reads it; when rsd_decision fails, sd_decision builds its own.
-        family = None
-
-        def rsd():
-            nonlocal family
-            r = rsd_decision(dists, d0, args.tau, kappa)
-            family = r.family
-            return {"value": r.value, "exactness": r.exactness}
-
-        attempt("rsd_decision", rsd)
-        attempt(
-            "sd_decision",
-            lambda: {"value": sd_decision(dists, d0, args.tau, kappa, family=family).value},
-        )
-        attempt(
-            "crsd",
-            lambda: {
-                "value": (c := crsd(dists, d0, kappa)).value,
-                "exactness": c.exactness,
-            },
-        )
-        mu = Measure.uniform(problem.n_dists)
-        attempt("kbar1", lambda: kbar1(mu, dists, d0).value)
-        attempt("kbar2", lambda: kbar2(mu, dists, d0).value)
-        attempt("kbar2_spectral", lambda: kbar2_spectral(mu, dists, d0).value)
-        attempt("rho", lambda: rho(dists, d0).value)
-        attempt("kbarv", lambda: kbarv(mu, dists, d0).value)
-        if args.beta is not None:
-            attempt(
-                "simple_lower_bound",
-                lambda: simple_lower_bound(problem, mu, d0, args.tau, args.beta).value,
-            )
-    if problem.kind == SEARCH:
-        alpha = 1.0 if args.alpha is None else args.alpha
-        attempt(
-            "rsd_search",
-            lambda: {
-                "value": (s := rsd_search(problem, args.tau, alpha=alpha, kappa=kappa)).value,
-                "exactness": s.exactness,
-            },
-        )
-    if problem.kind == VERIFIABLE:
-        theta = args.theta if args.theta is not None else problem.threshold
-        attempt(
-            "rsd_verifiable",
-            lambda: {"value": rsd_verifiable(problem, theta=theta, tau=args.tau, kappa=kappa).value},
-        )
-        if args.eps is not None:
-            attempt(
-                "rsd_optimizing",
-                lambda: {"value": rsd_optimizing(problem, eps=args.eps, tau=args.tau, kappa=kappa).value},
-            )
+    with shared_families():
+        if problem.reference is not None:
+            d0 = problem.reference
+            attempt("rsd_decision", lambda: rsd_decision(dists, d0, tau, kappa), "value", "exactness")
+            attempt("sd_decision", lambda: sd_decision(dists, d0, tau, kappa), "value")
+            attempt("crsd", lambda: crsd(dists, d0, kappa), "value", "exactness")
+            mu = Measure.uniform(problem.n_dists)
+            attempt("kbar1", lambda: kbar1(mu, dists, d0))
+            attempt("kbar2", lambda: kbar2(mu, dists, d0))
+            attempt("kbar2_spectral", lambda: kbar2_spectral(mu, dists, d0))
+            attempt("rho", lambda: rho(dists, d0))
+            attempt("kbarv", lambda: kbarv(mu, dists, d0))
+            if args.beta is not None:
+                attempt("simple_lower_bound", lambda: simple_lower_bound(problem, mu, d0, tau, args.beta))
+        if problem.kind == SEARCH:
+            alpha = 1.0 if args.alpha is None else args.alpha
+            attempt("rsd_search", lambda: rsd_search(problem, tau, alpha, kappa), "value", "exactness")
+        if problem.kind == VERIFIABLE:
+            theta = args.theta if args.theta is not None else problem.threshold
+            attempt("rsd_verifiable", lambda: rsd_verifiable(problem, theta, tau, kappa), "value")
+            if args.eps is not None:
+                attempt("rsd_optimizing", lambda: rsd_optimizing(problem, args.eps, tau, kappa), "value")
     _emit(report, args)
     return EXIT_OK
 

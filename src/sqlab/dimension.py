@@ -3,12 +3,12 @@
 All dimensions here are built from one primitive: which subsets of the
 family can a single query distinguish from a center distribution at radius
 tau (``games.achievable_subsets``). Enumerating that family is most of the
-work, so one family per center serves every problem posed there:
-``rsd_decision`` returns the family it built in ``DimensionReport.family``
-and ``sd_decision`` takes it as ``family=``, and ``rsd_search`` enumerates
-one family per candidate center and gives each inner problem that family
-cut to its own members (``CoverFamily.restrict``). Nothing is cached
-between calls.
+work, so every dimension asks ``games.family_of`` for it: inside a
+``games.shared_families()`` block (one per ``sqlab dims`` report) each
+(center, tau, kappa) family is enumerated once, and later requests until
+the block ends read it or its cut to fewer members (``CoverFamily.restrict``);
+outside a block each call enumerates. ``rsd_search`` gives each inner
+problem its center's family cut to the inner problem's own members.
 On top of that:
 
 - ``det_cover``: smallest integer cover of the family by achievable subsets
@@ -47,7 +47,7 @@ On top of that:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -71,8 +71,8 @@ from .errors import (
 )
 from .games import (
     CoverFamily,
-    achievable_subsets,
     exact_min_cover,
+    family_of,
     fractional_cover,
     greedy_cover,
     lp_solve,
@@ -102,32 +102,13 @@ class DimensionReport:
     """A dimension value with its kind tag, exactness, and certificate.
 
     ``value`` may be ``math.inf`` (serialized as the string "inf"); the
-    certificate then names the indistinguishable distributions. On
-    ``rsd_decision`` reports, ``family`` is the achievable family the value
-    was computed from, so that ``sd_decision`` over the same (family,
-    center, tau, kappa) can take it as ``family=`` instead of enumerating
-    it again.
+    certificate then names the indistinguishable distributions.
     """
 
     value: float
     kind: str
     exactness: str
     certificate: dict
-    family: CoverFamily | None = field(default=None, repr=False, compare=False)
-
-
-def _family(dists, d0, tau, kappa, family: CoverFamily | None = None) -> CoverFamily:
-    """The achievable family of ``dists`` around ``d0``: ``family`` when it
-    is given (it must match ``len(dists)``, ``tau`` and ``kappa``), else a
-    fresh enumeration."""
-    if family is None:
-        return achievable_subsets(dists, d0, tau, kappa=kappa)
-    if (family.ground_size, family.tau, family.kappa) != (len(dists), tau, kappa):
-        raise ValueError(
-            f"family built for {family.ground_size} distributions at tau={family.tau} "
-            f"({family.kappa}) does not fit {len(dists)} at tau={tau} ({kappa})"
-        )
-    return family
 
 
 def det_cover(
@@ -144,7 +125,7 @@ def det_cover(
     Raises :class:`UncoverableError` listing distributions no query
     distinguishes at radius tau.
     """
-    family = _family(dists, d0, tau, kappa)
+    family = family_of(dists, d0, tau, kappa)
     missing = family.uncovered()
     if missing:
         raise UncoverableError(
@@ -199,13 +180,13 @@ def rsd_decision(
     two routes must agree within 1e-6 or a NumericalError is raised.
 
     An empty family (no distributions) reports 0; a distribution no query
-    distinguishes reports value = inf with the witnesses. The report
-    carries the family it enumerated (see ``DimensionReport.family``).
+    distinguishes reports value = inf with the witnesses. The family comes
+    from ``games.family_of``, shared inside ``games.shared_families()``.
     """
     if not dists:
         exactness = EXACT if kappa == K1 else UPPER_BOUND
         return DimensionReport(0.0, "rsd-decision", exactness, {"note": "empty family"})
-    return _cover_dimension(_family(dists, d0, tau, kappa))
+    return _cover_dimension(family_of(dists, d0, tau, kappa))
 
 
 def _cover_dimension(family: CoverFamily) -> DimensionReport:
@@ -220,7 +201,6 @@ def _cover_dimension(family: CoverFamily) -> DimensionReport:
             kind="rsd-decision",
             exactness=exactness,
             certificate={"indistinguishable": list(missing)},
-            family=family,
         )
     cover = fractional_cover(family)
     z, mu = _hardest_measure_lp(family)
@@ -243,7 +223,6 @@ def _cover_dimension(family: CoverFamily) -> DimensionReport:
             "hardest_measure": mu,
             "dual_value": dual_value,
         },
-        family=family,
     )
 
 
@@ -252,14 +231,12 @@ def sd_decision(
     d0: FiniteDistribution,
     tau: float,
     kappa: str = K1,
-    family: CoverFamily | None = None,
 ) -> DimensionReport:
     """max over subfamilies T of |T| / (largest achievable overlap with T).
 
     Exhaustive over subfamilies (guard |dists| <= 16). A distribution in no
-    achievable subset makes the value infinite. ``family`` is the achievable
-    family to use instead of enumerating it, such as the one an
-    ``rsd_decision`` report carries (see ``DimensionReport.family``).
+    achievable subset makes the value infinite. The family comes from
+    ``games.family_of``, shared inside ``games.shared_families()``.
 
     KV reports an UPPER_BOUND: the vertex family under-approximates
     achievability, so every overlap can only shrink and the ratio grow.
@@ -267,10 +244,16 @@ def sd_decision(
     m = len(dists)
     if m > 16:
         raise GuardExceededError(f"sd_decision: 2^{m} subfamilies exceed the guard")
-    exactness = EXACT if kappa == K1 else UPPER_BOUND
     if m == 0:
-        return DimensionReport(0.0, "sd-decision", exactness, {})
-    family = _family(dists, d0, tau, kappa, family)
+        return DimensionReport(0.0, "sd-decision", EXACT if kappa == K1 else UPPER_BOUND, {})
+    return _subfamily_dimension(family_of(dists, d0, tau, kappa))
+
+
+def _subfamily_dimension(family: CoverFamily) -> DimensionReport:
+    """``sd_decision`` on an enumerated, non-empty ground family: the
+    uncovered check and the ratio over every subfamily."""
+    m = family.ground_size
+    exactness = EXACT if family.kappa == K1 else UPPER_BOUND
     missing = family.uncovered()
     if missing:
         return DimensionReport(
@@ -346,10 +329,10 @@ def rsd_search(
     mixture), so the report is a LOWER_BOUND of the true supremum over all
     centers.
 
-    Each center's achievable family is enumerated once, over the members
-    that some solution measure leaves unserved; every inner problem is that
-    family cut to its own members (``CoverFamily.restrict``), which gives
-    the sets a fresh enumeration would, in the same order.
+    Each center's family (``games.family_of``) is asked for once, over the
+    members that some solution measure leaves unserved; every inner problem
+    is that family cut to its own members (``CoverFamily.restrict``), which
+    gives the sets a fresh enumeration would, in the same order.
     """
     if not (0 < alpha <= 1):
         raise ValueError("alpha must lie in (0, 1]")
@@ -385,7 +368,7 @@ def rsd_search(
     position = {i: j for j, i in enumerate(union)}
     best_val, best_cert = -1.0, {}
     for tag, center in _candidate_centers(problem):
-        full = achievable_subsets([problem.dists[i] for i in union], center, tau, kappa=kappa)
+        full = family_of([problem.dists[i] for i in union], center, tau, kappa=kappa)
         worst_val, worst_cert = math.inf, {}
         for served, p_tag in by_served.items():
             inner = _cover_dimension(full.restrict([position[i] for i in kept[served]]))

@@ -25,7 +25,8 @@ a ``max_margin`` LP. Each maximal set keeps the query that certified its
 first signed set in walk order (a singleton's sign query, a pooled query or
 its negation, a bracket's sign query or an LP's query). Only the sets and
 their order are fixed; a witness is promised to be valid under
-``verify_cover_family``, not to be any particular query.
+``verify_cover_family``, not to be any particular query. ``family_of``
+walks each (center, tau, kappa) family once in a ``shared_families()`` block.
 
 Conventions:
 
@@ -40,6 +41,8 @@ Conventions:
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,6 +67,8 @@ __all__ = [
     "max_margin",
     "CoverFamily",
     "achievable_subsets",
+    "shared_families",
+    "family_of",
     "verify_cover_family",
     "CoverResult",
     "fractional_cover",
@@ -777,6 +782,47 @@ def achievable_subsets(
                 best[covered] = ((r >> np.arange(n)) & 1).astype(float)
         return _maximal_family(best, m, tau, KV)
     raise ValueError(f"unknown kappa tag {kappa!r}")
+
+
+# in a shared_families() block: (center bytes, tau, kappa) -> [(member bytes -> index, family)]
+_families: ContextVar[dict | None] = ContextVar("families", default=None)
+
+
+@contextmanager
+def shared_families():
+    """Share families among the ``family_of`` calls in the block (in this
+    thread) until the outermost block ends; a nested block joins it."""
+    outer = _families.get()
+    token = _families.set({} if outer is None else outer)
+    try:
+        yield
+    finally:
+        _families.reset(token)
+
+
+def family_of(
+    dists: Sequence[FiniteDistribution], d0: FiniteDistribution, tau: float, kappa: str = K1
+) -> CoverFamily:
+    """``achievable_subsets(dists, d0, tau, kappa)``, enumerated at most once
+    per center, tau and kappa in a ``shared_families()`` block. There, a
+    family enumerated earlier around the same center weights serves every
+    request whose members (matched by weight bytes) it holds at distinct
+    indices: with itself for its whole ground in order, else with its
+    ``restrict`` (the sets of a fresh walk, in its order). Any other request
+    is enumerated and kept, unless the walk raises.
+    """
+    store = _families.get()
+    if store is None:
+        return achievable_subsets(dists, d0, tau, kappa=kappa)
+    grounds = store.setdefault((d0.weights.tobytes(), tau, kappa), [])
+    members = [d.weights.tobytes() for d in dists]
+    for index, family in grounds:
+        keep = [index.get(b, -1) for b in members]
+        if -1 not in keep and len(set(keep)) == len(keep):
+            return family if keep == list(range(family.ground_size)) else family.restrict(keep)
+    family = achievable_subsets(dists, d0, tau, kappa=kappa)
+    grounds.append(({b: i for i, b in enumerate(members)}, family))
+    return family
 
 
 def verify_cover_family(

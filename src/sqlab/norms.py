@@ -33,7 +33,7 @@ import numpy as np
 
 from .core import FiniteDistribution, Measure, likelihood_hat, sqrt_gap, vertex_gaps
 from .errors import GuardExceededError, NumericalError
-from .games import achievable_subsets
+from .games import family_of
 
 __all__ = [
     "EXACT",
@@ -315,9 +315,10 @@ def kappa1_frac(
     every D in S; "strictly above" is realized as >= tau + games.STRICT_EPS.
     At tau = 0 this is the mass of distributions distinct from D0. The
     certificate is the heaviest maximal set of mu's support and its witness.
+    Its K1 family comes from ``games.family_of`` (see ``shared_families``).
     """
     idx, sub, w = _support(mu, dists)
-    family = achievable_subsets(sub, d0, tau)  # K1, exact
+    family = family_of(sub, d0, tau)  # K1, exact
     if not family.sets:
         return NormReport(value=0.0, exactness=EXACT, certificate={"subset": [], "query": None})
     masses = [float(sum(w[i] for i in s)) for s in family.sets]

@@ -113,16 +113,16 @@ def test_dims_decision_instance(capsys):
 
 
 def test_dims_enumerates_the_family_once_per_report(monkeypatch, capsys):
-    from sqlab import dimension
+    from sqlab import games
 
     built = []
-    enumerate_family = dimension.achievable_subsets
+    enumerate_family = games.achievable_subsets
 
     def counting(*args, **kwargs):
         built.append(args[2])
         return enumerate_family(*args, **kwargs)
 
-    monkeypatch.setattr(dimension, "achievable_subsets", counting)
+    monkeypatch.setattr(games, "achievable_subsets", counting)
     argv = ["dims", "--gen", "biclique", "--n", "3", "--k", "1", "--kind", "decision",
             "--tau", "0.2"]
     outs = []
@@ -133,6 +133,67 @@ def test_dims_enumerates_the_family_once_per_report(monkeypatch, capsys):
     # one enumeration per report, none carried over to the next report
     assert built == [0.2, 0.2]
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("flags,walks", [
+    # rsd_decision walks the reference family; sd_decision, kappa1_frac and
+    # rsd_search's uniform-domain center (the same weights) read it, and
+    # only the uniform-mixture center walks a second family
+    (["--gen", "line", "--p", "3", "--tau", "0.2", "--beta", "0.9"], [(9, 0.2, "k1")] * 2),
+    (["--gen", "biclique", "--n", "6", "--k", "2", "--tau", "0.3"], [(15, 0.3, "k1")] * 2),
+    # the KV family and kappa1_frac's K1 family are two keys
+    (["--gen", "biclique", "--n", "3", "--k", "1", "--kappa", "kv", "--tau", "0.2",
+      "--beta", "0.9"], [(3, 0.2, "kv"), (3, 0.2, "k1")]),
+])
+def test_dims_report_enumerates_each_family_once(flags, walks, monkeypatch, capsys):
+    """Each (center, tau, kappa) family of a report is enumerated once, and
+    every field that reads it equals the same library call made outside a
+    report."""
+    from sqlab import (
+        Measure,
+        games,
+        problems,
+        rsd_decision,
+        rsd_search,
+        sd_decision,
+        simple_lower_bound,
+    )
+
+    built = []
+    enumerate_family = games.achievable_subsets
+
+    def counting(dists, d0, tau, kappa="k1"):
+        built.append((len(dists), tau, kappa))
+        return enumerate_family(dists, d0, tau, kappa=kappa)
+
+    monkeypatch.setattr(games, "achievable_subsets", counting)
+    code, out = run_cli(["dims", *flags], capsys)
+    assert code == 0
+    assert built == walks
+    monkeypatch.undo()
+
+    report = json.loads(out)
+    args = dict(zip(flags[::2], flags[1::2]))
+    if args["--gen"] == "line":
+        problem = problems.line_problem(int(args["--p"]))
+    else:
+        problem = problems.biclique(int(args["--n"]), int(args["--k"]))
+    dists, d0, tau = list(problem.dists), problem.reference, float(args["--tau"])
+    kappa = args.get("--kappa", "k1")
+    rsd = rsd_decision(dists, d0, tau, kappa)
+    expected = {
+        "rsd_decision": {"value": rsd.value, "exactness": rsd.exactness},
+        "sd_decision": {"value": sd_decision(dists, d0, tau, kappa).value},
+    }
+    if "--beta" in args:
+        mu = Measure.uniform(problem.n_dists)
+        expected["simple_lower_bound"] = simple_lower_bound(
+            problem, mu, d0, tau, float(args["--beta"])
+        ).value
+    if kappa == "k1":
+        search = rsd_search(problem, tau)
+        expected["rsd_search"] = {"value": search.value, "exactness": search.exactness}
+    assert {name: report[name] for name in expected} == sqio.to_jsonable(expected)
 
 
 @pytest.mark.parametrize("kind,skipped", [

@@ -37,8 +37,9 @@ from sqlab.dimension import (
     UPPER_BOUND,
     _candidate_centers,
     _solution_measures,
+    _subfamily_dimension,
 )
-from sqlab.games import CoverFamily
+from sqlab.games import CoverFamily, shared_families
 
 from tests.util import random_dists, small_domain
 
@@ -129,14 +130,13 @@ def test_sd_decision_repeats_the_subfamily_loop(seed):
     """The same value, to the bit, and the same subfamily as the loop, on
     400 seeded families of 1-10 members that cover every member."""
     rng = np.random.default_rng(4100 + seed)
-    d0 = FiniteDistribution.uniform(small_domain(2))
     for _ in range(100):
         m = int(rng.integers(1, 11))
         sets = {frozenset(np.flatnonzero(rng.random(m) < rng.uniform(0.1, 0.9)).tolist())
                 for _ in range(int(rng.integers(1, 12)))} - {frozenset()}
         sets |= {frozenset({i}) for i in range(m) if not any(i in s for s in sets)}
         family = CoverFamily(ground_size=m, sets=tuple(sets), witnesses=(None,) * len(sets), tau=0.1)
-        rep = sd_decision([d0] * m, d0, 0.1, family=family)
+        rep = _subfamily_dimension(family)
         value, subfamily = _sd_decision_reference(m, family.sets)
         assert rep.value == value and rep.certificate["subfamily"] == subfamily
 
@@ -163,43 +163,29 @@ def test_sd_decision_kv_is_an_upper_bound():
         kappa=KV,
     )
     verify_cover_family(dists, d0, richer)
-    assert sd_decision(dists, d0, tau=0.1, kappa=KV, family=richer).value == pytest.approx(1.0)
+    assert _subfamily_dimension(richer).value == pytest.approx(1.0)
     assert rep.value <= rsd_decision(dists, d0, tau=0.1, kappa=KV).value + 1e-9
     assert sd_decision([], d0, tau=0.1, kappa=KV).exactness == UPPER_BOUND
 
 
 def test_decision_dimensions_share_one_family(monkeypatch):
-    from sqlab import dimension
+    from sqlab import games
 
     dists, d0 = _three_dist_instance()
     built = []
-    enumerate_family = dimension.achievable_subsets
+    enumerate_family = games.achievable_subsets
 
     def counting(*args, **kwargs):
         built.append(args[2])
         return enumerate_family(*args, **kwargs)
 
-    monkeypatch.setattr(dimension, "achievable_subsets", counting)
-    rsd = rsd_decision(dists, d0, tau=0.2)
-    sd = sd_decision(dists, d0, tau=0.2, family=rsd.family)
+    monkeypatch.setattr(games, "achievable_subsets", counting)
+    with shared_families():
+        rsd_decision(dists, d0, tau=0.2)
+        sd = sd_decision(dists, d0, tau=0.2)
     assert built == [0.2]
     assert sd.value == sd_decision(dists, d0, tau=0.2).value
     assert built == [0.2, 0.2]
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda dists, d0, fam: sd_decision(dists, d0, tau=0.3, family=fam),
-        lambda dists, d0, fam: sd_decision(dists[:2], d0, tau=0.2, family=fam),
-        lambda dists, d0, fam: sd_decision(dists, d0, tau=0.2, kappa=KV, family=fam),
-    ],
-)
-def test_family_must_fit_the_call(call):
-    dists, d0 = _three_dist_instance()
-    family = rsd_decision(dists, d0, tau=0.2).family
-    with pytest.raises(ValueError):
-        call(dists, d0, family)
 
 
 def test_sd_decision_guard():
@@ -318,10 +304,11 @@ def _count_rsd_search_work(monkeypatch, prob, tau):
     far, keep) pair per ``CoverFamily.restrict`` call, which tells the
     centers apart) and its cover LPs."""
     import sqlab.dimension as dimension
+    import sqlab.games as games
 
     walks, cuts, covers = [], [], []
     enumerate_family, cut, cover = (
-        dimension.achievable_subsets, CoverFamily.restrict, dimension.fractional_cover
+        games.achievable_subsets, CoverFamily.restrict, dimension.fractional_cover
     )
 
     def walk_spy(dists, *args, **kwargs):
@@ -336,7 +323,7 @@ def _count_rsd_search_work(monkeypatch, prob, tau):
         covers.append(family)
         return cover(family)
 
-    monkeypatch.setattr(dimension, "achievable_subsets", walk_spy)
+    monkeypatch.setattr(games, "achievable_subsets", walk_spy)
     monkeypatch.setattr(CoverFamily, "restrict", cut_spy)
     monkeypatch.setattr(dimension, "fractional_cover", cover_spy)
     return dimension.rsd_search(prob, tau=tau), walks, cuts, covers
@@ -434,16 +421,16 @@ def test_rsd_optimizing_enumerates_each_distinct_pair_once(monkeypatch, n, k, ep
     """Thetas that keep the same members pose the same inner problem at a
     center: its family is enumerated once, and the first theta that reaches
     the best value keeps the certificate."""
-    import sqlab.dimension as dimension
+    import sqlab.games as games
 
     pairs = []
-    enumerate_family = dimension.achievable_subsets
+    enumerate_family = games.achievable_subsets
 
     def walk_spy(dists, d0, *args, **kwargs):
         pairs.append((tuple(d.weights.tobytes() for d in dists), d0.weights.tobytes()))
         return enumerate_family(dists, d0, *args, **kwargs)
 
-    monkeypatch.setattr(dimension, "achievable_subsets", walk_spy)
+    monkeypatch.setattr(games, "achievable_subsets", walk_spy)
     vprob = biclique(n, k, kind="verifiable")
     rep = rsd_optimizing(vprob, eps=eps, tau=0.2)
     assert len(pairs) == len(set(pairs)) == 1

@@ -39,7 +39,14 @@ from sqlab import (
     verify_cover_family,
     zero_sum,
 )
-from sqlab.games import STRICT_EPS, CoverFamily, GameResult, _margin_bracket
+from sqlab.games import (
+    STRICT_EPS,
+    CoverFamily,
+    GameResult,
+    _margin_bracket,
+    family_of,
+    shared_families,
+)
 
 from tests.util import brute_force_lp, random_dists, small_domain
 
@@ -1023,6 +1030,119 @@ def test_restricted_family_repeats_a_fresh_walk_on_random_instances(data):
     _assert_restrict_repeats_the_walk(dists, d0, tau, [keep])
 
 
+# ---------------------------------------------------------------------------
+# the report-scoped family store
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """(member count, tau, kappa) of every ``achievable_subsets`` walk."""
+    from sqlab import games
+
+    seen = []
+    enumerate_family = games.achievable_subsets
+
+    def spy(dists, d0, tau, kappa=K1):
+        seen.append((len(dists), tau, kappa))
+        return enumerate_family(dists, d0, tau, kappa=kappa)
+
+    monkeypatch.setattr(games, "achievable_subsets", spy)
+    return seen
+
+
+def _biclique_4_2():
+    problem = biclique(4, 2, kind="decision")
+    return list(problem.dists), problem.reference
+
+
+def test_family_of_enumerates_every_call_outside_a_store(walks):
+    dists, d0 = _biclique_4_2()
+    first, second = family_of(dists, d0, 0.2), family_of(dists, d0, 0.2)
+    assert walks == [(6, 0.2, K1), (6, 0.2, K1)]
+    assert first is not second and first.sets == second.sets
+
+
+def test_family_of_serves_the_ground_and_its_cuts_from_one_walk(walks):
+    """The whole ground gets the stored family itself; a reordered subset
+    gets its cut, which lists the sets a fresh walk does."""
+    dists, d0 = _biclique_4_2()
+    keep = [4, 1, 3]
+    with shared_families():
+        full = family_of(dists, d0, 0.2)
+        assert family_of(list(dists), d0, 0.2) is full
+        cut = family_of([dists[i] for i in keep], d0, 0.2)
+    assert walks == [(6, 0.2, K1)]
+    assert cut.sets == achievable_subsets([dists[i] for i in keep], d0, 0.2).sets
+    verify_cover_family([dists[i] for i in keep], d0, cut)
+
+
+def test_family_of_keys_center_tau_and_kappa_apart(walks):
+    dists, d0 = _biclique_4_2()
+    with shared_families():
+        for center, tau, kappa in [(d0, 0.2, K1), (d0, 0.3, K1), (d0, 0.2, KV),
+                                   (mixture(dists), 0.2, K1)]:
+            family = family_of(dists, center, tau, kappa)
+            assert family.sets == achievable_subsets(dists, center, tau, kappa).sets
+        # each key once, however often it is asked for again
+        for center, tau, kappa in [(d0, 0.2, K1), (d0, 0.3, K1), (d0, 0.2, KV)]:
+            family_of(dists[:3], center, tau, kappa)
+    assert walks == [(6, 0.2, K1), (6, 0.3, K1), (6, 0.2, KV), (6, 0.2, K1)]
+
+
+def test_family_of_walks_again_for_a_repeated_member(walks):
+    """A request that names one weight vector twice has no distinct indices
+    in any stored ground, so each such request is enumerated afresh, as
+    outside a store."""
+    from sqlab import rsd_decision, sd_decision
+
+    dists, d0 = _biclique_4_2()
+    repeated = [dists[0], dists[2], dists[0]]
+    with shared_families():
+        family_of(dists, d0, 0.2)
+        scoped = family_of(repeated, d0, 0.2)
+        values = (rsd_decision(repeated, d0, 0.2).value, sd_decision(repeated, d0, 0.2).value)
+    assert walks == [(6, 0.2, K1)] + [(3, 0.2, K1)] * 3
+    assert scoped.sets == achievable_subsets(repeated, d0, 0.2).sets
+    assert values == (rsd_decision(repeated, d0, 0.2).value, sd_decision(repeated, d0, 0.2).value)
+
+
+def test_family_of_keeps_nothing_from_a_walk_that_raises(walks):
+    dom = small_domain(2)
+    dists = [FiniteDistribution(dom, np.array([0.9, 0.1]))] * 21
+    d0 = FiniteDistribution.uniform(dom)
+    with shared_families():
+        for _ in range(2):
+            with pytest.raises(GuardExceededError):
+                family_of(dists, d0, 0.001)
+    assert len(walks) == 2
+
+
+def test_a_store_serves_only_its_own_thread(walks):
+    import threading
+
+    dists, d0 = _biclique_4_2()
+    with shared_families():
+        family_of(dists, d0, 0.2)
+        other = threading.Thread(target=family_of, args=(dists, d0, 0.2))
+        other.start()
+        other.join(timeout=60)
+        assert not other.is_alive()
+        family_of(dists, d0, 0.2)
+    assert len(walks) == 2
+
+
+def test_nested_store_blocks_share_the_outer_store(walks):
+    """An inner block joins the outer store, which ends with the outer block."""
+    dists, d0 = _biclique_4_2()
+    with shared_families():
+        with shared_families():
+            inner = family_of(dists, d0, 0.2)
+        assert family_of(dists, d0, 0.2) is inner
+    assert family_of(dists, d0, 0.2) is not inner
+    assert len(walks) == 2
+
+
 @given(data=st.data())
 def test_margin_bracket_holds_on_random_signed_subsets(data):
     """The uniform mixture's sign query bounds the max-margin LP value from
@@ -1268,6 +1388,13 @@ def _golden_case(argv, golden, id=None):
         _golden_case(
             ["dims", "--gen", "line", "--p", "3", "--kind", "decision", "--tau", "0.2"],
             "dims_line_3_decision_tau0.2.json",
+        ),
+        # The search kind on line(3) with --beta: sd_decision, kappa1_frac
+        # and rsd_search's uniform-domain center all read the reference
+        # family that rsd_decision enumerated.
+        _golden_case(
+            ["dims", "--gen", "line", "--p", "3", "--tau", "0.2", "--beta", "0.9"],
+            "dims_line_3_tau0.2_beta0.9.json",
         ),
         # The K1 crsd game on 16 points, closed at its pure-strategy
         # bracket, and the KV vertex game, solved by zero_sum.
