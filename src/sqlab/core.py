@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -312,14 +313,19 @@ def draw_counts(weights: np.ndarray, rng: np.random.Generator, size: int) -> np.
     with ``minlength=len(weights)``, and leaves ``rng`` in the same state.
     A cdf on a dyadic grid is counted from a histogram of the uniforms,
     any other from the sorted uniforms (``cdf_counts``); both replace
-    ``size`` scattered binary searches over the cdf.
+    ``size`` scattered binary searches over the cdf. A stream that needs
+    only a row's sum over the draw takes it from the histogram without the
+    counts (``streaming.SampleStream.draw_sum``); these counts are its
+    reference and its path off a grid.
     """
     cdf = np.cumsum(weights)
     return cdf_counts(cdf, rng, size, dyadic_edges(cdf))
 
 
 #: The finest grid ``dyadic_edges`` puts a cdf on: 2^_GRID_BITS buckets. The
-#: histogram's prefix sum costs time per bucket, the sort time per sample.
+#: histogram's prefix sum costs time per bucket, the sort time per sample;
+#: so does the gather and dot product over the buckets with which
+#: ``SampleStream.draw_sum`` sums a row from the same histogram.
 #: Timed on a 2-vCPU x86 VM with 256 cdf values, at 2^10 buckets the
 #: histogram took 15 against 16 us for the sort at 400 samples and 73
 #: against 104 us at 6,451; at 2^12 it lost at 400 samples (35 against
@@ -335,6 +341,9 @@ def dyadic_edges(cdf: np.ndarray) -> np.ndarray | None:
     (values outside [0, 1] count as the ends: every uniform lies in [0, 1)).
     Returns the e values followed by K, which ends the last index's bucket
     range whatever ``cdf[-1]`` is, so a total an ulp off 1 stays on the grid.
+    Index i owns the buckets edges[i - 1] <= b < edges[i] (from 0 for
+    i = 0); ``SampleStream`` finds the grid once per stream and maps each
+    bucket to its owner, so that ``draw_sum`` needs no per-index counts.
     """
     scaled = np.clip(cdf[:-1], 0.0, 1.0) * (1 << _GRID_BITS)
     if not cdf.size or not np.array_equal(scaled, np.floor(scaled)):  # empty, off the grid, or NaN
@@ -585,6 +594,21 @@ class ProblemSpec:
     @property
     def n_dists(self) -> int:
         return len(self.dists)
+
+    # Built on first use and kept: the MW solvers, the stream's replay and
+    # the line audit start every run from these, and the spec is immutable.
+
+    @cached_property
+    def dist_matrix(self) -> np.ndarray:
+        """The members' weight vectors as the rows of one read-only matrix."""
+        m = np.array([d.weights for d in self.dists])
+        m.setflags(write=False)
+        return m
+
+    @cached_property
+    def uniform_mixture(self) -> FiniteDistribution:
+        """The members' uniform mixture, ``mixture(list(dists))``."""
+        return mixture(self.dists)
 
     @property
     def n_solutions(self) -> int:

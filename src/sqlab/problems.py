@@ -290,7 +290,7 @@ def line_audit(p: int) -> dict:
     d0 = problem.reference
     forms = line_closed_forms(p)
     m = len(problem.dists)
-    dmat = np.array([d.weights for d in problem.dists])
+    dmat = problem.dist_matrix
     hats = dmat / d0.weights - 1.0
     gram = (hats * d0.weights) @ hats.T
     lines = problem.solutions

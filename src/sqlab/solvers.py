@@ -63,7 +63,6 @@ from .core import (
     FiniteDistribution,
     ProblemSpec,
     draw_indices,
-    mixture,
     sqrt_gap,
     witness_count,
 )
@@ -250,7 +249,7 @@ def margin_cover(problem: ProblemSpec, tau: float, kappa: str = K1, randomized: 
     whose witnesses form the block, so a solver can sample few of them.
     """
     witnesses = _witnesses(kappa)
-    dist_mat = np.array([d.weights for d in problem.dists])
+    dist_mat = problem.dist_matrix
     serves = problem.validity  # serves[f, i]: solution f is valid for dist i
 
     def oracle(t_vec: np.ndarray) -> CoverStep:
@@ -395,15 +394,16 @@ def _first_trigger(t_vec: np.ndarray, block, scan, kappa: str, tau: float):
 
 def _mw_start(problem: ProblemSpec, tau: float, kappa: str, kl_bound: float | None):
     """The start state of every MW run, the family's uniform mixture as
-    ``mixture`` returns it at gamma tau/3 (tau^2/9 on the square-root
-    scale), and the update budget at ``kl_bound`` (default ln q, or 1).
+    ``mixture`` returns it (``ProblemSpec.uniform_mixture``) at gamma
+    tau/3 (tau^2/9 on the square-root scale), and the update budget at
+    ``kl_bound`` (default ln q, or 1).
 
     MW weights must stay strictly positive, so a mixture without mass on
     some domain point (every member of biclique(n, n) sits on the all-ones
     point) is a SupportError that names those points, raised before any
     cover is built.
     """
-    weights = mixture(list(problem.dists)).weights
+    weights = problem.uniform_mixture.weights
     empty = np.flatnonzero(weights <= 0)
     if empty.size:
         names = ", ".join(repr(problem.domain.elements[i]) for i in empty[:4])
@@ -589,7 +589,7 @@ def solve_verifiable(
     verify_mat = np.array(
         [problem.verify[f].values for f in problem.solutions]
     )  # (F, X)
-    dist_mat = np.array([d.weights for d in problem.dists])
+    dist_mat = problem.dist_matrix
 
     def step(t_vec):
         candidates = np.flatnonzero(verify_mat @ t_vec <= theta)

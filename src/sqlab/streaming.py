@@ -24,18 +24,21 @@ estimate a run can make: under the shared budget rule a run makes at most T
 updates in at most T + 1 cover steps, and each step estimates at most q
 witnesses.
 
-The simulator takes each estimate from the block's counts: ``draw_counts``
-gives how often each domain point occurs among the n_est samples that
-``draw_block`` would list, from the same uniforms, and the estimate is
-counts @ phi / n_est, bit for bit the mean over the listed samples. A
-distribution whose cdf lies on a dyadic grid of at most 2^10 buckets
-(every biclique(8,2) member; ``core.dyadic_edges`` finds the grid once per
-stream) is counted from a histogram of the uniforms' buckets in O(n_est),
-any other (biclique(6,2), the line family) from the sorted uniforms. The
-two agree exactly, tie rule included (``core.cdf_counts``). That is only
-the simulator's shortcut. The ledger prices an algorithm that reads
-the stream one sample at a time, adding phi(x) into one accumulator and
-counting the samples in one reused counter.
+The simulator takes each estimate as a sum over the block: ``draw_sum``
+gives the sum of phi over the n_est samples that ``draw_block`` would list,
+from the same uniforms, and the estimate is that sum / n_est. A witness row
+is +-1, so every partial sum is an exact integer (at most n_est in size)
+and the estimate has the bits of the mean over the listed samples, in
+whatever order the sum is taken; ``stream_solve`` checks each scanned block
+for +-1 rows. A distribution whose cdf lies on a dyadic grid of K <= 2^10
+buckets (every biclique(8,2) member; ``core.dyadic_edges`` finds the grid
+once per stream) is summed from a histogram of the uniforms' buckets,
+weighted by phi at the point that owns each bucket, in O(n_est + K); any
+other (biclique(6,2), the line family) from the per-point counts of the
+sorted uniforms (``draw_counts``, ``core.cdf_counts``). That is only the
+simulator's shortcut. The ledger prices an algorithm that reads the stream
+one sample at a time, adding phi(x) into one accumulator and counting the
+samples in one reused counter.
 
 The state that must persist across stream items is tiny: the update history
 — the applied triggers ``_search`` returns, one (distribution index, sign)
@@ -60,7 +63,7 @@ import numpy as np
 
 from .core import K1, FiniteDistribution, ProblemSpec, cdf_counts, dyadic_edges
 from .errors import StreamExhaustedError
-from .solvers import MWState, _k1_witnesses, _mw_start, _search, update_budget
+from .solvers import MWState, _mw_start, _search, update_budget
 
 __all__ = [
     "SampleStream",
@@ -73,15 +76,22 @@ __all__ = [
 class SampleStream:
     """A capped source of i.i.d. samples (domain indices) from a distribution.
 
-    ``draw_block`` and ``draw_counts`` raise StreamExhaustedError, drawing
-    nothing, once the cap would be exceeded — running dry is a different
-    failure mode than answering wrongly, and is reported as such.
+    ``draw_block`` lists the samples; ``draw_counts`` and ``draw_sum`` give
+    their per-point counts and the sum of a row over them, from the same
+    uniforms. Each raises StreamExhaustedError, drawing nothing, once the
+    cap would be exceeded — running dry is a different failure mode than
+    answering wrongly, and is reported as such.
     """
 
     def __init__(self, dist: FiniteDistribution, rng: np.random.Generator, limit: int | None = None):
         self.dist = dist
         self._cdf = np.cumsum(dist.weights)  # every draw_counts call reads it, and its grid
         self._edges = dyadic_edges(self._cdf)
+        # owner[b]: the point whose cdf range holds grid bucket b
+        self._owner = (
+            None if self._edges is None
+            else np.repeat(np.arange(self._edges.size), np.diff(self._edges, prepend=0))
+        )
         self.rng = rng
         self.limit = limit
         self.drawn = 0
@@ -102,6 +112,22 @@ class SampleStream:
         same uniforms; the cap and the ``drawn`` count are the same too."""
         self._take(n)
         return cdf_counts(self._cdf, self.rng, n, self._edges)
+
+    def draw_sum(self, n: int, phi: np.ndarray) -> float:
+        """``draw_counts(n) @ phi`` from the same uniforms, cap and ``drawn``.
+
+        On a grid of K buckets, from the histogram of the uniforms' buckets
+        and phi at each bucket's owner, without the per-point counts. Both
+        add phi over the same samples, grouped and ordered differently, so
+        they agree bit for bit when every partial sum is exact, as for an
+        integer-valued phi (a +-1 witness row) over fewer than 2^53 samples.
+        """
+        if self._owner is None:
+            return self.draw_counts(n) @ phi
+        self._take(n)
+        u = self.rng.random(n)
+        u *= self._owner.size  # exact: a uniform is j * 2^-53
+        return np.bincount(u.astype(np.intp), minlength=self._owner.size) @ phi[self._owner]
 
 
 def stream_requirements(problem: ProblemSpec, tau: float, delta: float, kl_bound: float | None = None) -> dict:
@@ -147,13 +173,37 @@ def replay_weights(problem: ProblemSpec, tau: float, history) -> np.ndarray:
     trajectory is a deterministic function of the history. The streaming
     solver's incremental mixture must match this bit-for-bit, which is what
     licenses charging the mixture to scratch rather than persistent memory.
+    Each row is built from the target's weights alone, element by element
+    as ``_k1_witnesses`` builds it (d - t >= 0 exactly when d >= t).
     """
     state = _mw_start(problem, tau, K1, None)[0]
-    dist_mat = np.array([d.weights for d in problem.dists])
+    dist_mat = problem.dist_matrix
     for target, sign in history:
-        witness_rows = _k1_witnesses(dist_mat, state.weights)[1]
-        state = state.update(sign * witness_rows(target))
+        state = state.update(np.where(dist_mat[target] >= state.weights, sign, -sign))
     return state.weights
+
+
+def _sum_scan(stream: SampleStream, n: int):
+    """The answer source of ``stream_solve`` (see ``solvers._first_trigger``):
+    one fresh block of ``n`` samples per row, drawn only when the scan
+    reaches that row, answered by the row's mean over the block.
+
+    The sum is exact, and so bit for bit the mean over the listed samples,
+    only for integer-valued rows; a block with any entry other than +-1
+    raises ValueError before anything is drawn.
+    """
+
+    def scan(block, stop):
+        if not np.all(np.abs(block) == 1.0):
+            raise ValueError("streaming estimates need +-1 witness rows")
+        answers = np.empty(len(block))
+        for j, phi in enumerate(block):
+            answers[j] = stream.draw_sum(n, phi) / n
+            if stop(j, answers[j]):
+                return j, answers[: j + 1]
+        return None, answers
+
+    return scan
 
 
 def stream_solve(
@@ -172,24 +222,10 @@ def stream_solve(
     """
     req = stream_requirements(problem, tau, delta, kl_bound)
     n_x = len(problem.domain)
-    estimates = 0
-
-    def scan(block, stop):
-        # one fresh block of n_est samples per witness, drawn only when the
-        # scan reaches that witness; the rows are +-1, so the mean from the
-        # block's counts has the bits of the mean over its samples
-        nonlocal estimates
-        answers = np.empty(len(block))
-        for j, phi in enumerate(block):
-            estimates += 1
-            answers[j] = stream.draw_counts(req["n_est"]) @ phi / req["n_est"]
-            if stop(j, answers[j]):
-                return j, answers[: j + 1]
-        return None, answers
-
+    drawn_before = stream.drawn
     # the history is the applied triggers: one (member, sign) per update
     (outcome, solution, details), state, history = _search(
-        problem, tau, K1, scan, "det", None, None, req["r_kl"]
+        problem, tau, K1, _sum_scan(stream, req["n_est"]), "det", None, None, req["r_kl"]
     )
     persistent_bits = len(history) * (req["index_bits"] + 1) + req["counter_width"]
     # scratch: the replayable mixture vector, one accumulator, the sample
@@ -201,7 +237,7 @@ def stream_solve(
         "persistent_bits": persistent_bits,
         "peak_bits": peak_bits,
         "samples": stream.drawn,
-        "estimates": estimates,
+        "estimates": (stream.drawn - drawn_before) // req["n_est"],  # n_est samples each
         "n_est": req["n_est"],
         "persistent_bound": req["persistent_bound"],
         "samples_bound": req["samples_bound"],

@@ -492,6 +492,26 @@ def test_with_threshold_validity():
         )
 
 
+@pytest.mark.parametrize("build,args", [(biclique, (4, 2)), (line_problem, (5,))])
+def test_problem_spec_views_are_cached_read_only_and_fresh(build, args):
+    """The member matrix and the uniform mixture are built once per spec,
+    cannot be written, and have the bits of a fresh build."""
+    prob = build(*args)
+    mat = prob.dist_matrix
+    assert mat is prob.dist_matrix
+    fresh = np.array([d.weights for d in prob.dists])
+    assert mat.shape == fresh.shape and mat.tobytes() == fresh.tobytes()
+    with pytest.raises(ValueError):
+        mat[0, 0] = 0.0
+    mix = prob.uniform_mixture
+    assert mix is prob.uniform_mixture
+    assert mix.weights.tobytes() == mixture(list(prob.dists)).weights.tobytes()
+    with pytest.raises(ValueError):
+        mix.weights[0] = 0.0
+    with pytest.raises(AttributeError):
+        mix.weights = fresh[0]
+
+
 def test_problem_spec_rejects_shape_mismatch():
     dom = small_domain(2)
     d = FiniteDistribution.uniform(dom)

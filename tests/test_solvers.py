@@ -15,6 +15,7 @@ from sqlab import (
     QueryFn,
     SEARCH,
     VERIFIABLE,
+    SupportError,
     average_regret,
     biclique,
     decision_cover,
@@ -188,6 +189,14 @@ def test_mw_start_keeps_the_mixture_bits():
     kv_state, kv_budget = _mw_start(prob, 0.2, KV, 1.0)
     assert (kv_state.gamma, kv_budget) == (0.2**2 / 9.0, update_budget(1.0, 0.2, KV))
     assert replay_weights(prob, 0.2, []).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_mw_start_refuses_a_mixture_without_full_support(n):
+    """biclique(n, n) has one member, on the all-ones point alone: the
+    cached start mixture is still checked, and names the empty points."""
+    with pytest.raises(SupportError, match="no mass on domain points '0"):
+        _mw_start(biclique(n, n), 0.2, K1, None)
 
 
 @pytest.mark.parametrize("kl_bound,outcome", [(None, "solved"), (1e-4, "budget_exceeded")])

@@ -3,6 +3,8 @@ bit-for-bit history replay, and the memory/sample ledger."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sqlab import (
     FiniteDistribution,
@@ -14,6 +16,7 @@ from sqlab import (
     stream_solve,
 )
 from sqlab.errors import StreamExhaustedError
+from sqlab.streaming import _sum_scan
 
 
 def test_stream_requirements_frozen_biclique():
@@ -87,17 +90,85 @@ def test_sample_stream_counts_on_the_coarsest_dyadic_grid(build, args, buckets):
 @pytest.mark.parametrize("n", [1, 7, 1613, 6451])
 def test_stream_estimate_from_counts_is_bit_equal_to_the_block_mean(n):
     """For +-1 rows every partial sum is an exact integer, so the mean from
-    the counts has the bits of the mean over the block's samples."""
+    the counts, and from the bucket histogram, has the bits of the mean
+    over the block's samples."""
     prob = biclique(8, 2)
     rows = np.where(np.random.default_rng(n).random((5, len(prob.domain))) < 0.5, -1.0, 1.0)
     for dist in prob.dists[:4]:
         by_block = SampleStream(dist, np.random.default_rng([n, 1]))
         by_counts = SampleStream(dist, np.random.default_rng([n, 1]))
+        by_sum = SampleStream(dist, np.random.default_rng([n, 1]))
         for phi in rows:
             mean = np.mean(phi[by_block.draw_block(n)])
             from_counts = by_counts.draw_counts(n) @ phi / n
+            from_sum = by_sum.draw_sum(n, phi) / n
             assert np.float64(from_counts).tobytes() == np.float64(mean).tobytes()
-        assert by_counts.drawn == by_block.drawn == 5 * n
+            assert np.float64(from_sum).tobytes() == np.float64(mean).tobytes()
+        assert by_sum.drawn == by_counts.drawn == by_block.drawn == 5 * n
+
+
+_SUM_FAMILIES = {
+    "biclique-8-2": (biclique(8, 2), 1024),
+    "biclique-4-2": (biclique(4, 2), 32),
+    "biclique-6-2": (biclique(6, 2), None),
+    "line-5": (line_problem(5), None),
+}
+
+
+@pytest.mark.parametrize("family", list(_SUM_FAMILIES))
+@pytest.mark.parametrize("n", [1, 7, 6451])
+@given(member=st.integers(0, 2**16), seed=st.integers(0, 2**32 - 1), row_seed=st.integers(0, 2**32 - 1))
+def test_draw_sum_is_the_counts_dot_the_row(family, n, member, seed, row_seed):
+    """``draw_sum`` on a grid (biclique(8,2), 1024 buckets; biclique(4,2),
+    32) sums the bucket histogram, off one (biclique(6,2), line(5)) the
+    counts; either way it is ``draw_counts(n) @ phi`` bit for bit, from the
+    same uniforms, and leaves the rng and ``drawn`` where counting does."""
+    prob, buckets = _SUM_FAMILIES[family]
+    dist = prob.dists[member % prob.n_dists]
+    rows = np.where(np.random.default_rng(row_seed).random((3, len(prob.domain))) < 0.5, -1.0, 1.0)
+    by_sum = SampleStream(dist, np.random.default_rng(seed))
+    by_counts = SampleStream(dist, np.random.default_rng(seed))
+    assert (None if by_sum._owner is None else by_sum._owner.size) == buckets
+    for phi in rows:
+        got = by_sum.draw_sum(n, phi)
+        want = by_counts.draw_counts(n) @ phi
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert by_sum.drawn == by_counts.drawn == 3 * n
+    assert by_sum.rng.bit_generator.state == by_counts.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("family", ["biclique-4-2", "line-5"])
+def test_draw_sum_refused_by_the_cap_draws_nothing(family):
+    """On and off a grid, a request past the cap raises before drawing:
+    ``drawn`` and the rng stay as they were."""
+    prob, _ = _SUM_FAMILIES[family]
+    phi = np.ones(len(prob.domain))
+    rng = np.random.default_rng(0)
+    stream = SampleStream(prob.dists[1], rng, limit=100)
+    assert stream.draw_sum(60, phi) == 60.0 and stream.drawn == 60
+    state = rng.bit_generator.state
+    with pytest.raises(StreamExhaustedError):
+        stream.draw_sum(41, phi)
+    assert stream.drawn == 60 and rng.bit_generator.state == state
+    assert stream.draw_sum(40, -phi) == -40.0 and stream.drawn == 100
+
+
+@pytest.mark.parametrize("bad", [0.0, 0.5, -2.0, np.nan])
+def test_stream_scan_refuses_a_row_that_is_not_plus_minus_one(bad):
+    """The histogram sum is the block mean only for integer rows, so the
+    stream's scan takes +-1 rows alone, and refuses others before drawing."""
+    prob = biclique(8, 2)
+    rng = np.random.default_rng(0)
+    stream = SampleStream(prob.dists[0], rng)
+    block = np.ones((3, len(prob.domain)))
+    block[1, 7] = bad
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"\+-1 witness rows"):
+        _sum_scan(stream, 10)(block, lambda j, answer: False)
+    assert stream.drawn == 0 and rng.bit_generator.state == state
+    block[1, 7] = -1.0
+    j, answers = _sum_scan(stream, 10)(block, lambda j, answer: False)
+    assert j is None and answers.shape == (3,) and stream.drawn == 30
 
 
 def test_sample_stream_values_and_determinism():
