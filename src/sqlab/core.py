@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainMismatchError, SupportError
+from .errors import DomainMismatchError, StreamExhaustedError, SupportError
 
 __all__ = [
     "SIGNED",
@@ -44,6 +44,7 @@ __all__ = [
     "draw_counts",
     "cdf_counts",
     "dyadic_edges",
+    "SampleStream",
     "witness_count",
     "sqrt_scale",
     "sqrt_gap",
@@ -315,7 +316,7 @@ def draw_counts(weights: np.ndarray, rng: np.random.Generator, size: int) -> np.
     any other from the sorted uniforms (``cdf_counts``); both replace
     ``size`` scattered binary searches over the cdf. A stream that needs
     only a row's sum over the draw takes it from the histogram without the
-    counts (``streaming.SampleStream.draw_sum``); these counts are its
+    counts (``SampleStream.draw_sum``); these counts are its
     reference and its path off a grid.
     """
     cdf = np.cumsum(weights)
@@ -382,6 +383,75 @@ def cdf_counts(
         counts = below[edges]
     counts[1:] -= counts[:-1].copy()
     return counts
+
+
+class SampleStream:
+    """A capped source of i.i.d. samples (domain indices) from a distribution.
+
+    ``draw_block`` lists the samples; ``draw_counts`` and ``draw_sum`` give
+    their per-point counts and the sum of a row over them, from the same
+    uniforms. Each raises StreamExhaustedError, drawing nothing, once the
+    cap would be exceeded — running dry is a different failure mode than
+    answering wrongly, and is reported as such.
+    """
+
+    def __init__(self, dist: FiniteDistribution, rng: np.random.Generator, limit: int | None = None):
+        self.dist = dist
+        self._cdf = np.cumsum(dist.weights)  # every draw_counts call reads it, and its grid
+        self._edges = dyadic_edges(self._cdf)
+        # owner[b]: the point whose cdf range holds grid bucket b
+        self._owner = (
+            None if self._edges is None
+            else np.repeat(np.arange(self._edges.size), np.diff(self._edges, prepend=0))
+        )
+        self.rng = rng
+        self.limit = limit
+        self.drawn = 0
+
+    def _take(self, n: int) -> None:
+        if self.limit is not None and self.drawn + n > self.limit:
+            raise StreamExhaustedError(
+                f"stream capped at {self.limit} samples; {self.drawn} drawn, {n} more requested"
+            )
+        self.drawn += n
+
+    def draw_block(self, n: int) -> np.ndarray:
+        self._take(n)
+        return self.dist.sample_indices(self.rng, n)
+
+    def draw_counts(self, n: int) -> np.ndarray:
+        """Per-point counts of the block ``draw_block(n)`` would draw, from the
+        same uniforms; the cap and the ``drawn`` count are the same too."""
+        self._take(n)
+        return cdf_counts(self._cdf, self.rng, n, self._edges)
+
+    def draw_sum(self, n: int, phi: np.ndarray) -> float:
+        """``draw_counts(n) @ phi`` from the same uniforms, cap and ``drawn``.
+
+        On a grid of K buckets, from the histogram of the uniforms' buckets
+        and phi at each bucket's owner, without the per-point counts. Both
+        add phi over the same samples, grouped and ordered differently, so
+        they agree bit for bit when every partial sum is exact, as for an
+        integer-valued phi (a +-1 witness row) over fewer than 2^53 samples.
+        """
+        if self._owner is None:
+            return self.draw_counts(n) @ phi
+        self._take(n)
+        u = self.rng.random(n)
+        u *= self._owner.size  # exact: a uniform is j * 2^-53
+        return np.bincount(u.astype(np.intp), minlength=self._owner.size) @ phi[self._owner]
+
+    def scan(self, block, n: int, stop=None):
+        """The stream solver's estimates and a sampled oracle's answers: each
+        row of ``block`` in order by ``draw_sum(n, row) / n``, drawn when the
+        scan reaches it, up to the first j with ``stop(j, answer)``. Returns
+        ``(j, answers[: j + 1])``, or ``(None, answers)`` when none stops."""
+        answers = np.empty(len(block))
+        for j, phi in enumerate(block):
+            answers[j] = self.draw_sum(n, phi) / n
+            if stop is not None and stop(j, answers[j]):
+                return j, answers[: j + 1]
+        return None, answers
 
 
 def witness_count(d: float, delta: float) -> int:

@@ -14,11 +14,14 @@ checks the block's shape and range once, and computes every true value in
 one matrix-vector product. Exact, reference and edge answers come for the
 whole block in the same vector pass, and the first row at which the
 vectorized predicate ``stop(rows, answers)`` holds is found with one
-``flatnonzero``; sampled answers draw their samples row by row, only up to
-that row, so the rng and ``samples_used`` end where j + 1 single queries
-would leave them. Only the consumed rows 0..j are asked: their transcript
-entries go in as one columnar append, with validity from ``valid_answers``,
-the array form of ``validate``. ``OracleSession.query`` is a one-row block.
+``flatnonzero``; sampled answers come row by row, only up to that row, from
+the stream solver's loop ``core.SampleStream.scan``: each row's mean over
+fresh samples, ``draw_sum(k, row) / k`` (the mean over the k samples
+``draw_indices`` would list, bit for bit on integer-valued rows), so the
+rng and ``samples_used`` end where j + 1 single queries would leave them.
+Only the consumed rows 0..j are asked: their transcript entries go in as
+one columnar append, with validity from ``valid_answers``, the array form
+of ``validate``. ``OracleSession.query`` is a one-row block.
 
 A :class:`Transcript` stores its entries as growing columns (kind, param,
 value, valid, true value) and builds :class:`TranscriptEntry` objects only
@@ -51,7 +54,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .core import UNIT, FiniteDistribution, QueryFn, sqrt_gap, sqrt_scale
+from .core import UNIT, FiniteDistribution, QueryFn, SampleStream, sqrt_gap, sqrt_scale
 from .errors import SqlabError
 
 __all__ = [
@@ -267,18 +270,14 @@ def _answer_block(
     strategy: AnswerStrategy,
     dist: FiniteDistribution,
     block,
-    rng: np.random.Generator | None,
 ):
     """``(values, true values, answers)`` of a query block.
 
     The block is checked and the true values (and the exact, reference or
     edge answers) are computed for all rows at once, before any row is
-    answered. Sampled answers are None here: they are drawn row by row with
-    ``_sample_mean``, only for the rows a caller consumes, so the rng stream
-    is the one of per-row calls.
+    answered. Sampled answers are None here: the session draws them row by
+    row, only for the rows a caller consumes.
     """
-    if strategy.mode == SAMPLED_MODE and rng is None:
-        raise ValueError("sampled answers need an rng")
     values = _block_values(spec, dist, block)
     # einsum sums each row in an order that does not depend on the other
     # rows (BLAS matrix-vector kernels do), so a query's true value is the
@@ -297,10 +296,6 @@ def _answer_block(
         # last bit on some inputs, and these answers keep the bits they had
         return values, p, np.array([r**2 for r in root.tolist()])
     return values, p, None
-
-
-def _sample_mean(row: np.ndarray, dist: FiniteDistribution, samples: int, rng) -> float:
-    return float(row[dist.sample_indices(rng, samples)].mean())
 
 
 def one_stat(
@@ -425,6 +420,7 @@ class OracleSession:
         self.strategy = strategy
         self.dist = dist
         self.rng = rng
+        self._sampler = SampleStream(dist, rng) if strategy.mode == SAMPLED_MODE else None
         self.transcript = Transcript()
         self.samples_used = 0
 
@@ -441,15 +437,13 @@ class OracleSession:
         consumed rows 0..j (all rows when j is None), which are the only
         rows recorded in the transcript.
         """
-        values, p, answers = _answer_block(self.spec, self.strategy, self.dist, block, self.rng)
+        values, p, answers = _answer_block(self.spec, self.strategy, self.dist, block)
         j = None
         if answers is None:  # sampled: draw row by row, up to the stop
-            answers = np.empty(len(p))
-            for i, row in enumerate(values):
-                answers[i] = self._draw(row)
-                if stop is not None and stop(i, answers[i]):
-                    j = i
-                    break
+            if self.rng is None:
+                raise ValueError("sampled answers need an rng")
+            j, answers = self._sampler.scan(values, self.strategy.samples, stop)
+            self.samples_used += len(answers) * self.strategy.samples
         elif stop is not None:
             hits = np.flatnonzero(stop(np.arange(len(p)), answers))
             j = int(hits[0]) if hits.size else None
@@ -459,10 +453,6 @@ class OracleSession:
 
     def query(self, query) -> float:
         return float(self.scan([query])[1][0])
-
-    def _draw(self, row: np.ndarray) -> float:
-        self.samples_used += self.strategy.samples
-        return _sample_mean(row, self.dist, self.strategy.samples, self.rng)
 
     def _record(self, p: np.ndarray, v: np.ndarray) -> None:
         self.transcript.extend(self.spec.kind, self.spec.param, v, valid_answers(self.spec, p, v), p)

@@ -24,7 +24,8 @@ estimate a run can make: under the shared budget rule a run makes at most T
 updates in at most T + 1 cover steps, and each step estimates at most q
 witnesses.
 
-The simulator takes each estimate as a sum over the block: ``draw_sum``
+The estimates come from ``core.SampleStream.scan``, the row loop of a
+sampled ``OracleSession`` too, each as a sum over the block: ``draw_sum``
 gives the sum of phi over the n_est samples that ``draw_block`` would list,
 from the same uniforms, and the estimate is that sum / n_est. A witness row
 is +-1, so every partial sum is an exact integer (at most n_est in size)
@@ -61,8 +62,7 @@ import math
 
 import numpy as np
 
-from .core import K1, FiniteDistribution, ProblemSpec, cdf_counts, dyadic_edges
-from .errors import StreamExhaustedError
+from .core import K1, ProblemSpec, SampleStream
 from .solvers import MWState, _mw_start, _search, update_budget
 
 __all__ = [
@@ -71,63 +71,6 @@ __all__ = [
     "replay_weights",
     "stream_solve",
 ]
-
-
-class SampleStream:
-    """A capped source of i.i.d. samples (domain indices) from a distribution.
-
-    ``draw_block`` lists the samples; ``draw_counts`` and ``draw_sum`` give
-    their per-point counts and the sum of a row over them, from the same
-    uniforms. Each raises StreamExhaustedError, drawing nothing, once the
-    cap would be exceeded — running dry is a different failure mode than
-    answering wrongly, and is reported as such.
-    """
-
-    def __init__(self, dist: FiniteDistribution, rng: np.random.Generator, limit: int | None = None):
-        self.dist = dist
-        self._cdf = np.cumsum(dist.weights)  # every draw_counts call reads it, and its grid
-        self._edges = dyadic_edges(self._cdf)
-        # owner[b]: the point whose cdf range holds grid bucket b
-        self._owner = (
-            None if self._edges is None
-            else np.repeat(np.arange(self._edges.size), np.diff(self._edges, prepend=0))
-        )
-        self.rng = rng
-        self.limit = limit
-        self.drawn = 0
-
-    def _take(self, n: int) -> None:
-        if self.limit is not None and self.drawn + n > self.limit:
-            raise StreamExhaustedError(
-                f"stream capped at {self.limit} samples; {self.drawn} drawn, {n} more requested"
-            )
-        self.drawn += n
-
-    def draw_block(self, n: int) -> np.ndarray:
-        self._take(n)
-        return self.dist.sample_indices(self.rng, n)
-
-    def draw_counts(self, n: int) -> np.ndarray:
-        """Per-point counts of the block ``draw_block(n)`` would draw, from the
-        same uniforms; the cap and the ``drawn`` count are the same too."""
-        self._take(n)
-        return cdf_counts(self._cdf, self.rng, n, self._edges)
-
-    def draw_sum(self, n: int, phi: np.ndarray) -> float:
-        """``draw_counts(n) @ phi`` from the same uniforms, cap and ``drawn``.
-
-        On a grid of K buckets, from the histogram of the uniforms' buckets
-        and phi at each bucket's owner, without the per-point counts. Both
-        add phi over the same samples, grouped and ordered differently, so
-        they agree bit for bit when every partial sum is exact, as for an
-        integer-valued phi (a +-1 witness row) over fewer than 2^53 samples.
-        """
-        if self._owner is None:
-            return self.draw_counts(n) @ phi
-        self._take(n)
-        u = self.rng.random(n)
-        u *= self._owner.size  # exact: a uniform is j * 2^-53
-        return np.bincount(u.astype(np.intp), minlength=self._owner.size) @ phi[self._owner]
 
 
 def stream_requirements(problem: ProblemSpec, tau: float, delta: float, kl_bound: float | None = None) -> dict:
@@ -185,8 +128,7 @@ def replay_weights(problem: ProblemSpec, tau: float, history) -> np.ndarray:
 
 def _sum_scan(stream: SampleStream, n: int):
     """The answer source of ``stream_solve`` (see ``solvers._first_trigger``):
-    one fresh block of ``n`` samples per row, drawn only when the scan
-    reaches that row, answered by the row's mean over the block.
+    ``stream.scan`` with ``n`` samples per row.
 
     The sum is exact, and so bit for bit the mean over the listed samples,
     only for integer-valued rows; a block with any entry other than +-1
@@ -196,12 +138,7 @@ def _sum_scan(stream: SampleStream, n: int):
     def scan(block, stop):
         if not np.all(np.abs(block) == 1.0):
             raise ValueError("streaming estimates need +-1 witness rows")
-        answers = np.empty(len(block))
-        for j, phi in enumerate(block):
-            answers[j] = stream.draw_sum(n, phi) / n
-            if stop(j, answers[j]):
-                return j, answers[: j + 1]
-        return None, answers
+        return stream.scan(block, n, stop)
 
     return scan
 

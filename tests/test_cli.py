@@ -344,6 +344,11 @@ def _assert_one_usage_error(argv):
 _BICLIQUE = ["--gen", "biclique", "--n", "4", "--k", "2"]
 
 
+def test_sampled_strategy_without_samples_is_a_usage_error():
+    line = _assert_one_usage_error(["solve", *_BICLIQUE, "--tau", "0.2", "--strategy", "sampled"])
+    assert line == "sqlab solve: error: --strategy sampled needs --samples"
+
+
 @pytest.mark.parametrize(
     "argv,file",
     [

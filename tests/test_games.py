@@ -1461,6 +1461,18 @@ def _golden_case(argv, golden, id=None):
              "--trials", "10", "--seed", "5"],
             "solve_biclique_4_2_decision_tau0.2.json",
         ),
+        # sampled answers: +-1 rows on line(7), off any dyadic grid, and the
+        # real-valued LP witnesses of rand mode on biclique(4,2)
+        _golden_case(
+            ["solve", "--gen", "line", "--p", "7", "--tau", "0.2", "--strategy", "sampled",
+             "--samples", "6451", "--trials", "20", "--seed", "1"],
+            "solve_line_7_sampled_tau0.2.json",
+        ),
+        _golden_case(
+            ["solve", *_BICLIQUE_4_2, "--tau", "0.2", "--mode", "rand", "--delta", "0.1",
+             "--strategy", "sampled", "--samples", "2000", "--trials", "5", "--seed", "4"],
+            "solve_biclique_4_2_rand_sampled_tau0.2.json",
+        ),
         _golden_case(
             ["stream", "--gen", "biclique", "--n", "6", "--k", "2", "--tau", "0.2", "--delta", "0.1",
              "--trials", "20", "--seed", "7"],

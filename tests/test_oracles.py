@@ -15,7 +15,9 @@ from sqlab import (
     bridge_pair,
     bridge_value,
     edge_answers,
+    biclique,
     exact_answers,
+    line_problem,
     one_stat_spec,
     reference_answers,
     sampled_answers,
@@ -23,6 +25,7 @@ from sqlab import (
     vroot,
     vstat,
 )
+from sqlab.core import draw_indices, dyadic_edges
 from sqlab.errors import SqlabError
 from sqlab.oracles import tolerance, valid_answers, validate
 
@@ -190,6 +193,41 @@ def test_sampled_answers_are_empirical_means_and_deterministic():
     # validity is recomputed against the true value
     entry = s1.transcript.entries[0]
     assert entry.valid == (abs(v1 - 0.75) <= 0.2 + 1e-9)
+
+
+@pytest.mark.parametrize("family", ["biclique-8-2", "line-5"])
+@pytest.mark.parametrize("rows", ["signed", "unit", "real"])
+def test_sampled_answers_are_the_means_of_a_twin_draw(family, rows):
+    """A sampled answer is the row's mean over the samples ``draw_indices``
+    draws from a twin rng: bit for bit on +-1 and 0/1 rows, where every
+    partial sum is exact, on a dyadic grid (biclique(8,2)) and off one
+    (line(5)); within rounding on real-valued rows. The rng and the sample
+    count end where the twin's do."""
+    prob = biclique(8, 2) if family == "biclique-8-2" else line_problem(5)
+    dist = prob.dists[1]
+    assert (dyadic_edges(np.cumsum(dist.weights)) is None) == (family == "line-5")
+    u = np.random.default_rng(3).random((4, len(prob.domain)))
+    block = {"signed": np.where(u < 0.5, -1.0, 1.0), "unit": (u < 0.5) * 1.0, "real": 2 * u - 1}[rows]
+    spec = vstat(40) if rows == "unit" else stat(0.1)
+    session = OracleSession(spec, sampled_answers(6451), dist, np.random.default_rng(8))
+    twin = np.random.default_rng(8)
+    _, got = session.scan(block)
+    want = np.array([row[draw_indices(dist.weights, twin, 6451)].mean() for row in block])
+    if rows == "real":
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    else:
+        assert got.tobytes() == want.tobytes()
+    assert session.rng.bit_generator.state == twin.bit_generator.state
+    assert session.samples_used == 4 * 6451
+
+
+def test_sampled_session_without_an_rng_refuses_to_scan():
+    d = _dist([0.25, 0.75])
+    session = OracleSession(stat(0.2), sampled_answers(10), d)
+    with pytest.raises(ValueError, match="sampled answers need an rng"):
+        session.scan(np.array([[1.0, -1.0]]))
+    assert session.query_count == 0
+    assert session.samples_used == 0
 
 
 def test_reference_answers_ignore_the_true_distribution():
