@@ -16,17 +16,20 @@ bounds, the primal point is read from a basis solve on the original rows,
 as the duals are; ``max_margin`` keeps its box 0 <= phi + 1 <= 2 this way,
 so its LP has k rows instead of k + |X|.
 
-``achievable_subsets`` settles each candidate signed subset by the cheapest
-test that decides it: a closure prune (a candidate with an unachievable
-drop-one subset is skipped), then a certificate from the pool of witnesses
-found so far, then an LP-free bracket on its margin (the uniform mixture
-bounds it from above, that mixture's sign query from below), and only then
-a ``max_margin`` LP. Each maximal set keeps the query that certified its
-first signed set in walk order (a singleton's sign query, a pooled query or
-its negation, a bracket's sign query or an LP's query). Only the sets and
-their order are fixed; a witness is promised to be valid under
-``verify_cover_family``, not to be any particular query. ``family_of``
-walks each (center, tau, kappa) family once in a ``shared_families()`` block.
+``achievable_subsets`` first checks the top of the lattice: when one
+singleton's sign query separates every member, the family is the one set
+of all members and no subset is settled. Otherwise it settles each
+candidate signed subset by the cheapest test that decides it: a closure
+prune (a candidate with an unachievable drop-one subset is skipped), then a
+certificate from the pool of witnesses found so far, then an LP-free
+bracket on its margin (the uniform mixture bounds it from above, that
+mixture's sign query from below), and only then a ``max_margin`` LP. Each
+maximal set keeps the query that certified its first signed set in walk
+order (a singleton's sign query, a pooled query or its negation, a
+bracket's sign query or an LP's query). Only the sets and their order are
+fixed; a witness is promised to be valid under ``verify_cover_family``, not
+to be any particular query. ``family_of`` walks each (center, tau, kappa)
+family once in a ``shared_families()`` block.
 
 Conventions:
 
@@ -48,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import K1, KV, FiniteDistribution, sqrt_gap, vertex_gaps
+from .core import K1, KV, FiniteDistribution, _check_same_domain, sqrt_gap, vertex_gaps
 from .errors import (
     GuardExceededError,
     InfeasibleError,
@@ -529,6 +532,8 @@ def max_margin(
         signs = [1] * len(dists)
     if len(signs) != len(dists):
         raise ValueError("signs length must match subset size")
+    for d in dists:
+        _check_same_domain(d, d0)
     n = len(d0.domain)
     if not dists:
         return MarginResult(value=math.inf, query=np.zeros(n), mixture=np.zeros(0))
@@ -646,6 +651,20 @@ def _margin_bracket(g: np.ndarray) -> tuple[float, float, np.ndarray]:
     return float((g @ phi).min()), float(np.abs(mean).sum()), phi
 
 
+def _top_witness(table: np.ndarray, pool: list, threshold: float):
+    """The walk's witness for the set of all m >= 2 members: the first of
+    the singletons' sign queries ``pool`` (the rows of ``table``, one per
+    member, each achievable alone) that separates every member at
+    ``threshold``; None when there is none. A singleton's query has a
+    positive margin on its own member, so the walk's negated pool queries
+    never separate them all."""
+    m = table.shape[1]
+    if m < 2 or len(pool) != m:
+        return None
+    hit = np.flatnonzero(table.min(axis=1) >= threshold)
+    return pool[int(hit[0])] if hit.size else None
+
+
 def _drop_one(signed: tuple, p: int) -> tuple:
     """``signed`` without its member at position ``p``, signs flipped when
     needed so that the first member is +1 (the walk's normal form)."""
@@ -667,8 +686,22 @@ def achievable_subsets(
     |E_D[phi] - E_{D0}[phi]| > tau for every D in S simultaneously. The
     enumeration walks signed subsets (each D may sit on either side of the
     margin; the first member is +1, since -phi flips every side) level by
-    level, extending each achievable signed set by one later member. Each
-    candidate is settled by the cheapest test that decides it:
+    level, extending each achievable signed set by one later member. Before
+    the walk, the top of the lattice is checked:
+
+    0. top check (``_top_witness``): when every member is achievable alone
+       and some singleton's sign query separates every member at margin >=
+       tau + STRICT_EPS, the family is the one set of all members with the
+       first such query (in member order) as witness, and no set is
+       settled. This is what the walk returns: every prefix of an
+       achievable signed set is achievable and signs are tried + before -,
+       so the first full signed set it reaches is the all-plus one;
+       settling that takes the first pooled query that separates it; and
+       the singletons' queries are the first rows of the pool, which the
+       walk only appends to.
+
+    Otherwise each candidate is settled by the cheapest test that decides
+    it:
 
     1. closure prune: achievability is closed under signed subsets, so a
        candidate with a drop-one signed subset that is not achievable is
@@ -701,6 +734,8 @@ def achievable_subsets(
     keeps the first vertex (in table order) that covers exactly it: the bits
     of that row.
     """
+    for d in dists:
+        _check_same_domain(d, d0)
     m = len(dists)
     threshold = tau + STRICT_EPS
     if kappa == K1:
@@ -722,6 +757,9 @@ def achievable_subsets(
         n = len(d0.domain)
         diffs = np.array([d.weights - d0.weights for d in dists]).reshape(m, n)
         table = np.array(pool).reshape(len(pool), n) @ diffs.T  # [r, i] = <pool[r], D_i - D0>
+        top = _top_witness(table, pool, threshold)
+        if top is not None:
+            return _maximal_family({frozenset(range(m)): top}, m, tau, K1)
 
         def settle(signed: tuple):
             """A query that separates ``signed`` at the threshold, or None
@@ -811,6 +849,8 @@ def family_of(
     ``restrict`` (the sets of a fresh walk, in its order). Any other request
     is enumerated and kept, unless the walk raises.
     """
+    for d in dists:
+        _check_same_domain(d, d0)
     store = _families.get()
     if store is None:
         return achievable_subsets(dists, d0, tau, kappa=kappa)

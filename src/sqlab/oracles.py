@@ -260,7 +260,8 @@ def _block_values(spec: OracleSpec, dist: FiniteDistribution, block) -> np.ndarr
     if values.shape[1:] != (n,):
         raise SqlabError("query vector length does not match the domain")
     lo = -1.0 if spec.kind == STAT else 0.0
-    if values.size and (values.min() < lo - 1e-12 or values.max() > 1 + 1e-12):
+    # written so that NaN, which min and max propagate, fails it
+    if values.size and not (values.min() >= lo - 1e-12 and values.max() <= 1 + 1e-12):
         raise ValueError(f"{spec.kind} queries must take values in [{lo:g},1]")
     return values
 

@@ -16,7 +16,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqlab import (
+    DomainMismatchError,
     FiniteDistribution,
+    FiniteDomain,
     GuardExceededError,
     InfeasibleError,
     K1,
@@ -792,6 +794,30 @@ def test_achievable_subsets_guard():
         achievable_subsets(dists, d0, tau=0.001)
 
 
+def test_margins_and_families_refuse_members_from_another_domain():
+    """Weights are compared position by position, so a member must live on
+    the center's domain: one of the same size would give a wrong family
+    silently, one of another size a broadcast error. In a store, a member
+    with the weight bytes of a stored one is refused before the lookup."""
+    d0 = _dist([0.5, 0.3, 0.2])
+    member = _dist([0.1, 0.2, 0.7])
+    same_size = FiniteDistribution(FiniteDomain(("a", "b", "c")), member.weights)
+    other_size = _dist([0.25, 0.25, 0.25, 0.25])
+    for stranger in (same_size, other_size):
+        dists = [member, stranger]
+        with pytest.raises(DomainMismatchError):
+            max_margin(dists, d0)
+        for kappa in (K1, KV):
+            with pytest.raises(DomainMismatchError):
+                achievable_subsets(dists, d0, 0.2, kappa=kappa)
+        with pytest.raises(DomainMismatchError):
+            family_of(dists, d0, 0.2)
+    with shared_families():
+        family_of([member], d0, 0.2)
+        with pytest.raises(DomainMismatchError):
+            family_of([same_size], d0, 0.2)
+
+
 def _achievable_subsets_reference(dists, d0, tau):
     """The K1 family from one ``max_margin`` LP per candidate signed subset:
     the walk without closure pruning or pooled certification, kept to pin
@@ -960,6 +986,38 @@ def test_pruned_walk_repeats_the_family_on_random_instances(data):
     d0 = _dist(data.draw(weights))
     tau = data.draw(st.floats(0.01, 0.8))
     _assert_same_family(dists, d0, tau)
+
+
+@pytest.mark.parametrize("n,k", [(3, 2), (4, 3), (5, 4), (6, 5)])
+def test_top_families_keep_their_witness_bytes(n, k):
+    """Each family is the one set of all members. The golden was written by
+    the walk before the top check existed, so the check returns its witness
+    bit for bit."""
+    golden = json.loads((_GOLDEN / "families_top_tau0.2.json").read_text())[f"biclique_{n}_{k}"]
+    problem = biclique(n, k, kind="decision")
+    family = achievable_subsets(list(problem.dists), problem.reference, 0.2)
+    assert [sorted(s) for s in family.sets] == golden["sets"] == [list(range(problem.n_dists))]
+    assert [[float(v).hex() for v in phi] for phi in family.witnesses] == golden["witnesses"]
+
+
+@given(data=st.data())
+def test_top_check_repeats_the_walk_on_random_instances(data):
+    """The family with the top check equals the family of the walk without
+    it: the same sets and the same witness bytes."""
+    from sqlab import games
+
+    n = data.draw(st.integers(2, 8))
+    m = data.draw(st.integers(2, 6))
+    weights = st.lists(st.integers(1, 10), min_size=n, max_size=n).map(lambda c: np.array(c) / sum(c))
+    dists = [_dist(data.draw(weights)) for _ in range(m)]
+    d0 = _dist(data.draw(weights))
+    tau = data.draw(st.floats(0.01, 0.8))
+    family = achievable_subsets(dists, d0, tau)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(games, "_top_witness", lambda table, pool, threshold: None)
+        walked = achievable_subsets(dists, d0, tau)
+    assert family.sets == walked.sets
+    assert [phi.tobytes() for phi in family.witnesses] == [phi.tobytes() for phi in walked.witnesses]
 
 
 def _assert_restrict_repeats_the_walk(dists, d0, tau, keeps):
@@ -1206,17 +1264,18 @@ def test_achievable_family_agrees_with_highs(block):
         verify_cover_family(dists, d0, family)
 
 
-def _count_margins(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """A one-item list that counts the calls to ``games.<name>``."""
     from sqlab import games
 
     calls = [0]
-    solve = games.max_margin
+    solve = getattr(games, name)
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(games, "max_margin", counted)
+    monkeypatch.setattr(games, name, counted)
     return calls
 
 
@@ -1225,19 +1284,38 @@ def test_line_3_decision_cover_makes_few_margin_lps(monkeypatch):
     without the LP-free bracket 412."""
     from sqlab.solvers import decision_cover
 
-    calls = _count_margins(monkeypatch)
+    calls = _count_calls(monkeypatch, "max_margin")
     family, cover = decision_cover(line_problem(3, kind="decision"), 0.2)
     assert calls[0] <= 239
     assert family.sets == (frozenset(range(9)),)
 
 
+def _assert_top_family_makes_only_singleton_calls(monkeypatch, n, k, members):
+    """One singleton's sign query separates every member of biclique(n,k)
+    at tau 0.2, so the top check settles the family from the singletons'
+    margins alone: no settle and no LP."""
+    problem = biclique(n, k, kind="decision")
+    calls = _count_calls(monkeypatch, "max_margin")
+    lps = _count_calls(monkeypatch, "lp_solve")
+    dists = list(problem.dists)
+    family = achievable_subsets(dists, problem.reference, 0.2)
+    assert calls[0] == problem.n_dists == members
+    assert lps[0] == 0
+    assert family.sets == (frozenset(range(members)),)
+    verify_cover_family(dists, problem.reference, family)
+
+
 def test_biclique_5_4_family_makes_few_margin_lps(monkeypatch):
-    """One LP per candidate made 121 max_margin calls here."""
-    problem = biclique(5, 4, kind="decision")
-    calls = _count_margins(monkeypatch)
-    family = achievable_subsets(list(problem.dists), problem.reference, 0.2)
-    assert calls[0] <= 20
-    assert family.sets == (frozenset(range(problem.n_dists)),)
+    """One LP per candidate made 121 max_margin calls here, and the walk
+    without the top check 20, 15 of them LPs."""
+    _assert_top_family_makes_only_singleton_calls(monkeypatch, 5, 4, 5)
+
+
+@pytest.mark.parametrize("n,k,members", [(3, 2, 3), (4, 3, 4), (6, 4, 15)])
+def test_top_families_make_only_the_singleton_margin_calls(n, k, members, monkeypatch):
+    """On biclique(6,4) the walk without the top check ran for more than
+    ten minutes."""
+    _assert_top_family_makes_only_singleton_calls(monkeypatch, n, k, members)
 
 
 def test_biclique_6_2_family_at_tau_0_3_makes_no_settle_lp(monkeypatch):
@@ -1246,17 +1324,9 @@ def test_biclique_6_2_family_at_tau_0_3_makes_no_settle_lp(monkeypatch):
     without the bracket made 1,826 settle LPs, and witness LPs after the
     walk once made 386 more). Every witness is a pooled or bracket sign
     query."""
-    from sqlab import games
-
     problem = biclique(6, 2, kind="decision")
-    calls = _count_margins(monkeypatch)
-    solve, lps = games.lp_solve, [0]
-
-    def counted(*args, **kwargs):
-        lps[0] += 1
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(games, "lp_solve", counted)
+    calls = _count_calls(monkeypatch, "max_margin")
+    lps = _count_calls(monkeypatch, "lp_solve")
     dists = list(problem.dists)
     family = achievable_subsets(dists, problem.reference, 0.3)
     assert len(family.sets) == 386

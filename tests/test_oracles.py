@@ -252,6 +252,19 @@ def test_range_checks():
         OracleSession(stat(0.1), exact_answers(), d).query(too_big)
 
 
+@pytest.mark.parametrize("spec", [stat(0.1), vroot(0.1)], ids=lambda s: s.kind)
+def test_nan_queries_are_refused_not_recorded(spec):
+    """NaN is outside every range; the range check refuses it as it refuses
+    1.5, for a value vector and for a row of a 2-D block."""
+    d = _dist([0.5, 0.5])
+    session = OracleSession(spec, exact_answers(), d)
+    with pytest.raises(ValueError):
+        session.query(np.array([0.5, np.nan]))
+    with pytest.raises(ValueError):
+        session.scan(np.array([[0.5, 0.5], [np.nan, 0.5]]))
+    assert session.query_count == 0
+
+
 # ---------------------------------------------------------------------------
 # block answers
 # ---------------------------------------------------------------------------
