@@ -312,30 +312,29 @@ def draw_counts(weights: np.ndarray, rng: np.random.Generator, size: int) -> np.
     index i + 1 as in ``draw_indices``, and the last index takes the rest
     (the clamp of ``draw_indices``). Equal to ``np.bincount`` of that draw
     with ``minlength=len(weights)``, and leaves ``rng`` in the same state.
-    A cdf on a dyadic grid is counted from a histogram of the uniforms,
-    any other from the sorted uniforms (``cdf_counts``); both replace
-    ``size`` scattered binary searches over the cdf. A stream that needs
-    only a row's sum over the draw takes it from the histogram without the
-    counts (``SampleStream.draw_sum``); these counts are its
-    reference and its path off a grid.
+    The counts come from the sorted uniforms (``cdf_counts``), which
+    replaces ``size`` scattered binary searches over the cdf. A stream
+    that needs only a row's sum over the draw takes it, on a dyadic grid,
+    from a histogram of the uniforms without the counts
+    (``SampleStream.draw_sum``); these counts are its reference and its
+    path off a grid.
     """
-    cdf = np.cumsum(weights)
-    return cdf_counts(cdf, rng, size, dyadic_edges(cdf))
+    return cdf_counts(np.cumsum(weights), rng, size)
 
 
-#: The finest grid ``dyadic_edges`` puts a cdf on: 2^_GRID_BITS buckets. The
-#: histogram's prefix sum costs time per bucket, the sort time per sample;
-#: so does the gather and dot product over the buckets with which
-#: ``SampleStream.draw_sum`` sums a row from the same histogram.
-#: Timed on a 2-vCPU x86 VM with 256 cdf values, at 2^10 buckets the
-#: histogram took 15 against 16 us for the sort at 400 samples and 73
-#: against 104 us at 6,451; at 2^12 it lost at 400 samples (35 against
+#: The finest grid ``dyadic_edges`` puts a cdf on: 2^_GRID_BITS buckets.
+#: ``SampleStream.draw_sum`` sums a row from a histogram of the uniforms'
+#: buckets, whose gather and dot product cost time per bucket, where the
+#: sorted-uniform counts (``cdf_counts``) cost time per sample.
+#: Timed on a 2-vCPU x86 VM with 256 cdf values, at 2^10 buckets a
+#: histogram count took 15 against 16 us for the sort at 400 samples and
+#: 73 against 104 us at 6,451; at 2^12 it lost at 400 samples (35 against
 #: 24 us), at 2^13 it only tied at 6,451, and at 2^16 it took 0.6-0.8 ms.
 _GRID_BITS = 10
 
 
 def dyadic_edges(cdf: np.ndarray) -> np.ndarray | None:
-    """The grid ``cdf_counts`` buckets ``cdf`` on, or None if it is on none.
+    """The grid ``SampleStream`` buckets ``cdf`` on, or None if it is on none.
 
     Every cdf value but the last, clipped to [0, 1], must be a multiple
     e / K of the coarsest K = 2^k, k <= ``_GRID_BITS``, that holds them all
@@ -344,7 +343,10 @@ def dyadic_edges(cdf: np.ndarray) -> np.ndarray | None:
     range whatever ``cdf[-1]`` is, so a total an ulp off 1 stays on the grid.
     Index i owns the buckets edges[i - 1] <= b < edges[i] (from 0 for
     i = 0); ``SampleStream`` finds the grid once per stream and maps each
-    bucket to its owner, so that ``draw_sum`` needs no per-index counts.
+    bucket to its owner, so that ``draw_sum`` needs no per-index counts: a
+    uniform is j * 2^-53, so u * K is exact and u < e / K holds exactly
+    when bucket floor(u * K) lies below e, and a uniform equal to a cdf
+    value lands in the bucket the value starts, which the next index owns.
     """
     scaled = np.clip(cdf[:-1], 0.0, 1.0) * (1 << _GRID_BITS)
     if not cdf.size or not np.array_equal(scaled, np.floor(scaled)):  # empty, off the grid, or NaN
@@ -355,32 +357,15 @@ def dyadic_edges(cdf: np.ndarray) -> np.ndarray | None:
     return edges
 
 
-def cdf_counts(
-    cdf: np.ndarray, rng: np.random.Generator, size: int, edges: np.ndarray | None
-) -> np.ndarray:
-    """``draw_counts`` from the cumulative sums ``cdf = np.cumsum(weights)``
-    and their grid ``edges = dyadic_edges(cdf)``, for a caller that draws
-    from the same weights many times.
-
-    Without a grid the uniforms are sorted and each cdf value is located
-    among them. On a grid of K = 2^k buckets the count is exact and O(size
-    + K): a uniform is j * 2^-53, so u * K is exact and u < e / K holds
-    exactly when bucket floor(u * K) lies below e. One histogram of the
-    buckets and its prefix sum give the uniforms below every edge; a
-    uniform equal to a cdf value lands in the bucket the value starts,
-    which counts for the next index.
+def cdf_counts(cdf: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``draw_counts`` from the cumulative sums ``cdf = np.cumsum(weights)``,
+    for a caller that draws from the same weights many times: the uniforms
+    are sorted and each cdf value is located among them.
     """
     u = rng.random(size)
-    if edges is None:
-        u.sort()
-        counts = np.searchsorted(u, cdf, side="left")  # the uniforms below each cdf value
-        counts[-1] = size
-    else:
-        n_buckets = int(edges[-1])
-        u *= n_buckets
-        below = np.zeros(n_buckets + 1, dtype=np.intp)  # below[e]: the uniforms below e / K
-        np.cumsum(np.bincount(u.astype(np.intp), minlength=n_buckets), out=below[1:])
-        counts = below[edges]
+    u.sort()
+    counts = np.searchsorted(u, cdf, side="left")  # the uniforms below each cdf value
+    counts[-1] = size
     counts[1:] -= counts[:-1].copy()
     return counts
 
@@ -397,7 +382,7 @@ class SampleStream:
 
     def __init__(self, dist: FiniteDistribution, rng: np.random.Generator, limit: int | None = None):
         self.dist = dist
-        self._cdf = np.cumsum(dist.weights)  # every draw_counts call reads it, and its grid
+        self._cdf = np.cumsum(dist.weights)  # every draw_counts call reads it
         self._edges = dyadic_edges(self._cdf)
         # owner[b]: the point whose cdf range holds grid bucket b
         self._owner = (
@@ -423,7 +408,7 @@ class SampleStream:
         """Per-point counts of the block ``draw_block(n)`` would draw, from the
         same uniforms; the cap and the ``drawn`` count are the same too."""
         self._take(n)
-        return cdf_counts(self._cdf, self.rng, n, self._edges)
+        return cdf_counts(self._cdf, self.rng, n)
 
     def draw_sum(self, n: int, phi: np.ndarray) -> float:
         """``draw_counts(n) @ phi`` from the same uniforms, cap and ``drawn``.

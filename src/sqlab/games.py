@@ -7,14 +7,16 @@ the achievable-subset / fractional-cover machinery the dimension layer is
 built on. The simplex kernel (``_run_simplex``) is one dense tableau loop:
 each iteration picks the entering column with one ``argmin``, runs the ratio
 test over the few rows as plain floats and pivots with one rank-1 update.
-Optional per-variable upper bounds are bounds of that loop, not rows: a
-variable at its bound is a complemented nonbasic column, and a bound flip
-moves only the right-hand side. The pivots are those of the same program
-with one ``x_j <= upper_j`` row per bound (the ranks of Bland's rule are
-that tableau's column indices), on a tableau smaller by those rows. With
-bounds, the primal point is read from a basis solve on the original rows,
-as the duals are; ``max_margin`` keeps its box 0 <= phi + 1 <= 2 this way,
-so its LP has k rows instead of k + |X|.
+Every program runs that one loop, with one ratio test that tells a pivot
+from rounding noise relative to each column's scale. Optional per-variable
+upper bounds are bounds of the loop, not rows: a variable at its bound is a
+complemented nonbasic column, and a bound flip moves only the right-hand
+side. The pivots are those of the same program with one ``x_j <= upper_j``
+row per bound (the ranks of Bland's rule are that tableau's column
+indices), on a tableau smaller by those rows. The primal point is read from
+a basis solve on the original rows, as the duals are; ``max_margin`` keeps
+its box 0 <= phi + 1 <= 2 as bounds, so its LP has k rows instead of
+k + |X|.
 
 ``achievable_subsets`` first checks the top of the lattice: when one
 singleton's sign query separates every member, the family is the one set
@@ -82,8 +84,8 @@ __all__ = [
 #: Margin slack standing in for strict inequalities over floats.
 STRICT_EPS = 1e-9
 
-_PIVOT_TOL = 1e-9  # improving reduced cost; pivot entry of a program without bounds
-# A pivot entry of a program with bounds, against its column's written scale s
+_PIVOT_TOL = 1e-9  # improving reduced cost; pivot entry that drives an artificial out
+# A pivot entry of the ratio test, against its column's written scale s
 # (see _run_simplex): it counts above _SURE_PIVOT * s, is rounding noise at
 # or below _ZERO_PIVOT * s, and in between counts above _NOISE_TOL * s times
 # the largest multiplier of its row.
@@ -127,21 +129,20 @@ def _flip(t: np.ndarray, col: int, upper: float) -> None:
     t[:, col] *= -1.0
 
 
-def _run_simplex(t: np.ndarray, basis: np.ndarray, allowed: np.ndarray, box=None) -> None:
+def _run_simplex(t: np.ndarray, basis: np.ndarray, allowed: np.ndarray, box) -> None:
     """Primal simplex iterations (maximization) with Bland's rule, in place.
 
     The last row of ``t`` holds reduced costs z - c, the last column the RHS.
     ``allowed[j]`` masks columns permitted to enter (used to pin artificials
     in phase 2). The entering column is the improving allowed one (reduced
     cost below -1e-9) of least rank; the ratio test takes the smallest
-    ratio over rows with a pivot entry above 1e-9 (without bounds; see
-    below for the cut with them; ratios within 1e-12 of the least tie, and
-    the tie goes to the least rank: textbook Bland), and the pivot is one
-    rank-1 update. A scalar loop that carries a running best row by row can
-    end elsewhere on a chain of near-ties spread wider than 1e-12; both
-    rules are Bland's and cannot cycle.
+    ratio over the rows whose pivot entry counts (see below; ratios within
+    1e-12 of the least tie, and the tie goes to the least rank: textbook
+    Bland), and the pivot is one rank-1 update. A scalar loop that carries
+    a running best row by row can end elsewhere on a chain of near-ties
+    spread wider than 1e-12; both rules are Bland's and cannot cycle.
 
-    ``box = (upper, rank, ident, scale)`` adds upper bounds: the
+    ``box = (upper, rank, ident, scale)`` holds the bounds: the
     bounded-variable simplex (Dantzig, *Econometrica* 23(2), 1955; Chvatal,
     *Linear Programming*, 1983, ch. 8). A column at its upper bound is kept complemented
     (x' = upper - x), so every nonbasic column reads 0. The ratio test also
@@ -152,33 +153,28 @@ def _run_simplex(t: np.ndarray, basis: np.ndarray, allowed: np.ndarray, box=None
     the bound it reads 0 at, ``rank[1, j]`` off or onto the other one; they
     are the column indices that the variable and its box slack have in the
     tableau with one ``x_j <= upper_j`` row per bound, so the pivots are
-    that tableau's. Without ``box`` both ranks are the column index and no
-    bound is finite.
+    that tableau's. A column without a finite bound has both ranks equal to
+    its index in that tableau and is never complemented.
 
-    With ``box`` the ratio test tells rounding noise from a pivot by scale,
-    not by one absolute cut: ``ident`` are the columns of the
-    starting (identity) basis, so ``t[i, ident]`` holds the multipliers
-    that make row i from the written rows, and ``scale[j]`` is column j's
-    largest written entry in magnitude. An entry that is zero in exact
-    arithmetic carries rounding noise of about 1e-16 times the product of
-    the two; pivoting on such noise (entries of 2e-9 occur in columns of
-    scale 1) lands on a numerically singular basis. An entry counts when it
-    exceeds 1e-7 times that product; the multipliers are read only for an
-    entry between 1e-12 and 1e-3 of its column's scale, since a smaller one
-    is noise and a larger one a pivot. The cut is relative, so a program
-    written with coefficients of 1e-8 keeps every row of its ratio test.
+    The ratio test tells rounding noise from a pivot by scale, not by one
+    absolute cut: ``ident`` are the columns of the starting (identity)
+    basis, so ``t[i, ident]`` holds the multipliers that make row i from
+    the written rows, and ``scale[j]`` is column j's largest written entry
+    in magnitude. An entry that is zero in exact arithmetic carries
+    rounding noise of about 1e-16 times the product of the two; pivoting on
+    such noise (entries of 2e-9 occur in columns of scale 1) lands on a
+    numerically singular basis. An entry counts when it exceeds 1e-7 times
+    that product; the multipliers are read only for an entry between 1e-12
+    and 1e-3 of its column's scale, since a smaller one is noise and a
+    larger one a pivot. The cut is relative, so a program written with
+    coefficients of 1e-8 keeps every row of its ratio test.
     """
     # The tableaux are small (a few to tens of rows): the ratio test runs
     # over plain floats, and each step makes as few numpy calls as it can,
     # since call overhead, not arithmetic, is most of an iteration's cost.
-    if box is None:
-        width = t.shape[1] - 1
-        upper, rank = np.full(width, np.inf), np.tile(np.arange(width), (2, 1))
-        ident, sure, zero, noise = None, [_PIVOT_TOL] * width, [_PIVOT_TOL] * width, None
-    else:
-        upper, rank, ident, scale = box
-        sure, zero = (_SURE_PIVOT * scale).tolist(), (_ZERO_PIVOT * scale).tolist()
-        noise = (_NOISE_TOL * scale).tolist()
+    upper, rank, ident, scale = box
+    sure, zero = (_SURE_PIVOT * scale).tolist(), (_ZERO_PIVOT * scale).tolist()
+    noise = (_NOISE_TOL * scale).tolist()
     order = np.where(allowed, rank[0], _LAST)  # entering rank of each column
     bound = upper.tolist()
     # per row: the basic variable's upper bound and its ranks at either bound
@@ -242,18 +238,21 @@ def lp_solve(
     """Maximize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, 0 <= x <= upper.
 
     Two-phase dense simplex with Bland's anti-cycling rule. ``upper`` gives
-    per-variable upper bounds (``np.inf`` for none); they are bounds of the
-    simplex, not rows: a variable at its bound is a nonbasic column kept
-    complemented, and a bound flip changes only the right-hand side (see
-    ``_run_simplex``). The pivots are those of the same program with one
-    ``x_j <= upper_j`` row per bound appended to ``a_ub``, on a tableau
-    smaller by those rows and their slack columns.
+    per-variable upper bounds (``np.inf`` for none, and none at all when
+    ``upper`` is omitted); they are bounds of the simplex, not rows: a
+    variable at its bound is a nonbasic column kept complemented, and a
+    bound flip changes only the right-hand side (see ``_run_simplex``). The
+    pivots are those of the same program with one ``x_j <= upper_j`` row
+    per bound appended to ``a_ub``, on a tableau smaller by those rows and
+    their slack columns. Every program takes the same loop, with the same
+    scale-relative ratio test.
 
-    The duals come from a basis solve on the original rows, y = c_B B^{-1},
-    and the dual of bound j is max(c_j - y.A_j, 0) (``y_upper``). With
-    bounds, the primal point comes from a basis solve too, with each
-    variable at its upper bound set to it; without, it is the tableau's
-    final right-hand side. Infeasible programs raise
+    The primal point and the duals come from basis solves on the original
+    rows: B x_B = b - (columns at their upper bound) * upper, with each
+    nonbasic variable at its upper bound set to it, and y = c_B B^{-1}; the
+    dual of bound j is max(c_j - y.A_j, 0) (``y_upper``). A non-finite
+    entry of ``c``, ``a_ub``, ``b_ub``, ``a_eq`` or ``b_eq``, or a NaN in
+    ``upper``, raises :class:`ValueError`. Infeasible programs raise
     :class:`InfeasibleError`, unbounded ones :class:`UnboundedError`; the
     primal/dual pair is self-checked (feasibility within 1e-8, duality gap
     within 1e-7 relative) and a failure raises :class:`NumericalError`.
@@ -264,12 +263,11 @@ def lp_solve(
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
     a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float).reshape(-1, n)
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
-    if upper is not None:
-        upper = np.asarray(upper, dtype=float).ravel()
-        if upper.size != n or np.isnan(upper).any():
-            raise ValueError("upper needs one bound (a number or inf) per variable")
-        if upper.min(initial=0.0) < 0:
-            raise InfeasibleError("an upper bound lies below the lower bound 0")
+    upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float).ravel()
+    if upper.size != n or np.isnan(upper).any():
+        raise ValueError("upper needs one bound (a number or inf) per variable")
+    if upper.min(initial=0.0) < 0:
+        raise InfeasibleError("an upper bound lies below the lower bound 0")
     m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
     m = m_ub + m_eq
     n_total = n + m_ub
@@ -289,6 +287,8 @@ def lp_solve(
     slacks = np.arange(m_ub)
     tableau[slacks, n + slacks] = scale[:m_ub]
     tableau[art_rows, art_cols] = 1.0
+    if not (np.isfinite(c).all() and np.isfinite(tableau).all()):  # its rows hold A and b
+        raise ValueError("c, a_ub, b_ub, a_eq and b_eq must be finite")
     basis = np.arange(n, n + m)
     basis[art_rows] = art_cols
     eq_mat, rhs = tableau[:m, :width].copy(), tableau[:m, -1].copy()
@@ -298,24 +298,18 @@ def lp_solve(
     # Ranks in the tableau with one row per finite bound: those rows follow
     # the <= rows, so their slacks follow the <= slacks and precede the
     # artificials. A column is complemented when its ranks are swapped.
-    boxed = np.zeros(0, dtype=int) if upper is None else (upper < np.inf).nonzero()[0]
-    box: dict = {}  # passed to _run_simplex only when there is a bound
-    if boxed.size:
-        bound = np.full(width, np.inf)
-        bound[:n] = upper
-        rank = np.arange(width)[None, :].repeat(2, axis=0)
-        rank[:, n_total:] += boxed.size
-        rank[1, boxed] = np.arange(n_total, n_total + boxed.size)
-        col_scale = np.abs(eq_mat).max(axis=0, initial=0.0)
-        box["box"] = (bound, rank, basis.copy(), col_scale)
+    boxed = (upper < np.inf).nonzero()[0]
+    bound = np.full(width, np.inf)
+    bound[:n] = upper
+    rank = np.arange(width)[None, :].repeat(2, axis=0)
+    rank[:, n_total:] += boxed.size
+    rank[1, boxed] = np.arange(n_total, n_total + boxed.size)
+    box = (bound, rank, basis.copy(), np.abs(eq_mat).max(axis=0, initial=0.0))
 
     def install_objective(cost: np.ndarray) -> None:
-        offset = 0.0
-        if box:
-            at_upper = rank[0] > rank[1]
-            if at_upper.any():  # a complemented column has cost -c and adds c * upper
-                offset = float(cost[at_upper] @ bound[at_upper])
-                cost = np.where(at_upper, -cost, cost)
+        at_upper = rank[0] > rank[1]  # a complemented column has cost -c and adds c * upper
+        offset = float(cost[at_upper] @ bound[at_upper])
+        cost = np.where(at_upper, -cost, cost)
         tableau[-1, :width] = -cost
         tableau[-1, -1] = offset
         for i in range(m):
@@ -327,7 +321,7 @@ def lp_solve(
         phase1 = np.zeros(width)
         phase1[art_cols] = -1.0
         install_objective(phase1)
-        _run_simplex(tableau, basis, allowed, **box)
+        _run_simplex(tableau, basis, allowed, box)
         if tableau[-1, -1] < -_FEAS_TOL:
             raise InfeasibleError(
                 f"no feasible point (artificial residual {-tableau[-1, -1]:.3e})"
@@ -352,37 +346,33 @@ def lp_solve(
     phase2 = np.zeros(width)
     phase2[:n] = c
     install_objective(phase2)
-    _run_simplex(tableau, basis, allowed, **box)
+    _run_simplex(tableau, basis, allowed, box)
 
-    # Duals from y = c_B B^{-1} over the surviving equality-form rows
-    # (dropped redundant rows keep dual 0). With bounds, the primal point
-    # comes from a solve with the same basis, B x_B = b - (columns at their
-    # upper bound) * upper. Without, it is the final right-hand side, which
-    # keeps every game and cover value bit-identical (a basis solve moves
-    # the rsd_decision value of biclique(4,1) at tau 0.1 in its last digits).
+    # The primal point from a solve with the final basis, B x_B = b -
+    # (columns at their upper bound) * upper, and the duals from y = c_B
+    # B^{-1}, over the surviving equality-form rows (dropped redundant rows
+    # keep dual 0). The tableau's own right-hand side carries the rounding
+    # of every pivot: over the 16,000 programs of tests/lp_stress.py it
+    # leaves x up to 1.3e-9 outside its box, the solve up to 1.1e-14.
     x_full = np.zeros(width)
     y_scaled = np.zeros(m_ub + m_eq)
-    if box:
-        at_upper = rank[0] > rank[1]
-        at_upper[basis] = False
-        x_full[at_upper] = bound[at_upper]
-    else:
-        x_full[basis] = tableau[:m, -1]
+    at_upper = rank[0] > rank[1]
+    at_upper[basis] = False
+    x_full[at_upper] = bound[at_upper]
     if m:
         b_mat = eq_mat[:, basis]
         try:
-            if box:
-                x_full[basis] = np.linalg.solve(b_mat, rhs - eq_mat @ x_full)
+            x_full[basis] = np.linalg.solve(b_mat, rhs - eq_mat @ x_full)
             y_scaled[row_ids] = np.linalg.solve(b_mat.T, phase2[basis])
         except np.linalg.LinAlgError as exc:  # pragma: no cover - degenerate basis
             raise NumericalError(f"basis solve failed: {exc}") from exc
     x = x_full[:n]
     y = y_scaled * scale  # undo row scaling
     y_ub, y_eq = y[:m_ub], y[m_ub:]
+    # the dual of bound j prices what column j still gains
+    gain = c - y_ub @ a_ub - y_eq @ a_eq if m_eq else c - y_ub @ a_ub
     y_upper = np.zeros(n)
-    if box:  # the dual of bound j prices what column j still gains
-        gain = c - y_ub @ a_ub - y_eq @ a_eq if m_eq else c - y_ub @ a_ub
-        y_upper[boxed] = np.maximum(gain[boxed], 0.0)
+    y_upper[boxed] = np.maximum(gain[boxed], 0.0)
 
     value = float(c @ x)
     _self_check(c, a_ub, b_ub, a_eq, b_eq, upper, x, y_ub, y_eq, y_upper, value)
@@ -395,7 +385,7 @@ def _self_check(c, a_ub, b_ub, a_eq, b_eq, upper, x, y_ub, y_eq, y_upper, value)
     scale_ref = max(1.0, float(np.abs(c).max()) if c.size else 1.0)
     if c.size and x.min() < -_FEAS_TOL:
         raise NumericalError("primal point violates x >= 0")
-    if c.size and upper is not None and (x - upper).max() > _FEAS_TOL:
+    if c.size and (x - upper).max() > _FEAS_TOL:
         raise NumericalError("primal point violates x <= upper")
     if b_ub.size and (a_ub @ x - b_ub).max() > _FEAS_TOL * 10:
         raise NumericalError("primal point violates an inequality row")
@@ -406,10 +396,8 @@ def _self_check(c, a_ub, b_ub, a_eq, b_eq, upper, x, y_ub, y_eq, y_upper, value)
     reduced = c - y_ub @ a_ub - y_eq @ a_eq - y_upper
     if c.size and reduced.max() > _FEAS_TOL * 10 * scale_ref:
         raise NumericalError("dual point violates feasibility")
-    dual_value = float(y_ub @ b_ub) + float(y_eq @ b_eq)
-    if upper is not None:
-        boxed = y_upper > 0
-        dual_value += float(y_upper[boxed] @ upper[boxed])
+    boxed = y_upper > 0
+    dual_value = float(y_ub @ b_ub) + float(y_eq @ b_eq) + float(y_upper[boxed] @ upper[boxed])
     if abs(dual_value - value) > _GAP_TOL * max(1.0, abs(value)):
         raise NumericalError(f"duality gap {abs(dual_value - value):.3e} exceeds tolerance")
 
@@ -455,15 +443,19 @@ def zero_sum(matrix: np.ndarray) -> GameResult:
     them). Every pivot updates equal columns with the same arithmetic, so a
     copy keeps the reduced cost of the earlier column it copies, and
     Bland's rule, which enters the first improving column, never picks it.
-    Dropping copies renumbers the other columns in order, so the ratio
-    test's lowest-index tie-break picks the same rows too. The pivots, and
-    with them the primal point, the duals and the value, are those of the
-    full-width LP; the value is summed over the scattered point as the
-    full-width LP sums it, so it matches to the last bit.
+    Dropping copies renumbers the other columns in order and leaves their
+    scales as they are, so the ratio test, whose ties go to the least rank,
+    picks the same rows too. The pivots, and with them the primal point,
+    the duals and the value, are those of the full-width LP; the value is
+    summed over the scattered point as the full-width LP sums it, so it
+    matches to the last bit. A payoff that is not finite raises
+    :class:`ValueError`.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.size == 0:
         raise ValueError("payoff matrix must be 2-d and non-empty")
+    if not np.isfinite(m).all():
+        raise ValueError("payoff matrix must be finite")
     shift = 1.0 - float(m.min())
     n_rows, n_cols = m.shape
     order = np.argsort(_row_keys(m), kind="stable")

@@ -34,9 +34,10 @@ whatever order the sum is taken; ``stream_solve`` checks each scanned block
 for +-1 rows. A distribution whose cdf lies on a dyadic grid of K <= 2^10
 buckets (every biclique(8,2) member; ``core.dyadic_edges`` finds the grid
 once per stream) is summed from a histogram of the uniforms' buckets,
-weighted by phi at the point that owns each bucket, in O(n_est + K); any
-other (biclique(6,2), the line family) from the per-point counts of the
-sorted uniforms (``draw_counts``, ``core.cdf_counts``). That is only the
+weighted by phi at the point that owns each bucket, in O(n_est + K),
+with no per-point counts; any other (biclique(6,2), the line family) from
+the per-point counts of the sorted uniforms (``SampleStream.draw_counts``,
+``core.cdf_counts``, the sampler's one way to count). That is only the
 simulator's shortcut. The ledger prices an algorithm that reads the stream
 one sample at a time, adding phi(x) into one accumulator and counting the
 samples in one reused counter.

@@ -12,8 +12,12 @@ Run it from the repository root (about half a minute)::
 
     PYTHONPATH=src python tests/lp_stress.py
 
-It prints the count of failures and exits 1 when there is one.
-``--save-first-failure FILE`` writes the first failing program as JSON in
+It prints the count of failures, the worst primal residuals over all
+programs (how far a row's ``a_ub x`` exceeds its ``b_ub``, and how far x
+leaves its box 0 <= x <= upper) and one SHA-256 digest of every result's
+value, query and mixture bytes, which two kernels share exactly when they
+give the same bits. It exits 1 when a program fails or a residual exceeds
+1e-9. ``--save-first-failure FILE`` writes the first failing program as JSON in
 the format of ``tests/fixtures/max_margin_stress_first_failure.json``
 (that fixture is the first program on which the dense-tableau kernel,
 which kept the box 0 <= phi + 1 <= 2 as rows, failed).
@@ -22,6 +26,7 @@ which kept the box 0 <= phi + 1 <= 2 as rows, failed).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -31,6 +36,7 @@ import numpy as np
 N_CENTERS = 800
 PER_CENTER = 20
 SEED = 4
+RESIDUAL_LIMIT = 1e-9
 
 
 def programs():
@@ -54,7 +60,7 @@ def programs():
 
 
 def main(argv=None) -> int:
-    from sqlab import FiniteDistribution, biclique, max_margin
+    from sqlab import FiniteDistribution, biclique, games, max_margin
     from sqlab.errors import NumericalError
 
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -64,16 +70,38 @@ def main(argv=None) -> int:
     dists = list(biclique(6, 2).dists)
     domain = dists[0].domain
     failures = []
+    worst = {"row": 0.0, "bound": 0.0}
+    solve = games.lp_solve
+
+    def measured_solve(c, a_ub, b_ub, upper):
+        """``lp_solve`` for a max-margin program, keeping its worst residuals."""
+        res = solve(c, a_ub=a_ub, b_ub=b_ub, upper=upper)
+        worst["row"] = max(worst["row"], float((a_ub @ res.x - b_ub).max()))
+        worst["bound"] = max(worst["bound"], float(-res.x.min()), float((res.x - upper).max()))
+        return res
+
+    digest = hashlib.sha256()
     start = time.perf_counter()
     total = 0
-    for index, members, signs, center in programs():
-        total += 1
-        try:
-            max_margin([dists[i] for i in members], FiniteDistribution(domain, center), signs)
-        except NumericalError as exc:
-            failures.append((index, members, signs, center, str(exc)))
+    games.lp_solve = measured_solve
+    try:
+        for index, members, signs, center in programs():
+            total += 1
+            try:
+                center_dist = FiniteDistribution(domain, center)
+                res = max_margin([dists[i] for i in members], center_dist, signs)
+            except NumericalError as exc:
+                failures.append((index, members, signs, center, str(exc)))
+                continue
+            for part in (np.float64(res.value), res.query, res.mixture):
+                digest.update(part.tobytes())
+    finally:
+        games.lp_solve = solve
     elapsed = time.perf_counter() - start
     print(f"{len(failures)} NumericalError of {total} max_margin LPs ({elapsed:.1f} s)")
+    print(f"worst primal residual: rows {worst['row']:.2e}, bounds {worst['bound']:.2e}"
+          f" (limit {RESIDUAL_LIMIT:.0e})")
+    print(f"sha256 of the values, queries and mixtures: {digest.hexdigest()}")
     for index, members, signs, _, message in failures:
         print(f"  program {index}: members {members}, signs {signs}: {message}")
     if failures and args.save_first_failure:
@@ -89,7 +117,7 @@ def main(argv=None) -> int:
         with open(args.save_first_failure, "w") as fh:
             fh.write("{\n" + ",\n".join(f" {json.dumps(k)}: {json.dumps(v)}" for k, v in record.items()))
             fh.write("\n}\n")
-    return 1 if failures else 0
+    return 1 if failures or max(worst.values()) > RESIDUAL_LIMIT else 0
 
 
 if __name__ == "__main__":

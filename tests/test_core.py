@@ -175,10 +175,11 @@ def dyadic_weights(draw):
 @example(kw=(2, np.array([0.0, 0.25, 0.0, 0.75, 0.0])), total=1.0, size=300, seed=3)
 @example(kw=(10, np.array([3, 4, 1017]) / 1024), total=1.0 - 2.0**-52, size=400, seed=4)
 def test_draw_counts_on_a_dyadic_grid_is_the_bincount_of_draw_indices(kw, total, size, seed):
-    """Dyadic weights put the cdf on a grid, which draw_counts counts from a
-    histogram of the uniforms: the counts and the rng state are those of the
-    unsorted draw. A total of 1 - 2^-52 is taken from the last positive
-    weight, so the cdf leaves the grid unless that weight is the last one."""
+    """Dyadic weights put the cdf on a grid, where uniforms often fall on a
+    cdf value or a bucket edge: the sorted-uniform counts and the rng state
+    are those of the unsorted draw. A total of 1 - 2^-52 is taken from the
+    last positive weight, so the cdf leaves the grid unless that weight is
+    the last one."""
     k, w = kw
     if total != 1.0:
         w[np.flatnonzero(w)[-1]] -= 2.0**-52

@@ -273,6 +273,31 @@ def test_lp_rejects_bad_upper_bounds():
         lp_solve([1.0, 1.0], upper=[1.0, -0.5])
 
 
+# max x + y subject to x + y <= 1 and x = y: value 1 at (1/2, 1/2)
+_FINITE_LP = {
+    "c": [1.0, 1.0], "a_ub": [[1.0, 1.0]], "b_ub": [1.0], "a_eq": [[1.0, -1.0]], "b_eq": [0.0],
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("arg", [*_FINITE_LP, "payoff"])
+def test_lp_and_games_reject_non_finite_input(arg, bad):
+    """A NaN or an infinity in any argument of ``lp_solve``, or in a payoff
+    matrix, raises ValueError before the simplex runs, instead of a NaN or
+    infinite value or an error that names another fault."""
+    program = {k: np.array(v, dtype=float) for k, v in _FINITE_LP.items()}
+    assert lp_solve(**program).value == pytest.approx(1.0)
+    payoff = np.array([[1.0, 0.0], [0.0, 1.0]])
+    assert zero_sum(payoff).value == pytest.approx(0.5)
+    with pytest.raises(ValueError):
+        if arg == "payoff":
+            payoff[0, 0] = bad
+            zero_sum(payoff)
+        else:
+            program[arg].flat[0] = bad
+            lp_solve(**program)
+
+
 def _pivot_reference(t, row, col):
     """Row-by-row pivot, the reference for the vectorized ``_pivot``."""
     t[row] /= t[row, col]
@@ -281,8 +306,12 @@ def _pivot_reference(t, row, col):
             t[i] -= t[i, col] * t[row]
 
 
-def _run_simplex_reference(t, basis, allowed):
-    """Scalar Bland's-rule loop, the reference for the vectorized ``_run_simplex``."""
+def _run_simplex_reference(t, basis, allowed, box):
+    """Scalar Bland's-rule loop, the reference for the vectorized
+    ``_run_simplex`` on programs without bounds. It keeps the textbook
+    absolute cut, a pivot entry above 1e-9, where the kernel judges an entry
+    against its column's scale; ``box`` must hold no finite bound."""
+    assert not np.isfinite(box[0]).any()
     m = t.shape[0] - 1
     while True:
         entering = next((j for j in range(t.shape[1] - 1) if allowed[j] and t[-1, j] < -1e-9), -1)
@@ -303,6 +332,16 @@ def _run_simplex_reference(t, basis, allowed):
         basis[leaving] = entering
 
 
+def _box_without_bounds(t, basis):
+    """The ``box`` that ``lp_solve`` passes ``_run_simplex`` for a program
+    without finite bounds: no bound, both ranks of each column its index,
+    the starting basis as the identity columns and each column's largest
+    written entry as its scale."""
+    width = t.shape[1] - 1
+    return (np.full(width, np.inf), np.tile(np.arange(width), (2, 1)), basis.copy(),
+            np.abs(t[:-1, :-1]).max(axis=0))
+
+
 def test_ratio_test_ties_go_to_the_smallest_basis_index():
     """Textbook Bland on near-ties: among the ratios within 1e-12 of the
     minimum, the row whose basic variable has the smallest index leaves."""
@@ -319,17 +358,20 @@ def test_ratio_test_ties_go_to_the_smallest_basis_index():
         return t, np.array([1, 5, 9])
 
     t, basis = tableau()
-    _run_simplex(t, basis, np.ones(10, dtype=bool))
+    _run_simplex(t, basis, np.ones(10, dtype=bool), _box_without_bounds(t, basis))
     assert basis.tolist() == [1, 0, 9]
     # A running best carried row by row ends on basis 9 instead: the chain
     # of near-ties spans more than 1e-12.
     t, basis = tableau()
-    _run_simplex_reference(t, basis, np.ones(10, dtype=bool))
+    _run_simplex_reference(t, basis, np.ones(10, dtype=bool), _box_without_bounds(t, basis))
     assert basis.tolist() == [1, 5, 0]
 
 
 def test_vectorized_kernel_repeats_the_reference_pivots(monkeypatch):
-    """Same pivots and same arithmetic: every result is bit-for-bit equal."""
+    """Same pivots and same arithmetic: every result is bit-for-bit equal.
+    These programs have no bounds, so ``lp_solve`` passes the kernel a box
+    without a finite bound, and its scale-relative cut keeps every row that
+    the reference's absolute 1e-9 cut keeps."""
     from sqlab import games
 
     rng = np.random.default_rng(1234)
@@ -1388,9 +1430,34 @@ def test_uncoverable_reports_indices():
         greedy_cover(family)
 
 
+def _assert_cover_lps_match_highs(family):
+    """``fractional_cover`` and the hardest-measure LP (min over measures mu
+    of max_S mu(S)) within 1e-9 of HiGHS."""
+    from sqlab.dimension import _hardest_measure_lp
+
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    m, k = family.ground_size, len(family.sets)
+    a = np.zeros((m, k))
+    for j, s in enumerate(family.sets):
+        a[sorted(s), j] = 1.0
+    cover = linprog(np.ones(k), A_ub=-a, b_ub=-np.ones(m), method="highs")
+    hardest = linprog(
+        np.r_[np.zeros(m), 1.0],
+        A_ub=np.hstack([a.T, -np.ones((k, 1))]),
+        b_ub=np.zeros(k),
+        A_eq=np.r_[np.ones(m), 0.0][None, :],
+        b_eq=[1.0],
+        method="highs",
+    )
+    assert cover.status == 0 and hardest.status == 0
+    assert fractional_cover(family).value == pytest.approx(cover.fun, abs=1e-9)
+    assert _hardest_measure_lp(family)[0] == pytest.approx(hardest.fun, abs=1e-9)
+
+
 @given(data=st.data())
 def test_cover_chain_on_random_families(data):
-    """fractional <= exact <= greedy, and all covers actually cover."""
+    """fractional <= exact <= greedy, all covers actually cover, and both
+    cover LPs agree with HiGHS."""
     ground = data.draw(st.integers(2, 6))
     n_sets = data.draw(st.integers(1, 6))
     sets = []
@@ -1419,6 +1486,27 @@ def test_cover_chain_on_random_families(data):
         for j in chosen:
             covered |= family.sets[j]
         assert covered == set(range(ground))
+    _assert_cover_lps_match_highs(family)
+
+
+_DIMS_GOLDEN_INSTANCES = [
+    (biclique, (3, 1), 0.2), (biclique, (4, 3), 0.2), (line_problem, (2,), 0.1),
+    (line_problem, (3,), 0.2), (biclique, (4, 1), 0.1), (biclique, (4, 2), 0.2),
+    (biclique, (6, 2), 0.3), (biclique, (4, 1), 0.15),
+]
+
+
+@pytest.mark.parametrize(
+    "generator,params,tau",
+    _DIMS_GOLDEN_INSTANCES,
+    ids=[f"{g.__name__}{p}-tau{tau}".replace(" ", "") for g, p, tau in _DIMS_GOLDEN_INSTANCES],
+)
+def test_cover_lps_match_highs_on_the_dims_golden_families(generator, params, tau):
+    """The K1 reference family of every instance with a ``dims`` golden
+    report (the KV reports' instances included): both cover LPs within
+    1e-9 of HiGHS."""
+    problem = generator(*params, kind="decision")
+    _assert_cover_lps_match_highs(achievable_subsets(list(problem.dists), problem.reference, tau))
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,9 @@ def test_sample_stream_count_path_cap():
 )
 def test_sample_stream_counts_on_the_coarsest_dyadic_grid(build, args, buckets):
     """biclique(8,2) and biclique(4,2) members are multiples of 2^-10 and
-    2^-5, so their streams count by histogram; biclique(6,2) and line
-    members lie on no grid of at most 2^10 buckets and sort their uniforms."""
+    2^-5, so their streams sum rows from a bucket histogram; biclique(6,2)
+    and line members lie on no grid of at most 2^10 buckets and sort their
+    uniforms."""
     for dist in build(*args).dists:
         edges = SampleStream(dist, np.random.default_rng(0))._edges
         assert (None if edges is None else edges[-1]) == buckets
