@@ -29,12 +29,14 @@ On top of that:
   under KV, where the inner values are upper bounds and the composite
   would bound the supremum in no direction.
 - ``crsd``: the zero-sum-game dimension 1 / min_mu max_sigma E_mu |<sigma, D - D0>|
-  over sign queries sigma (exact for K1 within the domain guard). K1 never
-  writes the 2^(|X|-1)-row game out: a pure-strategy bracket at the uniform
-  measure settles it without an LP when the best response pays every
-  member alike, and cutting planes over generated queries otherwise; each
-  best response is ``norms._k1_scan``, the kbar1 scan: the smaller of the
-  member sign patterns and the domain sign rows, read in blocks. The
+  over sign queries sigma (exact for K1 within the domain guard). K1 and KV
+  run one game loop, ``_game``, with their best response as an argument: a
+  pure-strategy bracket at the uniform measure settles the game without an
+  LP when the best response pays every member alike, and cutting planes
+  over generated queries, each master one ``games._min_max`` LP, otherwise.
+  The K1 best response is ``norms._k1_scan``, the kbar1 scan: the smaller
+  of the member sign patterns and the domain sign rows, read in blocks; the
+  KV one reads the binary vertices off one ``core.vertex_gaps`` table. The
   |X| <= 16 guard stays, so the reports that skip ``crsd`` keep skipping it.
 - ``combined_relation_audit``: checks the provable bracket between crsd and
   rsd_decision at derived radii.
@@ -71,12 +73,11 @@ from .errors import (
 )
 from .games import (
     CoverFamily,
+    _min_max,
     exact_min_cover,
     family_of,
     fractional_cover,
     greedy_cover,
-    lp_solve,
-    zero_sum,
 )
 from .norms import EXACT, LOWER_BOUND, UPPER_BOUND, _k1_scan, kappa1_frac, kbar2
 
@@ -151,20 +152,10 @@ def det_cover(
 
 def _hardest_measure_lp(family: CoverFamily) -> tuple[float, np.ndarray]:
     """Independently computed min over probability measures of max_S mu(S)."""
-    m, k = family.ground_size, len(family.sets)
-    # variables: mu_1..mu_m, z ; maximize -z
-    a_ub = np.zeros((k, m + 1))
+    member = np.zeros((len(family.sets), family.ground_size))
     for j, s in enumerate(family.sets):
-        for i in s:
-            a_ub[j, i] = 1.0
-        a_ub[j, m] = -1.0
-    a_eq = np.zeros((1, m + 1))
-    a_eq[0, :m] = 1.0
-    c = np.zeros(m + 1)
-    c[m] = -1.0
-    res = lp_solve(c, a_ub=a_ub, b_ub=np.zeros(k), a_eq=a_eq, b_eq=np.ones(1))
-    z = -res.value
-    return z, np.clip(res.x[:m], 0.0, None)
+        member[j, list(s)] = 1.0
+    return _min_max(member)[:2]
 
 
 def rsd_decision(
@@ -485,62 +476,48 @@ def rsd_optimizing(
     )
 
 
-_BRACKET_TOL = 1e-12  # relative gap at which the K1 crsd bracket counts as closed
+_BRACKET_TOL = 1e-12  # relative gap at which the crsd bracket counts as closed
 
 
-def _k1_game(g: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """min_mu max_sigma sum_i mu_i |<sigma, g_i>| over sign queries sigma.
+def _game(respond, pay, m: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """min_mu max_q sum_i mu_i pay(q)_i over the m-member measures mu and
+    the queries q.
 
-    Returns (value, hardest measure, queries, query mixture). The best
-    responses at a measure are the sign queries ``norms._k1_scan`` finds
-    within ``_BRACKET_TOL`` of kbar1's value there, scored here by the
-    query payoffs |<sigma, g_i>|. First the pure-strategy bracket at the
-    uniform measure: its best-response value bounds the game value from
-    above, and the tied best response with the largest worst member payoff
-    bounds it from below. When the two do not agree within
-    ``_BRACKET_TOL``, Kelley cutting planes (Kelley, J. SIAM 8(4), 1960)
-    tighten it: the master LP min t s.t. t >= sum_i mu_i
-    |<sigma_r, g_i>| over the queries so far gives the lower bound and its
-    duals the query mixture; each round separates at the midpoint of the
-    master's measure and the best measure so far, and at the master's
-    measure when that cut does not cut the master point off (in-out
-    separation; Ben-Ameur and Neto, Networks 49(1), 2007). Every measure
-    separated at offers its best-response value as an upper bound. Each
-    round adds a new query, so the loop ends by the time every sign query is
-    in; a cut that is already among the queries means the master broke its
-    own rows, and raises :class:`NumericalError`.
+    Returns (value, hardest measure, queries, query mixture). ``respond(mu)``
+    gives the best responses at mu, as query rows, within ``_BRACKET_TOL``
+    (relative) of the best; ``pay(rows)`` gives their (rows, m) payoffs.
+    First the pure-strategy bracket at the uniform measure: its
+    best-response value bounds the game value from above, and the tied best
+    response with the largest worst member payoff bounds it from below.
+    When the two do not agree within ``_BRACKET_TOL``, Kelley cutting planes
+    (Kelley, J. SIAM 8(4), 1960) tighten it: the master LP
+    ``games._min_max`` over the payoffs of the queries so far gives the
+    lower bound and its duals the query mixture; each round separates at
+    the midpoint of the master's measure and the best measure so far, and
+    at the master's measure when that cut does not cut the master point off
+    (in-out separation; Ben-Ameur and Neto, Networks 49(1), 2007). Every
+    measure separated at offers its best-response value as an upper bound.
+    Each round adds a new query, so the loop ends by the time every query
+    is in; a cut that is already among the queries means the master broke
+    its own rows, and raises :class:`NumericalError`.
     """
-    m = g.shape[0]
     best_mu = np.full(m, 1.0 / m)
-    rows = _k1_scan(g, best_mu, _BRACKET_TOL)[1]
-    pay = np.abs(rows @ g.T)
-    j = int(np.argmax(pay.min(axis=1)))
-    upper, lower = float((pay @ best_mu).max()), float(pay[j].min())
+    rows = respond(best_mu)
+    table = pay(rows)
+    j = int(np.argmax(table.min(axis=1)))
+    upper, lower = float((table @ best_mu).max()), float(table[j].min())
     queries, query_mix = rows[j : j + 1], np.ones(1)
     while upper - lower > _BRACKET_TOL * upper:
-        k = len(queries)
-        # variables mu_1..mu_m, t; maximize -t
-        res = lp_solve(
-            np.r_[np.zeros(m), -1.0],
-            a_ub=np.hstack([np.abs(queries @ g.T), -np.ones((k, 1))]),
-            b_ub=np.zeros(k),
-            a_eq=np.r_[np.ones(m), 0.0][None, :],
-            b_eq=np.ones(1),
-        )
-        lower = -res.value
-        query_mix = np.clip(res.y_ub, 0.0, None)
-        query_mix /= query_mix.sum()
-        point = np.clip(res.x[:m], 0.0, None)
-        point /= point.sum()
+        lower, point, query_mix = _min_max(pay(queries))
         cut = None
         for probe in ((point + best_mu) / 2.0, point):
-            rows = _k1_scan(g, probe, _BRACKET_TOL)[1]
-            pay = np.abs(rows @ g.T)
-            values = pay @ probe
+            rows = respond(probe)
+            table = pay(rows)
+            values = table @ probe
             r = int(np.argmax(values))
             if values[r] < upper:
                 upper, best_mu = float(values[r]), probe
-            if pay[r] @ point - lower > _BRACKET_TOL * upper:
+            if table[r] @ point - lower > _BRACKET_TOL * upper:
                 cut = rows[r]
                 break
         if cut is None:
@@ -561,7 +538,7 @@ def crsd(
     """The zero-sum-game dimension 1 / inf_mu max_sigma E_{D~mu} |<sigma, D - D0>|.
 
     K1 (exact): sigma ranges over sign vectors, and the game is solved by
-    ``_k1_game``: a pure-strategy bracket at the uniform measure, then
+    ``_game``: a pure-strategy bracket at the uniform measure, then
     cutting planes over generated sign queries, each best response found
     by kbar1's scan over the smaller of the 2^(m-1) member sign patterns and
     the 2^(|X|-1) domain sign rows, one block at a time. The certificate
@@ -573,10 +550,14 @@ def crsd(
     ``skipped``, which the benchmark's checks expect. The center must not
     belong to the family (the game value would be 0).
 
-    KV (lower bound): the vertex-payoff game (``vertex_gaps``, by ``zero_sum``)
-    picks the hardest measure mu*, and the reported value is
-    1 / kbar2(mu*) — kbar2 upper-bounds the sqrt-scale norm, so inverting it
-    keeps the bound on the honest side.
+    KV (lower bound): the vertex-payoff game, min_mu max over binary
+    vertices phi of sum_i mu_i sqrt_gap(D_i[phi], D0[phi]), runs the same
+    ``_game`` loop, each best response the vertices whose row of one
+    ``vertex_gaps`` table scores within ``_BRACKET_TOL`` of the best. It
+    picks the hardest measure mu* (the uniform one when the bracket closes
+    there, as on the transitive biclique families), and the reported value
+    is 1 / kbar2(mu*) — kbar2 upper-bounds the sqrt-scale norm, so
+    inverting it keeps the bound on the honest side at every mu.
     """
     if not dists:
         raise ValueError("crsd of an empty family")
@@ -586,9 +567,12 @@ def crsd(
     n = len(d0.domain)
     if n > 16:
         raise GuardExceededError(f"crsd: 2^{n} sign rows exceed the guard")
-    diff = np.array([d.weights - d0.weights for d in dists])  # (m, n)
+    m = len(dists)
     if kappa == K1:
-        value, mu, queries, query_mix = _k1_game(diff)
+        diff = np.array([d.weights - d0.weights for d in dists])  # (m, n)
+        value, mu, queries, query_mix = _game(
+            lambda at: _k1_scan(diff, at, _BRACKET_TOL)[1], lambda rows: np.abs(rows @ diff.T), m
+        )
         if value <= 1e-12:
             raise NumericalError("crsd game value vanished despite distinct center")
         return DimensionReport(
@@ -603,9 +587,14 @@ def crsd(
             },
         )
     if kappa == KV:
-        game = zero_sum(vertex_gaps(np.array([d.weights for d in dists]), d0.weights))
-        mu = Measure(len(dists), game.col_strategy / game.col_strategy.sum())
-        upper = kbar2(mu, list(dists), d0)
+        table = vertex_gaps(np.array([d.weights for d in dists]), d0.weights)
+
+        def respond(mu):  # the tied best vertices, as one-column rows of table indices
+            scores = table @ mu
+            return np.flatnonzero(scores >= scores.max() * (1.0 - _BRACKET_TOL))[:, None]
+
+        value, mu, _, _ = _game(respond, lambda rows: table[rows[:, 0]], m)
+        upper = kbar2(Measure(m, mu), list(dists), d0)
         if upper.value <= 1e-12:
             raise NumericalError("kbar2 upper bound vanished despite distinct center")
         return DimensionReport(
@@ -613,8 +602,8 @@ def crsd(
             kind="crsd",
             exactness=LOWER_BOUND,
             certificate={
-                "hardest_measure": mu.weights,
-                "vertex_game_value": game.value,
+                "hardest_measure": mu,
+                "vertex_game_value": value,
                 "kbar2_at_measure": upper.value,
             },
         )

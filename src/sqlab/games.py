@@ -1,8 +1,9 @@
 """Dense linear programming and finite zero-sum games.
 
 Everything here is exact small-scale machinery: a two-phase primal simplex
-with Bland's rule (no cycling, no external solver), zero-sum game values via
-the classic shift-positive reduction, maximum-margin separation queries, and
+with Bland's rule (no cycling, no external solver), one min-max LP
+(``_min_max``: min over mixtures mu of max_r (payoff @ mu)_r) for every
+game, zero-sum game values from it, maximum-margin separation queries, and
 the achievable-subset / fractional-cover machinery the dimension layer is
 built on. The simplex kernel (``_run_simplex``) is one dense tableau loop:
 each iteration picks the entering column with one ``argmin``, runs the ratio
@@ -252,7 +253,8 @@ def lp_solve(
     nonbasic variable at its upper bound set to it, and y = c_B B^{-1}; the
     dual of bound j is max(c_j - y.A_j, 0) (``y_upper``). A non-finite
     entry of ``c``, ``a_ub``, ``b_ub``, ``a_eq`` or ``b_eq``, or a NaN in
-    ``upper``, raises :class:`ValueError`. Infeasible programs raise
+    ``upper``, raises :class:`ValueError`, as does a ``b_ub`` or ``b_eq``
+    with a length other than its matrix's row count. Infeasible programs raise
     :class:`InfeasibleError`, unbounded ones :class:`UnboundedError`; the
     primal/dual pair is self-checked (feasibility within 1e-8, duality gap
     within 1e-7 relative) and a failure raises :class:`NumericalError`.
@@ -264,6 +266,9 @@ def lp_solve(
     a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float).reshape(-1, n)
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
     upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float).ravel()
+    for a, b, name in ((a_ub, b_ub, "b_ub"), (a_eq, b_eq, "b_eq")):
+        if b.size != a.shape[0]:
+            raise ValueError(f"{name} needs one entry per row of a_{name[2:]}")
     if upper.size != n or np.isnan(upper).any():
         raise ValueError("upper needs one bound (a number or inf) per variable")
     if upper.min(initial=0.0) < 0:
@@ -346,7 +351,8 @@ def lp_solve(
     phase2 = np.zeros(width)
     phase2[:n] = c
     install_objective(phase2)
-    _run_simplex(tableau, basis, allowed, box)
+    if width:  # a program with no variable and no row has its optimum, 0, at x = ()
+        _run_simplex(tableau, basis, allowed, box)
 
     # The primal point from a solve with the final basis, B x_B = b -
     # (columns at their upper bound) * upper, and the duals from y = c_B
@@ -420,70 +426,52 @@ class GameResult:
     col_strategy: np.ndarray
 
 
-def _row_keys(m: np.ndarray) -> np.ndarray:
-    """One sort key per row, equal on equal rows: a weighted row sum with
-    fixed weights drawn once from a seeded generator."""
-    return m @ np.random.default_rng(0).uniform(1.0, 2.0, m.shape[1])
+def _min_max(payoff: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """min over mixtures mu of max_r (payoff @ mu)_r, for a non-negative payoff.
+
+    One LP: maximize -t subject to payoff mu - t <= 0 and sum(mu) = 1, with
+    mu and t >= 0. Returns the value, mu, and the duals of the payoff rows:
+    a mixture over the rows whose worst column pays the value. Both are
+    clipped to be non-negative and scaled to sum to 1. The duals sum to the
+    value, so they form a mixture only when the value is positive; at value
+    0 they can all vanish.
+    """
+    k, m = payoff.shape
+    a_ub = np.empty((k, m + 1))
+    a_ub[:, :m] = payoff
+    a_ub[:, m] = -1.0
+    a_eq = np.ones((1, m + 1))
+    a_eq[0, m] = 0.0
+    c = np.zeros(m + 1)
+    c[m] = -1.0
+    res = lp_solve(c, a_ub=a_ub, b_ub=np.zeros(k), a_eq=a_eq, b_eq=np.ones(1))
+    mu, duals = np.clip(res.x[:m], 0.0, None), np.clip(res.y_ub, 0.0, None)
+    return -res.value, mu / mu.sum(), duals / duals.sum()
 
 
 def zero_sum(matrix: np.ndarray) -> GameResult:
     """Solve max_x min_y x^T M y over mixed strategies.
 
-    Uses the shift-to-positive reduction: with M' = M + shift > 0 the row
-    player's value is 1/sum(u) for min sum(u) s.t. M'^T u >= 1, u >= 0.
-    The optimal column strategy falls out of the dual. Self-checks both
-    strategies against the reported value within 1e-7.
-
-    Each payoff row is one LP column, and a row equal element for element
-    to the row before it in key order is dropped before the solve: the rows
-    are sorted on one key each (``_row_keys``) and neighbours compared. The
-    row strategy is scattered back with 0 on every dropped row. This is
-    exact, and so is keeping a copy that the sort leaves apart from its
-    first occurrence (rows with equal keys that differ can sit between
-    them). Every pivot updates equal columns with the same arithmetic, so a
-    copy keeps the reduced cost of the earlier column it copies, and
-    Bland's rule, which enters the first improving column, never picks it.
-    Dropping copies renumbers the other columns in order and leaves their
-    scales as they are, so the ratio test, whose ties go to the least rank,
-    picks the same rows too. The pivots, and with them the primal point,
-    the duals and the value, are those of the full-width LP; the value is
-    summed over the scattered point as the full-width LP sums it, so it
-    matches to the last bit. A payoff that is not finite raises
-    :class:`ValueError`.
+    The row player's side is one min-max LP (``_min_max``) over the payoff
+    top - M^T with top = max(M) + 1: its mixture is the row strategy, its
+    row duals (one per column of M) the column strategy, and the game value
+    is top minus its value. Every entry of that payoff is at least 1, so
+    its value is too and the duals cannot vanish. The LP has one row per
+    column of M, so a tall payoff stays cheap. Self-checks both strategies
+    against the reported value within 1e-7, a NaN failing the check. A
+    payoff that is not finite raises :class:`ValueError`.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.size == 0:
         raise ValueError("payoff matrix must be 2-d and non-empty")
     if not np.isfinite(m).all():
         raise ValueError("payoff matrix must be finite")
-    shift = 1.0 - float(m.min())
-    n_rows, n_cols = m.shape
-    order = np.argsort(_row_keys(m), kind="stable")
-    ranked = m[order]
-    first = np.ones(n_rows, dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    del ranked  # a copy of every row: on a KV crsd game, as large as the payoff
-    keep = np.sort(order[first])  # the sort is stable: each run starts at its first occurrence
-    # maximize -sum(u) s.t. -M'^T u <= -1
-    res = lp_solve(
-        c=-np.ones(keep.size),
-        a_ub=-(m[keep] + shift).T,
-        b_ub=-np.ones(n_cols),
-    )
-    u = np.zeros(n_rows)
-    u[keep] = res.x
-    total = float(np.ones(n_rows) @ u)  # summed as lp_solve sums the full-width objective
-    if total <= 0:
-        raise NumericalError("zero-sum reduction produced a non-positive scale")
-    value = 1.0 / total - shift
-    row = u / u.sum()
-    dual = np.clip(res.y_ub, 0.0, None)
-    if dual.sum() <= 0:
-        raise NumericalError("zero-sum dual strategy vanished")
-    col = dual / dual.sum()
+    top = float(m.max()) + 1.0
+    value, row, col = _min_max(top - m.T)
+    value = top - value
     worst_row = float(np.min(row @ m))
     worst_col = float(np.max(m @ col))
-    if worst_row < value - 1e-7 or worst_col > value + 1e-7:
+    if not (worst_row >= value - 1e-7 and worst_col <= value + 1e-7):
         raise NumericalError(
             f"game strategies fail the value check ({worst_row:.9f}, {value:.9f}, {worst_col:.9f})"
         )

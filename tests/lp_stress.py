@@ -21,6 +21,15 @@ give the same bits. It exits 1 when a program fails or a residual exceeds
 the format of ``tests/fixtures/max_margin_stress_first_failure.json``
 (that fixture is the first program on which the dense-tableau kernel,
 which kept the box 0 <= phi + 1 <= 2 as rows, failed).
+
+A second section solves 60 seeded min-max games: the binary-vertex gap
+table (``core.vertex_gaps``) of a random family of 2-8 Dirichlet members
+and a Dirichlet center on 4-16 points, the game that KV ``crsd`` solves.
+Each game goes through ``games._min_max`` on the row player's side (one LP
+row per member, as ``zero_sum`` writes it) and through KV ``crsd``'s
+bracket and cutting planes, and both values are checked against HiGHS
+(scipy) within 1e-9 relative. A game that raises or misses counts as a
+failure toward the exit status.
 """
 
 from __future__ import annotations
@@ -37,6 +46,9 @@ N_CENTERS = 800
 PER_CENTER = 20
 SEED = 4
 RESIDUAL_LIMIT = 1e-9
+N_GAMES = 60
+GAME_SEED = 27
+GAME_TOL = 1e-9
 
 
 def programs():
@@ -57,6 +69,69 @@ def programs():
             signs = [1] + [int(s) for s in rng.choice([-1, 1], k - 1)]
             yield index, members, signs, center
             index += 1
+
+
+def games_of_families():
+    """Yield (index, members, center) for every min-max game."""
+    from sqlab import FiniteDistribution, FiniteDomain
+
+    for index in range(N_GAMES):
+        rng = np.random.default_rng([GAME_SEED, index])
+        n, m = int(rng.integers(4, 17)), int(rng.integers(2, 9))
+        domain = FiniteDomain(tuple((i,) for i in range(n)))
+        members = [FiniteDistribution(domain, w) for w in rng.dirichlet(np.ones(n), m)]
+        yield index, members, FiniteDistribution(domain, rng.dirichlet(np.ones(n)))
+
+
+def highs_min_max(payoff) -> float:
+    """min t over mixtures mu subject to (payoff @ mu)_r <= t, by HiGHS."""
+    from scipy.optimize import linprog
+
+    k, m = payoff.shape
+    res = linprog(
+        np.r_[np.zeros(m), 1.0],
+        A_ub=np.hstack([payoff, -np.ones((k, 1))]),
+        b_ub=np.zeros(k),
+        A_eq=np.r_[np.ones(m), 0.0][None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * m + [(None, None)],
+        method="highs",
+    )
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS: {res.message}")
+    return float(res.fun)
+
+
+def min_max_section() -> int:
+    """Solve the min-max games, print one summary line and return the count
+    of games that raise or miss HiGHS by more than ``GAME_TOL`` relative."""
+    from sqlab import KV, crsd
+    from sqlab.core import vertex_gaps
+    from sqlab.games import _min_max
+
+    start = time.perf_counter()
+    failures, worst = [], 0.0
+    for index, members, center in games_of_families():
+        table = vertex_gaps(np.array([d.weights for d in members]), center.weights)
+        try:
+            reference = highs_min_max(table)
+            top = float(table.max())
+            values = (top - _min_max(top - table.T)[0],
+                      crsd(members, center, KV).certificate["vertex_game_value"])
+        except Exception as exc:  # noqa: BLE001 - every raise is a failure to report
+            failures.append((index, table.shape, f"{type(exc).__name__}: {exc}"))
+            continue
+        miss = max(abs(v - reference) for v in values) / reference
+        worst = max(worst, miss)
+        if miss > GAME_TOL:
+            failures.append((index, table.shape, f"values {values} against HiGHS {reference}"))
+    elapsed = time.perf_counter() - start
+    print(f"{len(failures)} failures of {N_GAMES} min-max games through _min_max and KV crsd"
+          f" ({elapsed:.1f} s); worst relative miss against HiGHS {worst:.2e}"
+          f" (limit {GAME_TOL:.0e})")
+    for index, shape, message in failures:
+        print(f"  game {index} ({shape[0]} x {shape[1]}): {message}")
+    return len(failures)
 
 
 def main(argv=None) -> int:
@@ -117,7 +192,8 @@ def main(argv=None) -> int:
         with open(args.save_first_failure, "w") as fh:
             fh.write("{\n" + ",\n".join(f" {json.dumps(k)}: {json.dumps(v)}" for k, v in record.items()))
             fh.write("\n}\n")
-    return 1 if failures or max(worst.values()) > RESIDUAL_LIMIT else 0
+    game_failures = min_max_section()
+    return 1 if failures or game_failures or max(worst.values()) > RESIDUAL_LIMIT else 0
 
 
 if __name__ == "__main__":

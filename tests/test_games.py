@@ -44,7 +44,6 @@ from sqlab import (
 from sqlab.games import (
     STRICT_EPS,
     CoverFamily,
-    GameResult,
     _margin_bracket,
     family_of,
     shared_families,
@@ -273,6 +272,30 @@ def test_lp_rejects_bad_upper_bounds():
         lp_solve([1.0, 1.0], upper=[1.0, -0.5])
 
 
+@pytest.mark.parametrize(
+    "program,error",
+    [
+        ({"c": [1.0, 1.0], "a_ub": [[1.0, 1.0]], "b_ub": [1.0, 2.0]}, "b_ub"),
+        ({"c": [1.0, 1.0], "a_ub": [[1.0, 1.0], [1.0, 0.0]], "b_ub": [1.0]}, "b_ub"),
+        ({"c": [1.0, 1.0], "a_ub": [[1.0, 1.0]]}, "b_ub"),
+        ({"c": [1.0, 1.0], "a_eq": [[1.0, 1.0]], "b_eq": [1.0, 1.0]}, "b_eq"),
+        ({"c": [1.0, 1.0], "a_eq": [[1.0, 1.0], [1.0, -1.0]], "b_eq": [1.0]}, "b_eq"),
+        ({"c": []}, None),
+    ],
+    ids=["b_ub-long", "b_ub-short", "b_ub-missing", "b_eq-long", "b_eq-short", "empty"],
+)
+def test_lp_checks_row_counts_and_solves_the_empty_program(program, error):
+    """A right-hand side with a length other than its matrix's row count
+    raises a ValueError that names it, not a numpy broadcast or matmul
+    error; the program with no variable and no row has value 0 at x = ()."""
+    if error is None:
+        res = lp_solve(**program)
+        assert res.value == 0.0 and res.x.shape == (0,)
+    else:
+        with pytest.raises(ValueError, match=error):
+            lp_solve(**program)
+
+
 # max x + y subject to x + y <= 1 and x = y: value 1 at (1/2, 1/2)
 _FINITE_LP = {
     "c": [1.0, 1.0], "a_ub": [[1.0, 1.0]], "b_ub": [1.0], "a_eq": [[1.0, -1.0]], "b_eq": [0.0],
@@ -408,6 +431,20 @@ def test_matching_pennies():
     assert np.allclose(res.col_strategy, [0.5, 0.5], atol=1e-7)
 
 
+@pytest.mark.parametrize(
+    "payoff,value",
+    [([[5.0]], 5.0), ([[1.0, 1.0], [0.0, 0.0]], 1.0), ([[-2.0, -2.0], [-2.0, -2.0]], -2.0)],
+)
+def test_game_with_a_row_at_the_top_of_every_column(payoff, value):
+    """A row equal to max(M) in every column (a 1x1 game, a constant
+    matrix) still gives finite mixtures for both players."""
+    res = zero_sum(np.array(payoff))
+    assert res.value == pytest.approx(value, abs=1e-12)
+    for strategy in (res.row_strategy, res.col_strategy):
+        assert np.isfinite(strategy).all() and (strategy >= 0).all()
+        assert strategy.sum() == pytest.approx(1.0)
+
+
 def test_known_2x2_game():
     res = zero_sum(np.array([[2.0, 0.0], [1.0, 3.0]]))
     assert res.value == pytest.approx(1.5)
@@ -436,21 +473,6 @@ def test_game_strategies_are_mutual_best_responses(seed, shape):
     assert res.col_strategy.sum() == pytest.approx(1.0)
 
 
-def _zero_sum_reference(matrix):
-    """zero_sum with one LP column per payoff row, repeated rows included:
-    the full-width solve the distinct-row solve must repeat."""
-    m = np.asarray(matrix, dtype=float)
-    shift = 1.0 - float(m.min())
-    n_rows, n_cols = m.shape
-    res = lp_solve(c=-np.ones(n_rows), a_ub=-(m + shift).T, b_ub=-np.ones(n_cols))
-    dual = np.clip(res.y_ub, 0.0, None)
-    return GameResult(
-        value=1.0 / -res.value - shift,
-        row_strategy=res.x / res.x.sum(),
-        col_strategy=dual / dual.sum(),
-    )
-
-
 def _highs_game_value(linprog, m):
     """max v over row mixtures x subject to (x^T M)_j >= v for every column."""
     n_rows, n_cols = m.shape
@@ -467,22 +489,6 @@ def _highs_game_value(linprog, m):
     return -res.fun
 
 
-def _assert_distinct_row_solve_is_exact(m):
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    res = zero_sum(m)
-    ref = _zero_sum_reference(m)
-    assert res.value == ref.value
-    assert np.array_equal(res.col_strategy, ref.col_strategy)
-    assert np.array_equal(res.row_strategy, ref.row_strategy)
-    first = {}
-    for i, row in enumerate(map(tuple, m.tolist())):
-        first.setdefault(row, i)
-    repeat = np.ones(len(m), dtype=bool)
-    repeat[list(first.values())] = False
-    assert not np.any(res.row_strategy[repeat])
-    assert res.value == pytest.approx(_highs_game_value(linprog, m), abs=1e-9)
-
-
 def _sign_payoff(dists, d0):
     """The K1 crsd game written out: |<sigma, D_i - D0>| for every domain
     sign row sigma with last entry +1 (rows) and every member (columns)."""
@@ -492,79 +498,43 @@ def _sign_payoff(dists, d0):
     return np.abs(sigmas @ diff.T)
 
 
-def _crsd_payoff(problem, kappa, monkeypatch):
-    """The widest payoff matrix of the crsd game: the K1 sign table (crsd
-    itself never builds it), or the KV vertex game crsd hands to zero_sum."""
-    from sqlab import dimension
-
-    if kappa == K1:
-        return _sign_payoff(problem.dists, problem.reference)
-    seen = []
-    monkeypatch.setattr(dimension, "zero_sum", lambda m: seen.append(m) or zero_sum(m))
-    dimension.crsd(list(problem.dists), problem.reference, kappa)
-    (payoff,) = seen
-    return payoff
-
-
-# The instances of the nine ``sqlab dims`` benchmark reports (crsd does not
-# depend on tau; biclique(5, k) has 32 domain points, past the 2^16 guard,
-# and never reaches the game), then the KV vertex game. The K1 sign tables
-# (up to 32,768 rows, 160 of them distinct) are zero_sum's widest real games.
-_GAME_INSTANCES = [
-    (biclique, (3, 1), K1), (biclique, (3, 2), K1), (biclique, (4, 1), K1),
-    (biclique, (4, 3), K1), (line_problem, (2,), K1), (biclique, (3, 1), KV),
-]
-
-
-@pytest.mark.parametrize(
-    "generator,params,kappa",
-    _GAME_INSTANCES,
-    ids=[f"{g.__name__}{params}-{kappa}".replace(" ", "") for g, params, kappa in _GAME_INSTANCES],
-)
-def test_distinct_row_game_repeats_the_full_width_solve_on_crsd_games(
-    generator, params, kappa, monkeypatch
-):
-    payoff = _crsd_payoff(generator(*params, kind="decision"), kappa, monkeypatch)
-    _assert_distinct_row_solve_is_exact(payoff)
-
-
 @pytest.mark.parametrize("seed", range(12))
-def test_distinct_row_game_repeats_the_full_width_solve_on_repeated_rows(seed):
+def test_zero_sum_matches_highs_on_repeated_rows(seed):
     """A few distinct rows, each repeated and interleaved with the others, up
     to 300 rows in all; every third seed draws small integers, whose games
-    are degenerate. Summing the value over the distinct rows alone changes
-    its last bits on some of these games."""
+    are degenerate. The value matches HiGHS within 1e-9."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(1500 + seed)
     k, n_cols = int(rng.integers(2, 9)), int(rng.integers(2, 7))
     if seed % 3:
         base = rng.uniform(-2.0, 2.0, size=(k, n_cols))
     else:
         base = rng.integers(-2, 3, size=(k, n_cols)).astype(float)
-    _assert_distinct_row_solve_is_exact(base[rng.integers(k, size=int(rng.integers(k, 300)))])
+    m = base[rng.integers(k, size=int(rng.integers(k, 300)))]
+    assert zero_sum(m).value == pytest.approx(_highs_game_value(linprog, m), abs=1e-9)
 
 
-def test_distinct_row_game_stays_exact_when_key_ties_keep_copies(monkeypatch):
-    """With the plain row sum as the sort key, a row and its reverse tie and
-    interleave in key order, so some copies stay in the LP. They are never
-    entered: every game still repeats the full-width solve bit for bit."""
-    from sqlab import games
+@pytest.mark.parametrize("seed", range(8))
+def test_min_max_matches_highs(seed):
+    """``games._min_max`` on seeded non-negative payoffs, some with repeated
+    rows: the value within 1e-9 of HiGHS, the measure a mixture whose best
+    row pays at most the value, and the normalized row duals a mixture
+    whose worst column pays at least the value."""
+    from sqlab.games import _min_max
 
-    widths = []
-    solve = games.lp_solve
-    monkeypatch.setattr(games, "lp_solve", lambda c, **rows: widths.append(len(c)) or solve(c, **rows))
-    monkeypatch.setattr(games, "_row_keys", lambda m: m.sum(axis=1))
-    kept_copies = 0
-    for seed in range(12):
-        rng = np.random.default_rng(1600 + seed)
-        k, n_cols = int(rng.integers(2, 6)), int(rng.integers(2, 5))
-        base = rng.integers(-2, 3, size=(k, n_cols)).astype(float)
-        base = np.vstack([base, base[:, ::-1]])
-        m = base[rng.integers(len(base), size=60)]
-        _assert_distinct_row_solve_is_exact(m)
-        distinct = len({tuple(row) for row in m.tolist()})
-        assert widths[-1] >= distinct
-        kept_copies += widths[-1] - distinct
-    assert kept_copies > 0
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(2000 + seed)
+    k, m = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+    payoff = rng.uniform(0.0, 1.0, size=(k, m))
+    if seed % 2:
+        payoff = payoff[rng.integers(k, size=3 * k)]
+    value, mu, duals = _min_max(payoff)
+    # min over mu of the largest row of payoff @ mu is minus the value of the game -payoff^T
+    assert value == pytest.approx(-_highs_game_value(linprog, -payoff.T), abs=1e-9)
+    assert mu.min() >= 0 and mu.sum() == pytest.approx(1.0, abs=1e-12)
+    assert float((payoff @ mu).max()) <= value + 1e-9
+    assert duals.min() >= 0
+    assert float((duals / duals.sum() @ payoff).min()) >= value - 1e-9
 
 
 # The six K1 games of the ``dims`` reports at their references.
@@ -648,15 +618,12 @@ def test_kbar1_is_the_k1_crsd_best_response_value(generator, params):
 
 
 def test_crsd_makes_no_lp_on_the_dims_instances(monkeypatch):
-    """The six dims games close at the pure-strategy bracket: no master LP,
-    no zero_sum."""
-    from sqlab import dimension, games
+    """The six dims games close at the pure-strategy bracket: no master LP."""
+    from sqlab import games
 
     calls = []
     solve = games.lp_solve
-    spy = lambda *args, **rows: calls.append(1) or solve(*args, **rows)  # noqa: E731
-    monkeypatch.setattr(games, "lp_solve", spy)
-    monkeypatch.setattr(dimension, "lp_solve", spy)
+    monkeypatch.setattr(games, "lp_solve", lambda *args, **rows: calls.append(1) or solve(*args, **rows))
     for generator, params in _CRSD_INSTANCES:
         problem = generator(*params, kind="decision")
         rep = crsd(list(problem.dists), problem.reference)
@@ -667,7 +634,7 @@ def test_crsd_makes_no_lp_on_the_dims_instances(monkeypatch):
 def test_crsd_cutting_planes_refuse_a_master_that_breaks_its_own_rows(monkeypatch):
     """A master LP whose point violates a row it was given would bring the
     same cut back forever; crsd raises NumericalError instead."""
-    from sqlab import dimension
+    from sqlab import games
     from sqlab.games import LPResult
 
     def broken(c, a_ub, b_ub, a_eq, b_eq):
@@ -676,10 +643,65 @@ def test_crsd_cutting_planes_refuse_a_master_that_breaks_its_own_rows(monkeypatc
         x[0] = 1.0
         return LPResult(0.0, x, np.full(k, 1.0 / k), np.zeros(1), np.zeros(n))
 
-    monkeypatch.setattr(dimension, "lp_solve", broken)
+    monkeypatch.setattr(games, "lp_solve", broken)
     dists, d0 = random_dists(np.random.default_rng(1801), 4, 3)
     with pytest.raises(NumericalError, match="repeat a query"):
         crsd(dists, d0)
+
+
+# The KV games: the six instances of the KV dims goldens and the K1 crsd
+# tests, then seeded random families of 4-10 points and 2-6 members.
+_KV_INSTANCES = [
+    (biclique, (3, 1)), (biclique, (3, 2)), (biclique, (4, 1)),
+    (biclique, (4, 2)), (biclique, (4, 3)), (line_problem, (2,)),
+]
+_KV_IDS = [f"{g.__name__}{params}".replace(" ", "") for g, params in _KV_INSTANCES]
+
+
+def _kv_random_family(seed):
+    rng = np.random.default_rng(2100 + seed)
+    return random_dists(rng, int(rng.integers(4, 11)), int(rng.integers(2, 7)))
+
+
+def _assert_kv_game_matches_highs(dists, d0):
+    """The KV crsd game value against HiGHS on the full vertex-gap game,
+    within 1e-9 relative, and its hardest measure against the table: its
+    best vertex pays at most the value."""
+    from sqlab.core import vertex_gaps
+
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    table = vertex_gaps(np.array([d.weights for d in dists]), d0.weights)
+    cert = crsd(dists, d0, KV).certificate
+    v = cert["vertex_game_value"]
+    assert v == pytest.approx(_highs_game_value(linprog, table), rel=1e-9)
+    assert float((table @ cert["hardest_measure"]).max()) <= v * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("generator,params", _KV_INSTANCES, ids=_KV_IDS)
+def test_kv_crsd_game_matches_highs(generator, params):
+    problem = generator(*params, kind="decision")
+    _assert_kv_game_matches_highs(list(problem.dists), problem.reference)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kv_crsd_game_matches_highs_on_random_families(seed):
+    _assert_kv_game_matches_highs(*_kv_random_family(seed))
+
+
+def test_kv_crsd_closes_at_the_uniform_measure_on_bicliques(monkeypatch):
+    """The biclique families are transitive, and the KV game closes at its
+    pure-strategy bracket: the hardest measure is the uniform one, and no
+    LP is made."""
+    from sqlab import games
+
+    calls = []
+    solve = games.lp_solve
+    monkeypatch.setattr(games, "lp_solve", lambda *args, **rows: calls.append(1) or solve(*args, **rows))
+    for params in ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3)):
+        problem = biclique(*params, kind="decision")
+        mu = crsd(list(problem.dists), problem.reference, KV).certificate["hardest_measure"]
+        assert np.array_equal(mu, np.full(len(mu), 1.0 / len(mu)))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -1555,7 +1577,7 @@ def _golden_case(argv, golden, id=None):
             "dims_line_3_tau0.2_beta0.9.json",
         ),
         # The K1 crsd game on 16 points, closed at its pure-strategy
-        # bracket, and the KV vertex game, solved by zero_sum.
+        # bracket, and the KV vertex game, closed at the same bracket.
         _golden_case(
             ["dims", "--gen", "biclique", "--n", "4", "--k", "1", "--kind", "decision", "--tau", "0.1"],
             "dims_biclique_4_1_tau0.1.json",
@@ -1569,6 +1591,12 @@ def _golden_case(argv, golden, id=None):
         _golden_case(
             ["dims", *_BICLIQUE_4_2, "--kind", "decision", "--kappa", "kv", "--tau", "0.2"],
             "dims_biclique_4_2_kv_tau0.2.json",
+        ),
+        # The KV vertex game that the bracket leaves open: the cutting
+        # planes run master LPs.
+        _golden_case(
+            ["dims", "--gen", "line", "--p", "2", "--kind", "decision", "--kappa", "kv", "--tau", "0.2"],
+            "dims_line_2_kv_tau0.2.json",
         ),
         # 386 maximal sets of a 15-member family, every candidate settled
         # without a margin LP, and sd_decision over 2^15 subfamilies.
@@ -1657,8 +1685,8 @@ def _golden_case(argv, golden, id=None):
 )
 def test_dims_reports_are_byte_identical_to_golden(argv, golden, capsys):
     """Seeded CLI reports must not move. The dims reports pass through
-    the simplex kernel (the max-margin LPs, both cover LPs and the KV crsd
-    game LP) and the K1 crsd bracket, so a changed pivot sequence or a
+    the simplex kernel (the max-margin LPs, both cover LPs and the crsd
+    master LPs) and the crsd bracket, so a changed pivot sequence or a
     changed floating-point operation shows up there; the solve and stream reports
     pin every solver's trajectory (search in both modes and both scales,
     verifiable with solved and stuck runs, optimizing, decision and the
