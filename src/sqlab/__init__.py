@@ -21,7 +21,6 @@ from .core import (
     ProblemSpec,
     QueryFn,
     bayes_error,
-    expectation,
     kl_divergence,
     likelihood_hat,
     mixture,

@@ -48,7 +48,6 @@ __all__ = [
     "witness_count",
     "sqrt_scale",
     "sqrt_gap",
-    "expectation",
     "mixture",
     "kl_divergence",
     "likelihood_hat",
@@ -461,10 +460,6 @@ def sqrt_gap(a, b):
     np.sqrt(gap, out=gap)
     gap -= sqrt_scale(b)
     return np.abs(gap, out=gap)
-
-
-def expectation(dist: FiniteDistribution, query) -> float:
-    return dist.expectation(query)
 
 
 def mixture(dists: Sequence[FiniteDistribution]) -> FiniteDistribution:

@@ -253,22 +253,25 @@ def lp_solve(
     nonbasic variable at its upper bound set to it, and y = c_B B^{-1}; the
     dual of bound j is max(c_j - y.A_j, 0) (``y_upper``). A non-finite
     entry of ``c``, ``a_ub``, ``b_ub``, ``a_eq`` or ``b_eq``, or a NaN in
-    ``upper``, raises :class:`ValueError`, as does a ``b_ub`` or ``b_eq``
-    with a length other than its matrix's row count. Infeasible programs raise
+    ``upper``, raises :class:`ValueError`, as does an ``a_ub`` or ``a_eq``
+    that is not 2-D with ``c.size`` columns, or a ``b_ub`` or ``b_eq`` with a
+    length other than its matrix's row count. Infeasible programs raise
     :class:`InfeasibleError`, unbounded ones :class:`UnboundedError`; the
     primal/dual pair is self-checked (feasibility within 1e-8, duality gap
     within 1e-7 relative) and a failure raises :class:`NumericalError`.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
-    a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float).reshape(-1, n)
+    a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float)
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
-    a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float).reshape(-1, n)
+    a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float)
     b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
     upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float).ravel()
-    for a, b, name in ((a_ub, b_ub, "b_ub"), (a_eq, b_eq, "b_eq")):
+    for a, b, rows in ((a_ub, b_ub, "ub"), (a_eq, b_eq, "eq")):
+        if a.ndim != 2 or a.shape[1] != n:
+            raise ValueError(f"a_{rows} must be 2-D with one column per entry of c, not {a.shape}")
         if b.size != a.shape[0]:
-            raise ValueError(f"{name} needs one entry per row of a_{name[2:]}")
+            raise ValueError(f"b_{rows} needs one entry per row of a_{rows}")
     if upper.size != n or np.isnan(upper).any():
         raise ValueError("upper needs one bound (a number or inf) per variable")
     if upper.min(initial=0.0) < 0:

@@ -9,9 +9,12 @@ is against a center distribution D0 through a single query:
   best responses come from the same scan (``_k1_scan``).
 - ``kbar2``: the same on the D0-weighted L2 scale via centered likelihood
   ratios. Exact by sign enumeration; ``kbar2_spectral`` is the relaxation to
-  arbitrary unit coefficient vectors — the largest singular value of the
-  weighted ratio matrix — computed by in-repo power iteration.
+  arbitrary unit coefficient vectors — the square root of the top
+  eigenvalue of the mu-weighted correlation table, from a symmetric
+  eigensolver.
 - ``rho``: average absolute pairwise D0-correlation of likelihood ratios.
+  kbar2, kbar2_spectral and rho build the centered ratios and their
+  correlation table with one helper each (``_hats``, ``_correlations``).
 - ``kbarv``: average square-root-scale gap over unit-range queries; reported
   as a LOWER_BOUND from binary vertices (``core.vertex_gaps``) plus one
   1/16-grid ascent round (the vertex (phi*+1)/2 for kbar1's certificate phi*
@@ -150,8 +153,14 @@ def kbar1(mu: Measure, dists: Sequence[FiniteDistribution], d0: FiniteDistributi
     )
 
 
-def _ratio_matrix(sub, w, d0):
-    return np.array([wi * likelihood_hat(d, d0) for wi, d in zip(w, sub)])
+def _hats(dists: Sequence[FiniteDistribution], d0: FiniteDistribution) -> np.ndarray:
+    """The centered likelihood ratios ``likelihood_hat(D, D0)``, one row per member."""
+    return np.array([likelihood_hat(d, d0) for d in dists])
+
+
+def _correlations(hats: np.ndarray, d0: FiniteDistribution) -> np.ndarray:
+    """The correlation table C[i, j] = E_{D0}[Dhat_i Dhat_j] of the rows of ``_hats``."""
+    return (hats * d0.weights) @ hats.T
 
 
 def kbar2(mu: Measure, dists: Sequence[FiniteDistribution], d0: FiniteDistribution) -> NormReport:
@@ -164,7 +173,7 @@ def kbar2(mu: Measure, dists: Sequence[FiniteDistribution], d0: FiniteDistributi
     k = len(sub)
     if k > _SIGN_GUARD:
         raise GuardExceededError(f"kbar2: 2^{k} sign patterns exceed the guard")
-    ghat = _ratio_matrix(sub, w, d0)
+    ghat = w[:, None] * _hats(sub, d0)
     d0w = d0.weights
     best_val, best_s = -1.0, None
     for signs in _sign_blocks(k):
@@ -183,44 +192,24 @@ def kbar2(mu: Measure, dists: Sequence[FiniteDistribution], d0: FiniteDistributi
     )
 
 
-def _power_iteration(gram: np.ndarray, rel_tol: float = 1e-9, max_iter: int = 10_000):
-    """Dominant eigenpair of a PSD matrix, deterministic start."""
-    m = gram.shape[0]
-    v = np.full(m, 1.0 / math.sqrt(m))
-    lam = 0.0
-    for _ in range(max_iter):
-        wv = gram @ v
-        norm = float(np.linalg.norm(wv))
-        if norm == 0.0:
-            return 0.0, v
-        v_new = wv / norm
-        lam_new = float(v_new @ gram @ v_new)
-        if abs(lam_new - lam) <= rel_tol * max(lam_new, 1e-300):
-            return lam_new, v_new
-        v, lam = v_new, lam_new
-    raise NumericalError("power iteration did not converge")
-
-
 def kbar2_spectral(
     mu: Measure, dists: Sequence[FiniteDistribution], d0: FiniteDistribution
 ) -> NormReport:
-    """Largest singular value of the weighted ratio matrix (exact, power iteration).
+    """max over unit u of || sum_D u_D sqrt(mu(D)) Dhat_D ||_{D0} (exact).
 
-    The matrix is M[D, x] = sqrt(mu(D)) (D(x) - D0(x)) / sqrt(D0(x)) over the
-    support of D0; its top singular value relaxes kbar2's sign vectors to
-    arbitrary unit coefficient vectors, so kbar2 <= kbar2_spectral always.
+    The square of that norm is u' (sqrt(mu) C sqrt(mu)) u, with C the
+    correlation table of mu's support, so the value is the square root of
+    that matrix's top eigenvalue (``np.linalg.eigh``), and the certificate
+    is its eigenvector u, re-evaluated on the ratio rows. Relaxing kbar2's
+    sign vectors to arbitrary unit coefficient vectors, kbar2 <=
+    kbar2_spectral always.
     """
     idx, sub, w = _support(mu, dists)
-    support = d0.weights > 0
-    root = np.sqrt(d0.weights[support])
-    m_rows = np.array(
-        [math.sqrt(wi) * (d.weights[support] - d0.weights[support]) / root for wi, d in zip(w, sub)]
-    )
-    gram = m_rows @ m_rows.T
-    lam, u = _power_iteration(gram)
-    sigma = math.sqrt(max(lam, 0.0))
-    achieved = float(np.linalg.norm(u @ m_rows))
-    _check(sigma, achieved, "kbar2_spectral")
+    hats, root = _hats(sub, d0), np.sqrt(w)
+    lams, vecs = np.linalg.eigh(root[:, None] * _correlations(hats, d0) * root)
+    sigma, u = math.sqrt(max(float(lams[-1]), 0.0)), vecs[:, -1]
+    combo = (u * root) @ hats
+    _check(sigma, math.sqrt(float((combo**2) @ d0.weights)), "kbar2_spectral")
     return NormReport(
         value=sigma,
         exactness=EXACT,
@@ -236,8 +225,7 @@ def rho(dists: Sequence[FiniteDistribution], d0: FiniteDistribution) -> NormRepo
     m = len(dists)
     if m == 0:
         raise ValueError("rho of an empty family")
-    hats = np.array([likelihood_hat(d, d0) for d in dists])
-    corr = (hats * d0.weights) @ hats.T
+    corr = _correlations(_hats(dists, d0), d0)
     value = float(np.abs(corr).sum() / (m * m))
     return NormReport(
         value=value,

@@ -17,7 +17,10 @@ a1 z1 + a2 = z2 (mod p). With the skewed marginal (mass 1/(2p) + 1/(2p^2)
 on each line point, 1/(2p^2) off) the likelihood-ratio correlations against
 the uniform reference are exactly (p+1)/2 on the diagonal, -(1/2 + 1/p) for
 parallel distinct lines, and 1/p^2 for crossing lines, giving mean absolute
-correlation rho = 1/p + 2/p^2 - 2/p^3 <= 2/p. ``line_audit`` verifies all
+correlation rho = 1/p + 2/p^2 - 2/p^3 <= 2/p. The table's top eigenvalue is
+p/2 + 1 + 1/p, on the zero-sum vectors of one slope class (every row sums to
+1, so the uniform vector has eigenvalue 1), which puts kbar2_spectral at the
+uniform measure at sqrt(1/(2p) + 1/p^2 + 1/p^3). ``line_audit`` verifies all
 of this numerically and chains it into the norm bounds.
 """
 
@@ -271,6 +274,7 @@ def line_closed_forms(p: int) -> dict:
         "crossing": 1.0 / (p * p),
         "rho": 1.0 / p + 2.0 / p**2 - 2.0 / p**3,
         "rho_upper": 2.0 / p,
+        "kbar2_spectral": math.sqrt(1.0 / (2.0 * p) + 1.0 / p**2 + 1.0 / p**3),
         "on_line_mass": 0.5 + 1.0 / (2.0 * p),
         "crsd_lower": 0.25 * math.sqrt(p / 2.0),
     }
@@ -279,20 +283,20 @@ def line_closed_forms(p: int) -> dict:
 def line_audit(p: int) -> dict:
     """Verify the skewed family's correlation structure against closed forms.
 
-    Computes the full likelihood-ratio Gram matrix G[a,b] =
-    E_{D0}[hat(D_a) hat(D_b)] in one vectorized pass and checks, to 1e-10:
-    the three-value correlation table, rho (mean absolute correlation) and
-    its 2/p bound, the spectral norm against sqrt(rho), and the resulting
-    dimension lower bound 0.25 sqrt(p/2). Raises AssertionError on any
-    mismatch; returns a report of the measured quantities.
+    Takes the likelihood-ratio correlation table G[a,b] =
+    E_{D0}[hat(D_a) hat(D_b)] and rho (mean absolute correlation) from
+    ``norms.rho`` and checks, to 1e-10: the three-value table, rho and its
+    2/p bound, the spectral norm at the uniform measure against its closed
+    form and against sqrt(rho), and the resulting dimension lower bound
+    0.25 sqrt(p/2). Raises AssertionError on any mismatch; returns a report
+    of the measured quantities.
     """
     problem = line_problem(p, kind=SEARCH, marginal="skewed")
     d0 = problem.reference
     forms = line_closed_forms(p)
     m = len(problem.dists)
-    dmat = problem.dist_matrix
-    hats = dmat / d0.weights - 1.0
-    gram = (hats * d0.weights) @ hats.T
+    measured = norms.rho(problem.dists, d0)
+    gram = measured.certificate["correlations"]
     lines = problem.solutions
     expected = np.empty((m, m))
     for i, (a1, _) in enumerate(lines):
@@ -306,13 +310,15 @@ def line_audit(p: int) -> dict:
     worst = float(np.max(np.abs(gram - expected)))
     if worst > 1e-10:
         raise AssertionError(f"correlation table off by {worst}")
-    rho_measured = float(np.abs(gram).mean())
+    rho_measured = measured.value
     if abs(rho_measured - forms["rho"]) > 1e-10:
         raise AssertionError("rho disagrees with its closed form")
     if rho_measured > forms["rho_upper"] + 1e-12:
         raise AssertionError("rho exceeds 2/p")
     mu = Measure.uniform(m)
     spectral = norms.kbar2_spectral(mu, list(problem.dists), d0)
+    if abs(spectral.value - forms["kbar2_spectral"]) > 1e-10:
+        raise AssertionError("kbar2_spectral disagrees with its closed form")
     if spectral.value > math.sqrt(rho_measured) + 1e-9:
         raise AssertionError("spectral norm exceeds sqrt(rho)")
     report = {

@@ -281,13 +281,21 @@ def test_lp_rejects_bad_upper_bounds():
         ({"c": [1.0, 1.0], "a_eq": [[1.0, 1.0]], "b_eq": [1.0, 1.0]}, "b_eq"),
         ({"c": [1.0, 1.0], "a_eq": [[1.0, 1.0], [1.0, -1.0]], "b_eq": [1.0]}, "b_eq"),
         ({"c": []}, None),
+        ({"c": [1.0, 1.0], "a_ub": [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]], "b_ub": [1.0, 1.0, 1.0]}, "a_ub"),
+        ({"c": [1.0, 1.0], "a_ub": [[1.0, 2.0, 3.0, 4.0]], "b_ub": [1.0, 1.0]}, "a_ub"),
+        ({"c": [1.0, 1.0], "a_eq": [1.0, 1.0], "b_eq": [1.0]}, "a_eq"),
+        ({"c": [1.0, 1.0], "a_eq": [[1.0], [1.0]], "b_eq": [1.0, 1.0]}, "a_eq"),
     ],
-    ids=["b_ub-long", "b_ub-short", "b_ub-missing", "b_eq-long", "b_eq-short", "empty"],
+    ids=["b_ub-long", "b_ub-short", "b_ub-missing", "b_eq-long", "b_eq-short", "empty",
+         "a_ub-3-columns", "a_ub-4-columns", "a_eq-1d", "a_eq-1-column"],
 )
 def test_lp_checks_row_counts_and_solves_the_empty_program(program, error):
-    """A right-hand side with a length other than its matrix's row count
-    raises a ValueError that names it, not a numpy broadcast or matmul
-    error; the program with no variable and no row has value 0 at x = ()."""
+    """A right-hand side with a length other than its matrix's row count,
+    or a matrix that is not 2-D with one column per variable, raises a
+    ValueError that names it, not a numpy broadcast or matmul error and not
+    a program of another shape (the a_ub cases were once read as a 3 x 2
+    and a 2 x 2 program); the program with no variable and no row has value
+    0 at x = ()."""
     if error is None:
         res = lp_solve(**program)
         assert res.value == 0.0 and res.x.shape == (0,)

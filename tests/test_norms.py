@@ -8,9 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqlab import (
+    DECISION,
     FiniteDistribution,
     GuardExceededError,
     Measure,
+    SupportError,
     biclique,
     kappa1_frac,
     kbar1,
@@ -133,11 +135,31 @@ def test_kbar2_single_dist_is_sqrt_chi2():
     assert float((t**2) @ d0.weights) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_kbar2_spectral_matches_numpy_svd(seed):
-    rng = np.random.default_rng(seed)
-    dists, d0 = random_dists(rng, n_points=5, n_dists=4)
-    mu = Measure.from_weights(rng.dirichlet(np.ones(4)))
+# Five random families at a random measure, and the generator families at
+# the uniform measure: on the line families the uniform vector is an
+# eigenvector of the correlation table (every row sums to 1) outside the top
+# eigenspace, so a power iteration started there stops at the wrong value.
+_SVD_CASES = [*range(5), ("biclique", 3, 1), ("biclique", 4, 2), ("biclique", 6, 2),
+              ("line", 2), ("line", 3), ("line", 5)]
+
+
+def _svd_instance(case):
+    if isinstance(case, int):
+        rng = np.random.default_rng(case)
+        dists, d0 = random_dists(rng, n_points=5, n_dists=4)
+        return Measure.from_weights(rng.dirichlet(np.ones(4))), dists, d0
+    gen, *args = case
+    problem = biclique(*args, kind=DECISION) if gen == "biclique" else line_problem(*args)
+    return Measure.uniform(problem.n_dists), list(problem.dists), problem.reference
+
+
+@pytest.mark.parametrize(
+    "case", _SVD_CASES, ids=[str(c) if isinstance(c, int) else "-".join(map(str, c)) for c in _SVD_CASES]
+)
+def test_kbar2_spectral_matches_numpy_svd(case):
+    """The value is the top singular value of the weighted ratio matrix,
+    and kbar2 (wherever its sign scan is inside the guard) stays below it."""
+    mu, dists, d0 = _svd_instance(case)
     report = kbar2_spectral(mu, dists, d0)
     m = np.array(
         [
@@ -146,7 +168,24 @@ def test_kbar2_spectral_matches_numpy_svd(seed):
         ]
     )
     sigma = float(np.linalg.svd(m, compute_uv=False)[0])
-    assert report.value == pytest.approx(sigma, abs=1e-8)
+    assert report.exactness == EXACT
+    assert report.value == pytest.approx(sigma, rel=1e-12)
+    if len(dists) <= norms._SIGN_GUARD:
+        assert kbar2(mu, dists, d0).value <= report.value + 1e-12
+
+
+def test_kbar2_spectral_refuses_mass_off_the_center_support():
+    """A member of mu's support with mass where D0 has none raises
+    SupportError, as kbar2 and rho do; a member outside mu's support is
+    not read."""
+    d0 = _dist([0.5, 0.5, 0.0])
+    inside, outside = _dist([0.25, 0.75, 0.0]), _dist([0.25, 0.25, 0.5])
+    for norm in (kbar2, kbar2_spectral):
+        with pytest.raises(SupportError):
+            norm(Measure.uniform(2), [inside, outside], d0)
+        assert norm(Measure.point_mass(2, 0), [inside, outside], d0).value == pytest.approx(0.5)
+    with pytest.raises(SupportError):
+        rho([inside, outside], d0)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -175,6 +175,23 @@ def test_line_closed_forms_match_fraction_gram(p):
     rho = (m * forms["same"] + m * (p - 1) * abs(forms["parallel"])
            + m * (m - p) * forms["crossing"]) / (m * m)
     assert forms["rho"] == pytest.approx(rho, abs=1e-14)
+    # the table's top eigenvalue p/2 + 1 + 1/p, checked exactly on a
+    # zero-sum vector within one slope class (here a1 = 1), where the
+    # parallel and crossing entries cancel; every row sums to 1, so the
+    # uniform vector has eigenvalue 1 only
+    lines = [(a1, a2) for a1 in range(p) for a2 in range(p)]
+
+    def relation(a, b):
+        return "same" if a == b else "parallel" if a[0] == b[0] else "crossing"
+
+    v = [Fraction(2 * a2 - (p - 1), 2) if a1 == 1 else Fraction(0) for a1, a2 in lines]
+    assert sum(v) == 0 and any(v)
+    lam = Fraction(p, 2) + 1 + Fraction(1, p)
+    cv = [sum(exact[relation(a, b)] * vb for b, vb in zip(lines, v)) for a in lines]
+    assert cv == [lam * va for va in v]
+    assert sum(exact[relation(lines[0], b)] for b in lines) == 1
+    # kbar2_spectral at the uniform measure is sqrt(lam / p^2)
+    assert forms["kbar2_spectral"] ** 2 == pytest.approx(float(lam / (p * p)), abs=1e-14)
 
 
 def test_line_problem_structure():
@@ -214,6 +231,20 @@ def test_line_audit_small_primes(p):
     assert report["rho"] == pytest.approx(line_closed_forms(p)["rho"], abs=1e-12)
     assert report["rho"] <= report["rho_upper"] + 1e-12
     assert report["kbar2_spectral"] <= np.sqrt(report["rho"]) + 1e-9
+    assert report["kbar2_spectral"] == pytest.approx(line_closed_forms(p)["kbar2_spectral"], abs=1e-10)
+
+
+def test_line_audit_fails_a_spectral_norm_off_its_closed_form(monkeypatch):
+    """A kbar2_spectral away from sqrt(1/(2p) + 1/p^2 + 1/p^3) is an
+    AssertionError, which the audit command turns into exit status 2."""
+    from sqlab import problems
+    from sqlab.cli import main
+
+    forms = line_closed_forms(3)
+    monkeypatch.setattr(problems, "line_closed_forms", lambda p: {**forms, "kbar2_spectral": 1.0 / p})
+    with pytest.raises(AssertionError, match="kbar2_spectral disagrees with its closed form"):
+        line_audit(3)
+    assert main(["audit", "--gen", "line", "--p", "3"]) == 2
 
 
 def test_line_guard():
