@@ -14,11 +14,14 @@ is against a center distribution D0 through a single query:
   eigensolver.
 - ``rho``: average absolute pairwise D0-correlation of likelihood ratios.
   kbar2, kbar2_spectral and rho build the centered ratios and their
-  correlation table with one helper each (``_hats``, ``_correlations``).
+  correlation table with one helper each (``core.likelihood_hats``, one
+  masked divide over the member matrix, and ``_correlations``).
 - ``kbarv``: average square-root-scale gap over unit-range queries; reported
-  as a LOWER_BOUND from binary vertices (``core.vertex_gaps``) plus one
-  1/16-grid ascent round (the vertex (phi*+1)/2 for kbar1's certificate phi*
-  is always among them, which preserves kbar1 <= 4*kbarv on reports).
+  as a LOWER_BOUND from binary vertices plus one 1/16-grid ascent round (the
+  vertex (phi*+1)/2 for kbar1's certificate phi* is always among them, which
+  preserves kbar1 <= 4*kbarv on reports). The 2^|X| vertices are scanned in
+  blocks of at most 2^13 (``core.vertex_gap_blocks``), so the whole gap table
+  is never held, and the guard admits up to 20 domain points.
 - ``kappa1_frac``: the largest measure mass a single signed query can
   distinguish at radius tau.
 
@@ -34,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FiniteDistribution, Measure, likelihood_hat, sqrt_gap, vertex_gaps
+from .core import FiniteDistribution, Measure, likelihood_hats, sqrt_gap, vertex_gap_blocks
 from .errors import GuardExceededError, NumericalError
 from .games import family_of
 
@@ -57,7 +60,7 @@ UPPER_BOUND = "upper_bound"
 
 _CERT_TOL = 1e-8
 _SIGN_GUARD = 20
-_VERTEX_GUARD = 16
+_VERTEX_GUARD = 20
 _SCAN_BLOCK = 4096  # sign vectors per block of a scan
 
 
@@ -153,13 +156,8 @@ def kbar1(mu: Measure, dists: Sequence[FiniteDistribution], d0: FiniteDistributi
     )
 
 
-def _hats(dists: Sequence[FiniteDistribution], d0: FiniteDistribution) -> np.ndarray:
-    """The centered likelihood ratios ``likelihood_hat(D, D0)``, one row per member."""
-    return np.array([likelihood_hat(d, d0) for d in dists])
-
-
 def _correlations(hats: np.ndarray, d0: FiniteDistribution) -> np.ndarray:
-    """The correlation table C[i, j] = E_{D0}[Dhat_i Dhat_j] of the rows of ``_hats``."""
+    """The correlation table C[i, j] = E_{D0}[Dhat_i Dhat_j] of ratio rows (``likelihood_hats``)."""
     return (hats * d0.weights) @ hats.T
 
 
@@ -173,7 +171,7 @@ def kbar2(mu: Measure, dists: Sequence[FiniteDistribution], d0: FiniteDistributi
     k = len(sub)
     if k > _SIGN_GUARD:
         raise GuardExceededError(f"kbar2: 2^{k} sign patterns exceed the guard")
-    ghat = w[:, None] * _hats(sub, d0)
+    ghat = w[:, None] * likelihood_hats(sub, d0)
     d0w = d0.weights
     best_val, best_s = -1.0, None
     for signs in _sign_blocks(k):
@@ -205,7 +203,7 @@ def kbar2_spectral(
     kbar2_spectral always.
     """
     idx, sub, w = _support(mu, dists)
-    hats, root = _hats(sub, d0), np.sqrt(w)
+    hats, root = likelihood_hats(sub, d0), np.sqrt(w)
     lams, vecs = np.linalg.eigh(root[:, None] * _correlations(hats, d0) * root)
     sigma, u = math.sqrt(max(float(lams[-1]), 0.0)), vecs[:, -1]
     combo = (u * root) @ hats
@@ -225,7 +223,7 @@ def rho(dists: Sequence[FiniteDistribution], d0: FiniteDistribution) -> NormRepo
     m = len(dists)
     if m == 0:
         raise ValueError("rho of an empty family")
-    corr = _correlations(_hats(dists, d0), d0)
+    corr = _correlations(likelihood_hats(dists, d0), d0)
     value = float(np.abs(corr).sum() / (m * m))
     return NormReport(
         value=value,
@@ -249,10 +247,14 @@ def kbarv(mu: Measure, dists: Sequence[FiniteDistribution], d0: FiniteDistributi
     """max over phi in [0,1]^X of sum_D mu(D) |sqrt(D[phi]) - sqrt(D0[phi])|.
 
     Reported as a LOWER_BOUND: candidates are all binary vertices (guarded
-    by 2^|X|) refined by one coordinate-ascent round on the 1/16 grid. The
-    binary vertices include (phi*+1)/2 for every sign query phi*, which is
-    what keeps the kbar1 <= 4 kbarv ladder intact on reported values. Their
-    gaps come from ``vertex_gaps``; the best vertex is the bits of its row.
+    by 2^|X|, |X| <= 20) refined by one coordinate-ascent round on the 1/16
+    grid. The binary vertices include (phi*+1)/2 for every sign query phi*,
+    which is what keeps the kbar1 <= 4 kbarv ladder intact on reported
+    values. The vertices are scored block by block (``vertex_gap_blocks``),
+    one matrix-vector product per block into one score buffer, and the best
+    is the first maximum in vertex order: a block's best replaces it when
+    larger, or when equal at a smaller vertex index, since the blocks do
+    not come in vertex order. The best vertex is the bits of its index.
 
     The ascent is blocked: the member matrix is built once, and each
     coordinate's 16 grid candidates (the current query with that
@@ -269,10 +271,14 @@ def kbarv(mu: Measure, dists: Sequence[FiniteDistribution], d0: FiniteDistributi
     if n > _VERTEX_GUARD:
         raise GuardExceededError(f"kbarv: 2^{n} vertices exceed the guard")
     d_mat = np.array([d.weights for d in sub])
-    gaps = vertex_gaps(d_mat, d0.weights) @ w
-    j = int(np.argmax(gaps))
-    best_phi = ((j >> np.arange(n)) & 1).astype(float)
-    best_val = float(gaps[j])
+    best_val, best_r, scores = -1.0, 0, None
+    for start, gaps in vertex_gap_blocks(d_mat, d0.weights):
+        scores = np.matmul(gaps, w, out=scores)
+        j = int(np.argmax(scores))
+        val = float(scores[j])
+        if val > best_val or (val == best_val and start + j < best_r):
+            best_val, best_r = val, start + j
+    best_phi = ((best_r >> np.arange(n)) & 1).astype(float)
 
     grid = np.linspace(0.0, 1.0, 17)
     for x in range(n):

@@ -27,12 +27,15 @@ from sqlab import (
     mixture,
     pac_lift,
 )
+from sqlab import core
 from sqlab.core import (
     _GRID_BITS,
     draw_counts,
     draw_indices,
     dyadic_edges,
+    likelihood_hats,
     sqrt_gap,
+    vertex_gap_blocks,
     vertex_gaps,
 )
 
@@ -343,6 +346,30 @@ def test_vertex_gaps_add_each_vertex_left_to_right(data):
     assert np.array_equal(gaps, sqrt_gap(sums[:, :m], sums[:, m:]))
 
 
+@pytest.mark.parametrize("bits", [1, 2, 3])
+@given(data=st.data())
+def test_vertex_gap_blocks_add_each_vertex_left_to_right_in_small_blocks(bits, data):
+    """With blocks of 2, 4 or 8 vertices the walk builds most blocks from
+    their parent block: every block and the table filled from them are
+    still bitwise the one-vertex-at-a-time sums, and the blocks cover each
+    vertex once."""
+    n = data.draw(st.integers(1, 8))
+    m = data.draw(st.integers(1, 4))
+    weights = np.array([data.draw(weight_vectors(n)) for _ in range(m + 1)])
+    sums = vertex_sums(weights)
+    expected = sqrt_gap(sums[:, :m], sums[:, m:])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_BLOCK_BITS", bits)
+        size = 1 << min(n, bits)
+        starts = []
+        for start, gaps in vertex_gap_blocks(weights[:m], weights[m]):
+            _assert_vertex_table(gaps, m, min(n, bits))
+            assert np.array_equal(gaps, expected[start : start + size])
+            starts.append(start)
+        assert sorted(starts) == list(range(0, 1 << n, size))
+        assert np.array_equal(vertex_gaps(weights[:m], weights[m]), expected)
+
+
 def test_vertex_gaps_on_one_point_and_one_member():
     gaps = vertex_gaps(np.array([[0.25], [1.0]]), np.array([0.0625]))
     _assert_vertex_table(gaps, 2, 1)
@@ -403,6 +430,34 @@ def test_likelihood_hat():
     point = FiniteDistribution(dom, np.array([1.0, 0.0]))
     with pytest.raises(SupportError):
         likelihood_hat(d, point)
+
+
+def test_likelihood_hats_divide_the_member_matrix_and_name_the_first_offender():
+    dom = small_domain(4)
+    d0 = FiniteDistribution(dom, np.array([0.5, 0.5, 0.0, 0.0]))
+    inside = [FiniteDistribution(dom, np.array(w)) for w in ([0.25, 0.75, 0, 0], [1.0, 0, 0, 0])]
+    hats = likelihood_hats(inside, d0)
+    assert hats.tolist() == [[-0.5, 0.5, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]]
+    at_3 = FiniteDistribution(dom, np.array([0.5, 0.25, 0.0, 0.25]))
+    at_2 = FiniteDistribution(dom, np.array([0.5, 0.25, 0.25, 0.0]))
+    with pytest.raises(SupportError, match=r"at \[\(3,\)\]$"):
+        likelihood_hats([*inside, at_3, at_2], d0)
+    with pytest.raises(SupportError, match=r"at \[\(2,\)\]$"):
+        likelihood_hats([at_2, *inside, at_3], d0)
+    stranger = FiniteDistribution(small_domain(5), np.full(5, 0.2))
+    with pytest.raises(DomainMismatchError):
+        likelihood_hats([*inside, stranger, at_3], d0)
+
+
+@given(data=st.data())
+def test_likelihood_hats_rows_are_each_members_masked_divide(data):
+    n = data.draw(st.integers(1, 8))
+    d0 = FiniteDistribution(small_domain(n), data.draw(weight_vectors(n)))
+    dists = [FiniteDistribution(small_domain(n), data.draw(weight_vectors(n)))
+             for _ in range(data.draw(st.integers(1, 5)))]
+    hats = likelihood_hats(dists, d0)
+    for row, d in zip(hats, dists):
+        assert np.array_equal(row, d.weights / d0.weights - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Discrimination norms: exact values, the norm ladder, and certificates."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from sqlab import (
     line_problem,
     rho,
 )
-from sqlab import norms
+from sqlab import core, norms
 from sqlab.norms import EXACT, LOWER_BOUND, _k1_scan
 
 from tests.util import fraction_kbar1, random_dists, small_domain, vertex_sums
@@ -234,7 +236,7 @@ def test_kbarv_reports_lower_bound_with_unit_query():
 
 
 def test_kbarv_guard():
-    dom = small_domain(17)
+    dom = small_domain(21)
     d0 = FiniteDistribution.uniform(dom)
     with pytest.raises(GuardExceededError):
         kbarv(Measure.uniform(1), [d0], d0)
@@ -273,15 +275,19 @@ def _kbarv_reference(mu, dists, d0):
     return best_val, best_phi
 
 
-def _assert_kbarv_matches_reference(mu, dists, d0):
-    report = kbarv(mu, dists, d0)
+def _assert_kbarv_matches_reference(mu, dists, d0, block_bits=(core._BLOCK_BITS,)):
+    """kbarv, with each vertex block size in ``block_bits``, is bitwise the reference."""
     value, query = _kbarv_reference(mu, dists, d0)
-    assert report.value == value
-    assert np.array_equal(report.certificate["query"], query)
+    for bits in block_bits:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_BLOCK_BITS", bits)
+            report = kbarv(mu, dists, d0)
+        assert report.value == value
+        assert np.array_equal(report.certificate["query"], query)
 
 
 # The instances of the nine ``sqlab dims`` benchmark reports (kbarv does not
-# depend on tau); biclique(5, k) has 32 domain points, past the 2^16 vertex
+# depend on tau); biclique(5, k) has 32 domain points, past the 2^20 vertex
 # guard.
 _DIMS_INSTANCES = [
     (biclique, (3, 1)), (biclique, (3, 2)), (biclique, (4, 1)), (biclique, (4, 3)),
@@ -298,11 +304,50 @@ def test_blocked_kbarv_ascent_repeats_the_one_candidate_loop(generator, params):
     problem = generator(*params, kind="decision")
     dists, d0 = list(problem.dists), problem.reference
     mu = Measure.uniform(problem.n_dists)
-    if len(d0.domain) > 16:
+    if len(d0.domain) > norms._VERTEX_GUARD:
         with pytest.raises(GuardExceededError):
             kbarv(mu, dists, d0)
         return
+    # blocks of 2, 4 and 8 vertices, most built from their parent block and
+    # met out of vertex order; line(2)'s best score ties exactly at vertices
+    # 6, 9, 96 and 144, so the first maximum must be kept across blocks
+    _assert_kbarv_matches_reference(mu, dists, d0, (core._BLOCK_BITS, 1, 2, 3))
+
+
+def test_kbarv_on_line_3_scans_its_2_18_vertices():
+    """line(3) has 18 domain points, past the former 16-point guard: the
+    blocked scan reports the reference's value and query bit for bit, and
+    the ladder kbar1 <= 4 kbarv holds on it."""
+    problem = line_problem(3, kind=DECISION)
+    dists, d0 = list(problem.dists), problem.reference
+    mu = Measure.uniform(problem.n_dists)
     _assert_kbarv_matches_reference(mu, dists, d0)
+    assert kbar1(mu, dists, d0).value <= 4.0 * kbarv(mu, dists, d0).value
+
+
+def test_kbarv_holds_one_block_of_vertices_at_a_time():
+    """On biclique(4,1) (2^16 vertices, 4 members) kbarv's transient memory
+    peaks under 1.5 MB (the whole gap table and its sums took 4.7 MB), and
+    with the cycle collector off the traced memory returns to within 64 KB
+    of where it was: no reference cycle keeps a block alive."""
+    problem = biclique(4, 1, kind=DECISION)
+    dists, d0 = list(problem.dists), problem.reference
+    mu = Measure.uniform(problem.n_dists)
+    kbarv(mu, dists, d0)
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = kbarv(mu, dists, d0)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert report.exactness == LOWER_BOUND
+    assert peak - before <= 1_500_000
+    assert after - before <= 64 * 1024
 
 
 # Families whose best query is not a vertex, so the ascent accepts
