@@ -13,12 +13,12 @@ On top of that:
 
 - ``det_cover``: smallest integer cover of the family by achievable subsets
   (exact branch-and-bound or greedy).
-- ``rsd_decision``: the fractional cover value. Computed twice — the primal
-  covering LP and an independently-formulated hardest-measure LP
-  (min_mu max_S mu(S), inverted) — and the two must agree to 1e-6; LP
-  duality is what makes this a minimax identity. Distributions that no
-  query distinguishes make the dimension infinite (reported as a sentinel
-  with the witness indices).
+- ``rsd_decision``: the fractional cover value, from one covering LP
+  (``games.fractional_cover``). Its duals mu are the other side of the
+  minimax identity: the hardest measure is mu / sum(mu), and the cover
+  value is re-evaluated against their packing bound sum(mu) / max_S mu(S)
+  to 1e-6. Distributions that no query distinguishes make the dimension
+  infinite (reported as a sentinel with the witness indices).
 - ``sd_decision``: the worst-subfamily integer ratio max_T |T| / max_S |S cap T|.
 - ``rsd_search`` / ``rsd_verifiable`` / ``rsd_optimizing``: reductions of
   search-type problems to decision dimensions by removing distributions
@@ -95,9 +95,6 @@ __all__ = [
     "simple_lower_bound",
 ]
 
-_DUALITY_TOL = 1e-6
-
-
 @dataclass(frozen=True)
 class DimensionReport:
     """A dimension value with its kind tag, exactness, and certificate.
@@ -150,14 +147,6 @@ def det_cover(
     )
 
 
-def _hardest_measure_lp(family: CoverFamily) -> tuple[float, np.ndarray]:
-    """Independently computed min over probability measures of max_S mu(S)."""
-    member = np.zeros((len(family.sets), family.ground_size))
-    for j, s in enumerate(family.sets):
-        member[j, list(s)] = 1.0
-    return _min_max(member)[:2]
-
-
 def rsd_decision(
     dists: Sequence[FiniteDistribution],
     d0: FiniteDistribution,
@@ -166,25 +155,30 @@ def rsd_decision(
 ) -> DimensionReport:
     """Fractional cover value of the achievable family (the minimax dimension).
 
-    Computes the covering LP and, independently, the hardest-measure LP
-    min_mu max_S mu(S); LP duality forces value = 1/(that minimum), and the
-    two routes must agree within 1e-6 or a NumericalError is raised.
+    One covering LP (``games.fractional_cover``) gives both sides: its duals
+    mu, scaled to sum 1, are the hardest measure (the minimizer of max_S
+    mu(S)), and their packing bound, checked against the value, is ``dual_value``.
 
     An empty family (no distributions) reports 0; a distribution no query
     distinguishes reports value = inf with the witnesses. The family comes
     from ``games.family_of``, shared inside ``games.shared_families()``.
     """
     if not dists:
-        exactness = EXACT if kappa == K1 else UPPER_BOUND
-        return DimensionReport(0.0, "rsd-decision", exactness, {"note": "empty family"})
+        return DimensionReport(0.0, "rsd-decision", _exactness(kappa), {"note": "empty family"})
     return _cover_dimension(family_of(dists, d0, tau, kappa))
+
+
+def _exactness(kappa: str) -> str:
+    """EXACT under K1, UPPER_BOUND under KV (its vertex family under-approximates)."""
+    if kappa not in (K1, KV):
+        raise ValueError(f"unknown kappa tag {kappa!r}")
+    return EXACT if kappa == K1 else UPPER_BOUND
 
 
 def _cover_dimension(family: CoverFamily) -> DimensionReport:
     """``rsd_decision`` on an enumerated, non-empty ground family: the
-    uncovered check, the cover LP, the hardest-measure LP and their duality
-    check."""
-    exactness = EXACT if family.kappa == K1 else UPPER_BOUND
+    uncovered check, then the one certified cover LP."""
+    exactness = _exactness(family.kappa)
     missing = family.uncovered()
     if missing:
         return DimensionReport(
@@ -194,14 +188,6 @@ def _cover_dimension(family: CoverFamily) -> DimensionReport:
             certificate={"indistinguishable": list(missing)},
         )
     cover = fractional_cover(family)
-    z, mu = _hardest_measure_lp(family)
-    if z <= 0:
-        raise NumericalError("hardest-measure LP returned a non-positive value")
-    dual_value = 1.0 / z
-    if abs(dual_value - cover.value) > _DUALITY_TOL * max(1.0, cover.value):
-        raise NumericalError(
-            f"primal cover {cover.value!r} and dual measure bound {dual_value!r} disagree"
-        )
     return DimensionReport(
         value=cover.value,
         kind="rsd-decision",
@@ -211,8 +197,8 @@ def _cover_dimension(family: CoverFamily) -> DimensionReport:
             "witnesses": list(family.witnesses),
             "cover_measure": cover.q,
             "cover_weights": cover.y,
-            "hardest_measure": mu,
-            "dual_value": dual_value,
+            "hardest_measure": cover.mu / cover.mu.sum(),
+            "dual_value": cover.dual_value,
         },
     )
 
@@ -236,7 +222,7 @@ def sd_decision(
     if m > 16:
         raise GuardExceededError(f"sd_decision: 2^{m} subfamilies exceed the guard")
     if m == 0:
-        return DimensionReport(0.0, "sd-decision", EXACT if kappa == K1 else UPPER_BOUND, {})
+        return DimensionReport(0.0, "sd-decision", _exactness(kappa), {})
     return _subfamily_dimension(family_of(dists, d0, tau, kappa))
 
 
@@ -244,7 +230,7 @@ def _subfamily_dimension(family: CoverFamily) -> DimensionReport:
     """``sd_decision`` on an enumerated, non-empty ground family: the
     uncovered check and the ratio over every subfamily."""
     m = family.ground_size
-    exactness = EXACT if family.kappa == K1 else UPPER_BOUND
+    exactness = _exactness(family.kappa)
     missing = family.uncovered()
     if missing:
         return DimensionReport(

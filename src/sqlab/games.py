@@ -95,6 +95,7 @@ _ZERO_PIVOT = 1e-12
 _NOISE_TOL = 1e-7
 _FEAS_TOL = 1e-8
 _GAP_TOL = 1e-7
+_DUALITY_TOL = 1e-6  # cover value against its re-evaluated packing bound
 _MAX_ITER = 50_000
 _LAST = np.iinfo(np.int64).max  # rank of a column that may not enter
 _FAMILY_GUARD = 20  # most members achievable_subsets walks under K1
@@ -869,17 +870,22 @@ def verify_cover_family(
 @dataclass(frozen=True)
 class CoverResult:
     """Fractional cover optimum: value d, sampling measure Q over the sets,
-    raw weights y (sum d), and the dual element weights mu (packing
-    certificate: mu(S) <= 1 for every set, sum(mu) = d)."""
+    raw weights y (sum d), the dual element weights mu (mu(S) <= 1 for every
+    set, sum(mu) = d) and their packing bound dual_value = sum(mu) / max_S mu(S)."""
 
     value: float
     y: np.ndarray
     q: np.ndarray
     mu: np.ndarray
+    dual_value: float
 
 
 def fractional_cover(family: CoverFamily) -> CoverResult:
     """Minimum total weight over the family's sets covering every element once.
+
+    One LP, re-checked in numpy: the weights y cover every element (to
+    1e-7) and the duals' packing bound sum(mu) / max_S mu(S), a lower bound
+    for any mu >= 0, meets the value (to 1e-6); a miss raises NumericalError.
 
     Raises :class:`UncoverableError` (with indices) when some ground element
     lies in no set.
@@ -891,7 +897,7 @@ def fractional_cover(family: CoverFamily) -> CoverResult:
         )
     m, k = family.ground_size, len(family.sets)
     if m == 0:
-        return CoverResult(value=0.0, y=np.zeros(k), q=np.zeros(k), mu=np.zeros(0))
+        return CoverResult(value=0.0, y=np.zeros(k), q=np.zeros(k), mu=np.zeros(0), dual_value=0.0)
     a = np.zeros((m, k))
     for j, s in enumerate(family.sets):
         for i in s:
@@ -900,8 +906,14 @@ def fractional_cover(family: CoverFamily) -> CoverResult:
     y = np.clip(res.x, 0.0, None)
     value = float(y.sum())
     mu = np.clip(res.y_ub, 0.0, None)
+    if (a @ y).min() < 1.0 - _FEAS_TOL * 10:
+        raise NumericalError("cover weights leave an element covered less than once")
+    top = float((mu @ a).max())
+    dual_value = float(mu.sum()) / top if top > 0 else 0.0
+    if abs(dual_value - value) > _DUALITY_TOL * max(1.0, value):
+        raise NumericalError(f"cover value {value!r} and packing bound {dual_value!r} disagree")
     q = y / value if value > 0 else np.zeros(k)
-    return CoverResult(value=value, y=y, q=q, mu=mu)
+    return CoverResult(value=value, y=y, q=q, mu=mu, dual_value=dual_value)
 
 
 def greedy_cover(family: CoverFamily) -> list[int]:

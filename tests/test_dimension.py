@@ -13,6 +13,7 @@ from sqlab import (
     FiniteDomain,
     GuardExceededError,
     Measure,
+    NumericalError,
     ProblemSpec,
     SEARCH,
     TheoremViolationError,
@@ -39,9 +40,9 @@ from sqlab.dimension import (
     _solution_measures,
     _subfamily_dimension,
 )
-from sqlab.games import CoverFamily, shared_families
+from sqlab.games import CoverFamily, family_of, shared_families
 
-from tests.util import random_dists, small_domain
+from tests.util import random_dists, small_domain, tamper_lp_solve
 
 
 def _three_dist_instance():
@@ -86,6 +87,72 @@ def test_rsd_decision_uncoverable_reports_inf():
     rep = rsd_decision([near], d0, tau=0.5)
     assert math.isinf(rep.value)
     assert rep.certificate["indistinguishable"] == [0]
+
+
+@pytest.mark.parametrize("dimension", [rsd_decision, sd_decision])
+@pytest.mark.parametrize("n_dists", [0, 2])
+def test_decision_dimensions_reject_an_unknown_kappa(dimension, n_dists):
+    """An unknown kappa tag raises whatever the family size: the empty
+    family reads its exactness from the tag too."""
+    dists, d0 = _three_dist_instance()
+    with pytest.raises(ValueError, match="unknown kappa tag"):
+        dimension(dists[:n_dists], d0, 0.2, kappa="bogus")
+
+
+def _spy_lp_solve(monkeypatch) -> list:
+    """Route ``games.lp_solve`` through a spy; returns its call list."""
+    import sqlab.games as games
+
+    calls = []
+    solve = games.lp_solve
+    monkeypatch.setattr(games, "lp_solve", lambda *args, **rows: calls.append(1) or solve(*args, **rows))
+    return calls
+
+
+def test_rsd_decision_solves_one_lp_per_cover_value(monkeypatch):
+    """The cover LP's own duals give the hardest measure: a covered family
+    costs one LP, an uncovered one none. Each family is enumerated first,
+    so its walk's max_margin LPs are not counted."""
+    prob = biclique(4, 2)
+    dom = small_domain(2)
+    d0 = FiniteDistribution.uniform(dom)
+    near = [FiniteDistribution(dom, np.array([0.52, 0.48]))]
+    with shared_families():
+        family_of(list(prob.dists), prob.reference, 0.2)
+        family_of(near, d0, 0.5)
+        calls = _spy_lp_solve(monkeypatch)
+        assert rsd_decision(list(prob.dists), prob.reference, 0.2).value == pytest.approx(1.0)
+        assert len(calls) == 1
+        assert math.isinf(rsd_decision(near, d0, 0.5).value)
+        assert len(calls) == 1
+
+
+def test_rsd_search_solves_one_lp_per_distinct_inner_problem(monkeypatch):
+    """A second rsd_search in the same shared_families block reads both
+    centers' families from the store, so every LP it solves is a cover LP:
+    one for each of the 14 distinct inner problems of biclique(4,2) at tau
+    0.2 (see test_rsd_search_solves_each_distinct_inner_problem_once)."""
+    prob = biclique(4, 2)
+    with shared_families():
+        first = rsd_search(prob, tau=0.2)
+        calls = _spy_lp_solve(monkeypatch)
+        assert rsd_search(prob, tau=0.2).value == first.value
+    assert len(calls) == 14
+
+
+@pytest.mark.parametrize("field", ["x", "y_ub"])
+def test_rsd_decision_raises_on_a_tampered_cover_lp(monkeypatch, field):
+    """biclique(4,1) at tau 0.1 has cover value 4/3 and a unique dual, the
+    uniform weights 1/3. A short primal (y x 0.9) or a dual with its first
+    weight cut by 10% fails fractional_cover's re-evaluation."""
+    prob = biclique(4, 1)
+    dists = list(prob.dists)
+    with shared_families():
+        family_of(dists, prob.reference, 0.1)
+        assert rsd_decision(dists, prob.reference, 0.1).value == pytest.approx(4 / 3)
+        tamper_lp_solve(monkeypatch, field, 0.9 if field == "x" else np.array([0.9, 1.0, 1.0, 1.0]))
+        with pytest.raises(NumericalError):
+            rsd_decision(dists, prob.reference, 0.1)
 
 
 def test_sd_decision_concrete_and_bounded_by_rsd():

@@ -49,7 +49,7 @@ from sqlab.games import (
     shared_families,
 )
 
-from tests.util import brute_force_lp, random_dists, small_domain
+from tests.util import brute_force_lp, random_dists, small_domain, tamper_lp_solve
 
 
 # ---------------------------------------------------------------------------
@@ -1429,6 +1429,31 @@ def test_fractional_cover_known_value():
     for s in family.sets:
         assert sum(cover.mu[i] for i in s) <= 1.0 + 1e-7
     assert cover.mu.sum() == pytest.approx(cover.value, abs=1e-7)
+    assert cover.dual_value == pytest.approx(1.5, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "field, scale, match",
+    [
+        ("x", 0.9, "covered less than once"),
+        ("y_ub", np.array([0.9, 1.0, 1.0]), "packing bound"),
+    ],
+)
+def test_fractional_cover_rechecks_what_the_lp_returns(monkeypatch, field, scale, match):
+    """fractional_cover re-evaluates both sides of the LP it solved: a short
+    primal (y x 0.9) leaves an element covered less than once, and a dual
+    with one member's weight cut by 10% bounds the value at 1.45, not 1.5."""
+    tamper_lp_solve(monkeypatch, field, scale)
+    with pytest.raises(NumericalError, match=match):
+        fractional_cover(_pairwise_family())
+
+
+def test_fractional_cover_takes_a_uniformly_scaled_dual(monkeypatch):
+    """The packing bound sum(mu) / max_S mu(S) does not change when every
+    dual weight is scaled alike, so a dual scaled by 0.9 still certifies the
+    value: the check is on the bound, not on how the LP normalized mu."""
+    tamper_lp_solve(monkeypatch, "y_ub", 0.9)
+    assert fractional_cover(_pairwise_family()).dual_value == pytest.approx(1.5, abs=1e-9)
 
 
 def test_integer_covers():
@@ -1461,10 +1486,9 @@ def test_uncoverable_reports_indices():
 
 
 def _assert_cover_lps_match_highs(family):
-    """``fractional_cover`` and the hardest-measure LP (min over measures mu
-    of max_S mu(S)) within 1e-9 of HiGHS."""
-    from sqlab.dimension import _hardest_measure_lp
-
+    """``fractional_cover`` within 1e-9 of HiGHS's cover LP, and its duals mu
+    within 1e-9 of HiGHS's hardest-measure LP (min over measures of
+    max_S mu(S)): max_S mu(S) / sum(mu) is that minimum."""
     linprog = pytest.importorskip("scipy.optimize").linprog
     m, k = family.ground_size, len(family.sets)
     a = np.zeros((m, k))
@@ -1480,8 +1504,9 @@ def _assert_cover_lps_match_highs(family):
         method="highs",
     )
     assert cover.status == 0 and hardest.status == 0
-    assert fractional_cover(family).value == pytest.approx(cover.fun, abs=1e-9)
-    assert _hardest_measure_lp(family)[0] == pytest.approx(hardest.fun, abs=1e-9)
+    ours = fractional_cover(family)
+    assert ours.value == pytest.approx(cover.fun, abs=1e-9)
+    assert float((ours.mu @ a).max()) / ours.mu.sum() == pytest.approx(hardest.fun, abs=1e-9)
 
 
 @given(data=st.data())

@@ -1,19 +1,34 @@
-"""Shared test helpers: random instance generators and independent oracles.
+"""Shared test helpers: random instance generators, independent oracles and
+an LP fault injector.
 
 The oracles here (vertex-enumeration LP, Fraction arithmetic) deliberately
 share no code with the package — they exist to cross-check it.
 """
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 
 from sqlab import FiniteDistribution, FiniteDomain
+from sqlab import games
 
 
 def small_domain(n: int) -> FiniteDomain:
     return FiniteDomain(tuple((i,) for i in range(n)))
+
+
+def tamper_lp_solve(monkeypatch, field: str, scale) -> None:
+    """Route ``games.lp_solve`` through a wrapper that multiplies the
+    result's ``field`` (``x`` or ``y_ub``) entrywise by ``scale``."""
+    solve = games.lp_solve
+
+    def tamper(*args, **rows):
+        res = solve(*args, **rows)
+        return dataclasses.replace(res, **{field: getattr(res, field) * scale})
+
+    monkeypatch.setattr(games, "lp_solve", tamper)
 
 
 def random_dists(rng: np.random.Generator, n_points: int, n_dists: int,
