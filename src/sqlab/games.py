@@ -635,18 +635,23 @@ def _margin_bracket(g: np.ndarray) -> tuple[float, float, np.ndarray]:
     return float((g @ phi).min()), float(np.abs(mean).sum()), phi
 
 
-def _top_witness(table: np.ndarray, pool: list, threshold: float):
-    """The walk's witness for the set of all m >= 2 members: the first of
-    the singletons' sign queries ``pool`` (the rows of ``table``, one per
-    member, each achievable alone) that separates every member at
-    ``threshold``; None when there is none. A singleton's query has a
+def _top_witness(table: np.ndarray, pool: list, diffs: np.ndarray, threshold: float):
+    """A witness for the set of all m >= 2 members, found without an LP, or
+    None. ``pool`` holds the singletons' sign queries (the rows of
+    ``table``, one per member, each achievable alone) and ``diffs`` the rows
+    D_i - D0. First, the first pooled query that separates every member at
+    ``threshold`` (the walk's own witness: a singleton's query has a
     positive margin on its own member, so the walk's negated pool queries
-    never separate them all."""
+    never separate them all); then the bracket query of the all-plus rows
+    (``_margin_bracket``) when its lower bound reaches ``threshold``."""
     m = table.shape[1]
     if m < 2 or len(pool) != m:
         return None
     hit = np.flatnonzero(table.min(axis=1) >= threshold)
-    return pool[int(hit[0])] if hit.size else None
+    if hit.size:
+        return pool[int(hit[0])]
+    lower, _, phi = _margin_bracket(diffs)
+    return phi if lower >= threshold else None
 
 
 def _drop_one(signed: tuple, p: int) -> tuple:
@@ -673,16 +678,20 @@ def achievable_subsets(
     level, extending each achievable signed set by one later member. Before
     the walk, the top of the lattice is checked:
 
-    0. top check (``_top_witness``): when every member is achievable alone
-       and some singleton's sign query separates every member at margin >=
-       tau + STRICT_EPS, the family is the one set of all members with the
-       first such query (in member order) as witness, and no set is
-       settled. This is what the walk returns: every prefix of an
-       achievable signed set is achievable and signs are tried + before -,
-       so the first full signed set it reaches is the all-plus one;
-       settling that takes the first pooled query that separates it; and
-       the singletons' queries are the first rows of the pool, which the
-       walk only appends to.
+    0. top check (``_top_witness``): when every member is achievable alone,
+       two LP-free checks may settle the family as the one set of all
+       members, and then no set is settled. First, a singleton's sign query
+       that separates every member at margin >= tau + STRICT_EPS; the first
+       such query (in member order) is the witness, the bytes the walk
+       returns: every prefix of an achievable signed set is achievable and
+       signs are tried + before -, so the first full signed set it reaches
+       is the all-plus one; settling that takes the first pooled query that
+       separates it; and the singletons' queries are the first rows of the
+       pool, which the walk only appends to. Second, the bracket query of
+       the all-plus rows (``_margin_bracket``: the sign query of the
+       uniform mixture of D_i - D0) when its lower bound reaches tau +
+       STRICT_EPS; that query is the witness, which may differ from the
+       walk's in value but separates every member.
 
     Otherwise each candidate is settled by the cheapest test that decides
     it:
@@ -741,7 +750,7 @@ def achievable_subsets(
         n = len(d0.domain)
         diffs = np.array([d.weights - d0.weights for d in dists]).reshape(m, n)
         table = np.array(pool).reshape(len(pool), n) @ diffs.T  # [r, i] = <pool[r], D_i - D0>
-        top = _top_witness(table, pool, threshold)
+        top = _top_witness(table, pool, diffs, threshold)
         if top is not None:
             return _maximal_family({frozenset(range(m)): top}, m, tau, K1)
 

@@ -142,7 +142,7 @@ def kbar1(mu: Measure, dists: Sequence[FiniteDistribution], d0: FiniteDistributi
     idx, sub, w = _support(mu, dists)
     k, n = len(sub), len(d0.domain)
     if min(k, n) > _SIGN_GUARD:
-        raise GuardExceededError(f"kbar1: 2^min({k},{n}) patterns exceed the guard")
+        raise GuardExceededError(f"kbar1: 2^{min(k, n)} sign patterns exceed the guard")
     g = np.array([d.weights - d0.weights for d in sub])
     value, queries = _k1_scan(g, w, 0.0)
     phi = queries[0]

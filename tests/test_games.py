@@ -1072,12 +1072,22 @@ def test_top_families_keep_their_witness_bytes(n, k):
     assert [[float(v).hex() for v in phi] for phi in family.witnesses] == golden["witnesses"]
 
 
-@given(data=st.data())
-def test_top_check_repeats_the_walk_on_random_instances(data):
-    """The family with the top check equals the family of the walk without
-    it: the same sets and the same witness bytes."""
+def _walked_family(dists, d0, tau):
+    """The family of the subset walk alone, with the top check patched off."""
     from sqlab import games
 
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(games, "_top_witness", lambda table, pool, diffs, threshold: None)
+        return achievable_subsets(dists, d0, tau)
+
+
+@given(data=st.data())
+def test_top_check_repeats_the_walk_on_random_instances(data):
+    """The family with the top check has the sets of the walk without it.
+    When a singleton's sign query separates every member, the witness is
+    the walk's, byte for byte; when only the bracket query of the all-plus
+    rows does, the witness is that query, which may differ from the walk's
+    pooled row in sign entries, and it must separate every member."""
     n = data.draw(st.integers(2, 8))
     m = data.draw(st.integers(2, 6))
     weights = st.lists(st.integers(1, 10), min_size=n, max_size=n).map(lambda c: np.array(c) / sum(c))
@@ -1085,11 +1095,42 @@ def test_top_check_repeats_the_walk_on_random_instances(data):
     d0 = _dist(data.draw(weights))
     tau = data.draw(st.floats(0.01, 0.8))
     family = achievable_subsets(dists, d0, tau)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(games, "_top_witness", lambda table, pool, threshold: None)
-        walked = achievable_subsets(dists, d0, tau)
+    walked = _walked_family(dists, d0, tau)
     assert family.sets == walked.sets
-    assert [phi.tobytes() for phi in family.witnesses] == [phi.tobytes() for phi in walked.witnesses]
+    threshold = tau + STRICT_EPS
+    singles = [max_margin([d], d0) for d in dists]
+    diffs = np.array([d.weights - d0.weights for d in dists])
+    table = np.array([res.query for res in singles]) @ diffs.T
+    alone = all(res.value >= threshold for res in singles)
+    lower, _, phi = _margin_bracket(diffs)
+    if alone and not (table.min(axis=1) >= threshold).any() and lower >= threshold:
+        assert family.sets == (frozenset(range(m)),)
+        assert [w.tobytes() for w in family.witnesses] == [phi.tobytes()]
+        verify_cover_family(dists, d0, family)
+    else:
+        assert [w.tobytes() for w in family.witnesses] == [w.tobytes() for w in walked.witnesses]
+
+
+@pytest.mark.parametrize(
+    "generator,params,tau",
+    [(line_problem, (2,), 0.1), (line_problem, (2,), 0.2), (biclique, (3, 1), 0.1)],
+)
+def test_bracket_top_check_settles_the_family_without_an_lp(generator, params, tau, monkeypatch):
+    """No singleton's sign query separates every member here, but the
+    bracket query of the all-plus rows does: the family costs the m
+    singletons' margins, one bracket and no LP (the walk made 6 margin
+    calls, 8 brackets and 2 LPs on line(2), and 3 margin calls and 10
+    brackets on biclique(3,1)), and it has the walk's sets."""
+    problem = generator(*params, kind="decision")
+    dists = list(problem.dists)
+    walked = _walked_family(dists, problem.reference, tau)
+    calls = _count_calls(monkeypatch, "max_margin")
+    brackets = _count_calls(monkeypatch, "_margin_bracket")
+    lps = _count_calls(monkeypatch, "lp_solve")
+    family = achievable_subsets(dists, problem.reference, tau)
+    assert (calls[0], brackets[0], lps[0]) == (problem.n_dists, 1, 0)
+    assert family.sets == walked.sets == (frozenset(range(problem.n_dists)),)
+    verify_cover_family(dists, problem.reference, family)
 
 
 def _assert_restrict_repeats_the_walk(dists, d0, tau, keeps):
@@ -1352,13 +1393,14 @@ def _count_calls(monkeypatch, name):
 
 
 def test_line_3_decision_cover_makes_few_margin_lps(monkeypatch):
-    """One LP per candidate made 9,423 max_margin calls here, and the walk
-    without the LP-free bracket 412."""
+    """One LP per candidate made 9,423 max_margin calls here, the walk
+    without the LP-free bracket 412, and the walk with it 239. The bracket
+    top check settles the family from the 9 singletons' margins."""
     from sqlab.solvers import decision_cover
 
     calls = _count_calls(monkeypatch, "max_margin")
     family, cover = decision_cover(line_problem(3, kind="decision"), 0.2)
-    assert calls[0] <= 239
+    assert calls[0] == 9
     assert family.sets == (frozenset(range(9)),)
 
 
@@ -1636,6 +1678,12 @@ def _golden_case(argv, golden, id=None):
         _golden_case(
             ["dims", "--gen", "biclique", "--n", "6", "--k", "2", "--kind", "decision", "--tau", "0.3"],
             "dims_biclique_6_2_tau0.3.json",
+        ),
+        # The one set of all 15 members at tau 0.2, settled by the bracket
+        # query of the all-plus rows; the subset walk took seconds.
+        _golden_case(
+            ["dims", "--gen", "biclique", "--n", "6", "--k", "2", "--kind", "decision", "--tau", "0.2"],
+            "dims_biclique_6_2_decision_tau0.2.json",
         ),
         # The search-kind and verifiable-kind reports: rsd_search (value
         # 1.0 and 3.0, both won at the uniform-domain center),

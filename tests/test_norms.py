@@ -73,7 +73,7 @@ def test_kbar1_point_mass_is_l1():
 def test_kbar1_guard():
     dom = small_domain(21)
     dists = [FiniteDistribution.uniform(dom) for _ in range(21)]
-    with pytest.raises(GuardExceededError):
+    with pytest.raises(GuardExceededError, match=r"^kbar1: 2\^21 sign patterns exceed the guard$"):
         kbar1(Measure.uniform(21), dists, FiniteDistribution.uniform(dom))
 
 
