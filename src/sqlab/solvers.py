@@ -15,9 +15,11 @@ vectorized scan: its witnesses are the rows of a 2-D array, their
 expectations under D_t are one matrix-vector product, and the answer
 source's ``scan(block, stop)`` stops at the first row whose gap predicate
 holds, so only the rows actually reached are asked and recorded. The K1
-margins of the whole family against D_t come from one vectorized pass
-(``_k1_witnesses``), which builds sign witnesses for the far members only;
-KV keeps a per-member threshold scan. ``MWState.update`` checks the loss
+margins of a run are incremental (``_K1Margins``): the mixture moves by
+delta in L1 per step, so a member's margin drops by at most delta, and a
+step re-measures only the members whose carried lower bound can be within
+tau; sign witnesses are built for the far members only. KV keeps a
+per-member threshold scan at every step. ``MWState.update`` checks the loss
 and the positivity of the new weights, then builds its successor without
 the public constructor's copy and re-checks, which hold by construction.
 
@@ -122,7 +124,8 @@ class MWState:
         z = np.asarray(loss, dtype=float)
         if z.shape != self.weights.shape:
             raise ValueError("loss vector length mismatch")
-        if np.any(np.abs(z) > 1.0 + 1e-12):
+        # written so that a NaN fails it
+        if not np.all(np.abs(z) <= 1.0 + 1e-12):
             raise ValueError("losses must lie in [-1, 1]")
         w = self.weights * (1.0 - self.gamma * z)
         w /= w.sum()
@@ -161,24 +164,72 @@ def update_budget(kl_bound: float, tau: float, kappa: str = K1) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _k1_witnesses(dist_mat: np.ndarray, t_vec: np.ndarray):
-    """The K1 margins |D_i - t|_1 of every row of ``dist_mat`` against
-    ``t_vec``, and a function giving the best signed queries sign(D_i - t)
-    of chosen rows as one 2-D block, built for those rows only."""
-    diff = dist_mat - t_vec
-    # d - t >= 0 exactly when d >= t: two unequal doubles never differ by 0
-    up = diff >= 0
-    gaps = np.abs(diff, out=diff).sum(axis=1)
+#: What every carried lower bound drops by on top of the mixture's move.
+#: The computed move falls short of the exact one by less than the slack, so
+#: a bound stays at most the exact gap plus the float error e of the gap
+#: last measured; a row left unmeasured has a bound above tau + slack, so
+#: its computed gap exceeds tau + slack - 2e > tau. Members and mixtures are
+#: probability vectors, so each gap or move sums nonnegative terms totalling
+#: at most 2, and e <= n * eps * 2 is below 3e-11 up to n = 2^16 points
+#: (about 1e-13 on line_problem(11)).
+_BOUND_SLACK = 1e-9
 
-    def signs(rows) -> np.ndarray:
-        # in place: a chained expression allocates a block per step, and
-        # ran slower than np.where in the MW loop
-        block = up[rows].astype(float)
+
+class _K1Margins:
+    """The K1 margins |D_i - t|_1 of the rows of ``dist_mat`` against the
+    successive mixtures t of one run, kept as one lower bound per member.
+
+    Calling it with a mixture returns ``close`` (exactly ``gaps <= tau`` for
+    the computed gaps ``np.abs(dist_mat - t).sum(axis=1)``, ties at tau
+    included) and a function giving the best signed queries sign(D_i - t)
+    of chosen rows as one 2-D block, built for those rows only from
+    ``D_i >= t`` (d - t >= 0 exactly when d >= t: two unequal doubles never
+    differ by 0). The first call measures every gap. A later call moves each
+    bound down by delta = |t - t_prev|_1 plus ``_BOUND_SLACK``, which keeps
+    it a lower bound, since |D_i - t|_1 >= |D_i - t_prev|_1 - |t - t_prev|_1,
+    and re-measures only the rows whose bound is within tau + slack; every
+    other row is certified far. Each re-measured row is reduced on its own,
+    as the full block's rows are, so its gap is the same double. The state
+    is a cache: any sequence of mixtures gets what a fresh object would
+    answer at each one.
+    """
+
+    def __init__(self, dist_mat: np.ndarray, tau: float):
+        self._dist_mat = dist_mat
+        self._tau = tau
+        self._t: np.ndarray | None = None  # the last mixture, copied
+        self._lower: np.ndarray | None = None
+
+    def _measure(self, rows) -> np.ndarray:
+        diff = self._dist_mat[rows] - self._t
+        return np.abs(diff, out=diff).sum(axis=1)
+
+    def __call__(self, t_vec: np.ndarray):
+        t = np.asarray(t_vec, dtype=float)
+        # checked before any state moves: a NaN would freeze every bound
+        # (NaN <= tau is False) and mark every member far
+        if t.shape != self._dist_mat.shape[1:] or not np.isfinite(t).all():
+            raise ValueError("a mixture must be a finite vector with one entry per domain point")
+        if self._t is None:
+            self._t = t.copy()
+            self._lower = self._measure(slice(None))
+        else:
+            drift = float(np.abs(t - self._t).sum())
+            self._t[:] = t
+            self._lower -= drift + _BOUND_SLACK
+            rows = np.flatnonzero(self._lower <= self._tau + _BOUND_SLACK)
+            self._lower[rows] = self._measure(rows)
+        return self._lower <= self._tau, self.signs
+
+    def signs(self, rows) -> np.ndarray:
+        """Sign rows of ``rows`` against the last mixture."""
+        # compared in full (a bool block is an eighth the size of the float
+        # rows it would copy), then scaled in place: a chained expression
+        # allocates a block per step, and ran slower than np.where
+        block = (self._dist_mat >= self._t)[rows].astype(float)
         block *= 2.0
         block -= 1.0
         return block
-
-    return gaps, signs
 
 
 def _kv_witness(d: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
@@ -204,15 +255,30 @@ def _kv_witness(d: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
     return best_gap, best_phi
 
 
-def _kv_witnesses(dist_mat: np.ndarray, t_vec: np.ndarray):
-    """``_k1_witnesses`` on the square-root scale: one threshold scan per row."""
-    found = [_kv_witness(d, t_vec) for d in dist_mat]
-    gaps = np.array([gap for gap, _ in found])
-    return gaps, lambda rows: np.array([found[i][1] for i in rows]).reshape(len(rows), t_vec.size)
+def _kv_margins(dist_mat: np.ndarray, tau: float):
+    """``_K1Margins`` on the square-root scale: one threshold scan per row
+    at every call, with no state."""
+
+    def margins(t_vec: np.ndarray):
+        found = [_kv_witness(d, t_vec) for d in dist_mat]
+        close = np.array([gap for gap, _ in found]) <= tau
+        return close, lambda rows: np.array([found[i][1] for i in rows]).reshape(len(rows), t_vec.size)
+
+    return margins
 
 
-def _witnesses(kappa: str):
-    return _k1_witnesses if kappa == K1 else _kv_witnesses
+def _proposal(serves: np.ndarray, close: np.ndarray):
+    """The cover's answer to a close set: the first solution valid for
+    every close member (else the one serving most of them, with the close
+    members it leaves unserved), and the far members it does not serve."""
+    covering = np.flatnonzero(serves[:, close].all(axis=1))
+    unservable: tuple = ()
+    if covering.size:
+        f_idx = int(covering[0])
+    else:
+        f_idx = int(np.argmax(serves[:, close].sum(axis=1)))
+        unservable = tuple(np.flatnonzero(close & ~serves[f_idx]).tolist())
+    return f_idx, unservable, np.flatnonzero(~serves[f_idx] & ~close).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -236,33 +302,35 @@ class CoverStep:
 
 
 def margin_cover(problem: ProblemSpec, tau: float, kappa: str = K1, randomized: bool = False):
-    """The default cover oracle.
+    """The default cover oracle, one per run.
 
     At mixture D_t: distributions within margin tau are "close"; the
     proposed solution is the first one valid for every close distribution
     (falling back to best coverage). Every far distribution the proposal
     does not serve gets its maximum-margin witness, in index order, as one
-    row of the step's query block; the margins of the whole family come
-    from one vectorized pass, and witness rows are built for the far
+    row of the step's query block; witness rows are built for the far
     members only. In randomized mode the far members are instead grouped
     into a fractional cover (via the achievable-subset family against D_t)
     whose witnesses form the block, so a solver can sample few of them.
+
+    The oracle keeps state between calls, as a cache only: K1 margins carry
+    a lower bound per member (``_K1Margins``), so a step re-measures just
+    the members that can be within tau, and the proposal, a function of
+    the close set alone, is reused while that set is unchanged. Any
+    sequence of mixtures gets at each one the step a fresh oracle returns.
     """
-    witnesses = _witnesses(kappa)
     dist_mat = problem.dist_matrix
     serves = problem.validity  # serves[f, i]: solution f is valid for dist i
+    margins = _K1Margins(dist_mat, tau) if kappa == K1 else _kv_margins(dist_mat, tau)
+    cached = None  # the last close set's bytes and its proposal
 
     def oracle(t_vec: np.ndarray) -> CoverStep:
-        gaps, witness_rows = witnesses(dist_mat, t_vec)
-        close = gaps <= tau
-        covering = np.flatnonzero(serves[:, close].all(axis=1))
-        unservable: tuple = ()
-        if covering.size:
-            f_idx = int(covering[0])
-        else:
-            f_idx = int(np.argmax(serves[:, close].sum(axis=1)))
-            unservable = tuple(np.flatnonzero(close & ~serves[f_idx]).tolist())
-        far_targets = np.flatnonzero(~serves[f_idx] & ~close).tolist()
+        nonlocal cached
+        close, witness_rows = margins(t_vec)
+        key = close.tobytes()
+        if cached is None or cached[0] != key:
+            cached = key, _proposal(serves, close)
+        f_idx, unservable, far_targets = cached[1]
         if not randomized:
             return CoverStep(
                 solution_index=f_idx,
@@ -589,7 +657,7 @@ def solve_verifiable(
     verify_mat = np.array(
         [problem.verify[f].values for f in problem.solutions]
     )  # (F, X)
-    dist_mat = problem.dist_matrix
+    margins = _K1Margins(problem.dist_matrix, tau)
 
     def step(t_vec):
         candidates = np.flatnonzero(verify_mat @ t_vec <= theta)
@@ -599,8 +667,8 @@ def solve_verifiable(
             if session.query(phi) <= theta + 2.0 * tau / 3.0:
                 return SOLVED, problem.solutions[fi], {}
             return -phi  # mixture underestimates phi_f; push mass toward it
-        gaps, witness_rows = _k1_witnesses(dist_mat, t_vec)
-        far = witness_rows(np.flatnonzero(gaps > tau))
+        close, witness_rows = margins(t_vec)
+        far = witness_rows(np.flatnonzero(~close))
         hit = _first_trigger(t_vec, far, session.scan, K1, tau)
         if hit is None:
             return STUCK, None, {}

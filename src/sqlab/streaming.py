@@ -118,7 +118,7 @@ def replay_weights(problem: ProblemSpec, tau: float, history) -> np.ndarray:
     solver's incremental mixture must match this bit-for-bit, which is what
     licenses charging the mixture to scratch rather than persistent memory.
     Each row is built from the target's weights alone, element by element
-    as ``_k1_witnesses`` builds it (d - t >= 0 exactly when d >= t).
+    as ``solvers._K1Margins.signs`` builds it (d - t >= 0 exactly when d >= t).
     """
     state = _mw_start(problem, tau, K1, None)[0]
     dist_mat = problem.dist_matrix

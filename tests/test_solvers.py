@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlab import (
     FiniteDistribution,
@@ -20,6 +22,7 @@ from sqlab import (
     biclique,
     decision_cover,
     learn_with_heavy_points,
+    line_problem,
     margin_cover,
     mixture,
     pac_lift,
@@ -39,7 +42,8 @@ from sqlab.oracles import (
     stat,
     vroot,
 )
-from sqlab.solvers import MWState, _first_trigger, _mw_start, _search
+from sqlab import solvers
+from sqlab.solvers import MWState, _K1Margins, _first_trigger, _mw_start, _search
 from sqlab.streaming import replay_weights
 
 
@@ -164,6 +168,9 @@ def test_mw_update_keeps_its_checks():
         state.update([1.0, 0.0, 0.0])  # shape
     with pytest.raises(ValueError):
         state.update([1.0 + 1e-9, 0.0])  # range
+    for bad in (math.nan, math.inf, -math.inf):  # non-finite losses are out of range
+        with pytest.raises(ValueError, match=r"losses must lie in \[-1, 1\]"):
+            state.update([bad, 0.0])
     # a weight that underflows to 0 breaks positivity
     tiny = MWState(weights=np.array([5e-324, 1.0]), gamma=0.5)
     with pytest.raises(ValueError):
@@ -254,25 +261,172 @@ def test_margin_cover_without_far_members_gives_an_empty_block(kappa, randomized
 
 
 def test_k1_witnesses_match_the_per_member_rule():
-    """The vectorized margins and signs equal the one-member-at-a-time
-    rule: |d - t|_1 and sign(d - t) with ties (d == t) signed +1."""
-    from sqlab.solvers import _k1_witnesses
-
+    """A first call of the K1 margins is exact: its close set and sign rows
+    equal the one-member-at-a-time rule, |d - t|_1 <= tau and sign(d - t)
+    with ties (d == t) signed +1."""
     rng = np.random.default_rng(3)
     dist_mat = rng.dirichlet(np.ones(9), size=6)
     t = rng.dirichlet(np.ones(9))
     dist_mat[2] = t  # an exact tie on every element
     dist_mat[4, :3] = t[:3]
-    gaps, witness_rows = _k1_witnesses(dist_mat, t)
+    tau = float(np.abs(dist_mat[5] - t).sum())  # member 5 sits exactly at tau
+    close, witness_rows = _K1Margins(dist_mat, tau)(t)
     rows = [0, 2, 4, 5]
     block = witness_rows(rows)
     assert block.shape == (4, 9)
     for j, i in enumerate(rows):
         diff = dist_mat[i] - t
-        assert gaps[i] == np.abs(diff).sum()
+        assert close[i] == (np.abs(diff).sum() <= tau)
         assert np.array_equal(block[j], np.where(diff >= 0, 1.0, -1.0))
-    assert gaps[2] == 0.0 and np.all(block[1] == 1.0)
+    assert close[2] and close[5] and np.all(block[1] == 1.0)
     assert witness_rows([]).shape == (0, 9)
+
+
+@st.composite
+def _margin_runs(draw):
+    """A family, a radius and a sequence of mixtures: small MW-like moves,
+    large jumps, repeats, members themselves, and (on dyadic instances)
+    gaps exactly at tau."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(2, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dyadic = draw(st.booleans())
+
+    def member():
+        if not dyadic:
+            return rng.dirichlet(np.ones(n))
+        # weights k/64: every gap between two such vectors is exact in floats
+        cuts = sorted(draw(st.lists(st.integers(0, 64), min_size=n - 1, max_size=n - 1)))
+        return np.diff([0, *cuts, 64]) / 64.0
+
+    dist_mat = np.array([member() for _ in range(m)])
+    t, mixtures = member(), []
+    for _ in range(draw(st.integers(1, 12))):
+        move = draw(st.sampled_from(["small", "jump", "repeat", "member"]))
+        if move == "small":
+            t = t * (1.0 - 0.05 * rng.uniform(-1.0, 1.0, size=n))
+            t = t / t.sum()
+        elif move == "jump":
+            t = member()
+        elif move == "member":
+            t = dist_mat[rng.integers(m)].copy()
+        mixtures.append(t)
+    gaps = [np.abs(dist_mat - t).sum(axis=1) for t in mixtures]
+    if dyadic:  # a radius at one of the gaps: a tie at tau
+        tau = float(draw(st.sampled_from(sorted({float(g) for row in gaps for g in row}))))
+    else:
+        tau = draw(st.floats(0.01, 1.5))
+    return dist_mat, tau, mixtures
+
+
+@settings(max_examples=150, deadline=None)
+@given(_margin_runs())
+def test_incremental_k1_margins_match_a_fresh_measure(run):
+    """Along any sequence of mixtures, the carried margins answer what a
+    fresh measure answers: close is ``|D - t|_1 <= tau`` bit for bit, ties
+    at tau included, and the sign rows are ``np.where(D >= t, 1, -1)``."""
+    dist_mat, tau, mixtures = run
+    margins = _K1Margins(dist_mat, tau)
+    rows = np.arange(len(dist_mat))
+    for t in mixtures:
+        close, witness_rows = margins(t)
+        assert np.array_equal(close, np.abs(dist_mat - t).sum(axis=1) <= tau)
+        assert np.array_equal(witness_rows(rows), np.where(dist_mat >= t, 1.0, -1.0))
+
+
+@pytest.mark.parametrize(
+    "bad", [[math.nan, 0.5, 0.5], [math.inf, 0.0, 0.0], [-math.inf, 1.0, 1.0], [0.5, 0.5]]
+)
+def test_k1_margins_refuse_a_bad_mixture_and_stay_exact(bad):
+    """A non-finite or mis-shaped mixture raises before any state moves, so
+    the next finite call still answers exactly (a NaN would otherwise mark
+    every member far from then on)."""
+    dist_mat = np.array([D1.weights, D2.weights, D3.weights])
+    margins = _K1Margins(dist_mat, 0.5)
+    start = mixture([D1, D2, D3]).weights
+    margins(start)
+    with pytest.raises(ValueError, match="finite vector"):
+        margins(np.array(bad))
+    for t in (D1.weights, start):
+        close, _ = margins(t)
+        assert np.array_equal(close, np.abs(dist_mat - t).sum(axis=1) <= 0.5)
+    with pytest.raises(ValueError, match="finite vector"):
+        _K1Margins(dist_mat, 0.5)(np.array(bad))
+
+
+def _assert_same_step(got, want):
+    assert (got.solution_index, got.targets, got.unservable, got.d) == (
+        want.solution_index, want.targets, want.unservable, want.d
+    )
+    assert got.queries.tobytes() == want.queries.tobytes()
+    if want.query_measure is None:
+        assert got.query_measure is None
+    else:
+        assert got.query_measure.tobytes() == want.query_measure.tobytes()
+
+
+@pytest.mark.parametrize(
+    "prob,mode,kappa,ti",
+    [
+        (line_problem(11), "det", K1, 17),
+        (biclique(4, 2), "rand", K1, 3),
+        (biclique(4, 2), "det", KV, 2),
+    ],
+    ids=["line-11-det", "biclique-4-2-rand", "biclique-4-2-kv"],
+)
+def test_stateful_cover_steps_equal_a_fresh_oracles(prob, mode, kappa, ti):
+    """Every step of a run's one cover oracle equals the step a fresh
+    oracle returns at the same mixture: the oracle's state is a cache."""
+    tau = 0.2 if kappa == K1 else 0.15
+    rng = np.random.default_rng([11, ti])
+    session = OracleSession(
+        (stat if kappa == K1 else vroot)(tau / 3.0), exact_answers(), prob.dists[ti], rng
+    )
+    randomized = mode == "rand"
+    steps = []
+
+    def recording_cover(*args, **kwargs):
+        oracle = margin_cover(*args, **kwargs)
+
+        def step(t_vec):
+            steps.append((t_vec.copy(), oracle(t_vec)))
+            return steps[-1][1]
+        return step
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "margin_cover", recording_cover)
+        rep = solve_search_universal(
+            prob, tau, session, kappa=kappa, mode=mode, delta=0.1, rng=rng
+        )
+    assert rep.outcome == "solved" and len(steps) == rep.updates + 1 > 5
+    for t_vec, got in steps:
+        fresh = margin_cover(prob, tau, kappa=kappa, randomized=randomized)(t_vec)
+        _assert_same_step(got, fresh)
+
+
+def test_line_11_trial_re_measures_few_margins_and_proposals(monkeypatch):
+    """On a seeded line(11) trial the carried bounds certify most members
+    far: its 34 steps measure 245 of 4,114 member gaps (6.0 %; the first
+    step measures all 121), and the proposal is computed on 2 of them."""
+    prob = line_problem(11)
+    counts = {"rows": 0, "proposals": 0}
+    measure, proposal = _K1Margins._measure, solvers._proposal
+
+    def counting_measure(self, rows):
+        gaps = measure(self, rows)
+        counts["rows"] += gaps.size
+        return gaps
+
+    def counting_proposal(serves, close):
+        counts["proposals"] += 1
+        return proposal(serves, close)
+
+    monkeypatch.setattr(_K1Margins, "_measure", counting_measure)
+    monkeypatch.setattr(solvers, "_proposal", counting_proposal)
+    session = OracleSession(stat(0.2 / 3.0), exact_answers(), prob.dists[17], np.random.default_rng(1))
+    rep = solve_search_universal(prob, 0.2, session)
+    assert rep.outcome == "solved" and rep.solution == prob.solutions[17]
+    assert rep.updates + 1 == 34
+    assert counts == {"rows": 245, "proposals": 2}
 
 
 def test_margin_cover_randomized_mode():

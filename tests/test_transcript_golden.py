@@ -3,8 +3,10 @@
 Each golden file holds the ``Transcript.to_jsonl`` output of one seeded
 search trial: deterministic K1 search on ``line_problem(5)`` at tau = 0.2
 under exact, sampled, reference and edge answers (a different planted
-member each), and square-root-scale (KV) search on ``biclique(4,2)`` at
-tau = 0.15 with sampled VROOT answers, some of them invalid. The true
+member each), the same search on the benchmark's ``line_problem(11)``
+under exact answers (33 updates, 663 queries), and square-root-scale (KV)
+search on ``biclique(4,2)`` at tau = 0.15 with sampled VROOT answers, some
+of them invalid. The true
 values, which ``to_jsonl`` leaves out, are pinned in
 ``transcript_true_values.json``.
 
@@ -48,9 +50,10 @@ def _line_strategy(name, problem, ti):
     return edge_answers(+1 if name == "edge-up" else -1)
 
 
-def _line_case(name):
-    problem, ti = line_problem(5), LINE_TRIALS[name]
-    rng = np.random.default_rng([5, ti])
+def _line_case(name, p=5, ti=None):
+    problem = line_problem(p)
+    ti = LINE_TRIALS[name] if ti is None else ti
+    rng = np.random.default_rng([p, ti])
     session = OracleSession(stat(0.2 / 3.0), _line_strategy(name, problem, ti), problem.dists[ti], rng)
     solve_search_universal(problem, 0.2, session, kappa=K1)
     return session
@@ -67,6 +70,7 @@ def _kv_case():
 CASES = {
     **{f"transcript_line_5_{name}.jsonl": (lambda name=name: _line_case(name))
        for name in LINE_TRIALS},
+    "transcript_line_11_exact.jsonl": lambda: _line_case("exact", p=11, ti=17),
     "transcript_biclique_4_2_kv_sampled.jsonl": _kv_case,
 }
 
