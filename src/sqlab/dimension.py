@@ -61,7 +61,6 @@ from .core import (
     Measure,
     ProblemSpec,
     draw_indices,
-    mixture,
     vertex_gaps,
     witness_count,
 )
@@ -263,7 +262,7 @@ def _subfamily_dimension(family: CoverFamily) -> DimensionReport:
 def _candidate_centers(problem: ProblemSpec):
     return [
         ("uniform-domain", FiniteDistribution.uniform(problem.domain)),
-        ("uniform-mixture", mixture(list(problem.dists))),
+        ("uniform-mixture", problem.uniform_mixture),
     ]
 
 

@@ -1,11 +1,12 @@
 """Dense linear programming and finite zero-sum games.
 
 Everything here is exact small-scale machinery: a two-phase primal simplex
-with Bland's rule (no cycling, no external solver), one min-max LP
-(``_min_max``: min over mixtures mu of max_r (payoff @ mu)_r) for every
-game, zero-sum game values from it, maximum-margin separation queries, and
-the achievable-subset / fractional-cover machinery the dimension layer is
-built on. The simplex kernel (``_run_simplex``) is one dense tableau loop:
+with Bland's rule (no cycling, no external solver) over <= rows only, one
+min-max LP (``_min_max``: min over mixtures mu of max_r (payoff @ mu)_r,
+in ratio form) for every game, zero-sum game values from it,
+maximum-margin separation queries, and the achievable-subset /
+fractional-cover machinery the dimension layer is built on. The simplex
+kernel (``_run_simplex``) is one dense tableau loop:
 each iteration picks the entering column with one ``argmin``, runs the ratio
 test over the few rows as plain floats and pivots with one rank-1 update.
 Every program runs that one loop, with one ratio test that tells a pivot
@@ -36,10 +37,11 @@ family once in a ``shared_families()`` block.
 
 Conventions:
 
-- ``lp_solve`` maximizes c.x subject to A_ub x <= b_ub, A_eq x = b_eq,
-  0 <= x <= upper, and returns primal and dual points (the duals of the
-  bounds included). Infeasible and unbounded programs raise distinct
-  errors.
+- ``lp_solve`` maximizes c.x subject to A_ub x <= b_ub, 0 <= x <= upper,
+  and returns primal and dual points (the duals of the bounds included).
+  A row with a negative right-hand side (a >= row) starts on an artificial
+  column, and only such rows take a phase 1. Infeasible and unbounded
+  programs raise distinct errors.
 - Strict inequalities ("margin > tau") are realized as
   margin >= tau + STRICT_EPS so achievability is a closed condition.
 """
@@ -85,7 +87,7 @@ __all__ = [
 #: Margin slack standing in for strict inequalities over floats.
 STRICT_EPS = 1e-9
 
-_PIVOT_TOL = 1e-9  # improving reduced cost; pivot entry that drives an artificial out
+_PIVOT_TOL = 1e-9  # improving reduced cost; least entry a surviving artificial leaves on
 # A pivot entry of the ratio test, against its column's written scale s
 # (see _run_simplex): it counts above _SURE_PIVOT * s, is rounding noise at
 # or below _ZERO_PIVOT * s, and in between counts above _NOISE_TOL * s times
@@ -103,13 +105,12 @@ _FAMILY_GUARD = 20  # most members achievable_subsets walks under K1
 
 @dataclass(frozen=True)
 class LPResult:
-    """Optimal value, primal point, and dual values per constraint row and
-    per upper bound (``y_upper[j]`` is 0 for a variable without one)."""
+    """Optimal value, primal point, and dual values per <= row and per upper
+    bound (``y_upper[j]`` is 0 for a variable without one)."""
 
     value: float
     x: np.ndarray
     y_ub: np.ndarray
-    y_eq: np.ndarray
     y_upper: np.ndarray
 
 
@@ -233,76 +234,72 @@ def lp_solve(
     c: Sequence[float],
     a_ub: np.ndarray | None = None,
     b_ub: Sequence[float] | None = None,
-    a_eq: np.ndarray | None = None,
-    b_eq: Sequence[float] | None = None,
     upper: Sequence[float] | None = None,
 ) -> LPResult:
-    """Maximize c.x subject to a_ub x <= b_ub, a_eq x = b_eq, 0 <= x <= upper.
+    """Maximize c.x subject to a_ub x <= b_ub, 0 <= x <= upper.
 
-    Two-phase dense simplex with Bland's anti-cycling rule. ``upper`` gives
-    per-variable upper bounds (``np.inf`` for none, and none at all when
-    ``upper`` is omitted); they are bounds of the simplex, not rows: a
-    variable at its bound is a nonbasic column kept complemented, and a
-    bound flip changes only the right-hand side (see ``_run_simplex``). The
-    pivots are those of the same program with one ``x_j <= upper_j`` row
-    per bound appended to ``a_ub``, on a tableau smaller by those rows and
-    their slack columns. Every program takes the same loop, with the same
-    scale-relative ratio test.
+    Two-phase dense simplex with Bland's anti-cycling rule. Every row keeps
+    its own slack column; a row with a negative right-hand side is negated
+    and starts on an artificial column, and only such rows take a phase 1.
+    ``upper`` gives per-variable upper bounds (``np.inf`` for none, and none
+    at all when ``upper`` is omitted); they are bounds of the simplex, not
+    rows: a variable at its bound is a nonbasic column kept complemented,
+    and a bound flip changes only the right-hand side (see
+    ``_run_simplex``). The pivots are those of the same program with one
+    ``x_j <= upper_j`` row per bound appended to ``a_ub``, on a tableau
+    smaller by those rows and their slack columns. Every program takes the
+    same loop, with the same scale-relative ratio test.
 
     The primal point and the duals come from basis solves on the original
     rows: B x_B = b - (columns at their upper bound) * upper, with each
     nonbasic variable at its upper bound set to it, and y = c_B B^{-1}; the
     dual of bound j is max(c_j - y.A_j, 0) (``y_upper``). A non-finite
-    entry of ``c``, ``a_ub``, ``b_ub``, ``a_eq`` or ``b_eq``, or a NaN in
-    ``upper``, raises :class:`ValueError`, as does an ``a_ub`` or ``a_eq``
-    that is not 2-D with ``c.size`` columns, or a ``b_ub`` or ``b_eq`` with a
-    length other than its matrix's row count. Infeasible programs raise
-    :class:`InfeasibleError`, unbounded ones :class:`UnboundedError`; the
-    primal/dual pair is self-checked (feasibility within 1e-8, duality gap
-    within 1e-7 relative) and a failure raises :class:`NumericalError`.
+    entry of ``c``, ``a_ub`` or ``b_ub``, or a NaN in ``upper``, raises
+    :class:`ValueError`, as does an ``a_ub`` that is not 2-D with ``c.size``
+    columns, or a ``b_ub`` with a length other than its row count.
+    Infeasible programs raise :class:`InfeasibleError`, unbounded ones
+    :class:`UnboundedError`; the primal/dual pair is self-checked
+    (feasibility within 1e-8, duality gap within 1e-7 relative) and a
+    failure raises :class:`NumericalError`, as does an artificial that
+    phase 1 leaves basic in a row whose every other entry rounding has
+    brought within ``_PIVOT_TOL`` of 0.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
     a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float)
     b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
-    a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
     upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float).ravel()
-    for a, b, rows in ((a_ub, b_ub, "ub"), (a_eq, b_eq, "eq")):
-        if a.ndim != 2 or a.shape[1] != n:
-            raise ValueError(f"a_{rows} must be 2-D with one column per entry of c, not {a.shape}")
-        if b.size != a.shape[0]:
-            raise ValueError(f"b_{rows} needs one entry per row of a_{rows}")
+    if a_ub.ndim != 2 or a_ub.shape[1] != n:
+        raise ValueError(f"a_ub must be 2-D with one column per entry of c, not {a_ub.shape}")
+    if b_ub.size != a_ub.shape[0]:
+        raise ValueError("b_ub needs one entry per row of a_ub")
     if upper.size != n or np.isnan(upper).any():
         raise ValueError("upper needs one bound (a number or inf) per variable")
     if upper.min(initial=0.0) < 0:
         raise InfeasibleError("an upper bound lies below the lower bound 0")
-    m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
-    m = m_ub + m_eq
-    n_total = n + m_ub
+    m = a_ub.shape[0]
+    n_total = n + m
 
-    # Equality form: scale rows so the RHS is non-negative; <= rows get a
+    # Standard form: scale rows so the RHS is non-negative; each row gets a
     # slack column whose coefficient carries the row scaling. The natural
-    # basis is the slacks where a +1 slack exists, artificials elsewhere.
-    rhs = np.concatenate([b_ub, b_eq])
-    negative = rhs < 0
+    # basis is the slack of each row with a +1 slack, an artificial elsewhere.
+    negative = b_ub < 0
     scale = 1.0 - 2.0 * negative
-    art_rows = (negative | (np.arange(m) >= m_ub)).nonzero()[0]
+    art_rows = negative.nonzero()[0]
     art_cols = np.arange(n_total, n_total + art_rows.size)
     width = n_total + art_rows.size
     tableau = np.zeros((m + 1, width + 1))
-    tableau[:m, :n] = (np.vstack([a_ub, a_eq]) if m_eq else a_ub) * scale[:, None]
-    tableau[:m, -1] = rhs * scale
-    slacks = np.arange(m_ub)
-    tableau[slacks, n + slacks] = scale[:m_ub]
+    tableau[:m, :n] = a_ub * scale[:, None]
+    tableau[:m, -1] = b_ub * scale
+    slacks = np.arange(m)
+    tableau[slacks, n + slacks] = scale
     tableau[art_rows, art_cols] = 1.0
     if not (np.isfinite(c).all() and np.isfinite(tableau).all()):  # its rows hold A and b
-        raise ValueError("c, a_ub, b_ub, a_eq and b_eq must be finite")
+        raise ValueError("c, a_ub and b_ub must be finite")
     basis = np.arange(n, n + m)
     basis[art_rows] = art_cols
     eq_mat, rhs = tableau[:m, :width].copy(), tableau[:m, -1].copy()
     allowed = np.ones(width, dtype=bool)
-    row_ids = np.arange(m)  # original row index per surviving tableau row
 
     # Ranks in the tableau with one row per finite bound: those rows follow
     # the <= rows, so their slacks follow the <= slacks and precede the
@@ -335,21 +332,15 @@ def lp_solve(
             raise InfeasibleError(
                 f"no feasible point (artificial residual {-tableau[-1, -1]:.3e})"
             )
-        # Drive surviving artificials out of the basis; drop redundant rows.
-        drop: list[int] = []
-        for i in range(m):
-            if basis[i] >= n_total:
-                cols = np.flatnonzero(np.abs(tableau[i, :n_total]) > _PIVOT_TOL)
-                if cols.size:
-                    _pivot(tableau, i, int(cols[0]))
-                    basis[i] = int(cols[0])
-                else:
-                    drop.append(i)
-        if drop:
-            keep = [i for i in range(m) if i not in drop]
-            tableau = np.vstack([tableau[keep], tableau[-1:]])
-            basis, eq_mat, rhs, row_ids = basis[keep], eq_mat[keep], rhs[keep], row_ids[keep]
-            m = len(keep)
+        # Drive surviving artificials out of the basis. A row's entries off
+        # the artificials are B^-1 times [A | slacks], and the slacks make
+        # that block invertible, so no row is redundant.
+        for i in np.flatnonzero(basis >= n_total).tolist():
+            cols = np.flatnonzero(np.abs(tableau[i, :n_total]) > _PIVOT_TOL)
+            if not cols.size:
+                raise NumericalError(f"row {i} keeps an artificial after phase 1")
+            _pivot(tableau, i, int(cols[0]))
+            basis[i] = int(cols[0])
         allowed[art_cols] = False
 
     phase2 = np.zeros(width)
@@ -360,12 +351,12 @@ def lp_solve(
 
     # The primal point from a solve with the final basis, B x_B = b -
     # (columns at their upper bound) * upper, and the duals from y = c_B
-    # B^{-1}, over the surviving equality-form rows (dropped redundant rows
-    # keep dual 0). The tableau's own right-hand side carries the rounding
-    # of every pivot: over the 16,000 programs of tests/lp_stress.py it
-    # leaves x up to 1.3e-9 outside its box, the solve up to 1.1e-14.
+    # B^{-1}, over the standard-form rows. The tableau's own right-hand side
+    # carries the rounding of every pivot: over the 16,000 programs of
+    # tests/lp_stress.py it leaves x up to 1.3e-9 outside its box, the solve
+    # up to 1.1e-14.
     x_full = np.zeros(width)
-    y_scaled = np.zeros(m_ub + m_eq)
+    y_ub = np.zeros(m)
     at_upper = rank[0] > rank[1]
     at_upper[basis] = False
     x_full[at_upper] = bound[at_upper]
@@ -373,24 +364,22 @@ def lp_solve(
         b_mat = eq_mat[:, basis]
         try:
             x_full[basis] = np.linalg.solve(b_mat, rhs - eq_mat @ x_full)
-            y_scaled[row_ids] = np.linalg.solve(b_mat.T, phase2[basis])
+            y_ub = np.linalg.solve(b_mat.T, phase2[basis]) * scale  # undo row scaling
         except np.linalg.LinAlgError as exc:  # pragma: no cover - degenerate basis
             raise NumericalError(f"basis solve failed: {exc}") from exc
     x = x_full[:n]
-    y = y_scaled * scale  # undo row scaling
-    y_ub, y_eq = y[:m_ub], y[m_ub:]
     # the dual of bound j prices what column j still gains
-    gain = c - y_ub @ a_ub - y_eq @ a_eq if m_eq else c - y_ub @ a_ub
+    gain = c - y_ub @ a_ub
     y_upper = np.zeros(n)
     y_upper[boxed] = np.maximum(gain[boxed], 0.0)
 
     value = float(c @ x)
-    _self_check(c, a_ub, b_ub, a_eq, b_eq, upper, x, y_ub, y_eq, y_upper, value)
-    return LPResult(value=value, x=x, y_ub=y_ub, y_eq=y_eq, y_upper=y_upper)
+    _self_check(c, a_ub, b_ub, upper, x, y_ub, y_upper, value)
+    return LPResult(value=value, x=x, y_ub=y_ub, y_upper=y_upper)
 
 
-def _self_check(c, a_ub, b_ub, a_eq, b_eq, upper, x, y_ub, y_eq, y_upper, value) -> None:
-    """Certify the pair: x feasible, (y_ub >= 0, y_eq, y_upper >= 0) dual
+def _self_check(c, a_ub, b_ub, upper, x, y_ub, y_upper, value) -> None:
+    """Certify the pair: x feasible, (y_ub >= 0, y_upper >= 0) dual
     feasible, and equal objective values (weak duality makes both optimal)."""
     scale_ref = max(1.0, float(np.abs(c).max()) if c.size else 1.0)
     if c.size and x.min() < -_FEAS_TOL:
@@ -399,15 +388,13 @@ def _self_check(c, a_ub, b_ub, a_eq, b_eq, upper, x, y_ub, y_eq, y_upper, value)
         raise NumericalError("primal point violates x <= upper")
     if b_ub.size and (a_ub @ x - b_ub).max() > _FEAS_TOL * 10:
         raise NumericalError("primal point violates an inequality row")
-    if b_eq.size and np.abs(a_eq @ x - b_eq).max() > _FEAS_TOL * 10:
-        raise NumericalError("primal point violates an equality row")
     if y_ub.size and y_ub.min() < -_FEAS_TOL:
         raise NumericalError("dual point violates y >= 0")
-    reduced = c - y_ub @ a_ub - y_eq @ a_eq - y_upper
+    reduced = c - y_ub @ a_ub - y_upper
     if c.size and reduced.max() > _FEAS_TOL * 10 * scale_ref:
         raise NumericalError("dual point violates feasibility")
     boxed = y_upper > 0
-    dual_value = float(y_ub @ b_ub) + float(y_eq @ b_eq) + float(y_upper[boxed] @ upper[boxed])
+    dual_value = float(y_ub @ b_ub) + float(y_upper[boxed] @ upper[boxed])
     if abs(dual_value - value) > _GAP_TOL * max(1.0, abs(value)):
         raise NumericalError(f"duality gap {abs(dual_value - value):.3e} exceeds tolerance")
 
@@ -433,35 +420,30 @@ class GameResult:
 def _min_max(payoff: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """min over mixtures mu of max_r (payoff @ mu)_r, for a non-negative payoff.
 
-    One LP: maximize -t subject to payoff mu - t <= 0 and sum(mu) = 1, with
-    mu and t >= 0. Returns the value, mu, and the duals of the payoff rows:
-    a mixture over the rows whose worst column pays the value. Both are
-    clipped to be non-negative and scaled to sum to 1. The duals sum to the
-    value, so they form a mixture only when the value is positive; at value
-    0 they can all vanish.
+    One LP in ratio form (Dantzig, 1951, in Koopmans (ed.), *Activity
+    Analysis of Production and Allocation*): maximize sum(x) subject to
+    payoff x <= 1 and x >= 0, which starts from its slack basis. With x* its
+    optimum and y* its row duals, the value is 1 / sum(x*), mu is x* /
+    sum(x*), and y* / sum(y*) is a mixture over the rows whose worst column
+    pays the value; both mixtures are clipped to be non-negative first. A
+    payoff with an all-zero column has value 0, and its LP is unbounded: it
+    raises :class:`UnboundedError`.
     """
     k, m = payoff.shape
-    a_ub = np.empty((k, m + 1))
-    a_ub[:, :m] = payoff
-    a_ub[:, m] = -1.0
-    a_eq = np.ones((1, m + 1))
-    a_eq[0, m] = 0.0
-    c = np.zeros(m + 1)
-    c[m] = -1.0
-    res = lp_solve(c, a_ub=a_ub, b_ub=np.zeros(k), a_eq=a_eq, b_eq=np.ones(1))
-    mu, duals = np.clip(res.x[:m], 0.0, None), np.clip(res.y_ub, 0.0, None)
-    return -res.value, mu / mu.sum(), duals / duals.sum()
+    res = lp_solve(np.ones(m), a_ub=payoff, b_ub=np.ones(k))
+    mu, duals = np.clip(res.x, 0.0, None), np.clip(res.y_ub, 0.0, None)
+    return 1.0 / res.value, mu / mu.sum(), duals / duals.sum()
 
 
 def zero_sum(matrix: np.ndarray) -> GameResult:
     """Solve max_x min_y x^T M y over mixed strategies.
 
-    The row player's side is one min-max LP (``_min_max``) over the payoff
-    top - M^T with top = max(M) + 1: its mixture is the row strategy, its
-    row duals (one per column of M) the column strategy, and the game value
-    is top minus its value. Every entry of that payoff is at least 1, so
-    its value is too and the duals cannot vanish. The LP has one row per
-    column of M, so a tall payoff stays cheap. Self-checks both strategies
+    The row player's side is one min-max LP (``_min_max``, in ratio form)
+    over the payoff top - M^T with top = max(M) + 1: its mixture is the row
+    strategy, its row duals (one per column of M) the column strategy, and
+    the game value is top minus its value. Every entry of that payoff is at
+    least 1, so its LP is bounded and its value is at least 1. The LP has
+    one row per column of M, so a tall payoff stays cheap. Self-checks both strategies
     against the reported value within 1e-7, a NaN failing the check. A
     payoff that is not finite raises :class:`ValueError`.
     """

@@ -8,9 +8,10 @@ Dirichlet(0.1) weights, so one to three members carry most of its mass.
 There are 800 centers of 20 programs each. Every program is feasible and
 bounded, so a ``NumericalError`` is a kernel failure.
 
-Run it from the repository root (about half a minute)::
+Run it from the repository root (about half a minute), as CI does, with a
+RuntimeWarning (a NaN or an overflow in an LP) turned into a failure::
 
-    PYTHONPATH=src python tests/lp_stress.py
+    PYTHONPATH=src python -W error::RuntimeWarning tests/lp_stress.py
 
 It prints the count of failures, the worst primal residuals over all
 programs (how far a row's ``a_ub x`` exceeds its ``b_ub``, and how far x
@@ -26,7 +27,7 @@ A second section solves 60 seeded min-max games: the binary-vertex gap
 table (``core.vertex_gaps``) of a random family of 2-8 Dirichlet members
 and a Dirichlet center on 4-16 points, the game that KV ``crsd`` solves.
 Each game goes through ``games._min_max`` on the row player's side (one LP
-row per member, as ``zero_sum`` writes it) and through KV ``crsd``'s
+row per member, as ``zero_sum`` writes it, in ratio form) and through KV ``crsd``'s
 bracket and cutting planes, and both values are checked against HiGHS
 (scipy) within 1e-9 relative. A game that raises or misses counts as a
 failure toward the exit status.

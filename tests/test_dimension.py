@@ -433,6 +433,18 @@ def test_rsd_search_never_enumerates_a_member_every_measure_serves(monkeypatch):
     assert rep.value == best
 
 
+def test_candidate_centers_read_the_cached_family_mixture():
+    """The family-mixture center is the problem's cached uniform mixture,
+    the same bits as a mixture built afresh, and no call rebuilds it."""
+    from sqlab import mixture
+
+    prob = biclique(4, 2)
+    (_, _), (tag, center) = _candidate_centers(prob)
+    assert tag == "uniform-mixture" and center is prob.uniform_mixture
+    assert _candidate_centers(prob)[1][1] is center
+    assert center.weights.tobytes() == mixture(list(prob.dists)).weights.tobytes()
+
+
 def test_rsd_search_enumerates_nothing_when_a_measure_serves_every_member(monkeypatch):
     """The last solution is valid for every member, so its point mass
     leaves nothing to decide: the value is 0 at every center, the first

@@ -105,15 +105,6 @@ def test_lp_known_duals():
     assert np.allclose(res.y_ub, [0.4, 0.2], atol=1e-7)
 
 
-def test_lp_equality_constraints():
-    # max y s.t. x + 2y = 1, x,y >= 0  ->  y = 0.5 at x = 0
-    res = lp_solve([0.0, 1.0], a_eq=np.array([[1.0, 2.0]]), b_eq=[1.0])
-    assert res.value == pytest.approx(0.5)
-    assert np.allclose(res.x, [0.0, 0.5], atol=1e-9)
-    # dual of the equality row: value = b_eq . y_eq
-    assert float(np.dot([1.0], res.y_eq)) == pytest.approx(0.5, abs=1e-7)
-
-
 def test_lp_infeasible_and_unbounded():
     with pytest.raises(InfeasibleError):
         lp_solve([1.0], a_ub=np.array([[1.0], [-1.0]]), b_ub=[1.0, -2.0])  # x<=1, x>=2
@@ -129,38 +120,34 @@ def test_lp_degenerate_does_not_cycle():
 
 
 def _random_integer_lp(rng):
-    """A small LP with integer data, <= and = rows, and one of three
-    right-hand-side shapes: every row tight at an integer point with zero
-    coordinates (a degenerate vertex), a mix of tight and slack rows, or
-    arbitrary (often negative, often infeasible) values. Half get box rows."""
-    n = int(rng.integers(1, 6))
-    m_ub, m_eq = int(rng.integers(0, 6)), int(rng.integers(0, 3))
+    """A small LP with integer data, <= rows, and one of three right-hand-side
+    shapes: every row tight at an integer point with zero coordinates (a
+    degenerate vertex), a mix of tight and slack rows, or arbitrary (often
+    negative, often infeasible) values. Half get box rows."""
+    n, m = int(rng.integers(1, 6)), int(rng.integers(0, 6))
     c = rng.integers(-3, 4, n).astype(float)
-    a_ub = rng.integers(-3, 4, (m_ub, n)).astype(float)
-    a_eq = rng.integers(-2, 3, (m_eq, n)).astype(float)
+    a_ub = rng.integers(-3, 4, (m, n)).astype(float)
     x0 = rng.integers(0, 3, n) * (rng.random(n) < 0.6)
     shape = int(rng.integers(3))
     if shape == 0:
-        b_ub, b_eq = a_ub @ x0, a_eq @ x0
+        b_ub = a_ub @ x0
     elif shape == 1:
-        b_ub, b_eq = a_ub @ x0 + rng.integers(0, 3, m_ub), a_eq @ x0
+        b_ub = a_ub @ x0 + rng.integers(0, 3, m)
     else:
-        b_ub, b_eq = rng.integers(-3, 4, m_ub), rng.integers(-2, 3, m_eq)
+        b_ub = rng.integers(-3, 4, m)
     if rng.random() < 0.5:
         a_ub = np.vstack([a_ub, np.eye(n)])
         b_ub = np.concatenate([b_ub, np.full(n, 4.0)])
-    return c, a_ub, np.asarray(b_ub, dtype=float), a_eq, np.asarray(b_eq, dtype=float)
+    return c, a_ub, np.asarray(b_ub, dtype=float)
 
 
-def _highs(linprog, c, a_ub, b_ub, a_eq, b_eq, upper=None):
+def _highs(linprog, c, a_ub, b_ub, upper=None):
     """("infeasible" | "unbounded" | "optimal", value) from HiGHS. Feasibility
     is settled first with a zero objective: HiGHS's presolve can report an
     unbounded program as infeasible."""
     rows = dict(
         A_ub=a_ub if len(b_ub) else None,
         b_ub=b_ub if len(b_ub) else None,
-        A_eq=a_eq if len(b_eq) else None,
-        b_eq=b_eq if len(b_eq) else None,
         bounds=(0, None) if upper is None else [(0, u if u < np.inf else None) for u in upper],
         method="highs",
     )
@@ -180,26 +167,26 @@ def test_lp_agrees_with_highs_on_integer_programs(seed):
     rng = np.random.default_rng(900 + seed)
     seen = set()
     for _ in range(150):
-        c, a_ub, b_ub, a_eq, b_eq = _random_integer_lp(rng)
-        status, value = _highs(linprog, c, a_ub, b_ub, a_eq, b_eq)
+        c, a_ub, b_ub = _random_integer_lp(rng)
+        status, value = _highs(linprog, c, a_ub, b_ub)
         seen.add(status)
         if status == "infeasible":
             with pytest.raises(InfeasibleError):
-                lp_solve(c, a_ub, b_ub, a_eq, b_eq)
+                lp_solve(c, a_ub, b_ub)
         elif status == "unbounded":
             with pytest.raises(UnboundedError):
-                lp_solve(c, a_ub, b_ub, a_eq, b_eq)
+                lp_solve(c, a_ub, b_ub)
         else:
-            assert lp_solve(c, a_ub, b_ub, a_eq, b_eq).value == pytest.approx(value, abs=1e-7)
+            assert lp_solve(c, a_ub, b_ub).value == pytest.approx(value, abs=1e-7)
     assert seen == {"infeasible", "unbounded", "optimal"}
 
 
 def _random_bounded_integer_lp(rng):
     """``_random_integer_lp`` plus upper bounds: each variable gets an
     integer bound in 0..3 (0 pins it at 0) or none."""
-    c, a_ub, b_ub, a_eq, b_eq = _random_integer_lp(rng)
+    c, a_ub, b_ub = _random_integer_lp(rng)
     upper = np.where(rng.random(c.size) < 0.7, rng.integers(0, 4, c.size), np.inf)
-    return c, a_ub, b_ub, a_eq, b_eq, upper
+    return c, a_ub, b_ub, upper
 
 
 def _bounds_as_rows(c, a_ub, b_ub, upper):
@@ -218,22 +205,22 @@ def test_bounded_lp_agrees_with_highs_and_with_bounds_as_rows(seed):
     rng = np.random.default_rng(2100 + seed)
     seen = set()
     for _ in range(150):
-        c, a_ub, b_ub, a_eq, b_eq, upper = _random_bounded_integer_lp(rng)
-        status, value = _highs(linprog, c, a_ub, b_ub, a_eq, b_eq, upper)
+        c, a_ub, b_ub, upper = _random_bounded_integer_lp(rng)
+        status, value = _highs(linprog, c, a_ub, b_ub, upper)
         seen.add(status)
         if status == "infeasible":
             with pytest.raises(InfeasibleError):
-                lp_solve(c, a_ub, b_ub, a_eq, b_eq, upper=upper)
+                lp_solve(c, a_ub, b_ub, upper=upper)
             continue
         if status == "unbounded":
             with pytest.raises(UnboundedError):
-                lp_solve(c, a_ub, b_ub, a_eq, b_eq, upper=upper)
+                lp_solve(c, a_ub, b_ub, upper=upper)
             continue
-        res = lp_solve(c, a_ub, b_ub, a_eq, b_eq, upper=upper)
+        res = lp_solve(c, a_ub, b_ub, upper=upper)
         assert res.value == pytest.approx(value, abs=1e-7)
         assert np.all(res.x >= -1e-9) and np.all(res.x <= upper + 1e-9)
         assert np.all(res.y_upper >= 0) and not np.any(res.y_upper[upper == np.inf])
-        rows = lp_solve(c, *_bounds_as_rows(c, a_ub, b_ub, upper), a_eq, b_eq)
+        rows = lp_solve(c, *_bounds_as_rows(c, a_ub, b_ub, upper))
         assert res.value == pytest.approx(rows.value, abs=1e-9)
         assert np.allclose(res.x, rows.x, atol=1e-9)
     assert seen == {"infeasible", "unbounded", "optimal"}
@@ -278,16 +265,11 @@ def test_lp_rejects_bad_upper_bounds():
         ({"c": [1.0, 1.0], "a_ub": [[1.0, 1.0]], "b_ub": [1.0, 2.0]}, "b_ub"),
         ({"c": [1.0, 1.0], "a_ub": [[1.0, 1.0], [1.0, 0.0]], "b_ub": [1.0]}, "b_ub"),
         ({"c": [1.0, 1.0], "a_ub": [[1.0, 1.0]]}, "b_ub"),
-        ({"c": [1.0, 1.0], "a_eq": [[1.0, 1.0]], "b_eq": [1.0, 1.0]}, "b_eq"),
-        ({"c": [1.0, 1.0], "a_eq": [[1.0, 1.0], [1.0, -1.0]], "b_eq": [1.0]}, "b_eq"),
         ({"c": []}, None),
         ({"c": [1.0, 1.0], "a_ub": [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]], "b_ub": [1.0, 1.0, 1.0]}, "a_ub"),
         ({"c": [1.0, 1.0], "a_ub": [[1.0, 2.0, 3.0, 4.0]], "b_ub": [1.0, 1.0]}, "a_ub"),
-        ({"c": [1.0, 1.0], "a_eq": [1.0, 1.0], "b_eq": [1.0]}, "a_eq"),
-        ({"c": [1.0, 1.0], "a_eq": [[1.0], [1.0]], "b_eq": [1.0, 1.0]}, "a_eq"),
     ],
-    ids=["b_ub-long", "b_ub-short", "b_ub-missing", "b_eq-long", "b_eq-short", "empty",
-         "a_ub-3-columns", "a_ub-4-columns", "a_eq-1d", "a_eq-1-column"],
+    ids=["b_ub-long", "b_ub-short", "b_ub-missing", "empty", "a_ub-3-columns", "a_ub-4-columns"],
 )
 def test_lp_checks_row_counts_and_solves_the_empty_program(program, error):
     """A right-hand side with a length other than its matrix's row count,
@@ -304,10 +286,8 @@ def test_lp_checks_row_counts_and_solves_the_empty_program(program, error):
             lp_solve(**program)
 
 
-# max x + y subject to x + y <= 1 and x = y: value 1 at (1/2, 1/2)
-_FINITE_LP = {
-    "c": [1.0, 1.0], "a_ub": [[1.0, 1.0]], "b_ub": [1.0], "a_eq": [[1.0, -1.0]], "b_eq": [0.0],
-}
+# max x + y subject to x + y <= 1 and x >= 1/2 (a negative row): value 1
+_FINITE_LP = {"c": [1.0, 1.0], "a_ub": [[1.0, 1.0], [-1.0, 0.0]], "b_ub": [1.0, -0.5]}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -410,13 +390,13 @@ def test_vectorized_kernel_repeats_the_reference_pivots(monkeypatch):
 
     def outcomes():
         out = []
-        for c, a_ub, b_ub, a_eq, b_eq in programs:
+        for c, a_ub, b_ub in programs:
             try:
-                res = lp_solve(c, a_ub, b_ub, a_eq, b_eq)
+                res = lp_solve(c, a_ub, b_ub)
             except (InfeasibleError, UnboundedError) as exc:
                 out.append(type(exc))
             else:
-                out.append(np.concatenate([[res.value], res.x, res.y_ub, res.y_eq]).tobytes())
+                out.append(np.concatenate([[res.value], res.x, res.y_ub]).tobytes())
         return out
 
     fast = outcomes()
@@ -545,6 +525,17 @@ def test_min_max_matches_highs(seed):
     assert float((duals / duals.sum() @ payoff).min()) >= value - 1e-9
 
 
+def test_min_max_raises_on_a_zero_payoff_column():
+    """A payoff with an all-zero column has value 0, at that column's point
+    mass. Its ratio-form LP (maximize sum(x) subject to payoff x <= 1) is
+    unbounded along that column and raises, instead of returning NaN row
+    duals from 0 / 0."""
+    from sqlab.games import _min_max
+
+    with pytest.raises(UnboundedError):
+        _min_max(np.array([[1.0, 0.0], [0.5, 0.0]]))
+
+
 # The six K1 games of the ``dims`` reports at their references.
 _CRSD_INSTANCES = [
     (biclique, (3, 1)), (biclique, (3, 2)), (biclique, (4, 1)),
@@ -645,11 +636,12 @@ def test_crsd_cutting_planes_refuse_a_master_that_breaks_its_own_rows(monkeypatc
     from sqlab import games
     from sqlab.games import LPResult
 
-    def broken(c, a_ub, b_ub, a_eq, b_eq):
+    def broken(c, a_ub, b_ub):
+        # the ratio-form master of value 1e-12 at the first member's point mass
         k, n = a_ub.shape
         x = np.zeros(n)
-        x[0] = 1.0
-        return LPResult(0.0, x, np.full(k, 1.0 / k), np.zeros(1), np.zeros(n))
+        x[0] = 1e12
+        return LPResult(1e12, x, np.full(k, 1.0 / k), np.zeros(n))
 
     monkeypatch.setattr(games, "lp_solve", broken)
     dists, d0 = random_dists(np.random.default_rng(1801), 4, 3)
