@@ -426,10 +426,15 @@ def _min_max(payoff: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     optimum and y* its row duals, the value is 1 / sum(x*), mu is x* /
     sum(x*), and y* / sum(y*) is a mixture over the rows whose worst column
     pays the value; both mixtures are clipped to be non-negative first. A
-    payoff with an all-zero column has value 0, and its LP is unbounded: it
-    raises :class:`UnboundedError`.
+    payoff with an all-zero column would make that LP unbounded; it has
+    value 0 at the first such column's point mass, against which every row
+    pays 0, so it returns that, with the uniform row mixture, and makes no
+    LP.
     """
     k, m = payoff.shape
+    zero = np.flatnonzero(~payoff.any(axis=0))
+    if zero.size:
+        return 0.0, np.eye(m)[zero[0]], np.full(k, 1.0 / k)
     res = lp_solve(np.ones(m), a_ub=payoff, b_ub=np.ones(k))
     mu, duals = np.clip(res.x, 0.0, None), np.clip(res.y_ub, 0.0, None)
     return 1.0 / res.value, mu / mu.sum(), duals / duals.sum()

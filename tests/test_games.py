@@ -525,15 +525,17 @@ def test_min_max_matches_highs(seed):
     assert float((duals / duals.sum() @ payoff).min()) >= value - 1e-9
 
 
-def test_min_max_raises_on_a_zero_payoff_column():
+def test_min_max_returns_the_point_mass_of_a_zero_payoff_column():
     """A payoff with an all-zero column has value 0, at that column's point
-    mass. Its ratio-form LP (maximize sum(x) subject to payoff x <= 1) is
-    unbounded along that column and raises, instead of returning NaN row
-    duals from 0 / 0."""
+    mass, and every row mixture pays at least 0. Its ratio-form LP
+    (maximize sum(x) subject to payoff x <= 1) would be unbounded along
+    that column, so none is made."""
     from sqlab.games import _min_max
 
-    with pytest.raises(UnboundedError):
-        _min_max(np.array([[1.0, 0.0], [0.5, 0.0]]))
+    value, mu, duals = _min_max(np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 2.0]]))
+    assert value == 0.0
+    assert np.array_equal(mu, [0.0, 1.0, 0.0])
+    assert np.array_equal(duals, [0.5, 0.5])
 
 
 # The six K1 games of the ``dims`` reports at their references.
@@ -686,6 +688,33 @@ def test_kv_crsd_game_matches_highs(generator, params):
 @pytest.mark.parametrize("seed", range(6))
 def test_kv_crsd_game_matches_highs_on_random_families(seed):
     _assert_kv_game_matches_highs(*_kv_random_family(seed))
+
+
+def _dyadic_zero_column_family():
+    """Three members around the uniform center on 4 points, with differences
+    (1,-1,0,0)/8, (0,1,-1,0)/8 and (1,0,-1,0)/8: every sign query pays one
+    of them exactly 0, and so does every binary vertex, so the first master
+    of crsd, over the bracket's single query, has an all-zero column under
+    K1 and KV alike."""
+    domain = small_domain(4)
+    diffs = np.array([[1, -1, 0, 0], [0, 1, -1, 0], [1, 0, -1, 0]]) / 8
+    return [FiniteDistribution(domain, 0.25 + g) for g in diffs], FiniteDistribution.uniform(domain)
+
+
+@pytest.mark.parametrize("kappa", [K1, KV])
+def test_crsd_solves_a_family_whose_first_master_has_a_zero_column(monkeypatch, kappa):
+    from sqlab import dimension
+
+    payoffs = []
+    solve = dimension._min_max
+    monkeypatch.setattr(dimension, "_min_max", lambda payoff: payoffs.append(payoff) or solve(payoff))
+    dists, d0 = _dyadic_zero_column_family()
+    if kappa == K1:
+        rep = _assert_crsd_matches_highs(dists, d0)
+        assert rep.value == pytest.approx(6.0, rel=1e-12)
+    else:
+        _assert_kv_game_matches_highs(dists, d0)
+    assert not payoffs[0].any(axis=0).all()
 
 
 def test_kv_crsd_closes_at_the_uniform_measure_on_bicliques(monkeypatch):
