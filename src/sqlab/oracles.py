@@ -23,9 +23,10 @@ Only the consumed rows 0..j are asked: their transcript entries go in as
 one columnar append, with validity from ``valid_answers``, the array form
 of ``validate``. ``OracleSession.query`` is a one-row block.
 
-A :class:`Transcript` stores its entries as growing columns (kind, param,
-value, valid, true value) and builds :class:`TranscriptEntry` objects only
-when they are read.
+A :class:`Transcript` keeps each answered block as numpy arrays (answers,
+validity flags, true values) under the block's kind and param, counts its
+entries and valid entries as blocks arrive, and builds
+:class:`TranscriptEntry` objects only when they are read.
 
 Oracle kinds:
 
@@ -330,46 +331,46 @@ class TranscriptEntry:
     true_value: float
 
 
-def _as_list(column) -> list:
-    """Python scalars, so that entries read back as plain floats and bools."""
-    return column.tolist() if isinstance(column, np.ndarray) else list(column)
-
-
 class Transcript:
     """Ordered record of oracle exchanges; __len__ is the query count.
 
-    The entries are stored as growing columns (kind, param, value, valid,
-    true value), which an oracle session extends one block at a time;
-    ``entries`` and iteration build the :class:`TranscriptEntry` objects on
-    demand.
+    An oracle session extends the record one answered block at a time. Each
+    block is kept as it came, as private numpy copies of its answer,
+    validity and true-value columns with its one kind and parameter, and
+    running counts of the entries and of the valid entries give ``len`` and
+    ``valid_fraction``. ``entries``, iteration and ``to_jsonl`` build the
+    :class:`TranscriptEntry` objects, with plain Python floats and bools,
+    only when they are read.
     """
 
     def __init__(self):
-        self._kind: list = []
-        self._param: list = []
-        self._value: list = []
-        self._valid: list = []
-        self._true_value: list = []
+        self._blocks: list = []  # (kind, param, values, valid, true values)
+        self._count = 0
+        self._valid_count = 0
 
     def extend(self, kind: str, param: float, values, valid, true_values) -> None:
         """Record a block of exchanges under one oracle kind and parameter:
         parallel sequences (or 1-D arrays) of answers, validity flags and
-        true values."""
-        n = len(values)
-        if not (len(valid) == len(true_values) == n):
+        true values. The columns are copied, so the caller may reuse them."""
+        values = np.array(values, dtype=float)
+        valid = np.array(valid, dtype=bool)
+        true_values = np.array(true_values, dtype=float)
+        if not (values.ndim == 1 and values.shape == valid.shape == true_values.shape):
             raise ValueError("transcript columns must have one value per exchange")
-        self._kind += [kind] * n
-        self._param += [param] * n
-        self._value += _as_list(values)
-        self._valid += _as_list(valid)
-        self._true_value += _as_list(true_values)
+        if values.size:
+            self._blocks.append((kind, param, values, valid, true_values))
+            self._count += values.size
+            self._valid_count += int(np.count_nonzero(valid))
 
     def __len__(self) -> int:
-        return len(self._value)
+        return self._count
 
     def __iter__(self):
-        columns = zip(self._kind, self._param, self._value, self._valid, self._true_value)
-        return (TranscriptEntry(i, *row) for i, row in enumerate(columns))
+        index = 0
+        for kind, param, values, valid, true_values in self._blocks:
+            for row in zip(values.tolist(), valid.tolist(), true_values.tolist()):
+                yield TranscriptEntry(index, kind, param, *row)
+                index += 1
 
     @property
     def entries(self) -> list:
@@ -377,9 +378,9 @@ class Transcript:
 
     @property
     def valid_fraction(self) -> float:
-        if not self._valid:
+        if not self._count:
             return 1.0
-        return sum(self._valid) / len(self._valid)
+        return self._valid_count / self._count
 
     def to_jsonl(self, fp: IO[str] | str) -> None:
         """One JSON object per line: {index, kind, param, value, valid}."""

@@ -18,10 +18,13 @@ holds, so only the rows actually reached are asked and recorded. The K1
 margins of a run are incremental (``_K1Margins``): the mixture moves by
 delta in L1 per step, so a member's margin drops by at most delta, and a
 step re-measures only the members whose carried lower bound can be within
-tau; sign witnesses are built for the far members only. KV keeps a
+tau; sign witnesses are built for the far members only, selected by an
+index array of the far targets that is cached with the proposal. KV keeps a
 per-member threshold scan at every step. ``MWState.update`` checks the loss
-and the positivity of the new weights, then builds its successor without
-the public constructor's copy and re-checks, which hold by construction.
+range, builds w (1 - gamma z) in place in one new array (bit for bit the
+product as written), checks the positivity of the renormalized weights,
+then builds its successor without the public constructor's copy and
+re-checks, which hold by construction.
 
 The budget rule is the same everywhere: at most ceil(36 * KL_bound / tau^2)
 updates (K1 margins; the square-root-scale variant uses gamma = tau^2/9 and
@@ -125,11 +128,15 @@ class MWState:
         if z.shape != self.weights.shape:
             raise ValueError("loss vector length mismatch")
         # written so that a NaN fails it
-        if not np.all(np.abs(z) <= 1.0 + 1e-12):
+        if not np.abs(z).max() <= 1.0 + 1e-12:
             raise ValueError("losses must lie in [-1, 1]")
-        w = self.weights * (1.0 - self.gamma * z)
+        # weights * (1 - gamma z) in place, bit for bit: negation is exact,
+        # and IEEE + and * commute
+        w = z * -self.gamma
+        w += 1.0
+        w *= self.weights
         w /= w.sum()
-        if not np.all(w > 0):
+        if not w.min() > 0:
             raise ValueError("multiplicative weights must stay strictly positive")
         # gamma is unchanged and w sums to 1 by construction, so the
         # successor skips the constructor's copy and re-checks
@@ -222,7 +229,10 @@ class _K1Margins:
         return self._lower <= self._tau, self.signs
 
     def signs(self, rows) -> np.ndarray:
-        """Sign rows of ``rows`` against the last mixture."""
+        """Sign rows of ``rows`` (a sequence or an array of row indices)
+        against the last mixture, as one (len(rows), |X|) block."""
+        # an index array, so that a tuple is not read as a multi-index
+        rows = np.asarray(rows, dtype=np.intp)
         # compared in full (a bool block is an eighth the size of the float
         # rows it would copy), then scaled in place: a chained expression
         # allocates a block per step, and ran slower than np.where
@@ -270,7 +280,8 @@ def _kv_margins(dist_mat: np.ndarray, tau: float):
 def _proposal(serves: np.ndarray, close: np.ndarray):
     """The cover's answer to a close set: the first solution valid for
     every close member (else the one serving most of them, with the close
-    members it leaves unserved), and the far members it does not serve."""
+    members it leaves unserved), and the far members it does not serve,
+    once as an ``np.intp`` index array and once as a tuple of ints."""
     covering = np.flatnonzero(serves[:, close].all(axis=1))
     unservable: tuple = ()
     if covering.size:
@@ -278,7 +289,8 @@ def _proposal(serves: np.ndarray, close: np.ndarray):
     else:
         f_idx = int(np.argmax(serves[:, close].sum(axis=1)))
         unservable = tuple(np.flatnonzero(close & ~serves[f_idx]).tolist())
-    return f_idx, unservable, np.flatnonzero(~serves[f_idx] & ~close).tolist()
+    far = np.flatnonzero(~serves[f_idx] & ~close)
+    return f_idx, unservable, far, tuple(far.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +328,12 @@ def margin_cover(problem: ProblemSpec, tau: float, kappa: str = K1, randomized: 
     The oracle keeps state between calls, as a cache only: K1 margins carry
     a lower bound per member (``_K1Margins``), so a step re-measures just
     the members that can be within tau, and the proposal, a function of
-    the close set alone, is reused while that set is unchanged. Any
-    sequence of mixtures gets at each one the step a fresh oracle returns.
+    the close set alone, is reused while that set is unchanged, keyed by
+    the set's bytes. The cached proposal holds the far targets both as the
+    index array that selects their witness rows and as the tuple of ints
+    that ``CoverStep.targets`` and rand mode read, so neither is rebuilt
+    per step. Any sequence of mixtures gets at each one the step a fresh
+    oracle returns.
     """
     dist_mat = problem.dist_matrix
     serves = problem.validity  # serves[f, i]: solution f is valid for dist i
@@ -330,12 +346,12 @@ def margin_cover(problem: ProblemSpec, tau: float, kappa: str = K1, randomized: 
         key = close.tobytes()
         if cached is None or cached[0] != key:
             cached = key, _proposal(serves, close)
-        f_idx, unservable, far_targets = cached[1]
+        f_idx, unservable, far_rows, far_targets = cached[1]
         if not randomized:
             return CoverStep(
                 solution_index=f_idx,
-                queries=witness_rows(far_targets),
-                targets=tuple(far_targets),
+                queries=witness_rows(far_rows),
+                targets=far_targets,
                 unservable=unservable,
             )
         # randomized: fractional cover over the far distributions

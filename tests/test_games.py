@@ -1761,6 +1761,14 @@ def _golden_case(argv, golden, id=None):
              "--strategy", "sampled", "--samples", "2000", "--trials", "5", "--seed", "4"],
             "solve_biclique_4_2_rand_sampled_tau0.2.json",
         ),
+        # sampled answers on the benchmark's line(11) instance: with 400
+        # samples a row, 8-15 % of the answers are invalid, so the report
+        # pins each trial's valid-answer fraction
+        _golden_case(
+            ["solve", "--gen", "line", "--p", "11", "--tau", "0.2", "--strategy", "sampled",
+             "--samples", "400", "--trials", "20", "--seed", "1"],
+            "solve_line_11_sampled_tau0.2.json",
+        ),
         _golden_case(
             ["stream", "--gen", "biclique", "--n", "6", "--k", "2", "--tau", "0.2", "--delta", "0.1",
              "--trials", "20", "--seed", "7"],

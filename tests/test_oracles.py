@@ -486,6 +486,123 @@ def test_transcript_block_appends_read_back_as_entries():
         t.extend("stat", 0.1, [0.5], [True, True], [0.5])
 
 
+def test_transcript_keeps_private_copies_of_its_columns():
+    """A block is copied when it is recorded: changing the caller's arrays
+    or lists afterwards leaves the entries as they were."""
+    from sqlab.oracles import Transcript
+
+    values, valid, true_values = np.array([0.5, 0.25]), np.array([True, False]), np.array([0.5, 0.5])
+    listed = [0.75], [True], [0.7]
+    t = Transcript()
+    t.extend("stat", 0.1, values, valid, true_values)
+    t.extend("stat", 0.1, *listed)
+    before = t.entries
+    values[:] = -1.0
+    valid[:] = [False, True]
+    true_values[:] = 2.0
+    for column in listed:
+        column[0] = None
+    assert t.entries == before
+    assert (len(t), t.valid_fraction) == (3, 2 / 3)
+
+
+def test_transcript_entries_are_python_scalars_after_an_empty_block():
+    from sqlab.oracles import Transcript
+
+    t = Transcript()
+    t.extend("stat", 0.1, np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0))
+    assert (len(t), t.entries, t.valid_fraction) == (0, [], 1.0)
+    t.extend("vstat", 64.0, np.array([0.5]), np.array([False]), np.array([0.25]))
+    t.extend("vstat", 64.0, [], [], [])
+    t.extend("onestat", 2.0, [3.0], [True], [math.nan])
+    assert [e.index for e in t] == [0, 1]
+    for e in t:
+        assert (type(e.param), type(e.value), type(e.valid), type(e.true_value)) == (
+            float, float, bool, float
+        )
+    assert t.valid_fraction == 0.5
+
+
+def test_transcript_counts_hold_over_many_blocks():
+    from sqlab.oracles import Transcript
+
+    rng = np.random.default_rng(5)
+    t, flags = Transcript(), []
+    for _ in range(300):
+        n = int(rng.integers(0, 9))
+        valid = rng.random(n) < 0.9
+        t.extend("stat", 0.1, rng.random(n), valid, rng.random(n))
+        flags += valid.tolist()
+        assert len(t) == len(flags)
+        assert t.valid_fraction == (sum(flags) / len(flags) if flags else 1.0)
+    assert [e.valid for e in t] == flags
+
+
+class _ListTranscript:
+    """A transcript that keeps one Python list per column, each entry
+    converted when it is recorded: the reference for the block form."""
+
+    def __init__(self):
+        self.rows = []
+
+    def extend(self, kind, param, values, valid, true_values):
+        as_list = lambda c: c.tolist() if isinstance(c, np.ndarray) else list(c)
+        self.rows += zip([kind] * len(values), [param] * len(values),
+                         as_list(values), as_list(valid), as_list(true_values))
+
+    def valid_fraction(self):
+        return sum(r[3] for r in self.rows) / len(self.rows) if self.rows else 1.0
+
+
+@st.composite
+def _transcript_blocks(draw):
+    """Blocks as a session records them (1-D float and bool arrays) and as
+    ``one_sample`` records them (Python lists, a NaN true value)."""
+    blocks = []
+    for _ in range(draw(st.integers(0, 8))):
+        n = draw(st.integers(0, 6))
+        kind, param = draw(st.sampled_from([("stat", 0.1), ("vstat", 64.0), ("vroot", 0.05)]))
+        floats = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+        values = draw(st.lists(floats, min_size=n, max_size=n))
+        valid = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        true_values = draw(st.lists(floats | st.just(math.nan), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            values, valid, true_values = np.array(values), np.array(valid, dtype=bool), np.array(true_values)
+        blocks.append((kind, param, values, valid, true_values))
+    return blocks
+
+
+@given(_transcript_blocks())
+def test_block_transcript_matches_a_list_transcript(blocks):
+    """Any sequence of blocks reads back as the per-entry lists read: the
+    same entries with the same types, the same valid fraction and the same
+    ``to_jsonl`` bytes."""
+    import io
+
+    from sqlab.oracles import Transcript, TranscriptEntry
+
+    t, ref = Transcript(), _ListTranscript()
+    for block in blocks:
+        t.extend(*block)
+        ref.extend(*block)
+    want = [TranscriptEntry(i, *row) for i, row in enumerate(ref.rows)]
+    got = t.entries
+    # repr compares floats by their bits, NaN included
+    assert repr(got) == repr(want)
+    assert [tuple(map(type, vars(e).values())) for e in got] == [
+        tuple(map(type, vars(e).values())) for e in want
+    ]
+    assert (len(t), t.valid_fraction) == (len(want), ref.valid_fraction())
+    want_jsonl = "".join(
+        json.dumps({"index": e.index, "kind": e.kind, "param": e.param, "value": e.value,
+                    "valid": e.valid}) + "\n"
+        for e in want
+    )
+    out = io.StringIO()
+    t.to_jsonl(out)
+    assert out.getvalue() == want_jsonl
+
+
 # ---------------------------------------------------------------------------
 # the tolerance bridge
 # ---------------------------------------------------------------------------

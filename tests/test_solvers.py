@@ -164,17 +164,59 @@ def test_mw_update_matches_the_checked_constructor():
 
 def test_mw_update_keeps_its_checks():
     state = MWState.start([0.5, 0.5], gamma=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="loss vector length mismatch"):
         state.update([1.0, 0.0, 0.0])  # shape
-    with pytest.raises(ValueError):
-        state.update([1.0 + 1e-9, 0.0])  # range
+    for bad in (1.0 + 1e-9, -1.0 - 1e-9):  # range
+        with pytest.raises(ValueError, match=r"losses must lie in \[-1, 1\]"):
+            state.update([0.0, bad])
     for bad in (math.nan, math.inf, -math.inf):  # non-finite losses are out of range
         with pytest.raises(ValueError, match=r"losses must lie in \[-1, 1\]"):
             state.update([bad, 0.0])
+        with pytest.raises(ValueError, match=r"losses must lie in \[-1, 1\]"):
+            state.update([1.0, bad])
     # a weight that underflows to 0 breaks positivity
     tiny = MWState(weights=np.array([5e-324, 1.0]), gamma=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="multiplicative weights must stay strictly positive"):
         tiny.update([1.0, -1.0])
+    # a failed update leaves the state as it was
+    assert state.weights.tolist() == [0.5, 0.5] and state.step == 0
+
+
+@st.composite
+def _mw_trajectories(draw):
+    """A start, a rate and a loss sequence as MW runs see them: +-1 sign
+    rows (every K1 search and stream update), or losses in [-1, 1] with
+    some entries exactly at -1, 0 and 1."""
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gamma = draw(st.sampled_from([0.2 / 3.0, 0.2**2 / 9.0, 0.5])) if draw(st.booleans()) else (
+        draw(st.floats(1e-4, 0.9))
+    )
+    signs = draw(st.booleans())
+    losses = []
+    for _ in range(draw(st.integers(1, 60))):
+        if signs:
+            z = rng.choice([-1.0, 1.0], size=m)
+        else:
+            z = rng.uniform(-1.0, 1.0, size=m)
+            z[rng.random(m) < 0.2] = rng.choice([-1.0, 0.0, 1.0])
+        losses.append(z)
+    return rng.dirichlet(np.ones(m)), gamma, losses
+
+
+@given(_mw_trajectories())
+def test_mw_update_is_the_reference_product_bit_for_bit(run):
+    """Along MW-like trajectories, each update equals w (1 - gamma z) / sum
+    evaluated as written, bit for bit, and leaves the loss untouched."""
+    start, gamma, losses = run
+    state = MWState.start(start, gamma)
+    for z in losses:
+        w = state.weights * (1.0 - state.gamma * z)
+        want = w / w.sum()
+        before = z.copy()
+        state = state.update(z)
+        assert state.weights.tobytes() == want.tobytes()
+        assert z.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("weights", [[math.nan, 1.0], [math.nan, math.nan], [math.inf, 0.5]])
@@ -280,6 +322,20 @@ def test_k1_witnesses_match_the_per_member_rule():
         assert np.array_equal(block[j], np.where(diff >= 0, 1.0, -1.0))
     assert close[2] and close[5] and np.all(block[1] == 1.0)
     assert witness_rows([]).shape == (0, 9)
+
+
+def test_k1_sign_rows_take_a_list_a_tuple_or_an_index_array():
+    """The same rows give the same block whatever sequence names them: a
+    tuple is not read as a (row, column) multi-index, which would give one
+    sign, and an empty tuple gives no rows, not all of them."""
+    dist_mat = np.array([[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.3, 0.2]])
+    _, witness_rows = _K1Margins(dist_mat, 0.1)(np.full(4, 0.25))
+    want = np.where(dist_mat[[0, 2]] >= 0.25, 1.0, -1.0)
+    for rows in ([0, 2], (0, 2), np.array([0, 2]), np.array([0, 2], dtype=np.int32)):
+        assert witness_rows(rows).tobytes() == want.tobytes()
+        assert witness_rows(rows).shape == (2, 4)
+    for rows in ((), [], np.zeros(0, dtype=np.intp)):
+        assert witness_rows(rows).shape == (0, 4)
 
 
 @st.composite
@@ -401,6 +457,9 @@ def test_stateful_cover_steps_equal_a_fresh_oracles(prob, mode, kappa, ti):
     for t_vec, got in steps:
         fresh = margin_cover(prob, tau, kappa=kappa, randomized=randomized)(t_vec)
         _assert_same_step(got, fresh)
+        # Python ints (in groups in rand mode), as triggers and reports read them
+        for target in got.targets:
+            assert all(type(i) is int for i in (target if randomized else (target,)))
 
 
 def test_line_11_trial_re_measures_few_margins_and_proposals(monkeypatch):

@@ -1,6 +1,8 @@
 """Sample-driven streaming search: budget arithmetic, the capped stream,
 bit-for-bit history replay, and the memory/sample ledger."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -216,6 +218,16 @@ def test_stream_solve_history_replays_bitwise():
     again = replay_weights(prob, 0.2, rep["history"])
     assert np.array_equal(replayed, again)
     assert replayed.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_stream_solve_history_is_plain_json():
+    """The history holds Python ints, the cover step's targets and the
+    trigger signs, so a report writes it as JSON."""
+    prob = biclique(8, 2)
+    rep = stream_solve(prob, tau=0.2, delta=0.1, stream=SampleStream(prob.dists[3], np.random.default_rng(2)))
+    assert rep["updates"] > 0
+    assert json.loads(json.dumps(rep["history"])) == [list(h) for h in rep["history"]]
+    assert all(type(i) is int and type(s) is int for i, s in rep["history"])
 
 
 def test_stream_solve_deterministic_under_seed():
