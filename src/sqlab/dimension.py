@@ -13,11 +13,12 @@ On top of that:
 
 - ``det_cover``: smallest integer cover of the family by achievable subsets
   (exact branch-and-bound or greedy).
-- ``rsd_decision``: the fractional cover value, from one covering LP
-  (``games.fractional_cover``). Its duals mu are the other side of the
-  minimax identity: the hardest measure is mu / sum(mu), and the cover
-  value is re-evaluated against their packing bound sum(mu) / max_S mu(S)
-  to 1e-6. Distributions that no query distinguishes make the dimension
+- ``rsd_decision``: the fractional cover value, from one LP
+  (``games.fractional_cover``), written as its packing dual. Its solution
+  mu is the other side of the minimax identity: the hardest measure is
+  mu / sum(mu), and the cover value, the sum of the LP's row duals (the
+  cover weights), is re-evaluated against the packing bound
+  sum(mu) / max_S mu(S) to 1e-6. Distributions that no query distinguishes make the dimension
   infinite (reported as a sentinel with the witness indices).
 - ``sd_decision``: the worst-subfamily integer ratio max_T |T| / max_S |S cap T|.
 - ``rsd_search`` / ``rsd_verifiable`` / ``rsd_optimizing``: reductions of

@@ -39,7 +39,9 @@ class GuardExceededError(SqlabError):
 
 
 class InfeasibleError(SqlabError):
-    """Linear program has no feasible point."""
+    """Linear program has no feasible point: an upper bound lies below the
+    lower bound 0 (``lp_solve`` refuses a negative right-hand side with a
+    ValueError, so x = 0 is feasible for every other program)."""
 
 
 class UnboundedError(SqlabError):

@@ -1,10 +1,11 @@
 """Dense linear programming and finite zero-sum games.
 
-Everything here is exact small-scale machinery: a two-phase primal simplex
-with Bland's rule (no cycling, no external solver) over <= rows only, one
-min-max LP (``_min_max``: min over mixtures mu of max_r (payoff @ mu)_r,
-in ratio form) for every game, zero-sum game values from it,
-maximum-margin separation queries, and the achievable-subset /
+Everything here is exact small-scale machinery: a primal simplex with
+Bland's rule (no cycling, no external solver) over <= rows with
+non-negative right-hand sides only, so that every program starts from its
+slack basis; one min-max LP (``_min_max``: min over mixtures mu of max_r
+(payoff @ mu)_r, in ratio form) for every game, zero-sum game values from
+it, maximum-margin separation queries, and the achievable-subset /
 fractional-cover machinery the dimension layer is built on. The simplex
 kernel (``_run_simplex``) is one dense tableau loop:
 each iteration picks the entering column with one ``argmin``, runs the ratio
@@ -38,10 +39,12 @@ family once in a ``shared_families()`` block.
 Conventions:
 
 - ``lp_solve`` maximizes c.x subject to A_ub x <= b_ub, 0 <= x <= upper,
-  and returns primal and dual points (the duals of the bounds included).
-  A row with a negative right-hand side (a >= row) starts on an artificial
-  column, and only such rows take a phase 1. Infeasible and unbounded
-  programs raise distinct errors.
+  for b_ub >= 0, and returns primal and dual points (the duals of the
+  bounds included). There is no phase 1: x = 0 is feasible, and each
+  program starts from its slack basis. Every program of this module is
+  written so: the margin LP has b = 0, and the game and cover LPs are
+  packing LPs with b = 1. A negative upper bound and an unbounded program
+  raise distinct errors.
 - Strict inequalities ("margin > tau") are realized as
   margin >= tau + STRICT_EPS so achievability is a closed condition.
 """
@@ -87,7 +90,7 @@ __all__ = [
 #: Margin slack standing in for strict inequalities over floats.
 STRICT_EPS = 1e-9
 
-_PIVOT_TOL = 1e-9  # improving reduced cost; least entry a surviving artificial leaves on
+_PIVOT_TOL = 1e-9  # least reduced cost (in magnitude) that improves
 # A pivot entry of the ratio test, against its column's written scale s
 # (see _run_simplex): it counts above _SURE_PIVOT * s, is rounding noise at
 # or below _ZERO_PIVOT * s, and in between counts above _NOISE_TOL * s times
@@ -99,7 +102,7 @@ _FEAS_TOL = 1e-8
 _GAP_TOL = 1e-7
 _DUALITY_TOL = 1e-6  # cover value against its re-evaluated packing bound
 _MAX_ITER = 50_000
-_LAST = np.iinfo(np.int64).max  # rank of a column that may not enter
+_LAST = np.iinfo(np.int64).max  # rank of a column that does not improve
 _FAMILY_GUARD = 20  # most members achievable_subsets walks under K1
 
 
@@ -132,16 +135,15 @@ def _flip(t: np.ndarray, col: int, upper: float) -> None:
     t[:, col] *= -1.0
 
 
-def _run_simplex(t: np.ndarray, basis: np.ndarray, allowed: np.ndarray, box) -> None:
+def _run_simplex(t: np.ndarray, basis: np.ndarray, box) -> None:
     """Primal simplex iterations (maximization) with Bland's rule, in place.
 
     The last row of ``t`` holds reduced costs z - c, the last column the RHS.
-    ``allowed[j]`` masks columns permitted to enter (used to pin artificials
-    in phase 2). The entering column is the improving allowed one (reduced
-    cost below -1e-9) of least rank; the ratio test takes the smallest
-    ratio over the rows whose pivot entry counts (see below; ratios within
-    1e-12 of the least tie, and the tie goes to the least rank: textbook
-    Bland), and the pivot is one rank-1 update. A scalar loop that carries
+    The entering column is the improving one (reduced cost below -1e-9) of
+    least rank; the ratio test takes the smallest ratio over the rows whose
+    pivot entry counts (see below; ratios within 1e-12 of the least tie,
+    and the tie goes to the least rank: textbook Bland), and the pivot is
+    one rank-1 update. A scalar loop that carries
     a running best row by row can end elsewhere on a chain of near-ties
     spread wider than 1e-12; both rules are Bland's and cannot cycle.
 
@@ -178,13 +180,12 @@ def _run_simplex(t: np.ndarray, basis: np.ndarray, allowed: np.ndarray, box) -> 
     upper, rank, ident, scale = box
     sure, zero = (_SURE_PIVOT * scale).tolist(), (_ZERO_PIVOT * scale).tolist()
     noise = (_NOISE_TOL * scale).tolist()
-    order = np.where(allowed, rank[0], _LAST)  # entering rank of each column
     bound = upper.tolist()
     # per row: the basic variable's upper bound and its ranks at either bound
     room = [bound[j] for j in basis.tolist()]
     leave_down, leave_up = rank[0, basis].tolist(), rank[1, basis].tolist()
     for _ in range(_MAX_ITER):
-        key = np.where(t[-1, :-1] < -_PIVOT_TOL, order, _LAST)
+        key = np.where(t[-1, :-1] < -_PIVOT_TOL, rank[0], _LAST)
         entering = int(key.argmin())
         if key[entering] == _LAST:
             return
@@ -225,8 +226,6 @@ def _run_simplex(t: np.ndarray, basis: np.ndarray, allowed: np.ndarray, box) -> 
             flipped = out  # the leaving variable stops at its upper bound
             _flip(t, out, bound[out])
         rank[0, flipped], rank[1, flipped] = rank[1, flipped], rank[0, flipped]
-        if allowed[flipped]:
-            order[flipped] = rank[0, flipped]
     raise NumericalError("simplex did not terminate (iteration cap hit)")
 
 
@@ -236,33 +235,31 @@ def lp_solve(
     b_ub: Sequence[float] | None = None,
     upper: Sequence[float] | None = None,
 ) -> LPResult:
-    """Maximize c.x subject to a_ub x <= b_ub, 0 <= x <= upper.
+    """Maximize c.x subject to a_ub x <= b_ub, 0 <= x <= upper, for b_ub >= 0.
 
-    Two-phase dense simplex with Bland's anti-cycling rule. Every row keeps
-    its own slack column; a row with a negative right-hand side is negated
-    and starts on an artificial column, and only such rows take a phase 1.
-    ``upper`` gives per-variable upper bounds (``np.inf`` for none, and none
-    at all when ``upper`` is omitted); they are bounds of the simplex, not
-    rows: a variable at its bound is a nonbasic column kept complemented,
-    and a bound flip changes only the right-hand side (see
-    ``_run_simplex``). The pivots are those of the same program with one
-    ``x_j <= upper_j`` row per bound appended to ``a_ub``, on a tableau
-    smaller by those rows and their slack columns. Every program takes the
-    same loop, with the same scale-relative ratio test.
+    Dense simplex with Bland's anti-cycling rule. Every row keeps its own
+    slack column, and ``b_ub >= 0`` makes x = 0 feasible, so every program
+    starts from its slack basis, with reduced costs -c. ``upper`` gives
+    per-variable upper bounds (``np.inf`` for none, and none at all when
+    ``upper`` is omitted); they are bounds of the simplex, not rows: a
+    variable at its bound is a nonbasic column kept complemented, and a
+    bound flip changes only the right-hand side (see ``_run_simplex``). The
+    pivots are those of the same program with one ``x_j <= upper_j`` row
+    per bound appended to ``a_ub``, on a tableau smaller by those rows and
+    their slack columns. Every program takes the same loop, with the same
+    scale-relative ratio test.
 
     The primal point and the duals come from basis solves on the original
     rows: B x_B = b - (columns at their upper bound) * upper, with each
     nonbasic variable at its upper bound set to it, and y = c_B B^{-1}; the
-    dual of bound j is max(c_j - y.A_j, 0) (``y_upper``). A non-finite
-    entry of ``c``, ``a_ub`` or ``b_ub``, or a NaN in ``upper``, raises
-    :class:`ValueError`, as does an ``a_ub`` that is not 2-D with ``c.size``
-    columns, or a ``b_ub`` with a length other than its row count.
-    Infeasible programs raise :class:`InfeasibleError`, unbounded ones
-    :class:`UnboundedError`; the primal/dual pair is self-checked
-    (feasibility within 1e-8, duality gap within 1e-7 relative) and a
-    failure raises :class:`NumericalError`, as does an artificial that
-    phase 1 leaves basic in a row whose every other entry rounding has
-    brought within ``_PIVOT_TOL`` of 0.
+    dual of bound j is max(c_j - y.A_j, 0) (``y_upper``). A negative or
+    non-finite entry of ``b_ub``, a non-finite entry of ``c`` or ``a_ub``,
+    or a NaN in ``upper`` raises :class:`ValueError`, as does an ``a_ub``
+    that is not 2-D with ``c.size`` columns, or a ``b_ub`` with a length
+    other than its row count. A negative upper bound raises
+    :class:`InfeasibleError`, an unbounded program :class:`UnboundedError`;
+    the primal/dual pair is self-checked (feasibility within 1e-8, duality
+    gap within 1e-7 relative) and a failure raises :class:`NumericalError`.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -273,81 +270,39 @@ def lp_solve(
         raise ValueError(f"a_ub must be 2-D with one column per entry of c, not {a_ub.shape}")
     if b_ub.size != a_ub.shape[0]:
         raise ValueError("b_ub needs one entry per row of a_ub")
+    if b_ub.min(initial=0.0) < 0:
+        raise ValueError("b_ub must be non-negative, so that x = 0 is feasible")
     if upper.size != n or np.isnan(upper).any():
         raise ValueError("upper needs one bound (a number or inf) per variable")
     if upper.min(initial=0.0) < 0:
         raise InfeasibleError("an upper bound lies below the lower bound 0")
     m = a_ub.shape[0]
-    n_total = n + m
+    width = n + m
 
-    # Standard form: scale rows so the RHS is non-negative; each row gets a
-    # slack column whose coefficient carries the row scaling. The natural
-    # basis is the slack of each row with a +1 slack, an artificial elsewhere.
-    negative = b_ub < 0
-    scale = 1.0 - 2.0 * negative
-    art_rows = negative.nonzero()[0]
-    art_cols = np.arange(n_total, n_total + art_rows.size)
-    width = n_total + art_rows.size
+    # Each row gets a slack column; the slacks are the starting basis, whose
+    # costs are 0, so the reduced-cost row is -c.
     tableau = np.zeros((m + 1, width + 1))
-    tableau[:m, :n] = a_ub * scale[:, None]
-    tableau[:m, -1] = b_ub * scale
+    tableau[:m, :n] = a_ub
+    tableau[:m, -1] = b_ub
     slacks = np.arange(m)
-    tableau[slacks, n + slacks] = scale
-    tableau[art_rows, art_cols] = 1.0
+    tableau[slacks, n + slacks] = 1.0
     if not (np.isfinite(c).all() and np.isfinite(tableau).all()):  # its rows hold A and b
         raise ValueError("c, a_ub and b_ub must be finite")
-    basis = np.arange(n, n + m)
-    basis[art_rows] = art_cols
-    eq_mat, rhs = tableau[:m, :width].copy(), tableau[:m, -1].copy()
-    allowed = np.ones(width, dtype=bool)
+    tableau[-1, :n] = -c
+    basis = n + slacks
+    eq_mat = tableau[:m, :width].copy()
 
     # Ranks in the tableau with one row per finite bound: those rows follow
-    # the <= rows, so their slacks follow the <= slacks and precede the
-    # artificials. A column is complemented when its ranks are swapped.
+    # the <= rows, so their slacks follow the <= slacks. A column is
+    # complemented when its ranks are swapped.
     boxed = (upper < np.inf).nonzero()[0]
     bound = np.full(width, np.inf)
     bound[:n] = upper
     rank = np.arange(width)[None, :].repeat(2, axis=0)
-    rank[:, n_total:] += boxed.size
-    rank[1, boxed] = np.arange(n_total, n_total + boxed.size)
+    rank[1, boxed] = np.arange(width, width + boxed.size)
     box = (bound, rank, basis.copy(), np.abs(eq_mat).max(axis=0, initial=0.0))
-
-    def install_objective(cost: np.ndarray) -> None:
-        at_upper = rank[0] > rank[1]  # a complemented column has cost -c and adds c * upper
-        offset = float(cost[at_upper] @ bound[at_upper])
-        cost = np.where(at_upper, -cost, cost)
-        tableau[-1, :width] = -cost
-        tableau[-1, -1] = offset
-        for i in range(m):
-            cb = cost[basis[i]]
-            if cb != 0.0:
-                tableau[-1] += cb * tableau[i]
-
-    if art_rows.size:
-        phase1 = np.zeros(width)
-        phase1[art_cols] = -1.0
-        install_objective(phase1)
-        _run_simplex(tableau, basis, allowed, box)
-        if tableau[-1, -1] < -_FEAS_TOL:
-            raise InfeasibleError(
-                f"no feasible point (artificial residual {-tableau[-1, -1]:.3e})"
-            )
-        # Drive surviving artificials out of the basis. A row's entries off
-        # the artificials are B^-1 times [A | slacks], and the slacks make
-        # that block invertible, so no row is redundant.
-        for i in np.flatnonzero(basis >= n_total).tolist():
-            cols = np.flatnonzero(np.abs(tableau[i, :n_total]) > _PIVOT_TOL)
-            if not cols.size:
-                raise NumericalError(f"row {i} keeps an artificial after phase 1")
-            _pivot(tableau, i, int(cols[0]))
-            basis[i] = int(cols[0])
-        allowed[art_cols] = False
-
-    phase2 = np.zeros(width)
-    phase2[:n] = c
-    install_objective(phase2)
     if width:  # a program with no variable and no row has its optimum, 0, at x = ()
-        _run_simplex(tableau, basis, allowed, box)
+        _run_simplex(tableau, basis, box)
 
     # The primal point from a solve with the final basis, B x_B = b -
     # (columns at their upper bound) * upper, and the duals from y = c_B
@@ -362,9 +317,11 @@ def lp_solve(
     x_full[at_upper] = bound[at_upper]
     if m:
         b_mat = eq_mat[:, basis]
+        cost = np.zeros(width)
+        cost[:n] = c
         try:
-            x_full[basis] = np.linalg.solve(b_mat, rhs - eq_mat @ x_full)
-            y_ub = np.linalg.solve(b_mat.T, phase2[basis]) * scale  # undo row scaling
+            x_full[basis] = np.linalg.solve(b_mat, b_ub - eq_mat @ x_full)
+            y_ub = np.linalg.solve(b_mat.T, cost[basis])
         except np.linalg.LinAlgError as exc:  # pragma: no cover - degenerate basis
             raise NumericalError(f"basis solve failed: {exc}") from exc
     x = x_full[:n]
@@ -516,7 +473,7 @@ def max_margin(
     # Variables: u = phi + 1 in [0, 2] (n of them, the box as bounds), then
     # t >= 0. Margin rows:  <u, g_D> - t >= sum(g_D)  =>  -<u, g_D> + t <= -sum(g_D).
     # sum(g_D) = sum(D - D0) = 0 exactly; its float value (about 1e-17 of
-    # either sign) would flip a negative row and force a phase 1, so the
+    # either sign) could be negative, which lp_solve refuses, so the
     # right-hand side is written as an exact zero.
     a_ub = np.empty((k, n + 1))
     a_ub[:, :n] = -g
@@ -866,8 +823,9 @@ def verify_cover_family(
 @dataclass(frozen=True)
 class CoverResult:
     """Fractional cover optimum: value d, sampling measure Q over the sets,
-    raw weights y (sum d), the dual element weights mu (mu(S) <= 1 for every
-    set, sum(mu) = d) and their packing bound dual_value = sum(mu) / max_S mu(S)."""
+    raw cover weights y (sum d, the packing LP's row duals), the element
+    weights mu (the packing LP's solution: mu(S) <= 1 for every set,
+    sum(mu) = d) and their packing bound dual_value = sum(mu) / max_S mu(S)."""
 
     value: float
     y: np.ndarray
@@ -879,9 +837,14 @@ class CoverResult:
 def fractional_cover(family: CoverFamily) -> CoverResult:
     """Minimum total weight over the family's sets covering every element once.
 
-    One LP, re-checked in numpy: the weights y cover every element (to
-    1e-7) and the duals' packing bound sum(mu) / max_S mu(S), a lower bound
-    for any mu >= 0, meets the value (to 1e-6); a miss raises NumericalError.
+    One LP, in packing form (Lovasz, *Discrete Math.* 13, 1975): maximize
+    sum(mu) subject to mu(S) <= 1 for every set S and mu >= 0, one <= row
+    per set with right-hand side 1, so it starts from its slack basis. Its
+    solution is the element weights mu, and its row duals are the cover
+    weights y, whose sum is the value. Both are re-checked in numpy: y
+    covers every element (to 1e-7) and the packing bound sum(mu) / max_S
+    mu(S), a lower bound for any mu >= 0, meets the value (to 1e-6); a miss
+    raises NumericalError.
 
     Raises :class:`UncoverableError` (with indices) when some ground element
     lies in no set.
@@ -898,10 +861,10 @@ def fractional_cover(family: CoverFamily) -> CoverResult:
     for j, s in enumerate(family.sets):
         for i in s:
             a[i, j] = 1.0
-    res = lp_solve(c=-np.ones(k), a_ub=-a, b_ub=-np.ones(m))
-    y = np.clip(res.x, 0.0, None)
+    res = lp_solve(np.ones(m), a_ub=a.T, b_ub=np.ones(k))
+    mu = np.clip(res.x, 0.0, None)
+    y = np.clip(res.y_ub, 0.0, None)
     value = float(y.sum())
-    mu = np.clip(res.y_ub, 0.0, None)
     if (a @ y).min() < 1.0 - _FEAS_TOL * 10:
         raise NumericalError("cover weights leave an element covered less than once")
     top = float((mu @ a).max())

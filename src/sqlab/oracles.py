@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -94,6 +95,11 @@ ONE_STAT = "onestat"
 VALIDITY_ATOL = 1e-12
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer (of any integer type) of at least 1."""
+    return isinstance(value, numbers.Integral) and value >= 1
+
+
 @dataclass(frozen=True)
 class OracleSpec:
     """Oracle kind plus its tolerance parameter."""
@@ -105,18 +111,19 @@ class OracleSpec:
     vstat_strict: bool = False
 
     def __post_init__(self):
+        # each test is written so that NaN fails it
         if self.kind == STAT:
             if self.tau is None or not (0 < self.tau <= 2):
                 raise ValueError("STAT needs a tolerance tau in (0, 2]")
         elif self.kind == VSTAT:
-            if self.n is None or self.n < 1:
+            if self.n is None or not self.n >= 1:
                 raise ValueError("VSTAT needs a sample-size parameter n >= 1")
         elif self.kind == VROOT:
             if self.tau is None or not (0 < self.tau <= 1):
                 raise ValueError("VROOT needs a tolerance tau in (0, 1]")
         elif self.kind == ONE_STAT:
-            if self.bits is None or self.bits < 1:
-                raise ValueError("ONE_STAT needs a positive bit width")
+            if not _is_count(self.bits):
+                raise ValueError("ONE_STAT needs a positive integer bit width")
         else:
             raise ValueError(f"unknown oracle kind {self.kind!r}")
 
@@ -207,8 +214,8 @@ class AnswerStrategy:
     def __post_init__(self):
         if self.mode not in (EXACT_MODE, SAMPLED_MODE, REFERENCE_MODE, EDGE_MODE):
             raise ValueError(f"unknown strategy mode {self.mode!r}")
-        if self.mode == SAMPLED_MODE and (self.samples is None or self.samples < 1):
-            raise ValueError("sampled strategy needs a positive sample count")
+        if self.mode == SAMPLED_MODE and not _is_count(self.samples):
+            raise ValueError("sampled strategy needs a positive integer sample count")
         if self.mode == REFERENCE_MODE and self.reference is None:
             raise ValueError("reference strategy needs a distribution")
         if self.mode == EDGE_MODE and self.direction not in (-1, 1):

@@ -142,15 +142,17 @@ def test_rsd_search_solves_one_lp_per_distinct_inner_problem(monkeypatch):
 
 @pytest.mark.parametrize("field", ["x", "y_ub"])
 def test_rsd_decision_raises_on_a_tampered_cover_lp(monkeypatch, field):
-    """biclique(4,1) at tau 0.1 has cover value 4/3 and a unique dual, the
-    uniform weights 1/3. A short primal (y x 0.9) or a dual with its first
-    weight cut by 10% fails fractional_cover's re-evaluation."""
+    """biclique(4,1) at tau 0.1 has cover value 4/3 and a unique hardest
+    measure, the uniform weights 1/3, which the packing LP returns as its
+    solution x. Short cover weights (the duals y x 0.9) or a packing
+    solution with its first weight cut by 10% fail fractional_cover's
+    re-evaluation."""
     prob = biclique(4, 1)
     dists = list(prob.dists)
     with shared_families():
         family_of(dists, prob.reference, 0.1)
         assert rsd_decision(dists, prob.reference, 0.1).value == pytest.approx(4 / 3)
-        tamper_lp_solve(monkeypatch, field, 0.9 if field == "x" else np.array([0.9, 1.0, 1.0, 1.0]))
+        tamper_lp_solve(monkeypatch, field, 0.9 if field == "y_ub" else np.array([0.9, 1.0, 1.0, 1.0]))
         with pytest.raises(NumericalError):
             rsd_decision(dists, prob.reference, 0.1)
 

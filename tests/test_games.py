@@ -58,11 +58,12 @@ from tests.util import brute_force_lp, random_dists, small_domain, tamper_lp_sol
 
 
 def _random_bounded_lp(rng, n, m, box=5.0):
-    """A feasible bounded LP: random rows, RHS looser than a random interior
-    point, and box rows x_i <= box to force boundedness."""
+    """A feasible bounded LP: random rows, RHS |a x0| plus a slack, which
+    keeps both a random interior point x0 and the origin feasible, and box
+    rows x_i <= box to force boundedness."""
     a = rng.uniform(-1.0, 1.0, size=(m, n))
     x0 = rng.uniform(0.0, 1.0, size=n)
-    b = a @ x0 + rng.uniform(0.1, 1.0, size=m)
+    b = np.abs(a @ x0) + rng.uniform(0.1, 1.0, size=m)
     a_full = np.vstack([a, np.eye(n)])
     b_full = np.concatenate([b, np.full(n, box)])
     c = rng.uniform(-1.0, 1.0, size=n)
@@ -106,8 +107,10 @@ def test_lp_known_duals():
 
 
 def test_lp_infeasible_and_unbounded():
+    """x = 0 is feasible for every accepted right-hand side, so the one
+    infeasible program is a box with a negative upper bound."""
     with pytest.raises(InfeasibleError):
-        lp_solve([1.0], a_ub=np.array([[1.0], [-1.0]]), b_ub=[1.0, -2.0])  # x<=1, x>=2
+        lp_solve([1.0], a_ub=np.array([[1.0]]), b_ub=[1.0], upper=[-2.0])
     with pytest.raises(UnboundedError):
         lp_solve([1.0, 0.0], a_ub=np.array([[0.0, 1.0]]), b_ub=[1.0])
 
@@ -120,21 +123,20 @@ def test_lp_degenerate_does_not_cycle():
 
 
 def _random_integer_lp(rng):
-    """A small LP with integer data, <= rows, and one of three right-hand-side
-    shapes: every row tight at an integer point with zero coordinates (a
-    degenerate vertex), a mix of tight and slack rows, or arbitrary (often
-    negative, often infeasible) values. Half get box rows."""
+    """A small LP with integer data, <= rows, and one of three non-negative
+    right-hand-side shapes: every row tight at the origin (b = 0, a
+    degenerate start), a mix of tight and slack rows, or arbitrary
+    non-negative values. Half get box rows."""
     n, m = int(rng.integers(1, 6)), int(rng.integers(0, 6))
     c = rng.integers(-3, 4, n).astype(float)
     a_ub = rng.integers(-3, 4, (m, n)).astype(float)
-    x0 = rng.integers(0, 3, n) * (rng.random(n) < 0.6)
     shape = int(rng.integers(3))
     if shape == 0:
-        b_ub = a_ub @ x0
+        b_ub = np.zeros(m)
     elif shape == 1:
-        b_ub = a_ub @ x0 + rng.integers(0, 3, m)
+        b_ub = rng.integers(1, 3, m) * (rng.random(m) < 0.5)
     else:
-        b_ub = rng.integers(-3, 4, m)
+        b_ub = rng.integers(0, 4, m)
     if rng.random() < 0.5:
         a_ub = np.vstack([a_ub, np.eye(n)])
         b_ub = np.concatenate([b_ub, np.full(n, 4.0)])
@@ -170,15 +172,12 @@ def test_lp_agrees_with_highs_on_integer_programs(seed):
         c, a_ub, b_ub = _random_integer_lp(rng)
         status, value = _highs(linprog, c, a_ub, b_ub)
         seen.add(status)
-        if status == "infeasible":
-            with pytest.raises(InfeasibleError):
-                lp_solve(c, a_ub, b_ub)
-        elif status == "unbounded":
+        if status == "unbounded":
             with pytest.raises(UnboundedError):
                 lp_solve(c, a_ub, b_ub)
         else:
             assert lp_solve(c, a_ub, b_ub).value == pytest.approx(value, abs=1e-7)
-    assert seen == {"infeasible", "unbounded", "optimal"}
+    assert seen == {"unbounded", "optimal"}
 
 
 def _random_bounded_integer_lp(rng):
@@ -208,10 +207,6 @@ def test_bounded_lp_agrees_with_highs_and_with_bounds_as_rows(seed):
         c, a_ub, b_ub, upper = _random_bounded_integer_lp(rng)
         status, value = _highs(linprog, c, a_ub, b_ub, upper)
         seen.add(status)
-        if status == "infeasible":
-            with pytest.raises(InfeasibleError):
-                lp_solve(c, a_ub, b_ub, upper=upper)
-            continue
         if status == "unbounded":
             with pytest.raises(UnboundedError):
                 lp_solve(c, a_ub, b_ub, upper=upper)
@@ -223,7 +218,7 @@ def test_bounded_lp_agrees_with_highs_and_with_bounds_as_rows(seed):
         rows = lp_solve(c, *_bounds_as_rows(c, a_ub, b_ub, upper))
         assert res.value == pytest.approx(rows.value, abs=1e-9)
         assert np.allclose(res.x, rows.x, atol=1e-9)
-    assert seen == {"infeasible", "unbounded", "optimal"}
+    assert seen == {"unbounded", "optimal"}
 
 
 def test_bounds_alone_flip_every_gaining_variable():
@@ -268,16 +263,21 @@ def test_lp_rejects_bad_upper_bounds():
         ({"c": []}, None),
         ({"c": [1.0, 1.0], "a_ub": [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]], "b_ub": [1.0, 1.0, 1.0]}, "a_ub"),
         ({"c": [1.0, 1.0], "a_ub": [[1.0, 2.0, 3.0, 4.0]], "b_ub": [1.0, 1.0]}, "a_ub"),
+        ({"c": [1.0], "a_ub": [[1.0], [-1.0]], "b_ub": [1.0, -2.0]}, "b_ub"),
+        ({"c": [1.0], "a_ub": [[1.0]], "b_ub": [-1e-300]}, "b_ub"),
     ],
-    ids=["b_ub-long", "b_ub-short", "b_ub-missing", "empty", "a_ub-3-columns", "a_ub-4-columns"],
+    ids=["b_ub-long", "b_ub-short", "b_ub-missing", "empty", "a_ub-3-columns", "a_ub-4-columns",
+         "b_ub-negative", "b_ub-tiny-negative"],
 )
 def test_lp_checks_row_counts_and_solves_the_empty_program(program, error):
     """A right-hand side with a length other than its matrix's row count,
     or a matrix that is not 2-D with one column per variable, raises a
     ValueError that names it, not a numpy broadcast or matmul error and not
     a program of another shape (the a_ub cases were once read as a 3 x 2
-    and a 2 x 2 program); the program with no variable and no row has value
-    0 at x = ()."""
+    and a 2 x 2 program); so does a negative right-hand side (x <= 1 and
+    x >= 2 written as -x <= -2), which would leave the starting point x = 0
+    infeasible; the program with no variable and no row has value 0 at
+    x = ()."""
     if error is None:
         res = lp_solve(**program)
         assert res.value == 0.0 and res.x.shape == (0,)
@@ -286,8 +286,8 @@ def test_lp_checks_row_counts_and_solves_the_empty_program(program, error):
             lp_solve(**program)
 
 
-# max x + y subject to x + y <= 1 and x >= 1/2 (a negative row): value 1
-_FINITE_LP = {"c": [1.0, 1.0], "a_ub": [[1.0, 1.0], [-1.0, 0.0]], "b_ub": [1.0, -0.5]}
+# max x + y subject to x + y <= 1 and x - y <= 1/2: value 1
+_FINITE_LP = {"c": [1.0, 1.0], "a_ub": [[1.0, 1.0], [1.0, -1.0]], "b_ub": [1.0, 0.5]}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -317,7 +317,7 @@ def _pivot_reference(t, row, col):
             t[i] -= t[i, col] * t[row]
 
 
-def _run_simplex_reference(t, basis, allowed, box):
+def _run_simplex_reference(t, basis, box):
     """Scalar Bland's-rule loop, the reference for the vectorized
     ``_run_simplex`` on programs without bounds. It keeps the textbook
     absolute cut, a pivot entry above 1e-9, where the kernel judges an entry
@@ -325,7 +325,7 @@ def _run_simplex_reference(t, basis, allowed, box):
     assert not np.isfinite(box[0]).any()
     m = t.shape[0] - 1
     while True:
-        entering = next((j for j in range(t.shape[1] - 1) if allowed[j] and t[-1, j] < -1e-9), -1)
+        entering = next((j for j in range(t.shape[1] - 1) if t[-1, j] < -1e-9), -1)
         if entering < 0:
             return
         leaving, best_ratio = -1, np.inf
@@ -369,12 +369,12 @@ def test_ratio_test_ties_go_to_the_smallest_basis_index():
         return t, np.array([1, 5, 9])
 
     t, basis = tableau()
-    _run_simplex(t, basis, np.ones(10, dtype=bool), _box_without_bounds(t, basis))
+    _run_simplex(t, basis, _box_without_bounds(t, basis))
     assert basis.tolist() == [1, 0, 9]
     # A running best carried row by row ends on basis 9 instead: the chain
     # of near-ties spans more than 1e-12.
     t, basis = tableau()
-    _run_simplex_reference(t, basis, np.ones(10, dtype=bool), _box_without_bounds(t, basis))
+    _run_simplex_reference(t, basis, _box_without_bounds(t, basis))
     assert basis.tolist() == [1, 5, 0]
 
 
@@ -393,7 +393,7 @@ def test_vectorized_kernel_repeats_the_reference_pivots(monkeypatch):
         for c, a_ub, b_ub in programs:
             try:
                 res = lp_solve(c, a_ub, b_ub)
-            except (InfeasibleError, UnboundedError) as exc:
+            except UnboundedError as exc:
                 out.append(type(exc))
             else:
                 out.append(np.concatenate([[res.value], res.x, res.y_ub]).tobytes())
@@ -403,7 +403,7 @@ def test_vectorized_kernel_repeats_the_reference_pivots(monkeypatch):
     monkeypatch.setattr(games, "_pivot", _pivot_reference)
     monkeypatch.setattr(games, "_run_simplex", _run_simplex_reference)
     assert outcomes() == fast
-    assert InfeasibleError in fast and UnboundedError in fast
+    assert UnboundedError in fast
     assert any(isinstance(o, bytes) for o in fast)
 
 
@@ -1498,14 +1498,15 @@ def test_fractional_cover_known_value():
 @pytest.mark.parametrize(
     "field, scale, match",
     [
-        ("x", 0.9, "covered less than once"),
-        ("y_ub", np.array([0.9, 1.0, 1.0]), "packing bound"),
+        ("y_ub", 0.9, "covered less than once"),
+        ("x", np.array([0.9, 1.0, 1.0]), "packing bound"),
     ],
 )
 def test_fractional_cover_rechecks_what_the_lp_returns(monkeypatch, field, scale, match):
-    """fractional_cover re-evaluates both sides of the LP it solved: a short
-    primal (y x 0.9) leaves an element covered less than once, and a dual
-    with one member's weight cut by 10% bounds the value at 1.45, not 1.5."""
+    """fractional_cover re-evaluates both sides of the packing LP it solved:
+    short duals (y x 0.9) leave an element covered less than once, and a
+    solution mu with one member's weight cut by 10% bounds the value at
+    1.45, not 1.5."""
     tamper_lp_solve(monkeypatch, field, scale)
     with pytest.raises(NumericalError, match=match):
         fractional_cover(_pairwise_family())
@@ -1513,9 +1514,10 @@ def test_fractional_cover_rechecks_what_the_lp_returns(monkeypatch, field, scale
 
 def test_fractional_cover_takes_a_uniformly_scaled_dual(monkeypatch):
     """The packing bound sum(mu) / max_S mu(S) does not change when every
-    dual weight is scaled alike, so a dual scaled by 0.9 still certifies the
-    value: the check is on the bound, not on how the LP normalized mu."""
-    tamper_lp_solve(monkeypatch, "y_ub", 0.9)
+    element weight is scaled alike, so a packing solution mu scaled by 0.9
+    still certifies the value: the check is on the bound, not on how the LP
+    normalized mu."""
+    tamper_lp_solve(monkeypatch, "x", 0.9)
     assert fractional_cover(_pairwise_family()).dual_value == pytest.approx(1.5, abs=1e-9)
 
 
@@ -1549,9 +1551,11 @@ def test_uncoverable_reports_indices():
 
 
 def _assert_cover_lps_match_highs(family):
-    """``fractional_cover`` within 1e-9 of HiGHS's cover LP, and its duals mu
-    within 1e-9 of HiGHS's hardest-measure LP (min over measures of
-    max_S mu(S)): max_S mu(S) / sum(mu) is that minimum."""
+    """``fractional_cover`` within 1e-9 of HiGHS's cover LP, and its element
+    weights mu within 1e-9 of HiGHS's hardest-measure LP (min over measures
+    of max_S mu(S)): max_S mu(S) / sum(mu) is that minimum. Its cover
+    weights y, the packing LP's duals, cover every element to 1e-9 and sum
+    to HiGHS's cover value within 1e-9."""
     linprog = pytest.importorskip("scipy.optimize").linprog
     m, k = family.ground_size, len(family.sets)
     a = np.zeros((m, k))
@@ -1569,6 +1573,8 @@ def _assert_cover_lps_match_highs(family):
     assert cover.status == 0 and hardest.status == 0
     ours = fractional_cover(family)
     assert ours.value == pytest.approx(cover.fun, abs=1e-9)
+    assert np.all(a @ ours.y >= 1.0 - 1e-9)
+    assert ours.y.sum() == pytest.approx(cover.fun, abs=1e-9)
     assert float((ours.mu @ a).max()) / ours.mu.sum() == pytest.approx(hardest.fun, abs=1e-9)
 
 

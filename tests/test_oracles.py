@@ -27,7 +27,7 @@ from sqlab import (
 )
 from sqlab.core import draw_indices, dyadic_edges
 from sqlab.errors import SqlabError
-from sqlab.oracles import tolerance, valid_answers, validate
+from sqlab.oracles import ONE_STAT, AnswerStrategy, OracleSpec, tolerance, valid_answers, validate
 
 from tests.util import small_domain
 
@@ -53,6 +53,39 @@ def test_spec_parameter_validation():
         vroot(1.5)
     with pytest.raises(ValueError):
         one_stat_spec(0)
+
+
+_NAN = float("nan")
+_BAD_PARAMETERS = {
+    "stat-nan": lambda: stat(_NAN),
+    "vstat-nan": lambda: vstat(_NAN),
+    "vroot-nan": lambda: vroot(_NAN),
+    "onestat-nan": lambda: OracleSpec(kind=ONE_STAT, bits=_NAN),
+    "onestat-fraction": lambda: one_stat_spec(1.5),
+    "onestat-missing": lambda: OracleSpec(kind=ONE_STAT),
+    "kind-unknown": lambda: OracleSpec(kind="stats"),
+    "sampled-nan": lambda: sampled_answers(_NAN),
+    "sampled-fraction": lambda: sampled_answers(2.5),
+    "sampled-zero": lambda: sampled_answers(0),
+    "reference-missing": lambda: AnswerStrategy(mode="reference"),
+    "edge-direction": lambda: edge_answers(0),
+    "mode-unknown": lambda: AnswerStrategy(mode="stats"),
+}
+
+
+@pytest.mark.parametrize("build", _BAD_PARAMETERS.values(), ids=_BAD_PARAMETERS.keys())
+def test_oracle_parameters_refuse_nan_and_fractions(build):
+    """Each check of ``OracleSpec`` and ``AnswerStrategy`` refuses NaN, and
+    a bit width or sample count must be an integer: a NaN tolerance made
+    every answer invalid, and a NaN or fractional sample count raised a
+    TypeError inside the sampler at the first query."""
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_oracle_counts_take_any_integer_type():
+    assert one_stat_spec(np.int64(3)).param == 3.0
+    assert sampled_answers(np.int32(40)).samples == 40
 
 
 def test_tolerance_values():
