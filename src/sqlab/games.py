@@ -290,7 +290,6 @@ def lp_solve(
         raise ValueError("c, a_ub and b_ub must be finite")
     tableau[-1, :n] = -c
     basis = n + slacks
-    eq_mat = tableau[:m, :width].copy()
 
     # Ranks in the tableau with one row per finite bound: those rows follow
     # the <= rows, so their slacks follow the <= slacks. A column is
@@ -300,7 +299,7 @@ def lp_solve(
     bound[:n] = upper
     rank = np.arange(width)[None, :].repeat(2, axis=0)
     rank[1, boxed] = np.arange(width, width + boxed.size)
-    box = (bound, rank, basis.copy(), np.abs(eq_mat).max(axis=0, initial=0.0))
+    box = (bound, rank, basis.copy(), np.abs(tableau[:m, :width]).max(axis=0, initial=0.0))
     if width:  # a program with no variable and no row has its optimum, 0, at x = ()
         _run_simplex(tableau, basis, box)
 
@@ -309,22 +308,27 @@ def lp_solve(
     # B^{-1}, over the standard-form rows. The tableau's own right-hand side
     # carries the rounding of every pivot: over the 16,000 programs of
     # tests/lp_stress.py it leaves x up to 1.3e-9 outside its box, the solve
-    # up to 1.1e-14.
-    x_full = np.zeros(width)
+    # up to 8.0e-15. A basic slack is a unit column with cost 0: its row's
+    # dual is 0 and its value is not returned, so both solves run on the
+    # square block of the rows whose slack is nonbasic and the basic columns
+    # of x, at most one row per variable. On the full basis the 386-row
+    # cover LP of biclique(6,2) read other duals with two BLAS threads
+    # than with one; OpenBLAS factors a block below 100 x 100 on one thread.
+    x = np.zeros(n)
     y_ub = np.zeros(m)
-    at_upper = rank[0] > rank[1]
-    at_upper[basis] = False
-    x_full[at_upper] = bound[at_upper]
-    if m:
-        b_mat = eq_mat[:, basis]
-        cost = np.zeros(width)
-        cost[:n] = c
+    nonbasic = np.ones(width, dtype=bool)
+    nonbasic[basis] = False
+    at_upper = nonbasic[:n] & (rank[0, :n] > rank[1, :n])
+    x[at_upper] = upper[at_upper]
+    cols = basis[basis < n]
+    rows = nonbasic[n:].nonzero()[0]
+    if cols.size:
+        core = a_ub[rows[:, None], cols]
         try:
-            x_full[basis] = np.linalg.solve(b_mat, b_ub - eq_mat @ x_full)
-            y_ub = np.linalg.solve(b_mat.T, cost[basis])
+            x[cols] = np.linalg.solve(core, b_ub[rows] - a_ub[rows] @ x)
+            y_ub[rows] = np.linalg.solve(core.T, c[cols])
         except np.linalg.LinAlgError as exc:  # pragma: no cover - degenerate basis
             raise NumericalError(f"basis solve failed: {exc}") from exc
-    x = x_full[:n]
     # the dual of bound j prices what column j still gains
     gain = c - y_ub @ a_ub
     y_upper = np.zeros(n)
